@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -85,7 +86,7 @@ def cmd_gen(args) -> int:
                       hash_variant=params.get("hash", "affine"))
     rng = rng_for(args.master_seed if args.master_seed is not None
                   else master_seed_default())
-    rows = np.vstack([gen.generate(gen.random_seed(rng)) for _ in range(args.seeds)])
+    rows = gen.expand(gen.random_seeds(rng, args.seeds))
     if args.out.endswith(".bin"):
         rows.astype("<f8").tofile(args.out)
     else:
@@ -174,9 +175,10 @@ def cmd_estimate(args) -> int:
     else:
         raise SystemExit(f"unknown generator {args.gen!r}")
 
-    report = estimate_fooling_error(
+    report = replace(estimate_fooling_error(
         f, dist, gen, mode=args.mode, trials=args.trials,
-        master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
+        master_seed=args.master_seed, experiment=args.experiment, eps=args.eps),
+        d=system.d)
     fmt = "json" if args.out.endswith(".json") else "csv"
     emit_report([report], args.out, fmt)
     print(json.dumps(report.to_json()))

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -106,9 +107,17 @@ class DiscreteCoordinate(Coordinate):
         m4 = math.fsum(v ** 4 * p for v, p in zip(self.values, self.probs))
         return mean, m2, m4
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        """The CDF Generator.choice builds from p on every call, built once."""
         p = np.asarray(self.probs, dtype=float)
-        return rng.choice(np.asarray(self.values), size=size, p=p / p.sum())
+        cdf = np.cumsum(p / p.sum())
+        cdf /= cdf[-1]
+        return cdf
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Same draws and stream use as rng.choice(values, size, p=probs)."""
+        return np.asarray(self.values)[self._cdf.searchsorted(rng.random(size), side="right")]
 
     def to_json(self) -> dict:
         return {"kind": "discrete", "values": list(self.values), "probs": [float(p) for p in self.probs]}

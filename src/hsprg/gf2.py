@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
+import numpy as np
+
 # Lexicographically smallest irreducible polynomial of each degree m,
 # encoded with bit i = coefficient of x^i.  m=8 is the familiar AES
 # modulus x^8+x^4+x^3+x+1; m=16 is x^16+x^5+x^3+x+1.
@@ -114,6 +116,7 @@ class GF2m:
             raise FieldError(f"modulus 0x{self.modulus:X} is reducible")
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self._array_tables: tuple[np.ndarray, np.ndarray] | None = None
         if m <= _TABLE_WIDTH:
             self._build_tables()
 
@@ -169,6 +172,31 @@ class GF2m:
         if self._exp is not None:
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
+
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product of two broadcastable int64 arrays of elements."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self._exp is not None:
+            log, exp = self._tables_as_arrays()
+            return exp[log[a] + log[b]]
+        out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for i in range(self.m):  # shift-xor, reducing a by the modulus as it grows
+            out ^= a * ((b >> i) & 1)
+            a = a << 1
+            a ^= (a >> self.m) * self.modulus
+        return out
+
+    def _tables_as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """log/exp as arrays; log 0 points past every product into a zero tail."""
+        if self._array_tables is None:
+            n1 = self.order - 1
+            log = np.array(self._log, dtype=np.int64)
+            log[0] = 2 * n1
+            exp = np.zeros(4 * n1 + 1, dtype=np.int64)
+            exp[:2 * n1] = self._exp
+            self._array_tables = (log, exp)
+        return self._array_tables
 
     def inv(self, a: int) -> int:
         if a == 0:

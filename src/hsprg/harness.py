@@ -24,9 +24,13 @@ from scipy.special import betainc
 
 from .distributions import DiscreteCoordinate, ProductDistribution
 from .halfspace import CombinerSpec, HalfspaceSystem, evaluate_batch
+from .robp import nisan_expand, nisan_seed_bits
+from .seeds import random_seed, random_seeds, seed_from_int, seed_range
 
 SEED_ENV_VAR = "HSPRG_SEED"
 DEFAULT_ENUM_CAP = 1 << 24
+SEED_CHUNK = 1 << 12  # seeds expanded per generator call when enumerating
+MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
 
 
 class ResourceCapError(RuntimeError):
@@ -41,6 +45,20 @@ def rng_for(master_seed: int, shard: int = 0) -> np.random.Generator:
 
 def master_seed_default() -> int:
     return int(os.environ.get(SEED_ENV_VAR, "20100913"))
+
+
+def shard_sizes(trials: int, shards: int) -> list[int]:
+    """Split trials over the shards, the remainder going to the first ones.
+
+    Shards that would get no trial are dropped from the end, so the sizes
+    always sum to ``trials``.
+    """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    if not 1 <= shards < MAX_SHARDS:
+        raise ValueError(f"shards must lie in [1, {MAX_SHARDS}), got {shards}")
+    per, extra = divmod(trials, shards)
+    return [per + (i < extra) for i in range(min(shards, trials))]
 
 
 def iter_product_space(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP):
@@ -96,15 +114,17 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
     acc = Fraction(0)
     exact = True
     accf = 0.0
-    for seed in range(n_seeds):
-        v = f(generator.generate(seed))
-        if exact and isinstance(v, (int, bool, Fraction)) and not isinstance(v, float):
-            acc += Fraction(v)
-        else:
-            if exact:
-                accf = float(acc)
-                exact = False
-            accf += float(v)
+    for start in range(0, n_seeds, SEED_CHUNK):
+        seeds = seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)
+        for x in generator.expand(seeds):
+            v = f(x)
+            if exact and isinstance(v, (int, bool, Fraction)) and not isinstance(v, float):
+                acc += Fraction(v)
+            else:
+                if exact:
+                    accf = float(acc)
+                    exact = False
+                accf += float(v)
     return acc / n_seeds if exact else accf / n_seeds
 
 
@@ -160,8 +180,6 @@ class NisanProductGenerator:
     """
 
     def __init__(self, alphabets: Sequence[Sequence[float]], space: int = 8):
-        from .robp import nisan_seed_bits
-
         sizes = {len(a) for a in alphabets}
         if len(sizes) != 1:
             raise ValueError("all alphabets must share one size")
@@ -169,21 +187,25 @@ class NisanProductGenerator:
         if size & (size - 1):
             raise ValueError("alphabet size must be a power of 2")
         self.alphabets = [np.asarray(sorted(a), dtype=float) for a in alphabets]
+        self._alpha = np.stack(self.alphabets)
         self.n = len(alphabets)
         self.space = space
         self.label_bits = max(1, (size - 1).bit_length())
         self.seed_bits = nisan_seed_bits(space, self.label_bits, self.n)
 
-    def generate(self, seed: int) -> np.ndarray:
-        from .robp import nisan_generate
-
-        labels = nisan_generate(self.space, self.label_bits, self.n, seed)
-        return np.array([alpha[z] for alpha, z in zip(self.alphabets, labels)])
-
     def random_seed(self, rng: np.random.Generator) -> int:
-        nbytes = (self.seed_bits + 7) // 8
-        raw = int.from_bytes(rng.bytes(nbytes), "little")
-        return raw & ((1 << self.seed_bits) - 1)
+        return random_seed(rng, self.seed_bits)
+
+    def random_seeds(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return random_seeds(rng, self.seed_bits, size)
+
+    def generate(self, seed: int) -> np.ndarray:
+        return self.expand(seed_from_int(seed, self.seed_bits))[0]
+
+    def expand(self, seeds: np.ndarray) -> np.ndarray:
+        labels = nisan_expand(self.space, self.label_bits, self.n, seeds)
+        # a one-letter alphabet still reads 1-bit labels
+        return self._alpha[np.arange(self.n), labels & (self._alpha.shape[1] - 1)]
 
 
 def _wilson_halfwidth(p: float, n: int) -> float:
@@ -216,22 +238,17 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int],
         ci = 0.0
         method = "exact-enumeration"
     elif mode == "mc":
-        per_shard = max(1, trials // shards)
         true_hits = prg_hits = 0
-        total = 0
-        for shard in range(shards):
-            rng = rng_for(master_seed, shard)
-            X = dist.sample(rng, per_shard)
+        for shard, size in enumerate(shard_sizes(trials, shards)):
+            X = dist.sample(rng_for(master_seed, shard), size)
             true_hits += int(sum(f(x) for x in X))
-            rng2 = rng_for(master_seed, 10_000 + shard)
-            prg_hits += int(sum(f(generator.generate(generator.random_seed(rng2)))
-                                for _ in range(per_shard)))
-            total += per_shard
-        true_e = true_hits / total
-        prg_e = prg_hits / total
-        samples = total
+            seeds = generator.random_seeds(rng_for(master_seed, MAX_SHARDS + shard), size)
+            prg_hits += int(sum(f(x) for x in generator.expand(seeds)))
+        true_e = true_hits / trials
+        prg_e = prg_hits / trials
+        samples = trials
         # both estimates carry error; combine in quadrature
-        ci = math.hypot(_wilson_halfwidth(true_e, total), _wilson_halfwidth(prg_e, total))
+        ci = math.hypot(_wilson_halfwidth(true_e, trials), _wilson_halfwidth(prg_e, trials))
         method = "monte-carlo"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -339,18 +356,15 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
     m2 = [c.moments()[1] for c in dist.coords]
     summary = CovarianceSummary.from_system(W, m2)
     gauss = gaussian_reference_sampler(summary.M)
-    per_shard = max(1, trials // shards)
-    s_hits = g_hits = total = 0
-    for shard in range(shards):
-        rng = rng_for(master_seed, shard)
-        X = dist.sample(rng, per_shard)
+    s_hits = g_hits = 0
+    for shard, size in enumerate(shard_sizes(trials, shards)):
+        X = dist.sample(rng_for(master_seed, shard), size)
         s_hits += int(orthant.contains(X @ W).sum())
-        rng2 = rng_for(master_seed, 20_000 + shard)
-        g_hits += int(orthant.contains(gauss(rng2, per_shard)).sum())
-        total += per_shard
-    p_s, p_g = s_hits / total, g_hits / total
-    ci = math.hypot(_wilson_halfwidth(p_s, total), _wilson_halfwidth(p_g, total))
-    return BerryEsseenReport(abs(p_s - p_g), ci, p_s, p_g, summary, total)
+        rng2 = rng_for(master_seed, 2 * MAX_SHARDS + shard)
+        g_hits += int(orthant.contains(gauss(rng2, size)).sum())
+    p_s, p_g = s_hits / trials, g_hits / trials
+    ci = math.hypot(_wilson_halfwidth(p_s, trials), _wilson_halfwidth(p_g, trials))
+    return BerryEsseenReport(abs(p_s - p_g), ci, p_s, p_g, summary, trials)
 
 
 def spherical_cap_probability(height: float, n: int) -> float:
@@ -383,10 +397,9 @@ def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
     if master_seed is None:
         master_seed = master_seed_default()
     n = system.n
-    hits = total = 0
-    for shard in range(shards):
+    hits = 0
+    for shard, size in enumerate(shard_sizes(trials, shards)):
         rng = rng_for(master_seed, shard)
-        size = max(1, trials // shards)
         X = sampler(rng, size) if sampler is not None else rng.standard_normal((size, n))
         norms = np.linalg.norm(X, axis=1)
         bad = norms == 0
@@ -396,10 +409,9 @@ def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
             norms = np.linalg.norm(X, axis=1)
             bad = norms == 0
         hits += int(evaluate_batch(system, combiner, X / norms[:, None]).sum())
-        total += size
-    p = hits / total
-    return SphereTransferReport(p, _wilson_halfwidth(p, total),
-                                system.d * math.log(n) / n ** 0.25, total, n, system.d)
+    p = hits / trials
+    return SphereTransferReport(p, _wilson_halfwidth(p, trials),
+                                system.d * math.log(n) / n ** 0.25, trials, n, system.d)
 
 
 def emit_report(reports: Iterable[EstimationReport], path: str,

@@ -89,6 +89,12 @@ class HashFamily:
         a = (index % (self.n_pow2 - 1)) + 1
         return HashFunction(a, 0, self.m, self.t)
 
+    def coefficients(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """from_index over an int64 array of indices: the (a, c) arrays."""
+        if self.variant == AFFINE:
+            return index >> self.m, index & (self.n_pow2 - 1)
+        return index % (self.n_pow2 - 1) + 1, np.zeros_like(index)
+
     def functions(self) -> Iterator[HashFunction]:
         if self.variant == AFFINE:
             for a in range(self.n_pow2):

@@ -20,8 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .gf2 import KWiseFamily
+from .gf2 import field
 from .hashing import AFFINE, HashFamily, HashFunction, is_power_of_two
+from .seeds import check_seeds, random_seed, random_seeds, seed_fields, seed_from_int
+
+# Cells (rows x coordinates) per pass of the expansion kernel, and the
+# largest table of partitions (multipliers x coordinates) kept per generator.
+_CHUNK_CELLS = 1 << 16
+_TABLE_CELLS = 1 << 21
 
 
 def _next_pow2(v: int) -> int:
@@ -80,6 +86,19 @@ def derive_params(d: int, eps: float, eta: float, C: float = 1.0,
                     b_blocks=b, r_blocks=r, L=L, t=t, k=k)
 
 
+def _ranks(bucket: np.ndarray) -> np.ndarray:
+    """Rank of each column among the columns of its row sharing its bucket."""
+    cols = np.arange(bucket.shape[1])
+    order = np.argsort(bucket, axis=1, kind="stable")
+    ordered = np.take_along_axis(bucket, order, axis=1)
+    first = np.ones(ordered.shape, dtype=bool)
+    first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    sorted_rank = cols - np.maximum.accumulate(np.where(first, cols, 0), axis=1)
+    rank = np.empty_like(sorted_rank)
+    np.put_along_axis(rank, order, sorted_rank, axis=1)
+    return rank
+
+
 class MZGenerator:
     """Concrete sampler for a list of per-coordinate alphabets."""
 
@@ -107,7 +126,8 @@ class MZGenerator:
         self.fixed_hash = fixed_hash
         self.hash_bits = 0 if (fixed_hash is not None or t == 1) else self.hash_family.index_bits
         self.bucket_seed_bits = self.k * self.m_word
-        self._family_cache: dict[int, KWiseFamily] = {}
+        self._alpha = np.stack(self.alphabets)
+        self._partitions: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def seed_bits(self) -> int:
@@ -126,13 +146,6 @@ class MZGenerator:
             "affine_hash_total": affine_bits + per_bucket,
         }
 
-    def _family(self, size: int) -> KWiseFamily:
-        fam = self._family_cache.get(size)
-        if fam is None:
-            fam = KWiseFamily(self.m_word, self.k, size)
-            self._family_cache[size] = fam
-        return fam
-
     def hash_for_seed(self, seed: int) -> HashFunction:
         if self.fixed_hash is not None:
             return self.fixed_hash
@@ -150,87 +163,98 @@ class MZGenerator:
             counts[b] += 1
         return buckets, ranks
 
-    def generate(self, seed: int) -> np.ndarray:
-        if not 0 <= seed < (1 << self.seed_bits):
-            raise ValueError(f"seed needs exactly {self.seed_bits} bits")
-        h = self.hash_for_seed(seed)
-        buckets, ranks = self.partition(h)
-        counts = [0] * self.t
-        for b in buckets:
-            counts[b] += 1
-        mask = (1 << self.bucket_seed_bits) - 1
-        seeds = []
-        for i in range(self.t):
-            raw = (seed >> (self.hash_bits + i * self.bucket_seed_bits)) & mask
-            if counts[i]:
-                fam = self._family(counts[i])
-                seeds.append(fam.seed_from_int(raw))
-            else:
-                seeds.append(None)
-        out = np.empty(self.n)
-        idx_mask = self.alphabet_size - 1
-        for j in range(self.n):
-            fam = self._family(counts[buckets[j]])
-            word = fam.expand(seeds[buckets[j]], ranks[j])
-            out[j] = self.alphabets[j][word & idx_mask]
-        return out
-
     def random_seed(self, rng: np.random.Generator) -> int:
-        nbytes = (self.seed_bits + 7) // 8
-        raw = int.from_bytes(rng.bytes(nbytes), "little")
-        return raw & ((1 << self.seed_bits) - 1)
+        return random_seed(rng, self.seed_bits)
 
-    def _mul_table(self) -> np.ndarray:
-        f = self._family(1).field
-        size = 1 << self.m_word
-        if self.m_word > 11:
-            raise ValueError("batch path supports word width up to 11 bits")
-        table = np.empty((size, size), dtype=np.int64)
-        for x in range(size):
-            table[x] = [f.mul(x, y) for y in range(size)]
-        return table
+    def random_seeds(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return random_seeds(rng, self.seed_bits, size)
+
+    def generate(self, seed: int) -> np.ndarray:
+        return self.expand(seed_from_int(seed, self.seed_bits))[0]
+
+    def expand(self, seeds: np.ndarray) -> np.ndarray:
+        """One generator row per seed row, shape (size, n)."""
+        seeds = check_seeds(seeds, self.seed_bits)
+        index = seed_fields(seeds, 0, self.hash_bits, 1)[:, 0]
+        coeffs = seed_fields(seeds, self.hash_bits, self.m_word, self.t * self.k)
+        out = np.empty((len(seeds), self.n))
+        self._fill(*self.hash_family.coefficients(index),
+                   coeffs.reshape(len(seeds), self.t, self.k), out)
+        return out
 
     def sample_batch(self, rng: np.random.Generator, size: int,
                      chunk: int = 1 << 15) -> np.ndarray:
-        """Vectorized fresh draws: hash index and bucket seeds sampled directly.
+        """Vectorized fresh draws: hash (a, c) and bucket seeds sampled directly.
 
         Equivalent in law to generate() over uniform seeds; used for Monte
-        Carlo scale.  Requires the field word to fit a lookup table.
+        Carlo scale.
         """
-        mul = getattr(self, "_mul_cache", None)
-        if mul is None:
-            mul = self._mul_table()
-            self._mul_cache = mul
         out = np.empty((size, self.n))
-        idx_mask = self.alphabet_size - 1
-        alpha = np.stack(self.alphabets)
         done = 0
         while done < size:
             m = min(chunk, size - done)
             if self.fixed_hash is not None or self.t == 1:
-                h = self.fixed_hash or self.hash_family.from_index(0)
-                a = np.full(m, h.a, dtype=np.int64)
-                c = np.full(m, h.c, dtype=np.int64)
+                a = c = np.zeros(m, dtype=np.int64)  # constant partition
             elif self.hash_family.variant == AFFINE:
                 a = rng.integers(0, self.n_dom, size=m)
                 c = rng.integers(0, self.n_dom, size=m)
             else:
-                raw = rng.integers(0, 1 << self.hash_family.index_bits, size=m)
-                a = raw % (self.n_dom - 1) + 1
-                c = np.zeros(m, dtype=np.int64)
+                a, c = self.hash_family.coefficients(
+                    rng.integers(0, 1 << self.hash_family.index_bits, size=m))
             coeffs = rng.integers(0, 1 << self.m_word, size=(m, self.t, self.k))
-            counters = np.zeros((m, self.t), dtype=np.int64)
-            rows = np.arange(m)
-            for j in range(self.n):
-                bucket = (mul[a, j] ^ c) & (self.t - 1)
-                rank = counters[rows, bucket]
-                counters[rows, bucket] = rank + 1
-                acc = np.zeros(m, dtype=np.int64)
-                for kk in range(self.k - 1, -1, -1):
-                    acc = mul[acc, rank] ^ coeffs[rows, bucket, kk]
-                out[done:done + m, j] = alpha[j][acc & idx_mask]
+            self._fill(a, c, coeffs, out[done:done + m])
             done += m
         return out
+
+    def _fill(self, a: np.ndarray, c: np.ndarray, coeffs: np.ndarray,
+              out: np.ndarray) -> None:
+        """The expansion kernel: rows of hash (a, c) and (t, k) bucket seeds.
+
+        Each coordinate takes its bucket's polynomial (constant term first)
+        at its within-bucket rank, by Horner in GF(2^m_word), and the low
+        bits of that word index its alphabet.
+        """
+        f = field(self.m_word)
+        cols = np.arange(self.n)
+        step = max(1, _CHUNK_CELLS // self.n)
+        for lo in range(0, len(out), step):
+            hi = min(lo + step, len(out))
+            bucket, rank = self._partition_rows(a[lo:hi], c[lo:hi])
+            base = (np.arange(hi - lo)[:, None] * self.t + bucket) * self.k
+            flat = coeffs[lo:hi].reshape(-1)
+            acc = flat[base + (self.k - 1)]
+            for kk in range(self.k - 2, -1, -1):
+                acc = f.mul_array(acc, rank) ^ flat[base + kk]
+            out[lo:hi] = self._alpha[cols, acc & (self.alphabet_size - 1)]
+
+    def _partition_rows(self, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(bucket, rank) of every coordinate under each row's hash (a, c).
+
+        c only relabels the buckets by xor, which keeps the ranks, so one
+        partition per multiplier a is enough: a table of them is built once
+        when it is small, otherwise they are computed for the rows at hand.
+        A fixed hash, or t = 1, has a single partition.
+        """
+        constant = self.fixed_hash is not None or self.t == 1
+        if self._partitions is None:
+            if constant:
+                self._partitions = tuple(np.array([p], dtype=np.int32)
+                                         for p in self.partition(self.hash_for_seed(0)))
+            elif self.n_dom * self.n <= _TABLE_CELLS:
+                self._partitions = tuple(p.astype(np.int32) for p in
+                                         self._multiplier_partitions(np.arange(self.n_dom)))
+        if constant:
+            return self._partitions
+        if self._partitions is None:
+            bucket, rank = self._multiplier_partitions(a)
+        else:
+            bucket, rank = self._partitions[0][a], self._partitions[1][a]
+        return bucket ^ (c & (self.t - 1))[:, None], rank
+
+    def _multiplier_partitions(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Buckets (a*j) mod t in the hash family's field, and their ranks."""
+        bucket = field(self.hash_family.m).mul_array(a[:, None], np.arange(self.n)) & (self.t - 1)
+        return bucket, _ranks(bucket)
 
     def all_seeds(self) -> range:
         return range(1 << self.seed_bits)
@@ -238,14 +262,6 @@ class MZGenerator:
     def with_fixed_hash(self, h: HashFunction) -> "MZGenerator":
         return MZGenerator([list(a) for a in self.alphabets], self.t, self.k,
                            self.hash_family.variant, fixed_hash=h)
-
-
-def generate_sample(gen: MZGenerator, seed: int) -> np.ndarray:
-    return gen.generate(seed)
-
-
-def seed_bits(gen: MZGenerator) -> int:
-    return gen.seed_bits
 
 
 def alphabets_from_distribution(dist) -> list[list[float]]:

@@ -21,7 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
+from .gf2 import field
 from .halfspace import is_monotone_table
+from .seeds import check_seeds, seed_fields, seed_from_int
 
 
 class ResourceError(RuntimeError):
@@ -418,32 +422,27 @@ def nisan_seed_bits(S: int, D: int, T: int) -> int:
     return w + 2 * w * nisan_levels(T)
 
 
-def nisan_generate(S: int, D: int, T: int, seed: int) -> list[int]:
-    """Expand the seed into T labels of D bits.
+def nisan_expand(S: int, D: int, T: int, seeds: np.ndarray) -> np.ndarray:
+    """Expand each seed row into T labels of D bits, shape (size, T).
 
     Level r output is (G_{r-1}(x), G_{r-1}(h_r(x))) with h_r(x) = a_r*x + b_r
-    over GF(2^w); a label is the low D bits of its word.  T is padded to the
-    next power of 2 internally and the output truncated.
+    over GF(2^w); a label is the low D bits of its word.  Seed fields, low
+    bits first: x, then (a_r, b_r) for r = 1, 2, ...  Levels are applied
+    from the top down, each doubling the words of every row; T is padded
+    to the next power of 2 and the output truncated.
     """
-    from .gf2 import field
-
     w = nisan_word_bits(S, D)
     r = nisan_levels(T)
-    bits = nisan_seed_bits(S, D, T)
-    if not 0 <= seed < (1 << bits):
-        raise ValueError(f"seed needs exactly {bits} bits")
-    mask = (1 << w) - 1
-    x = seed & mask
-    hashes = []
-    for i in range(r):
-        chunk = seed >> (w + 2 * w * i)
-        hashes.append((chunk & mask, (chunk >> w) & mask))
+    seeds = check_seeds(seeds, nisan_seed_bits(S, D, T))
+    words = seed_fields(seeds, 0, w, 1 + 2 * r)
     f = field(w)
+    out = words[:, :1]
+    for level in range(r, 0, -1):
+        a, b = words[:, 2 * level - 1:2 * level], words[:, 2 * level:2 * level + 1]
+        out = np.stack([out, f.mul_array(a, out) ^ b], axis=2).reshape(len(seeds), -1)
+    return out[:, :T] & ((1 << D) - 1)
 
-    def expand(word: int, level: int) -> list[int]:
-        if level == 0:
-            return [word & ((1 << D) - 1)]
-        a, b = hashes[level - 1]
-        return expand(word, level - 1) + expand(f.mul(a, word) ^ b, level - 1)
 
-    return expand(x, r)[:T]
+def nisan_generate(S: int, D: int, T: int, seed: int) -> list[int]:
+    """The T labels of one integer seed; see nisan_expand."""
+    return nisan_expand(S, D, T, seed_from_int(seed, nisan_seed_bits(S, D, T)))[0].tolist()

@@ -147,3 +147,16 @@ def test_estimate_mz_mc(tmp_path, rad_dist):
                  "--trials", "2000", "--master-seed", "9", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep[0]["method"] == "monte-carlo"
+
+
+def test_estimate_reports_system_dimension(tmp_path, rad_dist):
+    system = write(tmp_path / "sys.json",
+                   {"W": [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]],
+                    "Theta": [0.0, 0.0]})
+    comb = write(tmp_path / "comb.json", {"kind": "intersection"})
+    out = tmp_path / "report.json"
+    for mode in ("exact", "mc"):
+        assert main(["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
+                     "--gen", "mz", "--t", "2", "--k", "2", "--mode", mode,
+                     "--trials", "800", "--master-seed", "9", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())[0]["d"] == 2

@@ -36,6 +36,16 @@ def rng(seed=7):
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
 
 
+def test_discrete_sample_matches_rng_choice():
+    coord = DiscreteCoordinate([2.5, -1.0, 0.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+    ours, ref = rng(11), rng(11)
+    for size in (1, 5, 1000):
+        p = np.asarray(coord.probs)
+        want = ref.choice(np.asarray(coord.values), size=size, p=p / p.sum())
+        assert np.array_equal(coord.sample(ours, size), want)
+    assert ours.random() == ref.random()
+
+
 class TestMomentProfile:
     def test_rademacher(self):
         p = moment_profile(RADEMACHER)

@@ -3,6 +3,7 @@
 import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +61,19 @@ class TestFieldMul:
         a = data.draw(st.integers(min_value=0, max_value=f.order - 1))
         b = data.draw(st.integers(min_value=0, max_value=f.order - 1))
         assert f.mul(a, b) == f.mul(b, a) == f._mul_raw(a, b)
+
+    @pytest.mark.parametrize("m", [1, 2, 8, 12, 13, 20, 32])
+    def test_mul_array_matches_scalar(self, m):
+        # tables up to m = 12, shift-xor beyond
+        f = field(m)
+        rng = np.random.default_rng(m)
+        a = rng.integers(0, f.order, size=300)
+        b = rng.integers(0, f.order, size=300)
+        a[:3], b[3:6] = 0, 0
+        want = [f.mul(int(x), int(y)) for x, y in zip(a, b)]
+        assert f.mul_array(a, b).tolist() == want
+        assert f.mul_array(a[:, None], b[None, :5]).tolist() == \
+            [[f.mul(int(x), int(y)) for y in b[:5]] for x in a]
 
     def test_pinned_moduli_are_irreducible(self):
         # trial division is the arbiter up to m=16; the table is trusted above

@@ -7,11 +7,16 @@ import numpy as np
 import pytest
 
 from conftest import philox
-from hsprg.distributions import DiscreteCoordinate, ProductDistribution
+from hsprg.distributions import (
+    DiscreteCoordinate,
+    ProductDistribution,
+    UniformMultisetCoordinate,
+)
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
 from hsprg.harness import (
     CovarianceSummary,
     EstimationReport,
+    NisanProductGenerator,
     OrthantSet,
     ResourceCapError,
     berry_esseen_probe,
@@ -22,10 +27,11 @@ from hsprg.harness import (
     iter_product_space,
     read_report_json,
     rng_for,
+    shard_sizes,
     spherical_cap_probability,
     sphere_transfer,
 )
-from hsprg.mzgen import MZGenerator
+from hsprg.mzgen import MZGenerator, alphabets_from_distribution
 
 RAD = DiscreteCoordinate.rademacher()
 
@@ -96,6 +102,66 @@ class TestFoolingError:
                                     master_seed=7)
         assert abs(mc.true_expectation - exact.true_expectation) <= mc.ci95
         assert abs(mc.prg_expectation - exact.prg_expectation) <= mc.ci95
+
+
+class TestMonteCarloGolden:
+    """Reports pinned at a fixed master seed; any change to a stream shows here."""
+
+    DIST = ProductDistribution.repeated(UniformMultisetCoordinate([-2.0, -0.5, -0.5, 1.0]), 16)
+
+    def estimate(self, gen):
+        W = philox(17).normal(size=(16, 2))
+        system = HalfspaceSystem(W, [0.25, -0.5])
+        comb = CombinerSpec.intersection()
+        return estimate_fooling_error(lambda x: comb.apply(system.sign_vector(x)),
+                                      self.DIST, gen, mode="mc", trials=4000,
+                                      master_seed=2010)
+
+    def test_mz(self):
+        rep = self.estimate(MZGenerator(alphabets_from_distribution(self.DIST), t=4, k=5))
+        assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples) == \
+            (0.206, 0.202, 0.017660352251644248, 4000)
+
+    def test_nisan(self):
+        rep = self.estimate(NisanProductGenerator(alphabets_from_distribution(self.DIST),
+                                                  space=4))
+        assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples) == \
+            (0.206, 0.18975, 0.01745658340601373, 4000)
+
+
+class TestSharding:
+    def test_sizes_sum_to_trials(self):
+        assert shard_sizes(80, 8) == [10] * 8
+        assert shard_sizes(10, 4) == [3, 3, 2, 2]
+        assert shard_sizes(3, 8) == [1, 1, 1]
+
+    @pytest.mark.parametrize("trials,shards", [(0, 8), (-5, 8), (10, 0), (10, -1),
+                                               (10, 10_000)])
+    def test_bad_requests_rejected(self, trials, shards):
+        with pytest.raises(ValueError):
+            shard_sizes(trials, shards)
+
+    def test_samples_equal_trials_everywhere(self):
+        gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
+        W = np.ones((4, 1)) / 2
+        for trials, shards in ((13, 4), (3, 8)):
+            rep = estimate_fooling_error(lambda x: int(sum(x) >= 0), cube(4), gen,
+                                         mode="mc", trials=trials, shards=shards,
+                                         master_seed=1)
+            assert rep.samples == trials
+            orthant = OrthantSet(np.array([0.0]), (0, 1))
+            assert berry_esseen_probe(W, cube(4), orthant, trials=trials, shards=shards,
+                                      master_seed=1).samples == trials
+            system = HalfspaceSystem(W, [0.0])
+            assert sphere_transfer(system, CombinerSpec.single(), trials=trials,
+                                   shards=shards, master_seed=1).samples == trials
+
+    def test_colliding_shard_keys_rejected(self):
+        gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
+        for shards in (0, 10_000):
+            with pytest.raises(ValueError):
+                estimate_fooling_error(lambda x: 1, cube(4), gen, mode="mc",
+                                       trials=20_000, shards=shards, master_seed=1)
 
 
 class TestCovariance:
@@ -206,6 +272,10 @@ class TestNisanProductGenerator:
         rng = rng_for(3)
         x = gen.generate(gen.random_seed(rng))
         assert set(x) <= {-1.0, 1.0} and len(x) == 6
+
+    def test_one_letter_alphabet(self):
+        gen = NisanProductGenerator([[0.5]] * 3, space=2)
+        assert np.array_equal(gen.expand(gen.random_seeds(rng_for(4), 20)), np.full((20, 3), 0.5))
 
     def test_seed_bits_follow_schedule(self):
         from hsprg.harness import NisanProductGenerator

@@ -215,23 +215,31 @@ class _StubRng:
         return np.asarray(self.draws.pop(0), dtype=np.int64)
 
 
+def packed_seed(gen, a, c, coeffs):
+    """The wide-int seed whose hash is (a, c) and whose bucket seeds are coeffs."""
+    seed = (a << gen.hash_family.m) | c
+    for bucket in range(gen.t):
+        raw = 0
+        for i, coef in enumerate(coeffs[bucket]):
+            raw |= int(coef) << (i * gen.m_word)
+        seed |= raw << (gen.hash_bits + bucket * gen.bucket_seed_bits)
+    return seed
+
+
 class TestSampleBatch:
     def test_matches_generate_for_packed_seed(self):
         gen = MZGenerator([[-1.0, 1.0]] * 5, t=2, k=3)
-        m = gen.m_word
-        a, c = 5, 3
-        coeffs = [[1, 6, 2], [7, 0, 5]]  # per bucket, constant term first
-        stub = _StubRng([[a], [c], [coeffs]])
-        batch = gen.sample_batch(stub, 1)
-
-        seed = (a << gen.hash_family.m) | c
-        offset = gen.hash_bits
-        for bucket in range(gen.t):
-            raw = 0
-            for i, coef in enumerate(coeffs[bucket]):
-                raw |= coef << (i * m)
-            seed |= raw << (offset + bucket * gen.bucket_seed_bits)
-        assert np.array_equal(batch[0], gen.generate(seed))
+        cases = [(gen, 5, 3, [[1, 6, 2], [7, 0, 5]])]  # per bucket, constant term first
+        # alphabet wider than the hash domain: m_word 4, hash field GF(4)
+        wide = MZGenerator([list(range(16))] * 4, t=2, k=2)
+        assert (wide.m_word, wide.hash_family.m) == (4, 2)
+        rng = philox(41)
+        for a in range(wide.n_dom):
+            for c in range(wide.n_dom):
+                cases.append((wide, a, c, rng.integers(0, 16, size=(2, 2)).tolist()))
+        for g, a, c, coeffs in cases:
+            batch = g.sample_batch(_StubRng([[a], [c], [coeffs]]), 1)
+            assert np.array_equal(batch[0], g.generate(packed_seed(g, a, c, coeffs)))
 
     def test_batch_marginals_match_alphabet(self):
         gen = MZGenerator([[-3.0, -1.0, -1.0, 5.0]] * 6, t=2, k=4)

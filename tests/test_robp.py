@@ -18,11 +18,13 @@ from hsprg.robp import (
     compose_monotone_sandwich,
     decision_tree_error_bound,
     halfspace_to_robp,
+    nisan_expand,
     nisan_generate,
     nisan_seed_bits,
     product_robp,
     sandwich_monotone,
 )
+from hsprg.seeds import seed_range
 
 PM1 = [[-1, 1]]
 
@@ -245,10 +247,7 @@ class TestNisan:
         # to exactly <= 1/32; the configured ceiling for this instance is 1/16
         S, D, T = 1, 1, 4
         bits = nisan_seed_bits(S, D, T)
-        counts = {}
-        for seed in range(1 << bits):
-            z = tuple(nisan_generate(S, D, T, seed))
-            counts[z] = counts.get(z, 0) + 1
+        counts = nisan_output_counts(S, D, T)
         worst = Fraction(0)
         for B in _all_width2_programs():
             acc = sum(Fraction(counts.get(z, 0), 1 << bits) - Fraction(1, 16)
@@ -256,6 +255,15 @@ class TestNisan:
             worst = max(worst, abs(acc))
         assert worst == Fraction(1, 32)
         assert worst <= Fraction(1, 16)
+
+
+def nisan_output_counts(S, D, T):
+    """How many seeds give each output string, over the whole seed space."""
+    bits = nisan_seed_bits(S, D, T)
+    counts = {}
+    for z in map(tuple, nisan_expand(S, D, T, seed_range(0, 1 << bits, bits)).tolist()):
+        counts[z] = counts.get(z, 0) + 1
+    return counts
 
 
 def _all_width2_programs():
@@ -295,10 +303,7 @@ class TestTreeBound:
             return 1 if B1.eval(z) else B2.eval(z)
 
         bits = nisan_seed_bits(S, D, T)
-        counts = {}
-        for seed in range(1 << bits):
-            z = tuple(nisan_generate(S, D, T, seed))
-            counts[z] = counts.get(z, 0) + 1
+        counts = nisan_output_counts(S, D, T)
         n_seeds = 1 << bits
 
         def prg_error(f):
