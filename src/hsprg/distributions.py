@@ -270,9 +270,6 @@ class TruncatedStandardizedCoordinate(Coordinate):
                 "B": self.B_raw, "mu": self.mu, "scale": self.scale}
 
 
-# the spec-facing name for the coordinate protocol
-CoordinateSpec = Coordinate
-
 _KINDS = {
     "gaussian": lambda d: GaussianCoordinate(),
     "uniform-interval": lambda d: UniformIntervalCoordinate(d.get("lo", -1.0), d.get("hi", 1.0)),

@@ -12,11 +12,12 @@ import csv
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import lapack
@@ -30,7 +31,9 @@ from .seeds import random_seed, random_seeds, seed_from_int, seed_range
 SEED_ENV_VAR = "HSPRG_SEED"
 DEFAULT_ENUM_CAP = 1 << 24
 SEED_CHUNK = 1 << 12  # seeds expanded per generator call when enumerating
+TAIL_BLOCK = 1 << 12  # (point, weight) pairs precomputed per product-space walk level
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
+_INTEGRAL = (numbers.Integral, np.bool_)  # f values the exact sum takes as ints
 
 
 class ResourceCapError(RuntimeError):
@@ -61,27 +64,84 @@ def shard_sizes(trials: int, shards: int) -> list[int]:
     return [per + (i < extra) for i in range(min(shards, trials))]
 
 
-def iter_product_space(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP):
-    """(point, probability) over the full discrete product space.
+def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
+                    ) -> tuple[int, Iterator[tuple[tuple[float, ...], int]]]:
+    """The discrete product space as integer weights over one denominator.
 
-    Probabilities are Fractions (exact for the dyadic laws the pipeline
-    produces).  Raises when the space exceeds `cap`.
+    Returns ``(den, walk)``: ``walk`` yields ``(point, weight)`` in
+    ``itertools.product`` order with Pr[point] = weight / den exactly.  Each
+    coordinate's probabilities become integer numerators over the lcm of
+    their denominators, and ``den`` is the product of those lcms.  Raises
+    before the walk starts when the space exceeds `cap`.
     """
-    supports = []
-    total = 1
+    lattice = []
+    total = den = 1
     for c in dist.coords:
         if not isinstance(c, DiscreteCoordinate):
             raise ValueError("exact enumeration needs discrete coordinates")
-        supports.append(list(zip(c.values, c.fprobs)))
         total *= len(c.values)
         if total > cap:
             raise ResourceCapError(f"product space exceeds cap {cap}")
-    for combo in itertools.product(*supports):
-        point = tuple(v for v, _ in combo)
-        p = Fraction(1)
-        for _, pr in combo:
-            p *= pr
-        yield point, p
+        q = math.lcm(*(p.denominator for p in c.fprobs))
+        lattice.append((c.values, [p.numerator * (q // p.denominator) for p in c.fprobs]))
+        den *= q
+    return den, _walk(lattice)
+
+
+def _block(lattice) -> list[tuple[tuple[float, ...], int]]:
+    """Every (point, weight) of `lattice`, weights as prefix products."""
+    block = [((), 1)]
+    for values, nums in lattice:
+        block = [(p + (v,), w * m) for p, w in block for v, m in zip(values, nums)]
+    return block
+
+
+def _walk(lattice):
+    """(point, weight) over `lattice`: a head walk times one precomputed tail block.
+
+    The tail is the longest run of trailing coordinates whose product fits
+    in TAIL_BLOCK points (at least one coordinate), so memory stays
+    O(TAIL_BLOCK) per level and each point costs one int multiply.
+    """
+    split = len(lattice) - 1
+    size = len(lattice[split][0])
+    while split and size * len(lattice[split - 1][0]) <= TAIL_BLOCK:
+        split -= 1
+        size *= len(lattice[split][0])
+    tail = _block(lattice[split:])
+    if not split:
+        yield from tail
+        return
+    for head, hw in _walk(lattice[:split]):
+        for point, w in tail:
+            yield head + point, hw * w
+
+
+def _weighted_sum(f: Callable, walk: Iterable[tuple[object, int]], den: int):
+    """Sum of f(x) * w / den over the (x, w) pairs of `walk`.
+
+    Exact while f returns integers (numpy's and bools included) or
+    Fractions: the sum runs in Python ints, or Fractions, and one Fraction
+    is built at the end.  From the first other value on it runs in floats,
+    starting at the exact partial sum and adding float(f(x)) * (w / den),
+    where w / den is the correctly rounded probability.
+    """
+    acc = 0
+    walk = iter(walk)
+    for x, w in walk:
+        v = f(x)
+        if type(v) is not int:
+            if isinstance(v, _INTEGRAL):
+                v = int(v)
+            elif not isinstance(v, Fraction):
+                break
+        acc += v * w
+    else:
+        return Fraction(acc, den)
+    accf = float(Fraction(acc, den)) + float(v) * (w / den)
+    for x, w in walk:
+        accf += float(f(x)) * (w / den)
+    return accf
 
 
 def exact_expectation(f: Callable[[Sequence[float]], float],
@@ -90,19 +150,8 @@ def exact_expectation(f: Callable[[Sequence[float]], float],
 
     Returns a Fraction when every f value is integral/Fraction, else float.
     """
-    acc_frac = Fraction(0)
-    acc_float = 0.0
-    exact = True
-    for point, p in iter_product_space(dist, cap):
-        v = f(point)
-        if exact and isinstance(v, (int, bool, Fraction)) and not isinstance(v, float):
-            acc_frac += Fraction(v) * p
-        else:
-            if exact:
-                acc_float = float(acc_frac)
-                exact = False
-            acc_float += float(v) * float(p)
-    return acc_frac if exact else acc_float
+    den, walk = product_lattice(dist, cap)
+    return _weighted_sum(f, walk, den)
 
 
 def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
@@ -111,21 +160,11 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
     n_seeds = 1 << generator.seed_bits
     if n_seeds > cap:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {cap}")
-    acc = Fraction(0)
-    exact = True
-    accf = 0.0
-    for start in range(0, n_seeds, SEED_CHUNK):
-        seeds = seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)
-        for x in generator.expand(seeds):
-            v = f(x)
-            if exact and isinstance(v, (int, bool, Fraction)) and not isinstance(v, float):
-                acc += Fraction(v)
-            else:
-                if exact:
-                    accf = float(acc)
-                    exact = False
-                accf += float(v)
-    return acc / n_seeds if exact else accf / n_seeds
+    rows = (x for start in range(0, n_seeds, SEED_CHUNK)
+            for x in generator.expand(seed_range(start, min(start + SEED_CHUNK, n_seeds),
+                                                 generator.seed_bits)))
+    # unit weights and den 1: the float path sums float(f(x)) and divides once
+    return _weighted_sum(f, zip(rows, itertools.repeat(1)), 1) / n_seeds
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import exact_expectation, expectation_over_seeds, iter_product_space
+from .harness import exact_expectation, expectation_over_seeds, product_lattice
 from .regularity import TermNorms, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -463,13 +463,6 @@ def build_upper_poly(weights: Sequence[float], theta: float, coords,
 
 
 @dataclass(frozen=True)
-class SandwichReport:
-    pointwise_ok: bool
-    expectation_gap: float
-    order: int
-
-
-@dataclass(frozen=True)
 class UpperCertification:
     pointwise_ok: bool
     eps0: float       # E[p - h]
@@ -481,9 +474,6 @@ class UpperCertification:
         return (self.pointwise_ok and self.eps0 >= 0
                 and self.norm2d <= 1.0 + 2.0 / self.d ** 2 + 1e-12)
 
-    def report(self, order: int) -> SandwichReport:
-        return SandwichReport(self.pointwise_ok, self.eps0, order)
-
 
 def certify_upper(p: Callable[[Sequence[float]], float],
                   h: Callable[[Sequence[float]], int],
@@ -494,12 +484,13 @@ def certify_upper(p: Callable[[Sequence[float]], float],
     gap = 0.0
     gamma = 0.0
     pow_sum = 0.0
-    for point, prob in iter_product_space(dist):
+    den, walk = product_lattice(dist)
+    for point, w in walk:
         pv = float(p(point))
         hv = float(h(point))
         if pv < hv:
             pointwise = False
-        fp = float(prob)
+        fp = w / den
         gap += (pv - hv) * fp
         if pv > thresh:
             gamma += fp
@@ -547,14 +538,15 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
 
     pointwise = True
     gap = 0.0
-    for point, prob in iter_product_space(dist):
+    den, walk = product_lattice(dist)
+    for point, w in walk:
         pv = product(point)
         hv = 1.0
         for h in halfspaces:
             hv *= _as_indicator(h)(point)
         if pv < hv:
             pointwise = False
-        gap += (pv - hv) * float(prob)
+        gap += (pv - hv) * (w / den)
 
     order = sum(getattr(p, "order", dist.n) for p in polys)
     return HybridResult(product, min(order, dist.n), bound, gap, pointwise,

@@ -1,0 +1,209 @@
+"""Exact enumeration: the integer-lattice walker and the shared accumulator.
+
+The reference below is the per-point Fraction product over
+``itertools.product``; golden values were recorded with that reference
+implementation in the harness, so float results must match bit for bit.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hsprg import harness
+from hsprg.distributions import DiscreteCoordinate, ProductDistribution, UniformMultisetCoordinate
+from hsprg.halfspace import CombinerSpec, HalfspaceSystem
+from hsprg.harness import (
+    estimate_fooling_error,
+    exact_expectation,
+    expectation_over_seeds,
+    product_lattice,
+)
+from hsprg.mzgen import MZGenerator
+
+RAD = DiscreteCoordinate.rademacher()
+TENTHS = DiscreteCoordinate([-1.0, 0.5, 2.0], [0.1, 0.2, 0.7])
+THIRDS = UniformMultisetCoordinate([-1.0, 0.0, 1.0])
+FIVE = DiscreteCoordinate([-2.0, -1.0, 0.0, 1.0, 3.0], [0.05, 0.15, 0.3, 0.3, 0.2])
+T4 = ProductDistribution.repeated(TENTHS, 4)
+MIXED = ProductDistribution([RAD, THIRDS, TENTHS, FIVE, TENTHS])
+SMALL = ProductDistribution([RAD, THIRDS, THIRDS, RAD])
+
+
+def reference_space(dist):
+    """(point, Fraction probability) with one Fraction product per point."""
+    supports = [list(zip(c.values, c.fprobs)) for c in dist.coords]
+    for combo in itertools.product(*supports):
+        p = Fraction(1)
+        for _, pr in combo:
+            p *= pr
+        yield tuple(v for v, _ in combo), p
+
+
+def reference_expectation(f, dist):
+    return sum((Fraction(f(x)) * p for x, p in reference_space(dist)), Fraction(0))
+
+
+def lattice_space(dist):
+    den, walk = product_lattice(dist)
+    return [(x, Fraction(w, den)) for x, w in walk]
+
+
+def cube(n):
+    return ProductDistribution.repeated(RAD, n)
+
+
+class TestWalker:
+    @pytest.mark.parametrize("dist", [
+        ProductDistribution.repeated(TENTHS, 3),
+        ProductDistribution.repeated(THIRDS, 3),
+        MIXED,
+    ], ids=["tenths", "thirds", "mixed"])
+    def test_matches_reference(self, dist):
+        got = lattice_space(dist)
+        want = list(reference_space(dist))
+        assert [x for x, _ in got] == [x for x, _ in want]
+        assert [p for _, p in got] == [p for _, p in want]
+        assert all(type(v) is float for x, _ in got for v in x)
+
+    def test_denominator_is_product_of_coordinate_lcms(self):
+        den, _ = product_lattice(MIXED)
+        want = 1
+        for c in MIXED.coords:
+            want *= math.lcm(*(p.denominator for p in c.fprobs))
+        assert den == want
+        # float-parsed probabilities need not sum to exactly 1 (0.1 + 0.2 + 0.7 does not)
+        total = math.prod(sum(c.fprobs) for c in MIXED.coords)
+        assert sum(w for _, w in product_lattice(MIXED)[1]) == total * den
+
+    @pytest.mark.parametrize("block", [1, 4, 16])
+    def test_head_and_tail_blocks_combine_in_order(self, monkeypatch, block):
+        # small blocks force several levels, and FIVE alone overflows a block of 4
+        monkeypatch.setattr(harness, "TAIL_BLOCK", block)
+        got = lattice_space(MIXED)
+        assert got == list(reference_space(MIXED))
+
+    def test_split_across_the_default_block(self):
+        dist = ProductDistribution.repeated(FIVE, 6)  # 15,625 points, tail 5^5
+        assert lattice_space(dist) == list(reference_space(dist))
+
+    def test_memory_bounded_by_tail_block(self, monkeypatch):
+        sizes = []
+        block = harness._block
+
+        def recording(lattice):
+            out = block(lattice)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(harness, "_block", recording)
+        den, walk = product_lattice(cube(16))
+        assert sum(1 for _ in walk) == den == 1 << 16
+        assert sizes and max(sizes) <= harness.TAIL_BLOCK
+
+    def test_continuous_coordinate_refused(self):
+        from hsprg.distributions import GaussianCoordinate
+
+        with pytest.raises(ValueError):
+            product_lattice(ProductDistribution([RAD, GaussianCoordinate()]))
+
+
+class TestAccumulator:
+    """Golden values recorded with the per-point Fraction harness."""
+
+    def test_float_valued_f_bit_identical(self):
+        assert exact_expectation(lambda x: 0.1 * x[0] + x[1] * x[2] - 0.3 * x[3], T4) \
+            == 1.6799999999999997
+        assert exact_expectation(lambda x: math.fsum(x) / 3, MIXED) == 1.1499999999999995
+        assert exact_expectation(lambda x: 0.1 * x[0] + x[1] * x[2] - 0.3 * x[3], SMALL) \
+            == -1.0408340855860843e-17
+
+    def test_switch_to_floats_mid_walk_bit_identical(self):
+        # two int values, then floats from the third point on
+        got = exact_expectation(lambda x: x[0] * 0.5 if x[3] > 1 else int(x[1] > 0), T4)
+        assert type(got) is float and got == 0.76
+
+    def test_fraction_valued_f(self):
+        f = lambda x: Fraction(int(sum(x) >= 1), 3) + Fraction(int(x[1] > x[2]), 7)
+        assert exact_expectation(f, SMALL) == Fraction(67, 378)
+        g = lambda x: Fraction(int(sum(x) >= 1), 3) + Fraction(int(x[0] > 0), 7)
+        got = exact_expectation(g, T4)
+        assert type(got) is Fraction and got == reference_expectation(g, T4)
+
+    @pytest.mark.parametrize("dist", [T4, MIXED], ids=["tenths", "mixed"])
+    def test_integer_valued_f_matches_reference(self, dist):
+        f = lambda x: int(x[0] * x[1] + x[2] >= x[3])
+        got = exact_expectation(f, dist)
+        assert type(got) is Fraction and got == reference_expectation(f, dist)
+
+    @pytest.mark.parametrize("cast", [int, np.int64, np.int8, np.bool_, bool])
+    def test_numpy_integers_stay_exact(self, cast):
+        dist = ProductDistribution.repeated(THIRDS, 3)
+        got = exact_expectation(lambda x: cast(sum(x) >= 1), dist)
+        assert type(got) is Fraction and got == Fraction(10, 27)
+
+    def test_numpy_integers_stay_exact_on_seeds(self):
+        gen = MZGenerator([[-1.0, 1.0]] * 6, t=1, k=3)
+        got = expectation_over_seeds(lambda x: x[0] > 0, gen)  # np.bool_
+        assert type(got) is Fraction
+        assert got == expectation_over_seeds(lambda x: int(x[0] > 0), gen)
+        got = expectation_over_seeds(lambda x: np.int64(x[:2].sum() >= 0) * 3, gen)
+        assert type(got) is Fraction
+        assert got == 3 * expectation_over_seeds(lambda x: int(x[:2].sum() >= 0), gen)
+
+    def test_seed_pass_golden(self):
+        gen = MZGenerator([[-1.0, 1.0]] * 6, t=1, k=3)
+        w = [0.1, 0.7, 0.3, 1.3, 0.2, 0.9]
+        assert expectation_over_seeds(lambda x: float(x @ w) ** 2, gen) == 3.1299999999999883
+        assert expectation_over_seeds(lambda x: Fraction(int(x.sum() >= 0), 3), gen) \
+            == Fraction(1, 4)
+        got = expectation_over_seeds(lambda x: 0.3 if x[5] > 0 and x[4] > 0 else int(x[0] > 0),
+                                     gen)
+        assert got == 0.45000000000000095
+
+    def test_constant_fraction_count(self, monkeypatch):
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        counts = []
+        for n in (6, 12):
+            made.clear()
+            assert exact_expectation(lambda x: int(sum(x) >= 0), cube(n)) > 0
+            counts.append(len(made))
+        assert counts[0] == counts[1] <= 2
+
+
+class TestExactEstimateGolden:
+    """exact_enum-style estimates: integer weights, ties, the 4-wise generator."""
+
+    N = 8
+    ALT = [1.0 if j % 2 == 0 else -1.0 for j in range(8)]
+    W = np.column_stack([np.ones(8), ALT, ALT[3:] + ALT[:3]])
+    THETA = [2.0, 0.0, 0.0]
+    TREE = {"hs": 0, "low": {"hs": 1, "low": {"leaf": 0}, "high": {"leaf": 1}},
+            "high": {"hs": 2, "low": {"leaf": 0}, "high": {"leaf": 1}}}
+
+    def f(self, spec, d):
+        system = HalfspaceSystem(self.W[:, :d], self.THETA[:d])
+        comb = CombinerSpec.from_json(spec)
+        return lambda x: comb.apply(system.sign_vector(x))
+
+    @pytest.mark.parametrize("spec,d,true_e,prg_e", [
+        ({"kind": "intersection"}, 2, Fraction(55, 256), Fraction(23, 128)),
+        ({"kind": "decision-tree", "tree": TREE}, 3, Fraction(163, 256), Fraction(99, 128)),
+    ], ids=["intersection", "tree"])
+    def test_golden(self, spec, d, true_e, prg_e):
+        f = self.f(spec, d)
+        gen = MZGenerator([[-1.0, 1.0]] * self.N, t=1, k=4)
+        assert exact_expectation(f, cube(self.N)) == true_e
+        rep = estimate_fooling_error(f, cube(self.N), gen, mode="exact")
+        assert (rep.true_expectation, rep.prg_expectation, rep.samples) \
+            == (float(true_e), float(prg_e), 4096)
+        assert rep.fooling_error == abs(float(true_e) - float(prg_e))

@@ -24,7 +24,7 @@ from hsprg.harness import (
     estimate_fooling_error,
     exact_expectation,
     gaussian_reference_sampler,
-    iter_product_space,
+    product_lattice,
     read_report_json,
     rng_for,
     shard_sizes,
@@ -55,7 +55,16 @@ class TestExactExpectation:
 
     def test_cap(self):
         with pytest.raises(ResourceCapError):
-            list(iter_product_space(cube(30), cap=2 ** 10))
+            product_lattice(cube(30), cap=2 ** 10)
+        # raised before the first point: f is never called
+        calls = []
+        with pytest.raises(ResourceCapError):
+            exact_expectation(lambda x: calls.append(x) or 1, cube(30), cap=2 ** 10)
+        assert calls == []
+        with pytest.raises(ResourceCapError):
+            product_lattice(cube(10), cap=2 ** 10 - 1)
+        den, walk = product_lattice(cube(10), cap=2 ** 10)
+        assert den == 2 ** 10 and sum(1 for _ in walk) == 2 ** 10
 
     def test_cross_method_consistency(self):
         rng = philox(31)

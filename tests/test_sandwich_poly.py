@@ -214,6 +214,16 @@ class TestHybridProduct:
             assert cert.pointwise_ok
             assert cert.norm2d <= 1 + 2 / 4 + 1e-12
 
+    def test_golden_values(self):
+        # recorded with the per-point Fraction enumeration; floats bit for bit
+        polys, hs = self.build_pair()
+        res = hybrid_product(polys, hs, CUBE6)
+        assert (res.bound, res.measured_gap, res.pointwise_ok, res.order) \
+            == (2.559178286901466, 0.7344624957925052, True, 6)
+        assert [(c.pointwise_ok, c.eps0, c.gamma, c.norm2d) for c in res.certifications] == [
+            (True, 0.6397945717253665, 0.0, 0.9885548969585687),
+            (True, 0.48502882155699534, 0.0, 0.9899280729478804)]
+
     def test_degenerate_single_factor(self):
         polys, hs = self.build_pair()
         res = hybrid_product(polys[:1], hs[:1], CUBE6)
@@ -342,6 +352,16 @@ class TestKWiseFoolingCheck:
         chk = kwise_fooling_check(h.evaluate, p_l, p_u, CUBE6, self.kgen(4), order=4)
         assert chk.ok
         assert chk.sandwich_eps < 1.0  # the bound is informative, not vacuous
+
+    def test_golden_values(self):
+        # recorded with the per-point Fraction enumeration; floats bit for bit
+        w = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
+        h = Halfspace(w, 1.0)
+        p_u = margin_square_upper(list(w), 1.0)
+        p_l = lower_from_upper(margin_square_upper([-wi for wi in w], -1.0))
+        chk = kwise_fooling_check(h.evaluate, p_l, p_u, CUBE6, self.kgen(4), order=4)
+        assert (chk.e_true, chk.e_kwise, chk.gap, chk.sandwich_eps) \
+            == (0.34375, 0.34375, 0.0, 0.7724404699913708)
 
     def test_full_independence_zero_gap_exactly(self):
         w = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
