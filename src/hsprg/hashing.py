@@ -105,7 +105,10 @@ class HashFamily:
                 yield HashFunction(a, 0, self.m, self.t)
 
     def _value_table(self) -> np.ndarray:
-        """Bucket of every (function, position) pair, shape (size, n)."""
+        """Bucket of every (function, position) pair, shape (size, n).
+
+        Buckets are stored in the narrowest unsigned type that holds t - 1.
+        """
         f = field(self.m)
         n = self.n_pow2
         prod = np.empty((n, n), dtype=np.int64)
@@ -113,18 +116,24 @@ class HashFamily:
             row = [f.mul(a, x) for x in range(n)]
             prod[a] = row
         mask = self.t - 1
+        dtype = np.min_scalar_type(mask)
         if self.variant == MULTIPLICATIVE:
-            return prod[1:] & mask
+            return (prod[1:] & mask).astype(dtype)
         # affine: broadcast the xor offset over all c
-        out = np.empty((n * n, n), dtype=np.int64)
+        out = np.empty((n * n, n), dtype=dtype)
         cs = np.arange(n, dtype=np.int64)
         for a in range(n):
             out[a * n:(a + 1) * n] = (prod[a][None, :] ^ cs[:, None]) & mask
         return out
 
 
-def hash_eval(h: HashFunction, x: int) -> int:
-    return h(x)
+def _checked_positions(family: HashFamily, positions: Iterable[int]) -> list[int]:
+    """The positions as a list; ValueError names any outside [0, n_pow2)."""
+    positions = list(positions)
+    for x in positions:
+        if not 0 <= x < family.n_pow2:
+            raise ValueError(f"position {x} outside [0, {family.n_pow2})")
+    return positions
 
 
 @dataclass(frozen=True)
@@ -141,21 +150,25 @@ class CollisionStats:
 
 
 def collision_stats(family: HashFamily, positions: Sequence[int] | None = None) -> CollisionStats:
-    """Enumerate the family and certify b = t * max(collision probabilities)."""
-    table = family._value_table()
-    size = table.shape[0]
+    """Enumerate the family and certify b = t * max(collision probabilities).
+
+    Positions must be distinct and lie in [0, n_pow2); all of them by default.
+    """
     if positions is None:
         positions = range(family.n_pow2)
-    positions = list(positions)
+    positions = _checked_positions(family, positions)
+    if len(set(positions)) != len(positions):
+        dup = next(x for i, x in enumerate(positions) if x in positions[:i])
+        raise ValueError(f"position {dup} given twice")
+    table = family._value_table()
+    size = table.shape[0]
+    rows = np.ascontiguousarray(table.T[positions])  # one row per position
 
-    max_single = 0
-    for i in positions:
-        counts = np.bincount(table[:, i], minlength=family.t)
-        max_single = max(max_single, int(counts.max()))
-
+    max_single = max((int(np.bincount(row, minlength=family.t).max()) for row in rows),
+                     default=0)
     max_pair = 0
-    for i, j in combinations(positions, 2):
-        max_pair = max(max_pair, int((table[:, i] == table[:, j]).sum()))
+    for i in range(len(rows) - 1):
+        max_pair = max(max_pair, int((rows[i + 1:] == rows[i]).sum(axis=1).max()))
 
     p_single = Fraction(max_single, size)
     p_pair = Fraction(max_pair, size) if len(positions) > 1 else Fraction(0)
@@ -168,7 +181,7 @@ def isolation_failure_prob(family: HashFamily, S: Iterable[int]) -> Fraction:
 
     Guaranteed at most b*|S|^2/(2t) for a b-collision-preserving family.
     """
-    S = sorted(set(S))
+    S = sorted(set(_checked_positions(family, S)))
     if len(S) == 0:
         raise ValueError("S must be nonempty")
     if len(S) == 1:

@@ -22,6 +22,7 @@ polynomials sandwich intersections with gap 2*d*eps0 + 3*d^2*sqrt(gamma).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -32,7 +33,7 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import exact_expectation, expectation_over_seeds, product_lattice
+from .harness import TAIL_BLOCK, exact_expectation, expectation_over_seeds, product_lattice
 from .regularity import TermNorms, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -398,20 +399,37 @@ class GeneralizedPolynomial:
         return min(self.L + max(self.K, self.q), self.n)
 
     def evaluate(self, x: Sequence[float]) -> float:
-        head_sum = float(sum(self.weights[j] * x[j] for j in self._head))
-        z = float(sum(self.weights[j] * x[j] for j in self._tail))
+        return float(self.evaluate_batch([x])[0])
+
+    def evaluate_batch(self, X) -> np.ndarray:
+        """The sandwich at every row of an (N, n) array.
+
+        Each row gets the float arithmetic of a scalar evaluation: head and
+        tail sums run over the columns in index order from zero, and P is
+        called once, on the NEAR rows.  A FAR power (z/theta')^q too large
+        for a float raises OverflowError, as Python's float ** int does.
+        """
+        X = np.asarray(X, dtype=float)
+        head_sum = np.zeros(len(X))
+        for j in self._head:
+            head_sum += self.weights[j] * X[:, j]
+        z = np.zeros(len(X))
+        for j in self._tail:
+            z += self.weights[j] * X[:, j]
         theta_prime = self.theta - head_sum
         part = self.partition
         if part.tail_norm == 0.0:
-            return 1.0 if theta_prime <= 0 else 0.0
-        event = part.classify(theta_prime)
-        if event == "BAD":
-            return 1.0
-        if event == "NEAR":
-            return float(self.P((z - theta_prime) / (2.0 * part.t_scale * part.tail_norm)))
-        if theta_prime <= 0:
-            return 1.0
-        return (z / theta_prime) ** self.q
+            return (theta_prime <= 0).astype(float)
+        out = np.ones(len(X))  # BAD rows and FAR rows with theta' <= 0
+        far = np.abs(theta_prime) > part.t_scale * part.tail_norm
+        near = ~far
+        if part.tail_regular and near.any():
+            scale = 2.0 * part.t_scale * part.tail_norm
+            out[near] = self.P((z[near] - theta_prime[near]) / scale)
+        power = far & (theta_prime > 0)
+        out[power] = [(zi / ti) ** self.q
+                      for zi, ti in zip(z[power].tolist(), theta_prime[power].tolist())]
+        return out
 
     __call__ = evaluate
 
@@ -475,27 +493,64 @@ class UpperCertification:
                 and self.norm2d <= 1.0 + 2.0 / self.d ** 2 + 1e-12)
 
 
+class _Certifier:
+    """Running sums of the four hybrid-product preconditions for one factor."""
+
+    def __init__(self, d: int):
+        if d < 1:
+            raise ValueError(f"need at least one factor, got d={d}")
+        self.d = d
+        self.pointwise = True
+        self.gap = self.gamma = self.pow_sum = 0.0
+
+    def add(self, pvs: Sequence[float], hvs: Sequence[float], fps: Sequence[float]) -> None:
+        """Fold in one block: values of p and h, and probabilities, per point."""
+        thresh = 1.0 + 1.0 / self.d ** 2
+        power = 2 * self.d
+        pointwise, gap, gamma, pow_sum = self.pointwise, self.gap, self.gamma, self.pow_sum
+        for pv, hv, fp in zip(pvs, hvs, fps):
+            if pv < hv:
+                pointwise = False
+            gap += (pv - hv) * fp
+            if pv > thresh:
+                gamma += fp
+            pow_sum += pv ** power * fp
+        self.pointwise, self.gap, self.gamma, self.pow_sum = pointwise, gap, gamma, pow_sum
+
+    def result(self) -> UpperCertification:
+        return UpperCertification(self.pointwise, self.gap, self.gamma,
+                                  self.pow_sum ** (1.0 / (2 * self.d)), self.d)
+
+
+def _lattice_blocks(dist: ProductDistribution):
+    """The product lattice in blocks of at most TAIL_BLOCK points.
+
+    Yields ``(points, X, probs)``: the points as tuples, the same points as
+    one (N, n) float array, and each point's probability as the correctly
+    rounded float of weight / den.
+    """
+    den, walk = product_lattice(dist)
+    while block := list(itertools.islice(walk, TAIL_BLOCK)):
+        points, weights = zip(*block)
+        yield points, np.array(points), [w / den for w in weights]
+
+
+def _block_values(p, points, X) -> list[float]:
+    """p at every point of a block: one evaluate_batch call when p has one."""
+    batch = getattr(p, "evaluate_batch", None)
+    if batch is not None:
+        return batch(X).tolist()
+    return [float(p(x)) for x in points]
+
+
 def certify_upper(p: Callable[[Sequence[float]], float],
                   h: Callable[[Sequence[float]], int],
                   dist: ProductDistribution, d: int) -> UpperCertification:
     """Exact enumeration of the four hybrid-product preconditions."""
-    thresh = 1.0 + 1.0 / d ** 2
-    pointwise = True
-    gap = 0.0
-    gamma = 0.0
-    pow_sum = 0.0
-    den, walk = product_lattice(dist)
-    for point, w in walk:
-        pv = float(p(point))
-        hv = float(h(point))
-        if pv < hv:
-            pointwise = False
-        fp = w / den
-        gap += (pv - hv) * fp
-        if pv > thresh:
-            gamma += fp
-        pow_sum += pv ** (2 * d) * fp
-    return UpperCertification(pointwise, gap, gamma, pow_sum ** (1.0 / (2 * d)), d)
+    cert = _Certifier(d)
+    for points, X, fps in _lattice_blocks(dist):
+        cert.add(_block_values(p, points, X), [float(h(x)) for x in points], fps)
+    return cert.result()
 
 
 @dataclass(frozen=True)
@@ -515,17 +570,36 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
     Every factor must pass the four preconditions exactly (pointwise >=,
     small expectation gap, rare overshoot of 1 + 1/d^2, bounded 2d-norm);
     the resulting bound is 2 d eps0 + 3 d^2 sqrt(gamma) with eps0 and gamma
-    the measured maxima.
+    the measured maxima.  One pass over the lattice evaluates each factor
+    once per point and feeds both its certification and the product.
     """
     d = len(polys)
+    if d < 1:
+        raise ValueError("hybrid_product needs at least one factor")
     if len(halfspaces) != d:
         raise ValueError("need one halfspace per factor")
-    certs = []
-    for p, h in zip(polys, halfspaces):
-        cert = certify_upper(p, _as_indicator(h), dist, d)
+    certifiers = [_Certifier(d) for _ in polys]
+    indicators = [_as_indicator(h) for h in halfspaces]
+    pointwise = True
+    gap = 0.0
+    for points, X, fps in _lattice_blocks(dist):
+        p_prod = [1.0] * len(points)
+        h_prod = [1.0] * len(points)
+        for p, h, cert in zip(polys, indicators, certifiers):
+            pvs = _block_values(p, points, X)
+            hvs = [float(h(x)) for x in points]
+            cert.add(pvs, hvs, fps)
+            p_prod = [a * v for a, v in zip(p_prod, pvs)]
+            h_prod = [a * v for a, v in zip(h_prod, hvs)]
+        for pv, hv, fp in zip(p_prod, h_prod, fps):
+            if pv < hv:
+                pointwise = False
+            gap += (pv - hv) * fp
+
+    certs = tuple(c.result() for c in certifiers)
+    for cert in certs:
         if not cert.ok():
             raise CertificationError(f"factor failed certification: {cert}")
-        certs.append(cert)
     eps0 = max(c.eps0 for c in certs)
     gamma = max(c.gamma for c in certs)
     bound = 2 * d * eps0 + 3 * d * d * math.sqrt(gamma)
@@ -536,21 +610,8 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
             out *= float(p(x))
         return out
 
-    pointwise = True
-    gap = 0.0
-    den, walk = product_lattice(dist)
-    for point, w in walk:
-        pv = product(point)
-        hv = 1.0
-        for h in halfspaces:
-            hv *= _as_indicator(h)(point)
-        if pv < hv:
-            pointwise = False
-        gap += (pv - hv) * (w / den)
-
     order = sum(getattr(p, "order", dist.n) for p in polys)
-    return HybridResult(product, min(order, dist.n), bound, gap, pointwise,
-                        tuple(certs))
+    return HybridResult(product, min(order, dist.n), bound, gap, pointwise, certs)
 
 
 def _as_indicator(h) -> Callable[[Sequence[float]], int]:

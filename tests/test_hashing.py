@@ -3,30 +3,41 @@
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
+from hsprg.gf2 import field
 from hsprg.hashing import (
     AFFINE,
     MULTIPLICATIVE,
     HashFamily,
     HashFunction,
     collision_stats,
-    hash_eval,
     isolation_bound,
     isolation_failure_prob,
 )
+
+
+def recount(fam, positions):
+    """Collision maxima by a direct pairwise count over a table built with mul_array."""
+    a, c = fam.coefficients(np.arange(fam.size, dtype=np.int64))
+    xs = np.arange(fam.n_pow2, dtype=np.int64)
+    cols = ((field(fam.m).mul_array(a[:, None], xs[None, :]) ^ c[:, None]) & (fam.t - 1)).T.copy()
+    single = max(int(np.bincount(cols[i], minlength=fam.t).max()) for i in positions)
+    pair = max(int((cols[i] == cols[j]).sum()) for i, j in combinations(positions, 2))
+    return Fraction(single, fam.size), Fraction(pair, fam.size)
 
 
 class TestHashEval:
     def test_identity_multiplier_is_mod_t(self):
         h = HashFunction(a=1, c=0, m=4, t=4)
         for x in range(16):
-            assert hash_eval(h, x) == x % 4
+            assert h(x) == x % 4
 
     def test_t_equals_n_invertible_a_is_bijection(self):
         fam = HashFamily(16, 16, variant=MULTIPLICATIVE)
         for h in fam.functions():
-            assert sorted(hash_eval(h, x) for x in range(16)) == list(range(16))
+            assert sorted(h(x) for x in range(16)) == list(range(16))
 
     def test_fixed_pair_collision_fraction_is_quarter(self):
         fam = HashFamily(16, 4, variant=AFFINE)
@@ -68,6 +79,17 @@ class TestCollisionStats:
         assert stats.max_single_prob <= Fraction(2, fam.t)
         assert stats.max_pair_prob <= Fraction(2, fam.t)
 
+    @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("n,t", [(16, 4), (64, 8), (128, 16)])
+    def test_matches_pairwise_recount(self, n, t, variant):
+        fam = HashFamily(n, t, variant=variant)
+        for positions in (range(n), [n - 1, 0, 5, n // 2, 3]):
+            stats = collision_stats(fam, positions)
+            single, pair = recount(fam, list(positions))
+            assert (stats.max_single_prob, stats.max_pair_prob) == (single, pair)
+            assert stats.b_certified == t * max(single, pair)
+            assert stats.family_size == fam.size
+
     def test_a_fixed_to_one_breaks_pairwise(self):
         # x mod 4 collides i=0 with j=4 always; a single-function "family"
         h = HashFunction(a=1, c=0, m=4, t=4)
@@ -96,6 +118,21 @@ class TestIsolation:
         for size in (2, 3, 4):
             for S in combinations(range(0, min(n, 10)), size):
                 assert isolation_failure_prob(fam, S) <= isolation_bound(1, size, t)
+
+
+class TestPositionChecks:
+    @pytest.mark.parametrize("bad", [-1, 16])
+    def test_out_of_range_position_refused(self, bad):
+        fam = HashFamily(16, 4)
+        with pytest.raises(ValueError, match=f"position {bad} outside"):
+            collision_stats(fam, [bad, 3])
+        with pytest.raises(ValueError, match=f"position {bad} outside"):
+            isolation_failure_prob(fam, [bad, 3])
+
+    def test_duplicate_position_refused(self):
+        # a position collides with itself, which used to report b = t
+        with pytest.raises(ValueError, match="position 3 given twice"):
+            collision_stats(HashFamily(16, 4), [3, 5, 3])
 
 
 class TestFamilyIndexing:

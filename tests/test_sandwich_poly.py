@@ -21,6 +21,7 @@ from hsprg.sandwich_poly import (
     and_sum_evaluate,
     audit_dgjsv,
     build_upper_poly,
+    certify_upper,
     dgjsv_poly,
     head_partition,
     hybrid_product,
@@ -33,6 +34,10 @@ RAD = DiscreteCoordinate.rademacher()
 CUBE6_COORDS = [RAD] * 6
 CUBE6 = ProductDistribution(CUBE6_COORDS)
 POINTS6 = list(itertools.product([-1.0, 1.0], repeat=6))
+# a non-dyadic, asymmetric law: probabilities are not floats' exact fractions
+LAW3 = DiscreteCoordinate([-1.0, 0.5, 2.0], [0.1, 0.2, 0.7])
+LAW3_COORDS = [LAW3] * 7
+LAW3_DIST = ProductDistribution(LAW3_COORDS)
 
 
 class TestDgjsvPoly:
@@ -147,6 +152,57 @@ class TestPartitionAndBranches:
         gp = GeneralizedPolynomial([1.0] * 4, 0.0, part, P, q=2, n=4)
         assert gp.evaluate([1.0, -1.0, 1.0, -1.0]) == 1.0
 
+    @staticmethod
+    def scalar_reference(gp, x):
+        """The per-point evaluation: Python sums, one branch, one P call."""
+        head_sum = float(sum(gp.weights[j] * x[j] for j in gp._head))
+        z = float(sum(gp.weights[j] * x[j] for j in gp._tail))
+        theta_prime = gp.theta - head_sum
+        part = gp.partition
+        if part.tail_norm == 0.0:
+            return "ZERO", 1.0 if theta_prime <= 0 else 0.0
+        event = part.classify(theta_prime)
+        if event == "BAD":
+            return event, 1.0
+        if event == "NEAR":
+            return event, float(gp.P((z - theta_prime) / (2.0 * part.t_scale * part.tail_norm)))
+        if theta_prime <= 0:
+            return "FAR-", 1.0
+        return "FAR+", (z / theta_prime) ** gp.q
+
+    @pytest.mark.parametrize("tail_regular,tail_norm", [(True, 0.1), (False, 0.1), (True, 0.0)])
+    def test_evaluate_batch_matches_scalar_bit_for_bit(self, tail_regular, tail_norm):
+        P = dgjsv_poly(0.5, 0.1)
+        part = RegularityPartition(head=(0,), t_scale=5.0, tail_norm=tail_norm,
+                                  tail_regular=tail_regular, delta=0.25)
+        gp = GeneralizedPolynomial([10.0, 1.0, -0.75], 3.0, part, P, q=6, n=3)
+        # theta' = 3 - 10 x0: FAR+ (x0 = -1), FAR- (x0 = 1), NEAR or BAD inside,
+        # and x0 = 0.25 puts |theta'| = 0.5 = t_scale * tail_norm on the boundary
+        head = [-1.0, 1.0, 0.25, 0.3, 0.27, 0.31]
+        tail = np.linspace(-2.0, 2.0, 9)
+        X = np.array([(h, u, v) for h in head for u in tail for v in (-1.0, 0.5)])
+        ref = [self.scalar_reference(gp, x) for x in X.tolist()]
+        want = [v for _, v in ref]
+        assert gp.evaluate_batch(X).tolist() == want
+        assert [gp.evaluate(x) for x in X.tolist()] == want
+        events = {e for e, _ in ref}
+        if tail_norm == 0.0:
+            assert events == {"ZERO"}
+        else:
+            assert events == {"FAR+", "FAR-", "NEAR" if tail_regular else "BAD"}
+            assert part.classify(3.0 - 10.0 * 0.25) != "FAR"
+
+    def test_far_overflow_raises(self):
+        part = RegularityPartition(head=(0,), t_scale=5.0, tail_norm=0.1,
+                                  tail_regular=True, delta=0.25)
+        gp = GeneralizedPolynomial([10.0, 1000.0], 3.0, part, dgjsv_poly(0.5, 0.1),
+                                   q=1024, n=2)
+        # theta' = 13, z = 1e5: (z/theta')^1024 is far past the float range
+        with pytest.raises(OverflowError):
+            gp.evaluate_batch([[0.0, 0.0], [-1.0, 100.0]])
+        with pytest.raises(OverflowError):
+            gp.evaluate([-1.0, 100.0])
+
     def test_head_picks_largest_terms(self):
         part = head_partition([1.0, 5.0, 2.0, 1.0], [RAD] * 4, delta=0.25,
                               t=5.0, L=2)
@@ -229,6 +285,63 @@ class TestHybridProduct:
         res = hybrid_product(polys[:1], hs[:1], CUBE6)
         cert = res.certifications[0]
         assert res.bound == pytest.approx(2 * cert.eps0 + 3 * math.sqrt(cert.gamma))
+
+    def test_golden_values_on_non_dyadic_law(self):
+        # recorded at the per-point evaluation; NEAR and FAR rows, d = 2 and 3
+        kw = dict(delta=0.5, t=8.0, T=4096, d=2, L=2)
+        cases = [([1.0] * 7, 6.0), ([3.0, -1.0, 0.5, 1.0, -2.0, 1.0, 0.25], 2.5),
+                 ([0.5, 1.0, -1.0, 2.0, 1.0, -0.5, 1.0], 3.0),
+                 ([40.0] + [1.0] * 6, 10.0), ([1.0] * 7, -1.0)]
+        polys = [build_upper_poly(w, th, LAW3_COORDS, **kw) for w, th in cases]
+        hs = [Halfspace(tuple(w), th) for w, th in cases]
+        want = {
+            (0, 1): ((1.1079351256542214, 0.3108292033399361), [
+                (0.07348917620873088, 0.0, 0.9999686816618276),
+                (0.27698378141355534, 0.0, 0.9924259464288743)]),
+            (1, 2): ((1.1079351256542214, 0.3919619406225229), [
+                (0.27698378141355534, 0.0, 0.9924259464288743),
+                (0.1835120017638977, 0.0, 0.9995084271498319)]),
+            (2, 3, 4): ((1.1010720105833862, 0.1571397209247883), [
+                (0.1835120017638977, 0.0, 0.9995490720496063),
+                (9.36262007122934e-13, 0.0, 0.9825931938537117),
+                (0.00010159511072721477, 0.0, 0.9999999951315899)]),
+        }
+        for idx, (head, certs) in want.items():
+            res = hybrid_product([polys[i] for i in idx], [hs[i] for i in idx], LAW3_DIST)
+            assert (res.bound, res.measured_gap, res.pointwise_ok, res.order) == (*head, True, 7)
+            assert [(c.pointwise_ok, c.eps0, c.gamma, c.norm2d, c.d)
+                    for c in res.certifications] == [(True, *c, len(idx)) for c in certs]
+        for i, d, norm2d in [(3, 2, 0.9740037464263094), (3, 3, 0.9825931938537117),
+                             (1, 1, 0.9900214080650895)]:
+            cert = certify_upper(polys[i], hs[i].evaluate, LAW3_DIST, d)
+            eps0 = 9.36262007122934e-13 if i == 3 else 0.27698378141355534
+            assert cert == type(cert)(True, eps0, 0.0, norm2d, d)
+
+    def test_one_batch_call_of_P_per_factor_and_block(self, monkeypatch):
+        coords = [RAD] * 10
+        w1, w2 = [1.0] * 10, [1.0, -1.0] * 5
+        polys = [build_upper_poly(w, th, coords, **BUILD_KW) for w, th in [(w1, 2.0), (w2, 0.0)]]
+        hs = [Halfspace(tuple(w1), 2.0), Halfspace(tuple(w2), 0.0)]
+        calls = []
+        original = UnivariatePoly.__call__
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(UnivariatePoly, "__call__", counted)
+        res = hybrid_product(polys, hs, ProductDistribution(coords))
+        assert res.pointwise_ok
+        # 1024 points form one block: the per-point walk made 4096 calls
+        assert 1 <= len(calls) <= 2
+        assert sum(calls) <= 2 * 1024
+
+    def test_empty_factor_list_refused(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            hybrid_product([], [], CUBE6)
+        p = build_upper_poly([1.0] * 6, 1.0, CUBE6_COORDS, **BUILD_KW)
+        with pytest.raises(ValueError, match="at least one factor"):
+            certify_upper(p, Halfspace((1.0,) * 6, 1.0).evaluate, CUBE6, 0)
 
     def test_all_ones_gap_zero(self):
         class One:
