@@ -11,7 +11,7 @@ from .distributions import (
     discretize_coordinate,
     moment_profile,
 )
-from .gf2 import FieldElement, GF2m, KWiseFamily, KWiseSeed, field_mul
+from .gf2 import GF2m, KWiseFamily, KWiseSeed
 from .halfspace import CombinerSpec, DecisionTree, Halfspace, HalfspaceSystem
 from .hashing import HashFamily, HashFunction, collision_stats, isolation_failure_prob
 from .harness import EstimationReport, estimate_fooling_error, exact_expectation

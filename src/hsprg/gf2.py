@@ -233,40 +233,6 @@ class GF2m:
 
 
 @dataclass(frozen=True)
-class FieldElement:
-    """An element of GF(2^m), tagged with its modulus."""
-
-    bits: int
-    m: int
-    modulus: int
-
-    def __post_init__(self):
-        if not 0 <= self.bits < (1 << self.m):
-            raise FieldError(f"bits 0x{self.bits:X} out of range for m={self.m}")
-        field(self.m)  # modulus validation happens in the field constructor
-
-    @staticmethod
-    def of(bits: int, m: int) -> "FieldElement":
-        return FieldElement(bits, m, IRREDUCIBLE[m])
-
-
-def _common_field(a: FieldElement, b: FieldElement) -> GF2m:
-    if (a.m, a.modulus) != (b.m, b.modulus):
-        raise FieldError("operands live in different fields")
-    return field(a.m)
-
-
-def field_add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _common_field(a, b)
-    return FieldElement(a.bits ^ b.bits, a.m, a.modulus)
-
-
-def field_mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    f = _common_field(a, b)
-    return FieldElement(f.mul(a.bits, b.bits), a.m, a.modulus)
-
-
-@dataclass(frozen=True)
 class KWiseSeed:
     """Coefficients of the degree-(k-1) seed polynomial, constant term first."""
 
@@ -331,41 +297,3 @@ class KWiseFamily:
         """Iterate the full seed space (2^(k*m) seeds); test-sized use only."""
         for v in range(1 << self.seed_bits):
             yield self.seed_from_int(v)
-
-
-class StackedKWiseFamily:
-    """Words wider than one field element, by concatenating independent families.
-
-    Each of the ``copies`` component families contributes m bits; the seed
-    is the concatenation of the component seeds (low bits = first family).
-    """
-
-    def __init__(self, m: int, k: int, n: int, copies: int):
-        if copies < 1:
-            raise ValueError("need at least one component family")
-        self.parts = [KWiseFamily(m, k, n) for _ in range(copies)]
-        self.m = m
-        self.k = k
-        self.n = n
-        self.copies = copies
-        self.word_bits = m * copies
-
-    @property
-    def seed_bits(self) -> int:
-        return self.copies * self.parts[0].seed_bits
-
-    def expand(self, seed_int: int, index: int) -> int:
-        if not 0 <= seed_int < (1 << self.seed_bits):
-            raise ValueError(f"seed integer needs exactly {self.seed_bits} bits")
-        part_bits = self.parts[0].seed_bits
-        mask = (1 << part_bits) - 1
-        out = 0
-        for i, fam in enumerate(self.parts):
-            word = fam.expand(fam.seed_from_int((seed_int >> (i * part_bits)) & mask), index)
-            out |= word << (i * self.m)
-        return out
-
-
-def kwise_seed_bits(family: KWiseFamily | StackedKWiseFamily) -> int:
-    """Seed length in bits: k words of m bits (per stacked copy)."""
-    return family.seed_bits

@@ -62,6 +62,7 @@ class HashFamily:
         self.m = (n_pow2 - 1).bit_length() if n_pow2 > 1 else 1
         if n_pow2 == 1:
             raise ValueError("domain must have at least 2 positions")
+        self._table: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -105,26 +106,26 @@ class HashFamily:
                 yield HashFunction(a, 0, self.m, self.t)
 
     def _value_table(self) -> np.ndarray:
-        """Bucket of every (function, position) pair, shape (size, n).
+        """Bucket of every (function, position) pair, shape (size, n), read-only.
 
-        Buckets are stored in the narrowest unsigned type that holds t - 1.
+        Built once per family.  Buckets are stored in the narrowest unsigned
+        type that holds t - 1.
         """
-        f = field(self.m)
+        if self._table is not None:
+            return self._table
         n = self.n_pow2
-        prod = np.empty((n, n), dtype=np.int64)
-        for a in range(n):
-            row = [f.mul(a, x) for x in range(n)]
-            prod[a] = row
         mask = self.t - 1
         dtype = np.min_scalar_type(mask)
+        points = np.arange(n, dtype=np.int64)
+        prod = (field(self.m).mul_array(points[:, None], points) & mask).astype(dtype)
         if self.variant == MULTIPLICATIVE:
-            return (prod[1:] & mask).astype(dtype)
-        # affine: broadcast the xor offset over all c
-        out = np.empty((n * n, n), dtype=dtype)
-        cs = np.arange(n, dtype=np.int64)
-        for a in range(n):
-            out[a * n:(a + 1) * n] = (prod[a][None, :] ^ cs[:, None]) & mask
-        return out
+            table = prod[1:]
+        else:  # row a*n + c is x -> a*x ^ c; the mask commutes with the xor
+            table = (prod[:, None, :] ^ (points & mask).astype(dtype)[None, :, None]
+                     ).reshape(n * n, n)
+        table.flags.writeable = False
+        self._table = table
+        return table
 
 
 def _checked_positions(family: HashFamily, positions: Iterable[int]) -> list[int]:

@@ -17,6 +17,7 @@ uniform over {0,1}^D).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -142,6 +143,35 @@ def all_inputs(D: int, T: int):
     return itertools.product(range(1 << D), repeat=T)
 
 
+def _layered(T: int, D: int, start, successors: Callable, accept: Callable,
+             max_states: int, ordered: bool = False) -> ROBP:
+    """The program on the states reachable from `start`, one layer at a time.
+
+    successors(i, state) gives the 2^D states that step i reaches from
+    `state`; states are numbered in first-seen order, or in sorted order
+    with `ordered`.  accept(state) is the accept bit of a final state.
+    """
+    cur = [start]
+    trans: list[list[list[int]]] = []
+    for i in range(T):
+        index: dict = {}
+        rows = []
+        for state in cur:
+            rows.append([index.setdefault(t, len(index)) for t in successors(i, state)])
+            if len(index) > max_states:
+                raise ResourceError(f"layer {i + 1} exceeds {max_states} states")
+        cur = list(index)
+        if ordered:
+            order = sorted(range(len(cur)), key=cur.__getitem__)
+            rank = [0] * len(cur)
+            for new, old in enumerate(order):
+                rank[old] = new
+            rows = [[rank[x] for x in row] for row in rows]
+            cur = [cur[j] for j in order]
+        trans.append(rows)
+    return ROBP(trans, [accept(state) for state in cur], D)
+
+
 def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
                       strict: bool = False, max_states: int = 1 << 18
                       ) -> tuple[ROBP, MonotoneCertificate]:
@@ -157,45 +187,14 @@ def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
     sizes = [len(a) for a in alphabets]
     if any(s < 1 for s in sizes):
         raise ValueError("alphabets must be nonempty")
-    D = max(1, max((s - 1).bit_length() for s in sizes))
-    wq = [Fraction(x) for x in w]
+    D = max([(s - 1).bit_length() for s in sizes] + [1])
     thetaq = Fraction(theta)
-    alphq = [[Fraction(v) for v in a] for a in alphabets]
-
-    layers_sums: list[list[Fraction]] = [[Fraction(0)]]
-    trans: list[list[list[int]]] = []
-    n_labels = 1 << D
-    for i in range(n):
-        cur = layers_sums[-1]
-        nxt_index: dict[Fraction, int] = {}
-        nxt_sums: list[Fraction] = []
-        rows: list[list[int]] = []
-        increments = [wq[i] * alphq[i][z % sizes[i]] for z in range(n_labels)]
-        for s in cur:
-            row = []
-            for inc in increments:
-                t = s + inc
-                idx = nxt_index.get(t)
-                if idx is None:
-                    idx = len(nxt_sums)
-                    nxt_index[t] = idx
-                    nxt_sums.append(t)
-                    if len(nxt_sums) > max_states:
-                        raise ResourceError(
-                            f"layer {i + 1} exceeds {max_states} states")
-                row.append(idx)
-            rows.append(row)
-        # keep states sorted by partial sum so the certificate is the identity
-        order = sorted(range(len(nxt_sums)), key=lambda j: nxt_sums[j])
-        remap = {old: new for new, old in enumerate(order)}
-        rows = [[remap[x] for x in row] for row in rows]
-        nxt_sums = [nxt_sums[j] for j in order]
-        trans.append(rows)
-        layers_sums.append(nxt_sums)
-
-    final = layers_sums[-1]
-    accept = [int(s > thetaq if strict else s >= thetaq) for s in final]
-    program = ROBP(trans, accept, D)
+    increments = [[Fraction(wi) * Fraction(a[z % len(a)]) for z in range(1 << D)]
+                  for wi, a in zip(w, alphabets)]
+    program = _layered(n, D, Fraction(0), lambda i, s: [s + inc for inc in increments[i]],
+                       lambda s: int(s > thetaq if strict else s >= thetaq),
+                       max_states, ordered=True)
+    # sorted partial sums make the certificate the identity
     cert = MonotoneCertificate(tuple(tuple(range(wd)) for wd in program.widths))
     return program, cert
 
@@ -257,15 +256,15 @@ def sandwich_monotone(B: ROBP, eps: float,
     the up program to its maximal.  Soundness (down <= B <= up pointwise,
     gap <= eps) is enumerated in the tests rather than assumed.
     """
+    if not (0 < eps and math.isfinite(eps)):
+        raise ValueError("eps must be finite and positive")
     if cert is None:
         result = check_monotone(B)
         if isinstance(result, MonotoneCounterexample):
             raise NotMonotoneError(f"program is not monotone at layer {result.layer}")
         cert = result
-    if not 0 < eps:
-        raise ValueError("eps must be positive")
     probs = B.acceptance_probabilities()
-    width = Fraction(eps) / (2 * B.T)
+    width = Fraction(eps) / (2 * max(B.T, 1))
     ranks = cert.rank_tables()
 
     # group[i][v] -> (down representative, up representative)
@@ -274,7 +273,7 @@ def sandwich_monotone(B: ROBP, eps: float,
         order = cert.orders[i]
         groups: dict[int, list[int]] = {}
         for v in order:
-            groups.setdefault(int(layer_probs[v] / width) if width else 0, []).append(v)
+            groups.setdefault(int(layer_probs[v] / width), []).append(v)
         table = {}
         for members in groups.values():
             lo = min(members, key=lambda v: ranks[i][v])
@@ -284,30 +283,10 @@ def sandwich_monotone(B: ROBP, eps: float,
         reps.append(table)
 
     def build(which: int) -> ROBP:
-        n_labels = 1 << B.D
-        state_map: dict[int, int] = {}
-        cur = [reps[0][0][which]]
-        state_map[cur[0]] = 0
-        trans: list[list[list[int]]] = []
-        for i in range(B.T):
-            nxt_map: dict[int, int] = {}
-            nxt_states: list[int] = []
-            rows = []
-            for v in cur:
-                row = []
-                for z in range(n_labels):
-                    target = reps[i + 1][B.trans[i][v][z]][which]
-                    idx = nxt_map.get(target)
-                    if idx is None:
-                        idx = len(nxt_states)
-                        nxt_map[target] = idx
-                        nxt_states.append(target)
-                    row.append(idx)
-                rows.append(row)
-            trans.append(rows)
-            cur = nxt_states
-        accept = [B.accept[v] for v in cur]
-        return ROBP(trans, accept, B.D)
+        # a sandwich layer is a subset of B's layer, so the cap never fires
+        return _layered(B.T, B.D, reps[0][0][which],
+                        lambda i, v: [reps[i + 1][u][which] for u in B.trans[i][v]],
+                        B.accept.__getitem__, B.width)
 
     return SandwichPair(build(0), build(1), eps)
 
@@ -320,32 +299,11 @@ def product_robp(programs: Sequence[ROBP], accept_fn: Callable[[tuple[int, ...]]
     D, T = programs[0].D, programs[0].T
     if any(p.D != D or p.T != T for p in programs):
         raise ValueError("programs must share D and T")
-    n_labels = 1 << D
-    cur = [(0,) * len(programs)]
-    index = {cur[0]: 0}
-    trans = []
-    for i in range(T):
-        rows = []
-        nxt_index: dict[tuple[int, ...], int] = {}
-        nxt_states: list[tuple[int, ...]] = []
-        for state in cur:
-            row = []
-            for z in range(n_labels):
-                target = tuple(p.trans[i][v][z] for p, v in zip(programs, state))
-                idx = nxt_index.get(target)
-                if idx is None:
-                    idx = len(nxt_states)
-                    nxt_index[target] = idx
-                    nxt_states.append(target)
-                    if len(nxt_states) > max_states:
-                        raise ResourceError(f"product exceeds {max_states} states")
-                row.append(idx)
-            rows.append(row)
-        trans.append(rows)
-        cur = nxt_states
-    accept = [accept_fn(tuple(p.accept[v] for p, v in zip(programs, state)))
-              for state in cur]
-    return ROBP(trans, accept, D)
+    return _layered(
+        T, D, (0,) * len(programs),
+        lambda i, state: zip(*(p.trans[i][v] for p, v in zip(programs, state))),
+        lambda state: accept_fn(tuple(p.accept[v] for p, v in zip(programs, state))),
+        max_states)
 
 
 def compose_monotone_sandwich(g_table: Sequence[int], programs: Sequence[ROBP],
@@ -395,11 +353,6 @@ class TreeErrorBound:
     def bound_min_leaves(self) -> float:
         """Tighter variant counting only the rarer leaf label."""
         return min(self.zero_leaves, self.one_leaves) * (self.eps + self.delta)
-
-
-def decision_tree_error_bound(eps: float, delta: float,
-                              zero_leaves: int, one_leaves: int) -> TreeErrorBound:
-    return TreeErrorBound(eps, delta, zero_leaves, one_leaves)
 
 
 # ---------------------------------------------------------------------------

@@ -9,39 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsprg.gf2 import (
-    IRREDUCIBLE,
-    FieldElement,
-    FieldError,
-    GF2m,
-    KWiseFamily,
-    StackedKWiseFamily,
-    field,
-    field_mul,
-    kwise_seed_bits,
-)
-
-
-def fe(bits, m=3):
-    return FieldElement.of(bits, m)
+from hsprg.gf2 import IRREDUCIBLE, FieldError, GF2m, KWiseFamily, field
 
 
 class TestFieldMul:
     def test_identity(self):
         for a in range(8):
-            assert field_mul(fe(a), fe(1)).bits == a
+            assert field(3).mul(a, 1) == a
 
     def test_x_times_x_no_reduction(self):
         # x * x = x^2, degree below 3
-        assert field_mul(fe(0b010), fe(0b010)).bits == 0b100
+        assert field(3).mul(0b010, 0b010) == 0b100
 
     def test_reduction_x_cubed(self):
         # x^2 * x = x^3 = x + 1 modulo x^3 + x + 1
-        assert field_mul(fe(0b100), fe(0b010)).bits == 0b011
-
-    def test_modulus_mismatch_rejected(self):
-        with pytest.raises(FieldError):
-            field_mul(FieldElement.of(1, 3), FieldElement.of(1, 4))
+        assert field(3).mul(0b100, 0b010) == 0b011
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_field_axioms_exhaustive(self, m):
@@ -156,8 +138,8 @@ def test_kwise_fails_beyond_k():
 
 class TestSeedBits:
     def test_values(self):
-        assert kwise_seed_bits(KWiseFamily(m=4, k=5, n=16)) == 20
-        assert kwise_seed_bits(KWiseFamily(m=1, k=1, n=2)) == 1
+        assert KWiseFamily(m=4, k=5, n=16).seed_bits == 20
+        assert KWiseFamily(m=1, k=1, n=2).seed_bits == 1
 
     def test_matches_k_log_max_accounting(self):
         # k=5 over 16 positions and a 16-letter alphabet: 5 * log2(16) bits
@@ -165,24 +147,4 @@ class TestSeedBits:
         omega = 16
         m = max(n - 1, omega - 1).bit_length()
         fam = KWiseFamily(m=m, k=5, n=n)
-        assert kwise_seed_bits(fam) == 5 * m == 20
-
-
-class TestStacked:
-    def test_wide_words_concatenate(self):
-        st_fam = StackedKWiseFamily(m=2, k=2, n=3, copies=2)
-        assert st_fam.word_bits == 4
-        assert st_fam.seed_bits == 8
-        lo = KWiseFamily(m=2, k=2, n=3)
-        seed_int = 0b10110100
-        for j in range(3):
-            word = st_fam.expand(seed_int, j)
-            assert word & 0b11 == lo.expand(lo.seed_from_int(seed_int & 0xF), j)
-            assert word >> 2 == lo.expand(lo.seed_from_int(seed_int >> 4), j)
-
-    def test_stacked_pairwise_uniform(self):
-        st_fam = StackedKWiseFamily(m=1, k=2, n=2, copies=2)
-        hist = Counter()
-        for s in range(1 << st_fam.seed_bits):
-            hist[(st_fam.expand(s, 0), st_fam.expand(s, 1))] += 1
-        assert len(hist) == 16 and all(v == 1 for v in hist.values())
+        assert fam.seed_bits == 5 * m == 20

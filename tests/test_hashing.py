@@ -96,6 +96,24 @@ class TestCollisionStats:
         assert h(0) == h(4)
 
 
+class TestValueTable:
+    @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
+    @pytest.mark.parametrize("n,t", [(16, 4), (64, 8)])
+    def test_matches_every_hash_function(self, n, t, variant):
+        fam = HashFamily(n, t, variant=variant)
+        expected = [[h(x) for x in range(n)] for h in fam.functions()]
+        assert fam._value_table().tolist() == expected
+
+    def test_built_once_and_read_only(self):
+        fam = HashFamily(16, 4)
+        table = fam._value_table()
+        isolation_failure_prob(fam, [0, 1, 2])
+        collision_stats(fam)
+        assert fam._value_table() is table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+
 class TestIsolation:
     def test_singleton_never_fails(self):
         fam = HashFamily(16, 4)

@@ -15,8 +15,8 @@ from hsprg.robp import (
     acc_bitsets,
     all_inputs,
     check_monotone,
+    TreeErrorBound,
     compose_monotone_sandwich,
-    decision_tree_error_bound,
     halfspace_to_robp,
     nisan_expand,
     nisan_generate,
@@ -93,6 +93,13 @@ class TestHalfspaceCompile:
         # second step reads 2-bit labels; label 2 maps to value -1 (2 mod 2 = 0)
         assert B.D == 2
         assert B.eval([0, 0]) == B.eval([0, 2])
+
+    def test_zero_steps_constant_program(self):
+        for theta, bit in [(0, 1), (Fraction(-1, 2), 1), (1, 0)]:
+            B, cert = halfspace_to_robp([], theta, [])
+            assert B.to_json() == {"D": 1, "trans": [], "accept": [bit]}
+            assert cert.orders == ((0,),)
+            assert B.eval([]) == bit
 
     def test_json_round_trip(self):
         B, _ = halfspace_to_robp([1, -2, 3], 1, PM1 * 3)
@@ -175,6 +182,19 @@ class TestSandwichMonotone:
         with pytest.raises(NotMonotoneError):
             sandwich_monotone(prod, eps=0.5)
 
+    def test_zero_step_program_is_its_own_sandwich(self):
+        for bit in (0, 1):
+            B = ROBP([], [bit], 1)
+            pair = sandwich_monotone(B, 0.1)
+            assert pair.down.to_json() == pair.up.to_json() == B.to_json()
+            assert pair.gap() == 0
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan"), 0.0, -0.5])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        B, cert = halfspace_to_robp([1, 1], 1, PM1 * 2)
+        with pytest.raises(ValueError, match="finite and positive"):
+            sandwich_monotone(B, eps, cert)
+
 
 class TestCompose:
     def test_identity_reduces_to_plain_sandwich(self):
@@ -220,6 +240,119 @@ class TestCompose:
             f = table[bits[0] | bits[1] << 1 | bits[2] << 2]
             assert pair.down.eval(z) <= f <= pair.up.eval(z)
         assert pair.gap() <= Fraction(3, 4)
+
+
+class TestProduct:
+    def test_state_cap(self):
+        rng = philox(17)
+        B1, _ = halfspace_to_robp(rng.normal(size=8).round(3), 0.1, PM1 * 8)
+        B2, _ = halfspace_to_robp(rng.normal(size=8).round(3), -0.3, PM1 * 8)
+        width = product_robp([B1, B2], lambda bits: int(all(bits))).width
+        assert width > 8
+        assert product_robp([B1, B2], lambda bits: int(all(bits)), max_states=width).width == width
+        with pytest.raises(ResourceError):
+            product_robp([B1, B2], lambda bits: int(all(bits)), max_states=width - 1)
+
+
+# to_json() of small programs, recorded before the three constructions
+# shared one layered builder; every state numbering must stay as it was.
+GOLDEN_PM1 = {
+    "D": 1,
+    "accept": [0, 0, 0, 0, 0, 1, 1, 1, 1, 1],
+    "trans": [[[0, 1]], [[1, 0], [3, 2]], [[0, 2], [1, 3], [3, 5], [4, 6]],
+              [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7]],
+              [[2, 0], [3, 1], [4, 2], [5, 3], [6, 4], [7, 5], [8, 6], [9, 7]]]}
+GOLDEN_MIXED = {
+    "D": 2,
+    "accept": [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1],
+    "trans": [[[0, 1, 2, 0]], [[3, 0, 3, 0], [4, 1, 4, 1], [5, 2, 5, 2]],
+              [[0, 5, 10, 0], [1, 6, 11, 1], [2, 7, 12, 2], [3, 8, 13, 3], [4, 9, 14, 4],
+               [5, 10, 15, 5]]]}
+GOLDEN_STRICT = {
+    "D": 1,
+    "accept": [0, 0, 0, 0, 1, 1],
+    "trans": [[[0, 1]], [[0, 1], [1, 2]], [[1, 0], [2, 1], [3, 2]],
+              [[0, 2], [1, 3], [2, 4], [3, 5]]]}
+GOLDEN_HS6 = {
+    "D": 1,
+    "accept": [0] * 14 + [1] * 13,
+    "trans": [[[0, 1]], [[0, 2], [1, 3]], [[2, 0], [3, 1], [5, 3], [6, 4]],
+              [[0, 5], [1, 6], [2, 7], [3, 8], [4, 9], [5, 10], [6, 11]],
+              [[0, 3], [1, 5], [2, 6], [4, 8], [6, 10], [7, 11], [9, 13], [10, 14], [12, 16],
+               [14, 18], [15, 19], [17, 20]],
+              [[5, 0], [7, 1], [8, 2], [9, 3], [10, 4], [11, 5], [12, 6], [13, 7], [14, 8],
+               [15, 9], [16, 10], [17, 11], [18, 12], [19, 13], [20, 14], [21, 15], [22, 16],
+               [23, 17], [24, 18], [25, 19], [26, 21]]]}
+GOLDEN_SANDWICH_HS6 = (
+    {"D": 1,
+     "accept": [0, 1],
+     "trans": [[[0, 1]], [[0, 1], [0, 1]], [[0, 1], [2, 2]], [[0, 1], [0, 2], [2, 3]],
+               [[0, 0], [1, 1], [0, 1], [1, 2]], [[0, 0], [1, 0], [1, 1]]]},
+    {"D": 1,
+     "accept": [0, 1],
+     "trans": [[[0, 1]], [[0, 1], [0, 1]], [[0, 1], [2, 0]], [[0, 1], [2, 3], [4, 1]],
+               [[0, 1], [2, 2], [0, 0], [1, 2], [1, 1]], [[0, 0], [1, 0], [1, 1]]]},
+    Fraction(1, 4))
+GOLDEN_SANDWICH_MIXED = {
+    "D": 2,
+    "accept": [0, 1],
+    "trans": [[[0, 0, 0, 0]], [[0, 1, 0, 1]], [[0, 1, 1, 0], [0, 0, 1, 0]]]}
+GOLDEN_PRODUCT = {
+    "D": 1,
+    "accept": [0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1],
+    "trans": [[[0, 1]], [[0, 1], [2, 3]], [[0, 1], [2, 0], [3, 4], [5, 3]],
+              [[0, 1], [2, 3], [4, 5], [6, 7], [8, 9], [10, 11]]]}
+GOLDEN_COMPOSE = (
+    {"D": 1,
+     "accept": [0, 1, 1, 1],
+     "trans": [[[0, 1]], [[0, 1], [2, 3]], [[0, 1], [2, 2], [3, 4], [5, 5]],
+               [[0, 1], [0, 2], [3, 4], [5, 6], [5, 7], [8, 9]],
+               [[0, 0], [1, 2], [3, 2], [0, 2], [1, 4], [3, 0], [1, 1], [3, 1], [5, 2],
+                [1, 6]],
+               [[0, 0], [1, 2], [3, 0], [2, 2], [3, 3], [0, 2], [3, 1]]]},
+    {"D": 1,
+     "accept": [0, 1, 1, 1],
+     "trans": [[[0, 1]], [[0, 1], [2, 3]], [[0, 1], [2, 3], [4, 5], [6, 3]],
+               [[0, 1], [2, 3], [4, 1], [5, 6], [7, 6], [8, 3], [9, 6]],
+               [[0, 1], [2, 3], [4, 0], [5, 2], [1, 1], [4, 1], [2, 2], [6, 7], [6, 4],
+                [7, 1]],
+               [[0, 0], [1, 0], [2, 2], [1, 2], [0, 3], [2, 3], [3, 3], [1, 3]]]},
+    Fraction(5, 32))
+
+HS6 = ([0.5, 1.25, -0.75, 2, 1, -1.5], 0.3, PM1 * 6)
+MIXED = ([1, -2, 3], Fraction(1, 2), [[-1, 0, 1], [0, 2], [-1, 1, 3]])
+
+
+class TestGolden:
+    @pytest.mark.parametrize("args, kwargs, expected", [
+        (([3, -1, 2, 1, -2], 1, PM1 * 5), {}, GOLDEN_PM1),
+        (MIXED, {}, GOLDEN_MIXED),
+        (([1, 1, -1, 2], 1, PM1 * 4), {"strict": True}, GOLDEN_STRICT),
+        (HS6, {}, GOLDEN_HS6),
+    ], ids=["pm1", "mixed", "strict", "hs6"])
+    def test_halfspace_to_robp(self, args, kwargs, expected):
+        B, cert = halfspace_to_robp(*args, **kwargs)
+        assert B.to_json() == expected
+        assert cert.orders == tuple(tuple(range(wd)) for wd in B.widths)
+
+    def test_sandwich_monotone(self):
+        B, cert = halfspace_to_robp(*HS6)
+        pair = sandwich_monotone(B, 3, cert)
+        assert (pair.down.to_json(), pair.up.to_json(), pair.gap()) == GOLDEN_SANDWICH_HS6
+        B, cert = halfspace_to_robp(*MIXED)
+        pair = sandwich_monotone(B, 1, cert)
+        assert pair.down.to_json() == pair.up.to_json() == GOLDEN_SANDWICH_MIXED
+
+    def test_product_robp(self):
+        B1, _ = halfspace_to_robp([2, -1, 1, 1], 0, PM1 * 4)
+        B2, _ = halfspace_to_robp([1, 1, -1, 1], 1, PM1 * 4)
+        assert product_robp([B1, B2], lambda bits: int(all(bits))).to_json() == GOLDEN_PRODUCT
+
+    def test_compose_monotone_sandwich(self):
+        Bs, cs = halfspace_to_robp(*HS6)
+        Bt, ct = halfspace_to_robp([1, -0.5, 0.25, 1.5, -1, 0.75], -0.2, PM1 * 6)
+        pair = compose_monotone_sandwich([0, 1, 1, 1], [Bs, Bt], eps=3, certs=[cs, ct])
+        assert (pair.down.to_json(), pair.up.to_json(), pair.gap()) == GOLDEN_COMPOSE
 
 
 class TestNisan:
@@ -280,12 +413,12 @@ def _all_width2_programs():
 
 class TestTreeBound:
     def test_arithmetic(self):
-        b = decision_tree_error_bound(0.05, 0.05, zero_leaves=1, one_leaves=1)
+        b = TreeErrorBound(0.05, 0.05, zero_leaves=1, one_leaves=1)
         assert b.bound == pytest.approx(0.2)
-        assert decision_tree_error_bound(0.1, 0.0, 1, 0).bound == pytest.approx(0.1)
+        assert TreeErrorBound(0.1, 0.0, 1, 0).bound == pytest.approx(0.1)
 
     def test_min_leaf_variant(self):
-        b = decision_tree_error_bound(0.05, 0.05, zero_leaves=1, one_leaves=3)
+        b = TreeErrorBound(0.05, 0.05, zero_leaves=1, one_leaves=3)
         assert b.bound_min_leaves == pytest.approx(0.1)
         assert b.bound == pytest.approx(0.4)
 
@@ -315,5 +448,5 @@ class TestTreeBound:
         delta = max(prg_error(p.eval) for pair in (p1, p2)
                     for p in (pair.down, pair.up))
         eps_meas = max(float(p1.gap()), float(p2.gap()))
-        bound = decision_tree_error_bound(eps_meas, float(delta), 1, 2).bound
+        bound = TreeErrorBound(eps_meas, float(delta), 1, 2).bound
         assert float(measured) <= bound + 1e-12
