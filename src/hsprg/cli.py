@@ -79,6 +79,8 @@ def cmd_regularity(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.seeds < 1:
+        raise SystemExit(f"--seeds must be at least 1, got {args.seeds}")
     dist = ProductDistribution.load(args.dist)
     params = _load_json(args.params)
     gen = MZGenerator(alphabets_from_distribution(dist),

@@ -72,6 +72,8 @@ class DiscreteCoordinate(Coordinate):
     def __init__(self, values: Sequence[float], probs: Sequence[float]):
         if len(values) != len(probs) or not values:
             raise DistributionError("values and probs must be equal-length and nonempty")
+        if not all(math.isfinite(p) for p in probs):
+            raise DistributionError(f"probabilities must be finite, got {list(probs)}")
         if any(p < 0 for p in probs):
             raise DistributionError("negative probability")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
@@ -502,13 +504,6 @@ class SandwichedCoordinate:
         return cls(tuple(boundaries), gamma, g, B,
                    UniformMultisetCoordinate(boundaries[:-1]),
                    UniformMultisetCoordinate(boundaries[1:]))
-
-
-def sandwich_pair(coord: Coordinate, boundaries: Sequence[float], gamma: float):
-    """Lower/upper uniform multisets on {b_0..b_{g-1}} and {b_1..b_g}."""
-    B = max(abs(boundaries[0]), abs(boundaries[-1]))
-    sc = SandwichedCoordinate.build(boundaries, gamma, B)
-    return sc.lower, sc.upper
 
 
 def make_sandwich(coord: Coordinate, gamma: float, B: float) -> SandwichedCoordinate:

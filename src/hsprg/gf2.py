@@ -212,16 +212,6 @@ class GF2m:
             e >>= 1
         return r
 
-    def pow(self, a: int, e: int) -> int:
-        r = 1
-        a = self.check(a)
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, GF2m) and (self.m, self.modulus) == (other.m, other.modulus)
 

@@ -36,15 +36,6 @@ class Halfspace:
         # not(s >= t) == (-s > -t); not(s > t) == (-s >= -t)
         return Halfspace(tuple(-wi for wi in self.w), -self.theta, not self.strict)
 
-    def boundary_atom(self, supports: Sequence[Sequence[float]]) -> list[tuple[float, ...]]:
-        """Discrete points with w.x exactly theta, where sgn(0)=1 bites."""
-        import itertools
-        out = []
-        for point in itertools.product(*supports):
-            if self.margin(point) == 0:
-                out.append(point)
-        return out
-
 
 class HalfspaceSystem:
     """d halfspaces sharing the input: column i of W with threshold Theta[i]."""
@@ -58,6 +49,8 @@ class HalfspaceSystem:
         self.n, self.d = self.W.shape
         if self.Theta.shape != (self.d,):
             raise ValueError("Theta must have one entry per halfspace")
+        if not (np.isfinite(self.W).all() and np.isfinite(self.Theta).all()):
+            raise ValueError("HalfspaceSystem weights W and thresholds Theta must be finite")
         self.strict = tuple(strict) if strict is not None else (False,) * self.d
 
     def halfspace(self, i: int) -> Halfspace:

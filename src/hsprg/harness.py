@@ -1,9 +1,9 @@
 """Measurement: exact and Monte Carlo expectations, fooling error, probes.
 
 Exact mode enumerates the full product space (and the full seed space of a
-generator); Monte Carlo uses counter-based Philox streams keyed by
-(master seed, shard) so that shard results are reproducible and merge
-order-independently.
+generator).  Monte Carlo goes through one sharded driver: stream k of shard
+s is Philox keyed by (master seed, k * MAX_SHARDS + s), so shard results
+are reproducible and merge order-independently.
 """
 
 from __future__ import annotations
@@ -260,6 +260,24 @@ def _wilson_halfwidth(p: float, n: int) -> float:
     return half + abs(center - p)
 
 
+def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int],
+        body: Callable[..., tuple]) -> tuple[tuple[float, ...], float]:
+    """Sharded Monte Carlo: the mean of each hit count and their joint 95% half-width.
+
+    ``body(size, *rngs)`` runs one shard and returns one hit count per
+    stream; its rngs are streams ``k`` of ``streams`` for that shard.  The
+    half-width combines the Wilson half-widths of the means in quadrature.
+    """
+    if master_seed is None:
+        master_seed = master_seed_default()
+    hits = [0] * len(streams)
+    for shard, size in enumerate(shard_sizes(trials, shards)):
+        counts = body(size, *(rng_for(master_seed, k * MAX_SHARDS + shard) for k in streams))
+        hits = [h + int(c) for h, c in zip(hits, counts, strict=True)]
+    means = tuple(h / trials for h in hits)
+    return means, math.hypot(*(_wilson_halfwidth(p, trials) for p in means))
+
+
 def estimate_fooling_error(f: Callable[[Sequence[float]], int],
                            dist: ProductDistribution, generator,
                            mode: str = "exact", trials: int = 10 ** 5,
@@ -268,8 +286,6 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int],
                            cap: int = DEFAULT_ENUM_CAP) -> EstimationReport:
     """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo."""
     t0 = time.perf_counter()
-    if master_seed is None:
-        master_seed = master_seed_default()
     if mode == "exact":
         true_e = float(exact_expectation(f, dist, cap))
         prg_e = float(expectation_over_seeds(f, generator, cap))
@@ -277,17 +293,13 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int],
         ci = 0.0
         method = "exact-enumeration"
     elif mode == "mc":
-        true_hits = prg_hits = 0
-        for shard, size in enumerate(shard_sizes(trials, shards)):
-            X = dist.sample(rng_for(master_seed, shard), size)
-            true_hits += int(sum(f(x) for x in X))
-            seeds = generator.random_seeds(rng_for(master_seed, MAX_SHARDS + shard), size)
-            prg_hits += int(sum(f(x) for x in generator.expand(seeds)))
-        true_e = true_hits / trials
-        prg_e = prg_hits / trials
+        def body(size, rng_x, rng_seeds):
+            seeds = generator.random_seeds(rng_seeds, size)
+            return (sum(f(x) for x in dist.sample(rng_x, size)),
+                    sum(f(x) for x in generator.expand(seeds)))
+
+        (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body)
         samples = trials
-        # both estimates carry error; combine in quadrature
-        ci = math.hypot(_wilson_halfwidth(true_e, trials), _wilson_halfwidth(prg_e, trials))
         method = "monte-carlo"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -357,14 +369,10 @@ class OrthantSet:
     theta: np.ndarray
     accept: tuple[int, ...]  # truth table over sign patterns, low bit = dim 0
 
-    @classmethod
-    def from_combiner(cls, theta: Sequence[float], combiner: CombinerSpec,
-                      d: int) -> "OrthantSet":
-        table = []
-        for idx in range(1 << d):
-            bits = tuple(idx >> i & 1 for i in range(d))
-            table.append(combiner.apply(bits))
-        return cls(np.asarray(theta, dtype=float), tuple(table))
+    def __post_init__(self):
+        if len(self.accept) != 1 << len(self.theta) or not set(self.accept) <= {0, 1}:
+            raise ValueError(f"OrthantSet accept must have 2**{len(self.theta)} entries "
+                             f"of 0 or 1, got {self.accept!r}")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         signs = (points >= self.theta).astype(int)
@@ -389,20 +397,16 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
                        trials: int = 10 ** 5, master_seed: int | None = None,
                        shards: int = 8) -> BerryEsseenReport:
     """Estimate |Pr[S in A] - Pr[G in A]| with G ~ N(0, Cov S)."""
-    if master_seed is None:
-        master_seed = master_seed_default()
     W = np.asarray(W, dtype=float)
     m2 = [c.moments()[1] for c in dist.coords]
     summary = CovarianceSummary.from_system(W, m2)
     gauss = gaussian_reference_sampler(summary.M)
-    s_hits = g_hits = 0
-    for shard, size in enumerate(shard_sizes(trials, shards)):
-        X = dist.sample(rng_for(master_seed, shard), size)
-        s_hits += int(orthant.contains(X @ W).sum())
-        rng2 = rng_for(master_seed, 2 * MAX_SHARDS + shard)
-        g_hits += int(orthant.contains(gauss(rng2, size)).sum())
-    p_s, p_g = s_hits / trials, g_hits / trials
-    ci = math.hypot(_wilson_halfwidth(p_s, trials), _wilson_halfwidth(p_g, trials))
+
+    def body(size, rng_x, rng_g):
+        return (orthant.contains(dist.sample(rng_x, size) @ W).sum(),
+                orthant.contains(gauss(rng_g, size)).sum())
+
+    (p_s, p_g), ci = _mc(trials, shards, master_seed, (0, 2), body)
     return BerryEsseenReport(abs(p_s - p_g), ci, p_s, p_g, summary, trials)
 
 
@@ -433,23 +437,21 @@ def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
     e.g. with a discretized-Gaussian PRG; rows are normalized either way
     (zero rows are redrawn).
     """
-    if master_seed is None:
-        master_seed = master_seed_default()
     n = system.n
-    hits = 0
-    for shard, size in enumerate(shard_sizes(trials, shards)):
-        rng = rng_for(master_seed, shard)
-        X = sampler(rng, size) if sampler is not None else rng.standard_normal((size, n))
+    if sampler is None:
+        def sampler(rng, size):
+            return rng.standard_normal((size, n))
+
+    def body(size, rng):
+        X = sampler(rng, size)
         norms = np.linalg.norm(X, axis=1)
-        bad = norms == 0
-        while bad.any():
-            X[bad] = (sampler(rng, int(bad.sum())) if sampler is not None
-                      else rng.standard_normal((int(bad.sum()), n)))
+        while (bad := norms == 0).any():
+            X[bad] = sampler(rng, int(bad.sum()))
             norms = np.linalg.norm(X, axis=1)
-            bad = norms == 0
-        hits += int(evaluate_batch(system, combiner, X / norms[:, None]).sum())
-    p = hits / trials
-    return SphereTransferReport(p, _wilson_halfwidth(p, trials),
+        return (evaluate_batch(system, combiner, X / norms[:, None]).sum(),)
+
+    (p,), ci = _mc(trials, shards, master_seed, (0,), body)
+    return SphereTransferReport(p, ci,
                                 system.d * math.log(n) / n ** 0.25, trials, n, system.d)
 
 

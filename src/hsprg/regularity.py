@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .harness import _wilson_halfwidth
+
 REG = "REG"
 JUNTA = "JUNTA"
 
@@ -52,10 +54,6 @@ class TermNorms:
         w = np.asarray(weights, dtype=float)
         return cls(tuple(w * w * np.asarray(m2, dtype=float)),
                    tuple(w ** 4 * np.asarray(m4, dtype=float)))
-
-    def tail_two(self, i: int) -> float:
-        """tau_i^2 = sum of sigma_j^2 over j >= i."""
-        return math.fsum(self.two_norm_sq[i:])
 
     def is_sorted(self) -> bool:
         s = self.two_norm_sq
@@ -176,5 +174,4 @@ def anticoncentration_probe(head_weights: Sequence[float], head_coords,
         total += w * coord.sample(rng, trials)
     hits = np.abs(total - theta) <= s * tau_tail
     p = float(np.mean(hits))
-    half = 1.96 * math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
-    return p, half
+    return p, _wilson_halfwidth(p, trials)

@@ -246,6 +246,35 @@ def check_monotone(B: ROBP) -> MonotoneCertificate | MonotoneCounterexample:
     return MonotoneCertificate(tuple(orders))
 
 
+def _check_certificate(B: ROBP, cert: MonotoneCertificate, probs) -> None:
+    """Check a caller's certificate against B, from the last layer back.
+
+    The last order must put rejecting states before accepting ones.  In an
+    earlier order, succ(u, z) may rank after succ(v, z) for a consecutive
+    pair u, v only when both have the same acceptance probability: the
+    next layer is already a chain, so equal probability means equal
+    accepting sets, and every Acc(u) then lies inside Acc(v).
+    """
+    if len(cert.orders) != B.T + 1:
+        raise ValueError(f"certificate has {len(cert.orders)} orders, "
+                         f"program has {B.T + 1} layers")
+    for i, (order, width) in enumerate(zip(cert.orders, B.widths)):
+        if sorted(order) != list(range(width)):
+            raise ValueError(f"certificate order {i} is not a permutation of "
+                             f"the layer's {width} states")
+    last = [B.accept[v] for v in cert.orders[-1]]
+    if last != sorted(last):
+        raise NotMonotoneError(f"accept bits decrease along the order of layer {B.T}")
+    ranks = cert.rank_tables()
+    for i in reversed(range(B.T)):
+        rank, p, rows = ranks[i + 1], probs[i + 1], B.trans[i]
+        for u, v in zip(cert.orders[i], cert.orders[i][1:]):
+            for a, b in zip(rows[u], rows[v]):
+                if rank[a] > rank[b] and p[a] != p[b]:
+                    raise NotMonotoneError(f"certificate orders state {u} before {v} "
+                                           f"in layer {i}, but not by acceptance")
+
+
 def sandwich_monotone(B: ROBP, eps: float,
                       cert: MonotoneCertificate | None = None) -> SandwichPair:
     """Narrow monotone programs below and above B with acceptance gap <= eps.
@@ -254,16 +283,19 @@ def sandwich_monotone(B: ROBP, eps: float,
     probability into intervals of width eps/(2T); the down program routes
     every group to its minimal representative under the monotone order,
     the up program to its maximal.  Soundness (down <= B <= up pointwise,
-    gap <= eps) is enumerated in the tests rather than assumed.
+    gap <= eps) is enumerated in the tests rather than assumed.  A given
+    `cert` is checked against B first.
     """
     if not (0 < eps and math.isfinite(eps)):
         raise ValueError("eps must be finite and positive")
+    probs = B.acceptance_probabilities()
     if cert is None:
         result = check_monotone(B)
         if isinstance(result, MonotoneCounterexample):
             raise NotMonotoneError(f"program is not monotone at layer {result.layer}")
         cert = result
-    probs = B.acceptance_probabilities()
+    else:
+        _check_certificate(B, cert, probs)
     width = Fraction(eps) / (2 * max(B.T, 1))
     ranks = cert.rank_tables()
 
@@ -318,6 +350,8 @@ def compose_monotone_sandwich(g_table: Sequence[int], programs: Sequence[ROBP],
     d = len(programs)
     if not is_monotone_table(g_table, d):
         raise NotMonotoneError("g is not monotone")
+    if certs is not None and len(certs) != d:
+        raise ValueError(f"need one certificate per program: {len(certs)} for {d}")
     pairs = [sandwich_monotone(p, eps, None if certs is None else certs[i])
              for i, p in enumerate(programs)]
 

@@ -98,49 +98,27 @@ class DGJSVAudit:
 
 
 class UnivariatePoly:
-    """Either plain monomial coefficients or the structured step approximator."""
+    """The structured step approximator P(x) = (1 + x D(x)^2)^2, D a Chebyshev series."""
 
-    def __init__(self, kind: str, *, coeffs: Sequence | None = None,
-                 d_cheb: np.ndarray | None = None, a: float | None = None,
-                 b: float | None = None):
-        self.kind = kind
-        if kind == "monomial":
-            cs = list(coeffs or [0])
-            while len(cs) > 1 and cs[-1] == 0:
-                cs.pop()
-            self.coeffs = cs
-            self.degree = len(cs) - 1 if any(cs) else 0
-        elif kind == "dgjsv":
-            self.d_cheb = np.asarray(d_cheb, dtype=float)
-            self.a = float(a)
-            self.b = float(b)
-            deg_d = len(self.d_cheb) - 1
-            self.degree = 2 * (2 * deg_d + 1)
-        else:
-            raise ValueError(f"unknown polynomial kind {kind!r}")
-
-    @classmethod
-    def from_monomial(cls, coeffs: Sequence) -> "UnivariatePoly":
-        return cls("monomial", coeffs=coeffs)
+    def __init__(self, d_cheb: np.ndarray, a: float, b: float):
+        self.d_cheb = np.asarray(d_cheb, dtype=float)
+        self.a = float(a)
+        self.b = float(b)
+        self.degree = 2 * (2 * (len(self.d_cheb) - 1) + 1)
 
     def __call__(self, x):
         scalar = np.isscalar(x)
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.kind == "monomial":
-            out = np.zeros_like(xs)
-            for c in reversed(self.coeffs):
-                out = out * xs + float(c)
-        else:
-            out = np.empty_like(xs)
-            inside = np.abs(xs) <= 1.0
-            if inside.any():
-                d = nch.chebval(xs[inside], self.d_cheb)
-                ahat = 1.0 + xs[inside] * d * d
-                out[inside] = ahat * ahat
-            if (~inside).any():
-                sign, log2p = self._log2_outside(xs[~inside])
-                vals = np.where(log2p > 1023, np.inf, np.exp2(np.minimum(log2p, 1023)))
-                out[~inside] = vals
+        out = np.empty_like(xs)
+        inside = np.abs(xs) <= 1.0
+        if inside.any():
+            d = nch.chebval(xs[inside], self.d_cheb)
+            ahat = 1.0 + xs[inside] * d * d
+            out[inside] = ahat * ahat
+        if (~inside).any():
+            sign, log2p = self._log2_outside(xs[~inside])
+            vals = np.where(log2p > 1023, np.inf, np.exp2(np.minimum(log2p, 1023)))
+            out[~inside] = vals
         return float(out[0]) if scalar else out
 
     def _log2_outside(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -166,12 +144,9 @@ class UnivariatePoly:
     def monomial_coefficients(self, prec_pad: int = 300):
         """Exact-as-possible power-basis coefficients.
 
-        Monomial kind returns its own list; the structured kind converts
-        the Chebyshev series with mpmath at a precision wide enough for
-        the 2^(4 deg D) coefficient growth.
+        Converts the Chebyshev series with mpmath at a precision wide
+        enough for the 2^(4 deg D) coefficient growth.
         """
-        if self.kind == "monomial":
-            return list(self.coeffs)
         import mpmath as mp
 
         deg_d = len(self.d_cheb) - 1
@@ -208,18 +183,14 @@ class UnivariatePoly:
             return conv(ahat, ahat)
 
     def to_json(self) -> dict:
-        if self.kind == "monomial":
-            return {"kind": "monomial", "degree": self.degree,
-                    "coefficients": [repr(float(c)) for c in self.coeffs]}
         return {"kind": "dgjsv", "degree": self.degree, "a": self.a, "b": self.b,
                 "cheb_coefficients": [repr(float(c)) for c in self.d_cheb]}
 
     @classmethod
     def from_json(cls, data: dict) -> "UnivariatePoly":
-        if data["kind"] == "monomial":
-            return cls.from_monomial([float(c) for c in data["coefficients"]])
-        return cls("dgjsv", d_cheb=[float(c) for c in data["cheb_coefficients"]],
-                   a=data["a"], b=data["b"])
+        if data["kind"] != "dgjsv":
+            raise ValueError(f"unknown polynomial kind {data['kind']!r}")
+        return cls([float(c) for c in data["cheb_coefficients"]], data["a"], data["b"])
 
 
 def _interp_inverse_sqrt(a: float, rel_target: float) -> tuple[np.ndarray, float, float]:
@@ -309,7 +280,7 @@ def _dgjsv_build(a: float, b: float, audit: bool) -> UnivariatePoly:
         if not ok:
             continue
 
-        poly = UnivariatePoly("dgjsv", d_cheb=d_cheb, a=a, b=b)
+        poly = UnivariatePoly(d_cheb, a, b)
         if not audit:
             return poly
         report = audit_dgjsv(poly)

@@ -29,7 +29,7 @@ def random_seeds(rng: np.random.Generator, seed_bits: int, size: int) -> np.ndar
     nbytes = seed_bytes(seed_bits)
     words = rng.integers(0, 1 << 32, size=(size, (nbytes + 3) // 4), dtype=np.uint32)
     seeds = np.ascontiguousarray(
-        words.astype("<u4", copy=False).view(np.uint8).reshape(size, -1)[:, :nbytes])
+        words.astype("<u4", copy=False).view(np.uint8)[:, :nbytes])
     if seed_bits % 8:
         seeds[:, -1] &= (1 << seed_bits % 8) - 1
     return seeds

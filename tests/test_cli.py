@@ -63,6 +63,14 @@ def test_gen_csv_and_bin(tmp_path, rad_dist, capsys):
     assert np.array_equal(raw, rows)
 
 
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_gen_rejects_seed_counts_below_one(tmp_path, rad_dist, count):
+    params = write(tmp_path / "p.json", {"t": 2, "k": 2})
+    with pytest.raises(SystemExit, match="--seeds must be at least 1"):
+        main(["gen", "--dist", rad_dist, "--params", params, "--seeds", count,
+              "--out", str(tmp_path / "s.csv")])
+
+
 def test_robp_pipeline(tmp_path, capsys):
     prog = tmp_path / "prog.json"
     assert main(["robp", "compile", "--weights", "[1, 1, -1]", "--theta", "0.5",

@@ -22,7 +22,6 @@ from hsprg.distributions import (
     hc_concentration_probe,
     make_sandwich,
     moment_profile,
-    sandwich_pair,
     standardize_multiset,
     statistical_distance,
     truncate_and_standardize,
@@ -44,6 +43,12 @@ def test_discrete_sample_matches_rng_choice():
         want = ref.choice(np.asarray(coord.values), size=size, p=p / p.sum())
         assert np.array_equal(coord.sample(ours, size), want)
     assert ours.random() == ref.random()
+
+
+@pytest.mark.parametrize("probs", [[float("nan"), 1.0], [0.5, float("inf")]])
+def test_discrete_non_finite_probability_rejected(probs):
+    with pytest.raises(DistributionError, match="probabilities must be finite"):
+        DiscreteCoordinate([-1.0, 1.0], probs)
 
 
 class TestMomentProfile:
@@ -141,10 +146,9 @@ class TestBucketBoundaries:
 
 class TestSandwich:
     def test_rademacher_upper_is_original(self):
-        bs = bucket_boundaries(RADEMACHER, 0.5, B=2.0)
-        lower, upper = sandwich_pair(RADEMACHER, bs, 0.5)
-        assert upper.multiset == (-1.0, 1.0)
-        assert lower.multiset == (-2.0, -1.0)
+        sw = make_sandwich(RADEMACHER, 0.5, B=2.0)
+        assert sw.upper.multiset == (-1.0, 1.0)
+        assert sw.lower.multiset == (-2.0, -1.0)
 
     def test_rademacher_sd_is_gamma(self):
         sw = make_sandwich(RADEMACHER, 0.5, B=2.0)

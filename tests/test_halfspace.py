@@ -38,6 +38,14 @@ class TestSignConvention:
             assert evaluate(sys2, inter, x) == evaluate(sys2, single, x)
 
 
+@pytest.mark.parametrize("W,Theta", [([[np.nan], [1.0]], [0.0]),
+                                     ([[1.0], [np.inf]], [0.0]),
+                                     ([[1.0], [1.0]], [np.nan])])
+def test_non_finite_system_rejected(W, Theta):
+    with pytest.raises(ValueError, match="must be finite"):
+        HalfspaceSystem(W, Theta)
+
+
 class TestNegation:
     def test_negation_exact_on_discrete_support(self):
         h = Halfspace((1.0, 1.0, 1.0), 1.0)
@@ -48,11 +56,6 @@ class TestNegation:
     def test_double_negation(self):
         h = Halfspace((0.5, -2.0), 0.25, strict=False)
         assert h.negation().negation() == h
-
-    def test_boundary_atom_enumeration(self):
-        h = Halfspace((1.0, 1.0), 0.0)
-        atoms = h.boundary_atom([[-1.0, 1.0]] * 2)
-        assert sorted(atoms) == [(-1.0, 1.0), (1.0, -1.0)]
 
 
 class TestDecisionTree:

@@ -138,6 +138,49 @@ class TestMonteCarloGolden:
             (0.206, 0.18975, 0.01745658340601373, 4000)
 
 
+class TestProbeGolden:
+    """Berry-Esseen and sphere reports pinned at a fixed master seed, uneven shards."""
+
+    SYSTEM = HalfspaceSystem(philox(23).normal(size=(8, 2)), [0.1, -0.2])
+
+    def test_berry_esseen(self):
+        skew = DiscreteCoordinate([-1.0, 0.5, 2.0], [0.25, 0.5, 0.25])
+        W = philox(19).normal(size=(12, 2))
+        rep = berry_esseen_probe(W, ProductDistribution.repeated(skew, 12),
+                                 OrthantSet(np.array([0.25, -0.5]), (0, 1, 1, 1)),
+                                 trials=20_001, master_seed=2010, shards=7)
+        assert (rep.p_sum, rep.p_gauss, rep.ci95, rep.samples) == \
+            (0.8029098545072746, 0.7853107344632768, 0.007923044572265994, 20001)
+
+    def test_sphere_gaussian_source(self):
+        rep = sphere_transfer(self.SYSTEM, CombinerSpec.intersection(), trials=10_001,
+                              master_seed=2010, shards=7)
+        assert (rep.estimate, rep.ci95, rep.samples) == \
+            (0.29357064293570645, 0.00892518154631663, 10001)
+
+    def test_sphere_redraws_zero_rows(self):
+        calls = []
+
+        def sampler(rng, size):
+            X = rng.standard_normal((size, 8))
+            X[rng.random(size) < 0.25] = 0.0
+            calls.append(size)
+            return X
+
+        rep = sphere_transfer(self.SYSTEM, CombinerSpec.intersection(), trials=10_001,
+                              master_seed=2010, shards=7, sampler=sampler)
+        assert (rep.estimate, rep.ci95, rep.samples) == \
+            (0.29147085291470853, 0.008906412460320071, 10001)
+        assert len(calls) > 7
+
+
+class TestOrthantSet:
+    @pytest.mark.parametrize("accept", [(0, 1, 1), (0, 1, 1, 1, 0), (0, 1, 2, 1), (0, 1, -1, 1)])
+    def test_bad_accept_table_rejected(self, accept):
+        with pytest.raises(ValueError, match="OrthantSet accept"):
+            OrthantSet(np.zeros(2), accept)
+
+
 class TestSharding:
     def test_sizes_sum_to_trials(self):
         assert shard_sizes(80, 8) == [10] * 8

@@ -183,6 +183,14 @@ class TestAnticoncentrationProbe:
                                        tau_tail=1.0, trials=20000, rng=self.rng())
         assert p == 0.0
 
+    def test_half_width_is_wilson(self):
+        # p = 0 at n = 2000 gives z^2 / (n + z^2), not a Wald floor
+        coords = [DiscreteCoordinate.rademacher()] * 2
+        p, half = anticoncentration_probe([1.0, 1.0], coords, theta=1e6, s=1.0,
+                                          tau_tail=1.0, trials=2000, rng=self.rng())
+        z2 = 1.959963984540054 ** 2
+        assert p == 0.0 and half == pytest.approx(z2 / (2000 + z2), rel=1e-12)
+
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             anticoncentration_probe([1.0], [DiscreteCoordinate.rademacher()],

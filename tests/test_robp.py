@@ -196,6 +196,65 @@ class TestSandwichMonotone:
             sandwich_monotone(B, eps, cert)
 
 
+class TestCallerCertificate:
+    W6 = [0.5, 1.25, -0.75, 2, 1, -1.5]
+
+    def compiled(self):
+        return halfspace_to_robp(self.W6, 0.3, PM1 * 6)
+
+    def test_reversed_orders_rejected(self):
+        # trusted, this pair was unsound on 16 of 64 inputs with gap -1/4
+        B, cert = self.compiled()
+        rev = MonotoneCertificate(tuple(o[::-1] for o in cert.orders))
+        with pytest.raises(NotMonotoneError):
+            sandwich_monotone(B, 3, rev)
+        # a good last layer alone is not enough
+        rev = MonotoneCertificate(tuple(o[::-1] for o in cert.orders[:-1])
+                                  + cert.orders[-1:])
+        with pytest.raises(NotMonotoneError, match="layer 5"):
+            sandwich_monotone(B, 3, rev)
+
+    def test_one_layer_certificate_rejected(self):
+        B, _ = self.compiled()
+        with pytest.raises(ValueError, match="1 orders, program has 7 layers"):
+            sandwich_monotone(B, 0.5, MonotoneCertificate(((0,),)))
+
+    def test_repeated_state_rejected(self):
+        B, cert = self.compiled()
+        orders = list(cert.orders)
+        orders[3] = (0,) + orders[3][:-1]
+        with pytest.raises(ValueError, match="order 3 is not a permutation"):
+            sandwich_monotone(B, 0.5, MonotoneCertificate(tuple(orders)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_accepts_exactly_the_chain_orders(self, seed):
+        # every order is accepted iff its Acc sets grow along it
+        rng = philox(500 + seed)
+        B = random_monotone_robp(rng, T=4, max_width=4)
+        sets = acc_bitsets(B)
+        for _ in range(20):
+            orders = tuple(tuple(int(v) for v in rng.permutation(len(layer)))
+                           for layer in sets)
+            chain = all(not layer[a] & ~layer[b] for layer, order in zip(sets, orders)
+                        for a, b in zip(order, order[1:]))
+            try:
+                sandwich_monotone(B, 0.5, MonotoneCertificate(orders))
+                assert chain
+            except NotMonotoneError:
+                assert not chain
+
+    def test_compose_needs_one_certificate_per_program(self):
+        B, cert = self.compiled()
+        with pytest.raises(ValueError, match="one certificate per program"):
+            compose_monotone_sandwich([0, 0, 0, 1], [B, B], 0.5, certs=[cert])
+
+    def test_compose_checks_certificates(self):
+        B, cert = self.compiled()
+        rev = MonotoneCertificate(tuple(o[::-1] for o in cert.orders))
+        with pytest.raises(NotMonotoneError):
+            compose_monotone_sandwich([0, 0, 0, 1], [B, B], 0.5, certs=[cert, rev])
+
+
 class TestCompose:
     def test_identity_reduces_to_plain_sandwich(self):
         B = random_monotone_robp(philox(7), T=5, max_width=6)

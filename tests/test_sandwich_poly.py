@@ -77,21 +77,16 @@ class TestDgjsvPoly:
 
 
 class TestUnivariatePoly:
-    def test_monomial_eval_and_degree(self):
-        p = UnivariatePoly.from_monomial([1, 0, 2, 0])  # 1 + 2x^2, trailing zero
-        assert p.degree == 2
-        assert p(3.0) == 19.0
-
-    def test_monomial_json_round_trip(self):
-        p = UnivariatePoly.from_monomial([0.5, -1.25, 3.0])
-        q = UnivariatePoly.from_json(p.to_json())
-        assert q.coeffs == p.coeffs
-
     def test_dgjsv_json_round_trip(self):
         p = dgjsv_poly(0.2, 1e-2)
         q = UnivariatePoly.from_json(p.to_json())
         xs = np.linspace(-1, 1, 17)
         assert np.array_equal(p(xs), q(xs))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="'monomial'"):
+            UnivariatePoly.from_json({"kind": "monomial", "degree": 2,
+                                      "coefficients": ["0.5", "-1.25", "3.0"]})
 
     def test_structured_monomial_conversion_matches(self):
         # monomial coefficients reach 2^(4 deg D); Horner must run in high

@@ -124,6 +124,14 @@ class TestSeedFormat:
         assert seed_fields(seeds, 1, 4, 4).tolist() == [[0b0111, 0b1100, 0b0110, 0b1]]
         assert seed_fields(seeds, 0, 0, 1).tolist() == [[0]]
 
+    def test_zero_seeds_is_an_empty_batch(self):
+        for bits in (1, 11, 70):
+            rng = philox(8)
+            before = rng_state(rng)
+            seeds = random_seeds(rng, bits, 0)
+            assert seeds.shape == (0, (bits + 7) // 8) and seeds.dtype == np.uint8
+            assert rng_state(rng) == before
+
     def test_check_seeds(self):
         with pytest.raises(ValueError):
             check_seeds(np.zeros(2, dtype=np.uint8), 16)
