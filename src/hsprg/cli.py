@@ -160,6 +160,7 @@ def cmd_sandwich(args) -> int:
 def cmd_estimate(args) -> int:
     system = HalfspaceSystem.from_json(_load_json(args.f))
     combiner = CombinerSpec.from_json(_load_json(args.combiner))
+    combiner.check_fits(system.d)
     dist = ProductDistribution.load(args.dist)
 
     def f(x):

@@ -74,6 +74,9 @@ class DiscreteCoordinate(Coordinate):
             raise DistributionError("values and probs must be equal-length and nonempty")
         if not all(math.isfinite(p) for p in probs):
             raise DistributionError(f"probabilities must be finite, got {list(probs)}")
+        for v in values:
+            if not math.isfinite(v):
+                raise DistributionError(f"support values must be finite, got {v}")
         if any(p < 0 for p in probs):
             raise DistributionError("negative probability")
         if abs(math.fsum(probs) - 1.0) > 1e-12:

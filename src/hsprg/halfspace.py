@@ -8,7 +8,6 @@ boundary atom has positive mass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -191,6 +190,20 @@ class CombinerSpec:
             return self.tree.evaluate(signs)
         raise ValueError(f"unknown combiner kind {self.kind!r}")
 
+    def check_fits(self, d: int) -> None:
+        """Raise ValueError unless every sign vector of length d is a valid input."""
+        if self.kind == "single":
+            bad = not 0 <= self.index < d
+        elif self.kind == "monotone-table":
+            bad = len(self.table) != 1 << d
+        elif self.kind == "decision-tree":
+            bad = any(not 0 <= i < d for path, _ in self.tree.paths() for i, _ in path)
+        else:
+            bad = False
+        if bad:
+            raise ValueError(f"{self.kind} combiner {self.to_json()} does not fit "
+                             f"a system of d={d} halfspaces")
+
     def to_json(self) -> dict:
         out = {"kind": self.kind}
         if self.kind == "single":
@@ -210,7 +223,10 @@ class CombinerSpec:
             return cls.intersection()
         if kind == "monotone-table":
             table = data["table"]
-            return cls.monotone_table(table, int(math.log2(len(table))))
+            size = len(table)
+            if size < 2 or size & (size - 1):
+                raise ValueError(f"monotone-table needs 2^d >= 2 entries, got {size}")
+            return cls.monotone_table(table, size.bit_length() - 1)
         if kind == "decision-tree":
             return cls.decision_tree(DecisionTree.from_json(data["tree"]))
         raise ValueError(f"unknown combiner kind {kind!r}")
@@ -221,6 +237,7 @@ def evaluate(system: HalfspaceSystem, combiner: CombinerSpec, x: Sequence[float]
 
 
 def evaluate_batch(system: HalfspaceSystem, combiner: CombinerSpec, X: np.ndarray) -> np.ndarray:
+    combiner.check_fits(system.d)
     signs = system.sign_matrix(X)
     return np.fromiter((combiner.apply(row) for row in signs), dtype=np.int8,
                        count=signs.shape[0])

@@ -8,10 +8,12 @@ monotone program can be squeezed between two narrow monotone programs by
 quantizing acceptance probabilities.  Monotone functions of monotone
 programs are sandwiched componentwise with a union-bound gap.
 
-Partial sums in halfspace compilation are exact rationals so that
+Partial sums in halfspace compilation are integers over one common scale
+(the lcm of the denominators of every increment and the threshold), so
 boundary ties under the sgn(0)=1 convention are never decided by float
-rounding.  Acceptance probabilities are exact rationals too (labels are
-uniform over {0,1}^D).
+rounding.  Acceptance is an integer path count too: with labels uniform
+over {0,1}^D, a state of layer i accepts with probability
+count / 2^(D(T-i)).
 """
 
 from __future__ import annotations
@@ -77,18 +79,20 @@ class ROBP:
             v = self.trans[i][v][z]
         return self.accept[v]
 
-    def acceptance_probabilities(self) -> list[list[Fraction]]:
-        """P(v) = Pr[accept from v] under uniform labels, exact, per layer."""
-        probs = [[Fraction(int(b)) for b in self.accept]]
-        n_labels = 1 << self.D
+    def accept_counts(self) -> list[list[int]]:
+        """Per layer i and state v, the number of accepted label suffixes.
+
+        Labels are uniform, so Pr[accept from v] = count / 2^(D(T-i)).
+        """
+        counts = [list(self.accept)]
         for layer in reversed(self.trans):
-            nxt = probs[0]
-            probs.insert(0, [sum(nxt[row[z]] for z in range(n_labels)) / n_labels
-                             for row in layer])
-        return probs
+            nxt = counts[-1]
+            counts.append([sum(map(nxt.__getitem__, row)) for row in layer])
+        counts.reverse()
+        return counts
 
     def accept_probability(self) -> Fraction:
-        return self.acceptance_probabilities()[0][0]
+        return Fraction(self.accept_counts()[0][0], 1 << (self.D * self.T))
 
     def to_json(self) -> dict:
         return {"D": self.D, "trans": [[list(r) for r in layer] for layer in self.trans],
@@ -178,8 +182,10 @@ def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
     """Compile 1[sum w_i x_i >= theta] over per-step alphabets, exactly.
 
     Step i reads a D-bit label and takes the value alphabets[i][label mod
-    size_i]; states are the reachable partial sums as exact rationals.
-    Ordering states by partial sum certifies monotonicity.
+    size_i]; states are the reachable partial sums, each an integer: the
+    exact rational sum times the lcm of the denominators of every
+    increment and theta.  A positive scale keeps sums, ties and order, so
+    ordering states by partial sum certifies monotonicity.
     """
     n = len(w)
     if len(alphabets) != n:
@@ -191,8 +197,11 @@ def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
     thetaq = Fraction(theta)
     increments = [[Fraction(wi) * Fraction(a[z % len(a)]) for z in range(1 << D)]
                   for wi, a in zip(w, alphabets)]
-    program = _layered(n, D, Fraction(0), lambda i, s: [s + inc for inc in increments[i]],
-                       lambda s: int(s > thetaq if strict else s >= thetaq),
+    scale = math.lcm(thetaq.denominator, *(q.denominator for row in increments for q in row))
+    steps = [[q.numerator * (scale // q.denominator) for q in row] for row in increments]
+    bound = thetaq.numerator * (scale // thetaq.denominator)
+    program = _layered(n, D, 0, lambda i, s: [s + inc for inc in steps[i]],
+                       lambda s: int(s > bound if strict else s >= bound),
                        max_states, ordered=True)
     # sorted partial sums make the certificate the identity
     cert = MonotoneCertificate(tuple(tuple(range(wd)) for wd in program.widths))
@@ -246,14 +255,14 @@ def check_monotone(B: ROBP) -> MonotoneCertificate | MonotoneCounterexample:
     return MonotoneCertificate(tuple(orders))
 
 
-def _check_certificate(B: ROBP, cert: MonotoneCertificate, probs) -> None:
+def _check_certificate(B: ROBP, cert: MonotoneCertificate, counts) -> None:
     """Check a caller's certificate against B, from the last layer back.
 
     The last order must put rejecting states before accepting ones.  In an
     earlier order, succ(u, z) may rank after succ(v, z) for a consecutive
-    pair u, v only when both have the same acceptance probability: the
-    next layer is already a chain, so equal probability means equal
-    accepting sets, and every Acc(u) then lies inside Acc(v).
+    pair u, v only when both have the same accept count: the next layer is
+    already a chain, so an equal count means equal accepting sets, and
+    every Acc(u) then lies inside Acc(v).
     """
     if len(cert.orders) != B.T + 1:
         raise ValueError(f"certificate has {len(cert.orders)} orders, "
@@ -267,10 +276,10 @@ def _check_certificate(B: ROBP, cert: MonotoneCertificate, probs) -> None:
         raise NotMonotoneError(f"accept bits decrease along the order of layer {B.T}")
     ranks = cert.rank_tables()
     for i in reversed(range(B.T)):
-        rank, p, rows = ranks[i + 1], probs[i + 1], B.trans[i]
+        rank, count, rows = ranks[i + 1], counts[i + 1], B.trans[i]
         for u, v in zip(cert.orders[i], cert.orders[i][1:]):
             for a, b in zip(rows[u], rows[v]):
-                if rank[a] > rank[b] and p[a] != p[b]:
+                if rank[a] > rank[b] and count[a] != count[b]:
                     raise NotMonotoneError(f"certificate orders state {u} before {v} "
                                            f"in layer {i}, but not by acceptance")
 
@@ -280,7 +289,9 @@ def sandwich_monotone(B: ROBP, eps: float,
     """Narrow monotone programs below and above B with acceptance gap <= eps.
 
     States of each layer are grouped by quantizing their exact acceptance
-    probability into intervals of width eps/(2T); the down program routes
+    probability into intervals of width eps/(2T), in integers: state v of
+    layer i falls in group count(v) * 2T * eps_den // (eps_num * 2^(D(T-i)))
+    for eps = eps_num / eps_den.  The down program routes
     every group to its minimal representative under the monotone order,
     the up program to its maximal.  Soundness (down <= B <= up pointwise,
     gap <= eps) is enumerated in the tests rather than assumed.  A given
@@ -288,24 +299,26 @@ def sandwich_monotone(B: ROBP, eps: float,
     """
     if not (0 < eps and math.isfinite(eps)):
         raise ValueError("eps must be finite and positive")
-    probs = B.acceptance_probabilities()
+    counts = B.accept_counts()
     if cert is None:
         result = check_monotone(B)
         if isinstance(result, MonotoneCounterexample):
             raise NotMonotoneError(f"program is not monotone at layer {result.layer}")
         cert = result
     else:
-        _check_certificate(B, cert, probs)
-    width = Fraction(eps) / (2 * max(B.T, 1))
+        _check_certificate(B, cert, counts)
+    eps_num, eps_den = Fraction(eps).as_integer_ratio()
+    q_num = 2 * max(B.T, 1) * eps_den
     ranks = cert.rank_tables()
 
     # group[i][v] -> (down representative, up representative)
     reps: list[dict[int, tuple[int, int]]] = []
-    for i, layer_probs in enumerate(probs):
+    for i, layer_counts in enumerate(counts):
         order = cert.orders[i]
+        q_den = eps_num << (B.D * (B.T - i))
         groups: dict[int, list[int]] = {}
         for v in order:
-            groups.setdefault(int(layer_probs[v] / width), []).append(v)
+            groups.setdefault(layer_counts[v] * q_num // q_den, []).append(v)
         table = {}
         for members in groups.values():
             lo = min(members, key=lambda v: ranks[i][v])

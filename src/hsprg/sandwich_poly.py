@@ -61,23 +61,47 @@ class OrderViolation(ValueError):
 # scaled Chebyshev evaluation (|x| > 1 overflows float64 at high degree)
 
 
+_CLENSHAW_BLOCK = 8192  # rows per block: the recurrence's arrays stay in L2
+_RESCALE_LIMIT = 2.0 ** 500
+
+
 def _clenshaw_scaled(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clenshaw with exponent tracking; returns (mantissa, exp2)."""
+    """Clenshaw with exponent tracking; returns (mantissa, exp2).
+
+    A row whose |b1| passes 2^500 is divided by 2^500 and its exponent e
+    grows by 500; later coefficients enter that row as c_k * 2.0**-e.  That
+    is ldexp(c_k, -e) bit for bit: the scale is an exact power of two down
+    to 2^-1000 and 0.0 from 2^-1500 on, where ldexp(c_k, -e) rounds to the
+    same signed zero for |c_k| < 2^425.  Rows are independent, so the
+    recurrence runs in place on one block of rows at a time.
+    """
     x = np.asarray(x, dtype=float)
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    e = np.zeros(x.shape, dtype=np.int32)
-    two_x = 2.0 * x
-    for k in range(len(coeffs) - 1, 0, -1):
-        b1, b2 = two_x * b1 - b2 + np.ldexp(coeffs[k], -e), b1
-        big = np.abs(b1) > 2.0 ** 500
-        if big.any():
-            shift = np.where(big, 500, 0).astype(np.int32)
-            b1 = np.ldexp(b1, -shift)
-            b2 = np.ldexp(b2, -shift)
-            e = e + shift
-    out = x * b1 - b2 + np.ldexp(coeffs[0], -e)
-    return out, e
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    exp2 = np.zeros(flat.shape, dtype=np.int32)
+    for lo in range(0, len(flat), _CLENSHAW_BLOCK):
+        xs, e = flat[lo:lo + _CLENSHAW_BLOCK], exp2[lo:lo + _CLENSHAW_BLOCK]
+        b1, b2, tmp, mag = (np.zeros_like(xs) for _ in range(4))
+        two_x = 2.0 * xs
+        scale = None  # every e of the block is 0 until its first rescale
+        for k in range(len(coeffs) - 1, 0, -1):
+            np.multiply(two_x, b1, out=tmp)
+            tmp -= b2
+            tmp += coeffs[k] if scale is None else coeffs[k] * scale
+            b1, b2, tmp = tmp, b1, b2
+            top = np.abs(b1, out=mag).max()
+            if top > _RESCALE_LIMIT or top != top:  # a NaN row hides the maximum
+                big = mag > _RESCALE_LIMIT
+                if big.any():
+                    b1[big] = np.ldexp(b1[big], -500)
+                    b2[big] = np.ldexp(b2[big], -500)
+                    e[big] += 500
+                    scale = np.ldexp(1.0, -e)
+        res = xs * b1
+        res -= b2
+        res += coeffs[0] if scale is None else coeffs[0] * scale
+        out[lo:lo + _CLENSHAW_BLOCK] = res
+    return out.reshape(x.shape), exp2.reshape(x.shape)
 
 
 def _log2_abs(mant: np.ndarray, e: np.ndarray) -> np.ndarray:

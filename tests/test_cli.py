@@ -157,6 +157,21 @@ def test_estimate_mz_mc(tmp_path, rad_dist):
     assert rep[0]["method"] == "monte-carlo"
 
 
+@pytest.mark.parametrize("comb, kind", [
+    ({"kind": "monotone-table", "table": [0, 0, 0, 1]}, "monotone-table"),
+    ({"kind": "single", "index": 5}, "single"),
+    ({"kind": "decision-tree", "tree": {"hs": 4, "low": {"leaf": 0}, "high": {"leaf": 1}}},
+     "decision-tree"),
+], ids=["table-4-entries", "single-index-5", "tree-reads-hs-4"])
+def test_estimate_rejects_combiner_that_does_not_fit(tmp_path, rad_dist, comb, kind):
+    system = write(tmp_path / "sys.json", {"W": [[1.0] * 3] * 4, "Theta": [0.0] * 3})
+    comb = write(tmp_path / "comb.json", comb)
+    with pytest.raises(ValueError, match=f"{kind} combiner .* d=3 halfspaces"):
+        main(["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
+              "--gen", "kwise:2", "--mode", "exact", "--out", str(tmp_path / "r.csv")])
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_estimate_reports_system_dimension(tmp_path, rad_dist):
     system = write(tmp_path / "sys.json",
                    {"W": [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]],

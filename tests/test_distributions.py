@@ -51,6 +51,12 @@ def test_discrete_non_finite_probability_rejected(probs):
         DiscreteCoordinate([-1.0, 1.0], probs)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_discrete_non_finite_value_rejected(bad):
+    with pytest.raises(DistributionError, match=f"support values must be finite, got {bad}"):
+        DiscreteCoordinate([bad, 1.0], [0.5, 0.5])
+
+
 class TestMomentProfile:
     def test_rademacher(self):
         p = moment_profile(RADEMACHER)

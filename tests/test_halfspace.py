@@ -141,3 +141,31 @@ def test_batch_matches_pointwise():
     batch = evaluate_batch(sysd, comb, CUBE6)
     for row, x in zip(batch, CUBE6):
         assert row == evaluate(sysd, comb, x)
+
+
+class TestCombinerFitsSystem:
+    SYS3 = HalfspaceSystem(np.ones((6, 3)), [0.0, 0.5, -0.5])
+
+    @pytest.mark.parametrize("comb, kind", [
+        (CombinerSpec("monotone-table", table=(0, 0, 0, 1)), "monotone-table"),
+        (CombinerSpec.single(5), "single"),
+        (CombinerSpec.decision_tree(DecisionTree.branch(
+            0, DecisionTree.leaf_node(0),
+            DecisionTree.branch(4, DecisionTree.leaf_node(0), DecisionTree.leaf_node(1)))),
+         "decision-tree"),
+    ], ids=["table-4-entries", "single-index-5", "tree-reads-hs-4"])
+    def test_misfit_rejected_before_any_row(self, comb, kind):
+        with pytest.raises(ValueError, match=f"{kind} combiner .* d=3 halfspaces"):
+            evaluate_batch(self.SYS3, comb, CUBE6)
+
+    def test_fitting_combiners_accepted(self):
+        tree = DecisionTree.branch(2, DecisionTree.leaf_node(0), DecisionTree.leaf_node(1))
+        for comb in (CombinerSpec.single(2), CombinerSpec.intersection(),
+                     CombinerSpec.monotone_table([0] * 7 + [1], 3),
+                     CombinerSpec.decision_tree(tree)):
+            comb.check_fits(3)
+
+    @pytest.mark.parametrize("size", [0, 1, 3, 6])
+    def test_table_length_must_be_power_of_two(self, size):
+        with pytest.raises(ValueError, match=f"2\\^d >= 2 entries, got {size}"):
+            CombinerSpec.from_json({"kind": "monotone-table", "table": [0] * size})

@@ -1,9 +1,14 @@
 """Branching programs: compilation, monotonicity, sandwiching, the PRG."""
 
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import philox, random_monotone_robp, random_robp
 from hsprg.robp import (
@@ -412,6 +417,147 @@ class TestGolden:
         Bt, ct = halfspace_to_robp([1, -0.5, 0.25, 1.5, -1, 0.75], -0.2, PM1 * 6)
         pair = compose_monotone_sandwich([0, 1, 1, 1], [Bs, Bt], eps=3, certs=[cs, ct])
         assert (pair.down.to_json(), pair.up.to_json(), pair.gap()) == GOLDEN_COMPOSE
+
+
+# The rational construction that integer states replaced, kept as the
+# reference: partial sums, acceptance probabilities and sandwich groups are
+# all Fractions here.
+
+def _ref_layered(T, D, start, successors, accept, ordered):
+    cur = [start]
+    trans = []
+    for i in range(T):
+        index = {}
+        rows = [[index.setdefault(t, len(index)) for t in successors(i, s)] for s in cur]
+        cur = list(index)
+        if ordered:
+            order = sorted(range(len(cur)), key=cur.__getitem__)
+            rank = {old: new for new, old in enumerate(order)}
+            rows = [[rank[x] for x in row] for row in rows]
+            cur = [cur[j] for j in order]
+        trans.append(rows)
+    return ROBP(trans, [accept(s) for s in cur], D)
+
+
+def ref_compile(w, theta, alphabets, strict=False):
+    D = max([(len(a) - 1).bit_length() for a in alphabets] + [1])
+    thetaq = Fraction(theta)
+    incs = [[Fraction(wi) * Fraction(a[z % len(a)]) for z in range(1 << D)]
+            for wi, a in zip(w, alphabets)]
+    return _ref_layered(len(w), D, Fraction(0), lambda i, s: [s + q for q in incs[i]],
+                        lambda s: int(s > thetaq if strict else s >= thetaq), ordered=True)
+
+
+def ref_probabilities(B):
+    probs = [[Fraction(b) for b in B.accept]]
+    n_labels = 1 << B.D
+    for layer in reversed(B.trans):
+        nxt = probs[0]
+        probs.insert(0, [sum(nxt[row[z]] for z in range(n_labels)) / n_labels
+                         for row in layer])
+    return probs
+
+
+def ref_sandwich(B, eps):
+    """Down and up to_json() for a program whose certificate is the identity."""
+    width = Fraction(eps) / (2 * max(B.T, 1))
+    reps = []
+    for layer in ref_probabilities(B):
+        groups = {}
+        for v, p in enumerate(layer):
+            groups.setdefault(int(p / width), []).append(v)
+        reps.append({v: (min(m), max(m)) for m in groups.values() for v in m})
+    out = []
+    for which in (0, 1):
+        out.append(_ref_layered(B.T, B.D, reps[0][0][which],
+                                lambda i, v: [reps[i + 1][u][which] for u in B.trans[i][v]],
+                                B.accept.__getitem__, ordered=False).to_json())
+    return tuple(out)
+
+
+FLOATS = st.floats(-8, 8, allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([3, 7, 9, 21])),
+    st.sampled_from([Fraction(1, 3), Fraction(2, 7)]))
+
+
+@st.composite
+def halfspace_cases(draw):
+    n = draw(st.integers(0, 5))
+    w = draw(st.lists(SCALARS, min_size=n, max_size=n))
+    alphabets = draw(st.lists(st.lists(SCALARS, min_size=1, max_size=4),
+                              min_size=n, max_size=n))
+    if n and draw(st.booleans()):  # theta on a reachable partial sum: a tie
+        picks = [draw(st.integers(0, len(a) - 1)) for a in alphabets]
+        theta = sum((Fraction(wi) * Fraction(a[j]) for wi, a, j in zip(w, alphabets, picks)),
+                    Fraction(0))
+    else:
+        theta = draw(SCALARS)
+    return w, theta, alphabets, draw(st.booleans())
+
+
+class TestIntegerStates:
+    @settings(max_examples=150, deadline=None)
+    @given(halfspace_cases())
+    def test_matches_rational_reference(self, case):
+        w, theta, alphabets, strict = case
+        B, cert = halfspace_to_robp(w, theta, alphabets, strict=strict)
+        ref = ref_compile(w, theta, alphabets, strict)
+        assert B.to_json() == ref.to_json()
+        assert cert.orders == tuple(tuple(range(wd)) for wd in ref.widths)
+        probs = ref_probabilities(ref)
+        for i, (counts, want) in enumerate(zip(B.accept_counts(), probs)):
+            assert [Fraction(c, 1 << (B.D * (B.T - i))) for c in counts] == want
+        assert B.accept_probability() == probs[0][0]
+        for eps in (0.1, 1 / 3):
+            pair = sandwich_monotone(B, eps, cert)
+            assert (pair.down.to_json(), pair.up.to_json()) == ref_sandwich(ref, eps)
+
+    def test_count_on_group_boundary(self):
+        # T = 3 and eps = 3/4 give groups of width 1/8, and every layer's
+        # probabilities are multiples of 1/8: each count sits on a boundary
+        B, cert = halfspace_to_robp([1, 2, 1], 0, PM1 * 3)
+        width = Fraction(3, 4) / 6
+        inner = [p for layer in ref_probabilities(B) for p in layer if 0 < p < 1]
+        assert inner and all((p / width).denominator == 1 for p in inner)
+        pair = sandwich_monotone(B, 0.75, cert)
+        assert (pair.down.to_json(), pair.up.to_json()) == ref_sandwich(B, 0.75)
+
+
+def _json_digest(B):
+    return hashlib.sha256(json.dumps(B.to_json(), sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenLarge:
+    """Digests of to_json(), recorded while states were still Fractions."""
+
+    def test_pm1_n256_and_sandwich(self):
+        w = philox(700).choice([-1.0, 1.0], 256)
+        B, cert = halfspace_to_robp(list(w), 4, PM1 * 256)
+        assert _json_digest(B) == \
+            "2c9a470cf93e588d493aa51a2dec6ff51007c844de91ce08d4ab32d83ab7d342"
+        assert B.accept_probability() == Fraction(
+            49287774668937382827426759489704494811208707428710059606727830459782767459293,
+            1 << 256)
+        pair = sandwich_monotone(B, 0.1, cert)
+        assert _json_digest(pair.down) == \
+            "7ab9fb82c3b91958ef010f360764c960de8be28f2a5fe26b24d1e55e27fbc5ef"
+        assert _json_digest(pair.up) == \
+            "3861f366caff966f50039bd84cbda09ddab586ab17cfa978773768899085b4f9"
+        assert pair.gap() == Fraction(
+            15117977774227966606423825407945225423533579760081855135067611580678337445,
+            1 << 255)
+
+    def test_gauss_n13(self):
+        w = philox(701).standard_normal(13)
+        B, _ = halfspace_to_robp(list(w), 0.25, PM1 * 13)
+        assert B.width == 8192
+        assert _json_digest(B) == \
+            "53d9cf6b2cf4d4b7d4b9a78af8dd41bba5941f12f3b907fa6afbbf8dda04f3cc"
+        assert B.accept_probability() == Fraction(3837, 8192)
 
 
 class TestNisan:

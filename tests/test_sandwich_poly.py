@@ -1,6 +1,8 @@
 """Step-approximator audit, halfspace sandwiches, hybrid products, fooling."""
 
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -18,6 +20,7 @@ from hsprg.sandwich_poly import (
     OrderViolation,
     RegularityPartition,
     UnivariatePoly,
+    _clenshaw_scaled,
     and_sum_evaluate,
     audit_dgjsv,
     build_upper_poly,
@@ -74,6 +77,84 @@ class TestDgjsvPoly:
             dgjsv_poly(0.0, 0.5)
         with pytest.raises(ValueError):
             dgjsv_poly(0.5, 1.0)
+
+
+def clenshaw_reference(coeffs, x):
+    """The whole-array recurrence the blocked kernel replaced."""
+    x = np.asarray(x, dtype=float)
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    e = np.zeros(x.shape, dtype=np.int32)
+    two_x = 2.0 * x
+    for k in range(len(coeffs) - 1, 0, -1):
+        b1, b2 = two_x * b1 - b2 + np.ldexp(coeffs[k], -e), b1
+        big = np.abs(b1) > 2.0 ** 500
+        if big.any():
+            shift = np.where(big, 500, 0).astype(np.int32)
+            b1 = np.ldexp(b1, -shift)
+            b2 = np.ldexp(b2, -shift)
+            e = e + shift
+    out = x * b1 - b2 + np.ldexp(coeffs[0], -e)
+    return out, e
+
+
+def assert_bitwise(got, want):
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit patterns: signed zeros count too
+
+
+class TestClenshawKernel:
+    PAIRS = [(0.05, 1e-4), (0.05, 1e-2)]
+
+    @staticmethod
+    def mixed(size, seed):
+        """|x| <= 1.05 rows, which never rescale, among |x| = 8 rows, which do."""
+        rng = philox(seed)
+        x = rng.uniform(-1.05, 1.05, size)
+        far = rng.random(size) < 0.5
+        x[far] = rng.choice([-8.0, 8.0], int(far.sum()))
+        return x
+
+    @pytest.mark.parametrize("ab", PAIRS)
+    @pytest.mark.parametrize("size", [0, 1, 8191, 8192, 8193])
+    def test_block_edges(self, size, ab):
+        coeffs = dgjsv_poly(*ab).d_cheb
+        x = self.mixed(size, size)
+        assert_bitwise(_clenshaw_scaled(coeffs, x), clenshaw_reference(coeffs, x))
+
+    @pytest.mark.parametrize("ab", PAIRS)
+    def test_plain_rescaled_and_mixed_blocks(self, ab):
+        coeffs = dgjsv_poly(*ab).d_cheb
+        x = np.concatenate([philox(1).uniform(-1.05, 1.05, 8192), np.full(8192, -8.0),
+                            self.mixed(9000, 2), philox(3).uniform(-8.0, 8.0, 8192)])
+        got = _clenshaw_scaled(coeffs, x)
+        assert_bitwise(got, clenshaw_reference(coeffs, x))
+        e = got[1]
+        assert e[:8192].max() == 0 and e[8192:16384].min() >= 1000  # several rescales
+
+
+AUDIT_NAMES = ["p2_on[-1,-a]", "p3_on[-a,0]", "p4_on[0,1]", "p1_left_nonneg", "p5_right_ge1",
+               "p6_envelope_log2"]
+
+
+class TestGoldenAudit:
+    """audit_dgjsv reports, recorded before the Clenshaw kernel was blocked."""
+
+    @pytest.mark.parametrize("a, b, K, c0_ratio, digest", [
+        (0.05, 1e-4, 2098, 7.341973103416289,
+         "b6c7337d46d37ece870d9db7c875bbaf74af511ca1416bd92bc718574c4dd51f"),
+        (0.2, 1e-2, 274, 7.16915633150014,
+         "c9cc608d39b30f8c0157c85f8edf4555588ee8c3a425a279cdb57e0d1ffc2042"),
+    ])
+    def test_report(self, a, b, K, c0_ratio, digest):
+        P = dgjsv_poly(a, b)
+        rep = audit_dgjsv(P)
+        assert rep.ok
+        assert list(rep.violations.items()) == [(name, 0.0) for name in AUDIT_NAMES]
+        assert (rep.K, rep.c0_ratio) == (K, c0_ratio)
+        text = json.dumps(P.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestUnivariatePoly:
