@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -160,11 +159,7 @@ def cmd_sandwich(args) -> int:
 def cmd_estimate(args) -> int:
     system = HalfspaceSystem.from_json(_load_json(args.f))
     combiner = CombinerSpec.from_json(_load_json(args.combiner))
-    combiner.check_fits(system.d)
     dist = ProductDistribution.load(args.dist)
-
-    def f(x):
-        return combiner.apply(system.sign_vector(x))
 
     if args.gen.startswith("kwise:"):
         k = int(args.gen.split(":", 1)[1])
@@ -178,10 +173,9 @@ def cmd_estimate(args) -> int:
     else:
         raise SystemExit(f"unknown generator {args.gen!r}")
 
-    report = replace(estimate_fooling_error(
-        f, dist, gen, mode=args.mode, trials=args.trials,
-        master_seed=args.master_seed, experiment=args.experiment, eps=args.eps),
-        d=system.d)
+    report = estimate_fooling_error(
+        (system, combiner), dist, gen, mode=args.mode, trials=args.trials,
+        master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
     fmt = "json" if args.out.endswith(".json") else "csv"
     emit_report([report], args.out, fmt)
     print(json.dumps(report.to_json()))

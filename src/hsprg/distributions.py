@@ -32,6 +32,7 @@ from scipy.special import ndtr, ndtri
 SQRT3 = math.sqrt(3.0)
 ETA_MAX = 1.0 / SQRT3
 _QUANTILE_TOL = 1e-12
+SAMPLE_BLOCK = 1 << 18  # uniforms drawn per block by ProductDistribution.sample
 
 
 class DistributionError(ValueError):
@@ -120,9 +121,13 @@ class DiscreteCoordinate(Coordinate):
         cdf /= cdf[-1]
         return cdf
 
+    def lookup(self, u: np.ndarray) -> np.ndarray:
+        """The support value each uniform in `u` selects, shape kept."""
+        return np.asarray(self.values)[self._cdf.searchsorted(u, side="right")]
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Same draws and stream use as rng.choice(values, size, p=probs)."""
-        return np.asarray(self.values)[self._cdf.searchsorted(rng.random(size), side="right")]
+        return self.lookup(rng.random(size))
 
     def to_json(self) -> dict:
         return {"kind": "discrete", "values": list(self.values), "probs": [float(p) for p in self.probs]}
@@ -311,7 +316,28 @@ class ProductDistribution:
         return all(c.is_discrete for c in self.coords)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.column_stack([c.sample(rng, size) for c in self.coords])
+        """(size, n) draws, with the values and stream use of one ``sample`` per coordinate.
+
+        A run of consecutive coordinates sharing one DiscreteCoordinate is
+        drawn as ``rng.random((run, size))`` blocks of at most SAMPLE_BLOCK
+        uniforms, row i being what coordinate i's own ``sample`` would draw.
+        """
+        out = np.empty((size, self.n))
+        j = 0
+        while j < self.n:
+            c = self.coords[j]
+            end = j + 1
+            if isinstance(c, DiscreteCoordinate):
+                while end < self.n and self.coords[end] is c:
+                    end += 1
+                step = max(1, SAMPLE_BLOCK // max(size, 1))
+                for lo in range(j, end, step):
+                    hi = min(lo + step, end)
+                    out[:, lo:hi] = c.lookup(rng.random((hi - lo, size))).T
+            else:
+                out[:, j] = c.sample(rng, size)
+            j = end
+        return out
 
     def to_json(self) -> dict:
         return {"coords": [c.to_json() for c in self.coords]}

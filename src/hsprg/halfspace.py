@@ -80,6 +80,11 @@ class HalfspaceSystem:
         return cls(data["W"], data["Theta"], data.get("strict"))
 
 
+def pattern_index(signs: np.ndarray) -> np.ndarray:
+    """Row i's sign pattern as an integer, bit j from column j (low bit first)."""
+    return np.asarray(signs, dtype=np.int64) @ (1 << np.arange(signs.shape[1], dtype=np.int64))
+
+
 def is_monotone_table(table: Sequence[int], d: int) -> bool:
     """Brute-force monotonicity of a truth table over {0,1}^d (d <= 10)."""
     if len(table) != 1 << d:
@@ -116,6 +121,13 @@ class DecisionTree:
         while t.node is not None:
             t = t.high if signs[t.node] else t.low
         return t.leaf
+
+    def evaluate_rows(self, signs: np.ndarray) -> np.ndarray:
+        """`evaluate` on every row of a (samples, d) sign matrix, as int8."""
+        if self.node is None:
+            return np.full(signs.shape[0], self.leaf, dtype=np.int8)
+        return np.where(signs[:, self.node] != 0, self.high.evaluate_rows(signs),
+                        self.low.evaluate_rows(signs))
 
     def leaves(self) -> list[int]:
         if self.node is None:
@@ -190,6 +202,18 @@ class CombinerSpec:
             return self.tree.evaluate(signs)
         raise ValueError(f"unknown combiner kind {self.kind!r}")
 
+    def apply_rows(self, signs: np.ndarray) -> np.ndarray:
+        """`apply` on every row of a (samples, d) 0/1 sign matrix, as int8."""
+        if self.kind == "single":
+            return signs[:, self.index].astype(np.int8)
+        if self.kind == "intersection":
+            return signs.all(axis=1).astype(np.int8)
+        if self.kind == "monotone-table":
+            return np.asarray(self.table, dtype=np.int8)[pattern_index(signs)]
+        if self.kind == "decision-tree":
+            return self.tree.evaluate_rows(signs)
+        raise ValueError(f"unknown combiner kind {self.kind!r}")
+
     def check_fits(self, d: int) -> None:
         """Raise ValueError unless every sign vector of length d is a valid input."""
         if self.kind == "single":
@@ -238,9 +262,7 @@ def evaluate(system: HalfspaceSystem, combiner: CombinerSpec, x: Sequence[float]
 
 def evaluate_batch(system: HalfspaceSystem, combiner: CombinerSpec, X: np.ndarray) -> np.ndarray:
     combiner.check_fits(system.d)
-    signs = system.sign_matrix(X)
-    return np.fromiter((combiner.apply(row) for row in signs), dtype=np.int8,
-                       count=signs.shape[0])
+    return combiner.apply_rows(system.sign_matrix(X))
 
 
 def normalize(system: HalfspaceSystem, m2: Sequence[float]) -> HalfspaceSystem:

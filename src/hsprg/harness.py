@@ -9,6 +9,7 @@ are reproducible and merge order-independently.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -24,7 +25,7 @@ from scipy.linalg import lapack
 from scipy.special import betainc
 
 from .distributions import DiscreteCoordinate, ProductDistribution
-from .halfspace import CombinerSpec, HalfspaceSystem, evaluate_batch
+from .halfspace import CombinerSpec, HalfspaceSystem, evaluate, evaluate_batch, pattern_index
 from .robp import nisan_expand, nisan_seed_bits
 from .seeds import random_seed, random_seeds, seed_from_int, seed_range
 
@@ -278,25 +279,44 @@ def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int
     return means, math.hypot(*(_wilson_halfwidth(p, trials) for p in means))
 
 
-def estimate_fooling_error(f: Callable[[Sequence[float]], int],
+def estimate_fooling_error(f: Callable[[Sequence[float]], int]
+                           | tuple[HalfspaceSystem, CombinerSpec],
                            dist: ProductDistribution, generator,
                            mode: str = "exact", trials: int = 10 ** 5,
                            master_seed: int | None = None, shards: int = 8,
                            experiment: str = "fooling", eps: float | None = None,
                            cap: int = DEFAULT_ENUM_CAP) -> EstimationReport:
-    """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo."""
+    """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo.
+
+    `f` is a callable on one point, or a ``(system, combiner)`` pair.  A
+    pair is checked against its system once, before anything is drawn, and
+    gives the report its ``d``; Monte Carlo evaluates it on whole shards
+    through `evaluate_batch`, exact mode one point at a time through
+    `evaluate`.  A callable gets one point at a time and reports ``d = 1``.
+    """
     t0 = time.perf_counter()
+    point, d = f, 1
+    if isinstance(f, tuple):
+        system, combiner = f
+        combiner.check_fits(system.d)
+        point, d = functools.partial(evaluate, system, combiner), system.d
+
+        def hits(X):
+            return evaluate_batch(system, combiner, X).sum()
+    else:
+        def hits(X):
+            return sum(point(x) for x in X)
+
     if mode == "exact":
-        true_e = float(exact_expectation(f, dist, cap))
-        prg_e = float(expectation_over_seeds(f, generator, cap))
+        true_e = float(exact_expectation(point, dist, cap))
+        prg_e = float(expectation_over_seeds(point, generator, cap))
         samples = 1 << generator.seed_bits
         ci = 0.0
         method = "exact-enumeration"
     elif mode == "mc":
         def body(size, rng_x, rng_seeds):
             seeds = generator.random_seeds(rng_seeds, size)
-            return (sum(f(x) for x in dist.sample(rng_x, size)),
-                    sum(f(x) for x in generator.expand(seeds)))
+            return hits(dist.sample(rng_x, size)), hits(generator.expand(seeds))
 
         (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body)
         samples = trials
@@ -304,7 +324,7 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int],
     else:
         raise ValueError(f"unknown mode {mode!r}")
     wall = (time.perf_counter() - t0) * 1000
-    return EstimationReport(experiment, dist.n, 1, eps, method, samples,
+    return EstimationReport(experiment, dist.n, d, eps, method, samples,
                             true_e, prg_e, abs(true_e - prg_e), ci,
                             generator.seed_bits, wall)
 
@@ -375,12 +395,7 @@ class OrthantSet:
                              f"of 0 or 1, got {self.accept!r}")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        signs = (points >= self.theta).astype(int)
-        idx = np.zeros(len(points), dtype=int)
-        for i in range(signs.shape[1]):
-            idx |= signs[:, i] << i
-        table = np.asarray(self.accept)
-        return table[idx].astype(bool)
+        return np.asarray(self.accept, dtype=bool)[pattern_index(points >= self.theta)]
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from hsprg.cli import main
+from hsprg.distributions import ProductDistribution
+from hsprg.halfspace import CombinerSpec, HalfspaceSystem
+from hsprg.harness import estimate_fooling_error
+from hsprg.mzgen import MZGenerator, alphabets_from_distribution
 
 
 def write(path, data):
@@ -183,3 +187,26 @@ def test_estimate_reports_system_dimension(tmp_path, rad_dist):
                      "--gen", "mz", "--t", "2", "--k", "2", "--mode", mode,
                      "--trials", "800", "--master-seed", "9", "--out", str(out)]) == 0
         assert json.loads(out.read_text())[0]["d"] == 2
+
+
+def test_estimate_mc_report_is_the_library_pair_report(tmp_path):
+    sys_json = {"W": [[1.0, 0.5], [-1.0, 2.0], [0.25, 1.0], [1.0, -1.0], [0.5, 0.5]],
+                "Theta": [0.1, -0.3]}
+    comb_json = {"kind": "monotone-table", "table": [0, 1, 1, 1]}
+    dist_json = {"coord": {"kind": "multiset", "values": [-1.5, -0.5, 0.5, 1.5]}, "n": 5}
+    out = tmp_path / "report.json"
+    assert main(["estimate", "--f", write(tmp_path / "sys.json", sys_json),
+                 "--combiner", write(tmp_path / "comb.json", comb_json),
+                 "--dist", write(tmp_path / "dist.json", dist_json),
+                 "--gen", "mz", "--t", "4", "--k", "3", "--mode", "mc",
+                 "--trials", "3001", "--master-seed", "21", "--eps", "0.1",
+                 "--experiment", "pair", "--out", str(out)]) == 0
+    dist = ProductDistribution.from_json(dist_json)
+    lib = estimate_fooling_error(
+        (HalfspaceSystem.from_json(sys_json), CombinerSpec.from_json(comb_json)), dist,
+        MZGenerator(alphabets_from_distribution(dist), t=4, k=3), mode="mc", trials=3001,
+        master_seed=21, experiment="pair", eps=0.1).to_json()
+    cli = json.loads(out.read_text())[0]
+    for rep in (cli, lib):
+        rep.pop("wall_ms")
+    assert cli == lib and cli["d"] == 2

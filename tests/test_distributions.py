@@ -1,12 +1,14 @@
 """Moment profiles, truncation, bucket boundaries, sandwich laws, SD."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from hsprg.distributions import (
+    SAMPLE_BLOCK,
     DiscreteCoordinate,
     DistributionError,
     GaussianCoordinate,
@@ -43,6 +45,73 @@ def test_discrete_sample_matches_rng_choice():
         want = ref.choice(np.asarray(coord.values), size=size, p=p / p.sum())
         assert np.array_equal(coord.sample(ours, size), want)
     assert ours.random() == ref.random()
+
+
+def plain_state(rng_):
+    """The bit generator's state with arrays as lists, so states compare with ==."""
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+    return plain(rng_.bit_generator.state)
+
+
+class TestProductSample:
+    """Block draws against one `sample` call per coordinate, the reference kept here."""
+
+    SKEW = DiscreteCoordinate([2.5, -1.0, 0.0, 7.0], [0.1, 0.2, 0.3, 0.4])
+    TRUNC = TruncatedStandardizedCoordinate(GaussianCoordinate(), 1.5, 0.0, 0.8)
+    LAWS = {
+        "repeated": [SKEW] * 9,
+        "alternating": [SKEW, RADEMACHER] * 5,
+        "broken-run": [SKEW] * 3 + [GaussianCoordinate()] + [SKEW] * 2
+                      + [UniformIntervalCoordinate(-2, 3), TRUNC] + [SKEW, SKEW, RADEMACHER],
+    }
+
+    @staticmethod
+    def reference(coords, rng_, size):
+        return np.column_stack([c.sample(rng_, size) for c in coords])
+
+    def check(self, coords, size, make_rng=lambda: rng(11)):
+        dist = ProductDistribution(coords)
+        ours, ref = make_rng(), make_rng()
+        got = dist.sample(ours, size)
+        want = self.reference(coords, ref, size)
+        assert got.shape == want.shape == (size, len(coords))
+        assert got.dtype == want.dtype and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        assert plain_state(ours) == plain_state(ref)
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("size", [0, 1, 7, 1000])
+    def test_bit_identical_to_per_coordinate(self, law, size):
+        self.check(self.LAWS[law], size)
+
+    def test_pcg64_stream(self):
+        self.check(self.LAWS["broken-run"], 50, lambda: np.random.default_rng(5))
+
+    def test_blocks_span_several_chunks(self):
+        size = 3000
+        per_block = SAMPLE_BLOCK // size
+        # runs of 2.5 and 1.3 blocks, so each run ends partway through a block
+        coords = ([self.SKEW] * (5 * per_block // 2) + [GaussianCoordinate()]
+                  + [RADEMACHER] * (13 * per_block // 10))
+        self.check(coords, size)
+
+    def test_rows_wider_than_a_block(self):
+        self.check([self.SKEW] * 3, SAMPLE_BLOCK + 5)
+
+    def test_allocates_output_plus_a_few_blocks(self):
+        n, size = 1024, 8192
+        dist = ProductDistribution.repeated(UniformMultisetCoordinate(range(16)), n)
+        tracemalloc.start()
+        try:
+            out = dist.sample(rng(3), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == n * size * 8
+        assert peak <= out.nbytes + (16 << 20)
 
 
 @pytest.mark.parametrize("probs", [[float("nan"), 1.0], [0.5, float("inf")]])

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsprg.halfspace import (
     CombinerSpec,
@@ -141,6 +143,62 @@ def test_batch_matches_pointwise():
     batch = evaluate_batch(sysd, comb, CUBE6)
     for row, x in zip(batch, CUBE6):
         assert row == evaluate(sysd, comb, x)
+
+
+def patterns(d):
+    """Every 0/1 sign pattern of length d, row i with bit j in column j."""
+    return (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(float)
+
+
+def identity_system(d):
+    """A system whose sign vector at a 0/1 point is the point itself."""
+    return HalfspaceSystem(np.eye(d), [0.5] * d)
+
+
+@st.composite
+def trees(draw, d, depth=4):
+    if depth == 0 or draw(st.booleans()):
+        return DecisionTree.leaf_node(draw(st.integers(0, 1)))
+    return DecisionTree.branch(draw(st.integers(0, d - 1)),
+                               draw(trees(d, depth - 1)), draw(trees(d, depth - 1)))
+
+
+@st.composite
+def combiners(draw):
+    d = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["single", "intersection", "monotone-table",
+                                 "decision-tree"]))
+    if kind == "single":
+        return d, CombinerSpec.single(draw(st.integers(0, d - 1)))
+    if kind == "intersection":
+        return d, CombinerSpec.intersection()
+    if kind == "monotone-table":
+        # the up-set generated by a few random patterns is monotone
+        gens = draw(st.lists(st.integers(0, (1 << d) - 1), max_size=4))
+        table = [int(any(x & g == g for g in gens)) for x in range(1 << d)]
+        return d, CombinerSpec.monotone_table(table, d)
+    return d, CombinerSpec.decision_tree(draw(trees(d)))
+
+
+class TestBatchCombiners:
+    @settings(max_examples=200, deadline=None)
+    @given(combiners())
+    def test_batch_equals_per_row_apply_on_every_pattern(self, case):
+        d, comb = case
+        X = patterns(d)
+        batch = evaluate_batch(identity_system(d), comb, X)
+        assert batch.dtype == np.int8
+        assert batch.tolist() == [comb.apply(row) for row in X.astype(int).tolist()]
+
+    @pytest.mark.parametrize("comb", [
+        CombinerSpec.single(1), CombinerSpec.intersection(),
+        CombinerSpec.monotone_table([0, 0, 0, 1, 0, 1, 1, 1], 3),
+        CombinerSpec.decision_tree(DecisionTree.branch(
+            2, DecisionTree.leaf_node(0), DecisionTree.leaf_node(1))),
+    ], ids=lambda c: c.kind)
+    def test_empty_batch(self, comb):
+        out = evaluate_batch(identity_system(3), comb, np.empty((0, 3)))
+        assert out.shape == (0,) and out.dtype == np.int8
 
 
 class TestCombinerFitsSystem:

@@ -1,6 +1,7 @@
 """Exact/MC expectations, fooling reports, probes, serialization."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from hsprg.distributions import (
     ProductDistribution,
     UniformMultisetCoordinate,
 )
-from hsprg.halfspace import CombinerSpec, HalfspaceSystem
+from hsprg.halfspace import CombinerSpec, DecisionTree, HalfspaceSystem
 from hsprg.harness import (
     CovarianceSummary,
     EstimationReport,
@@ -113,29 +114,83 @@ class TestFoolingError:
         assert abs(mc.prg_expectation - exact.prg_expectation) <= mc.ci95
 
 
+class TestSystemCombinerPair:
+    """f given as (system, combiner): d from the system, fit checked before any draw."""
+
+    SYSTEM = HalfspaceSystem([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 0.5],
+                              [-1.0, 0.5]], [0.0, 1.0])
+    GEN = MZGenerator([[-1.0, 1.0]] * 6, t=1, k=3)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_d_from_the_system(self, mode):
+        rep = estimate_fooling_error((self.SYSTEM, CombinerSpec.intersection()), cube(6),
+                                     self.GEN, mode=mode, trials=800, master_seed=3)
+        assert rep.d == 2
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_same_report_as_the_callable(self, mode):
+        comb = CombinerSpec.monotone_table([0, 1, 1, 1], 2)
+        kw = dict(mode=mode, trials=3001, master_seed=5, shards=3)
+        pair = estimate_fooling_error((self.SYSTEM, comb), cube(6), self.GEN, **kw)
+        ref = estimate_fooling_error(lambda x: comb.apply(self.SYSTEM.sign_vector(x)),
+                                     cube(6), self.GEN, **kw)
+        assert replace(pair, wall_ms=0.0) == replace(ref, d=2, wall_ms=0.0)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("comb, kind", [
+        (CombinerSpec("monotone-table", table=(0, 0, 0, 1, 0, 1, 1, 1)), "monotone-table"),
+        (CombinerSpec.single(2), "single"),
+        (CombinerSpec.decision_tree(DecisionTree.branch(
+            3, DecisionTree.leaf_node(0), DecisionTree.leaf_node(1))), "decision-tree"),
+    ], ids=["table-8-entries", "single-index-2", "tree-reads-hs-3"])
+    def test_misfit_combiner_rejected_before_sampling(self, mode, comb, kind):
+        class Untouchable(ProductDistribution):
+            def sample(self, rng, size):
+                raise AssertionError("sampled before the combiner was checked")
+
+        with pytest.raises(ValueError, match=f"{kind} combiner .* d=2 halfspaces"):
+            estimate_fooling_error((self.SYSTEM, comb), Untouchable([RAD] * 6), self.GEN,
+                                   mode=mode, trials=100)
+
+
 class TestMonteCarloGolden:
     """Reports pinned at a fixed master seed; any change to a stream shows here."""
 
     DIST = ProductDistribution.repeated(UniformMultisetCoordinate([-2.0, -0.5, -0.5, 1.0]), 16)
 
-    def estimate(self, gen):
+    def estimate(self, gen, pair=False):
         W = philox(17).normal(size=(16, 2))
         system = HalfspaceSystem(W, [0.25, -0.5])
         comb = CombinerSpec.intersection()
-        return estimate_fooling_error(lambda x: comb.apply(system.sign_vector(x)),
-                                      self.DIST, gen, mode="mc", trials=4000,
+        f = (system, comb) if pair else lambda x: comb.apply(system.sign_vector(x))
+        return estimate_fooling_error(f, self.DIST, gen, mode="mc", trials=4000,
                                       master_seed=2010)
 
+    def mz(self):
+        return MZGenerator(alphabets_from_distribution(self.DIST), t=4, k=5)
+
+    def nisan(self):
+        return NisanProductGenerator(alphabets_from_distribution(self.DIST), space=4)
+
     def test_mz(self):
-        rep = self.estimate(MZGenerator(alphabets_from_distribution(self.DIST), t=4, k=5))
+        rep = self.estimate(self.mz())
         assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples) == \
             (0.206, 0.202, 0.017660352251644248, 4000)
 
     def test_nisan(self):
-        rep = self.estimate(NisanProductGenerator(alphabets_from_distribution(self.DIST),
-                                                  space=4))
+        rep = self.estimate(self.nisan())
         assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples) == \
             (0.206, 0.18975, 0.01745658340601373, 4000)
+
+    def test_mz_pair(self):
+        rep = self.estimate(self.mz(), pair=True)
+        assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples, rep.d) == \
+            (0.206, 0.202, 0.017660352251644248, 4000, 2)
+
+    def test_nisan_pair(self):
+        rep = self.estimate(self.nisan(), pair=True)
+        assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples, rep.d) == \
+            (0.206, 0.18975, 0.01745658340601373, 4000, 2)
 
 
 class TestProbeGolden:
