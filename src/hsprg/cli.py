@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -182,7 +183,9 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `hsprg` parser, built on first use and shared by every `main` call."""
     p = argparse.ArgumentParser(prog="hsprg",
                                 description="PRGs for functions of halfspaces "
                                             "under product distributions")

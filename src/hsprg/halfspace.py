@@ -9,6 +9,7 @@ boundary atom has positive mass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
 import numpy as np
@@ -51,25 +52,34 @@ class HalfspaceSystem:
         if not (np.isfinite(self.W).all() and np.isfinite(self.Theta).all()):
             raise ValueError("HalfspaceSystem weights W and thresholds Theta must be finite")
         self.strict = tuple(strict) if strict is not None else (False,) * self.d
+        self._strict_mask = np.array(self.strict, dtype=bool)
+        self._any_strict = any(self.strict)
 
     def halfspace(self, i: int) -> Halfspace:
         return Halfspace(tuple(self.W[:, i]), float(self.Theta[i]), self.strict[i])
+
+    def _signs(self, dots: np.ndarray) -> np.ndarray:
+        """int8 signs of the margins dots - Theta, dots of shape (d,) or (rows, d).
+
+        For finite Theta the IEEE difference is zero only when dots == Theta
+        (subnormals keep it exact near zero) and rounding never flips its
+        sign, so these compares give the margin's signs bit for bit.
+        """
+        signs = dots >= self.Theta
+        if self._any_strict:
+            signs = np.where(self._strict_mask, dots > self.Theta, signs)
+        return signs.view(np.int8)
 
     def sign_vector(self, x: Sequence[float]) -> tuple[int, ...]:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has dimension {x.shape}, expected {self.n}")
-        margins = x @ self.W - self.Theta
-        return tuple(int(m > 0 if s else m >= 0)
-                     for m, s in zip(margins, self.strict))
+        # not x.dot(W): on a column slice of a wider W its last bits differ
+        return tuple(self._signs(x @ self.W).tolist())
 
     def sign_matrix(self, X: np.ndarray) -> np.ndarray:
         """Sign vectors for a batch of points, shape (samples, d)."""
-        margins = np.asarray(X, dtype=float) @ self.W - self.Theta
-        out = np.empty(margins.shape, dtype=np.int8)
-        for i, s in enumerate(self.strict):
-            out[:, i] = margins[:, i] > 0 if s else margins[:, i] >= 0
-        return out
+        return self._signs(np.asarray(X, dtype=float) @ self.W)
 
     def to_json(self) -> dict:
         return {"W": self.W.tolist(), "Theta": self.Theta.tolist(),
@@ -78,6 +88,9 @@ class HalfspaceSystem:
     @classmethod
     def from_json(cls, data: dict) -> "HalfspaceSystem":
         return cls(data["W"], data["Theta"], data.get("strict"))
+
+
+_BIT_WEIGHTS = tuple(1 << i for i in range(64))
 
 
 def pattern_index(signs: np.ndarray) -> np.ndarray:
@@ -194,10 +207,8 @@ class CombinerSpec:
         if self.kind == "intersection":
             return int(all(signs))
         if self.kind == "monotone-table":
-            idx = 0
-            for i, b in enumerate(signs):
-                idx |= int(b) << i
-            return self.table[idx]
+            # bit i of the index is signs[i]; Python ints whatever the sign type
+            return self.table[sum(compress(_BIT_WEIGHTS, signs))]
         if self.kind == "decision-tree":
             return self.tree.evaluate(signs)
         raise ValueError(f"unknown combiner kind {self.kind!r}")

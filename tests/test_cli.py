@@ -1,11 +1,12 @@
 """End-to-end CLI coverage through main(argv)."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from hsprg.cli import main
+from hsprg.cli import build_parser, main
 from hsprg.distributions import ProductDistribution
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
 from hsprg.harness import estimate_fooling_error
@@ -210,3 +211,63 @@ def test_estimate_mc_report_is_the_library_pair_report(tmp_path):
     for rep in (cli, lib):
         rep.pop("wall_ms")
     assert cli == lib and cli["d"] == 2
+
+
+class TestParserReuse:
+    """`main` parses every call with one parser built once per process."""
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """The namespace of every `main` call from here on, in order."""
+        parser, seen = build_parser(), []
+
+        def parse_args(argv=None, namespace=None):
+            seen.append(argparse.ArgumentParser.parse_args(parser, argv, namespace))
+            return seen[-1]
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        return seen
+
+    @pytest.fixture
+    def estimate_argv(self, tmp_path, rad_dist):
+        system = write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]})
+        comb = write(tmp_path / "comb.json", {"kind": "single"})
+        return ["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
+                "--gen", "mz", "--k", "2", "--mode", "mc", "--trials", "64",
+                "--master-seed", "3", "--out", str(tmp_path / "r.csv")]
+
+    def test_second_call_builds_no_parser(self, estimate_argv, monkeypatch):
+        assert main(estimate_argv) == 0
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(estimate_argv) == 0
+        assert built == []
+
+    def test_defaults_do_not_leak_between_calls(self, estimate_argv, parsed):
+        assert main(estimate_argv + ["--t", "16"]) == 0
+        assert main(estimate_argv) == 0
+        assert [ns.t for ns in parsed] == [16, 4]
+
+    def test_estimate_after_gen_has_no_gen_fields(self, tmp_path, rad_dist,
+                                                  estimate_argv, parsed):
+        params = write(tmp_path / "p.json", {"t": 2, "k": 2})
+        assert main(["gen", "--dist", rad_dist, "--params", params, "--seeds", "4",
+                     "--out", str(tmp_path / "s.csv")]) == 0
+        assert main(estimate_argv) == 0
+        gen_ns, est_ns = parsed
+        assert gen_ns.seeds == 4 and gen_ns.func.__name__ == "cmd_gen"
+        assert est_ns.cmd == "estimate" and est_ns.func.__name__ == "cmd_estimate"
+        assert not hasattr(est_ns, "seeds") and not hasattr(est_ns, "params")
+
+    def test_bad_argv_exits_2_and_next_call_works(self, estimate_argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--no-such-flag"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: hsprg estimate")
+        assert main(estimate_argv) == 0

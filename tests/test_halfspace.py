@@ -145,6 +145,86 @@ def test_batch_matches_pointwise():
         assert row == evaluate(sysd, comb, x)
 
 
+def old_signs(margins, strict):
+    """The sign rule before the shared threshold compare, on precomputed margins."""
+    return tuple(int(m > 0 if s else m >= 0) for m, s in zip(margins, strict))
+
+
+# magnitudes that stress the compare: signed zeros, subnormals, near-overflow
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 1e300, -1e300,
+               1.7e308, -1.7e308, 1.0, -1.0, 0.1, 0.2, 0.3]
+floats = st.one_of(st.sampled_from(EDGE_FLOATS),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def sign_cases(draw):
+    """(system, points): float or integer data, W contiguous, Fortran or a column slice."""
+    n, d, rows = draw(st.integers(1, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    # small integers make products and sums exact, so ties are exact too
+    exact = draw(st.booleans())
+    values = st.integers(-3, 3).map(float) if exact else floats
+    W = np.array(draw(st.lists(values, min_size=n * (d + 1), max_size=n * (d + 1))))
+    X = np.array(draw(st.lists(values, min_size=rows * n, max_size=rows * n)))
+    W, X = W.reshape(n, d + 1), X.reshape(rows, n)
+    if exact:
+        Theta = X[draw(st.integers(0, rows - 1))] @ W[:, :d]   # a tie on some row
+    else:
+        Theta = np.array(draw(st.lists(floats, min_size=d, max_size=d)))
+    layout = draw(st.sampled_from(["C", "F", "slice"]))
+    W = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+         "slice": lambda a: a}[layout](W[:, :d])
+    strict = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    return HalfspaceSystem(W, Theta, strict), X
+
+
+class TestSignPaths:
+    """sign_vector and sign_matrix keep the signs of `x @ W - Theta` bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(sign_cases())
+    def test_signs_equal_the_margin_rule(self, case):
+        system, X = case
+        with np.errstate(all="ignore"):
+            for x in X:
+                margins = x @ system.W - system.Theta
+                assert system.sign_vector(x) == old_signs(margins, system.strict)
+                assert system.sign_vector(tuple(x.tolist())) == old_signs(margins, system.strict)
+            margins = X @ system.W - system.Theta
+            assert system.sign_matrix(X).tolist() == [
+                list(old_signs(row, system.strict)) for row in margins]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_ties(self, strict):
+        system = HalfspaceSystem([[1.0, -1.0], [2.0, 0.0]], [3.0, -0.0], [strict, strict])
+        X = np.array([[1.0, 1.0], [-0.0, 0.0], [1.0, 2.0]])
+        # dots: (3, -1) on the first threshold, (0, 0) against (3, -0), (5, -1)
+        want = [[0, 0], [0, 0], [1, 0]] if strict else [[1, 0], [0, 1], [1, 0]]
+        assert system.sign_matrix(X).tolist() == want
+        assert [list(system.sign_vector(x)) for x in X] == want
+
+    def test_nan_point_gives_zero(self):
+        system = HalfspaceSystem([[1.0, 1.0], [1.0, -1.0]], [-5.0, 0.0], [False, True])
+        x = [float("nan"), 1.0]
+        assert system.sign_vector(x) == (0, 0)
+        assert system.sign_matrix(np.array([x])).tolist() == [[0, 0]]
+
+    def test_wrong_shape_raises(self):
+        system = HalfspaceSystem(np.ones((4, 2)), [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"point has dimension \(3,\), expected 4"):
+            system.sign_vector([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match=r"point has dimension \(1, 4\), expected 4"):
+            system.sign_vector(np.ones((1, 4)))
+
+    def test_result_types(self):
+        system = HalfspaceSystem(np.eye(3), [0.5, 0.5, 0.5], [False, True, False])
+        signs = system.sign_vector(np.array([1.0, 0.0, 1.0]))
+        assert signs == (1, 0, 1) and all(type(b) is int for b in signs)
+        out = system.sign_matrix(patterns(3))
+        assert out.dtype == np.int8 and out.shape == (8, 3)
+        assert system.sign_matrix(np.empty((0, 3))).shape == (0, 3)
+
+
 def patterns(d):
     """Every 0/1 sign pattern of length d, row i with bit j in column j."""
     return (np.arange(1 << d)[:, None] >> np.arange(d) & 1).astype(float)
@@ -189,6 +269,31 @@ class TestBatchCombiners:
         batch = evaluate_batch(identity_system(d), comb, X)
         assert batch.dtype == np.int8
         assert batch.tolist() == [comb.apply(row) for row in X.astype(int).tolist()]
+
+    @staticmethod
+    def sign_forms(row):
+        """One sign vector as each type callers pass: ints, bools, an int8 array."""
+        return (tuple(row), [bool(b) for b in row], np.array(row, dtype=np.int8))
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_monotone_table_apply_equals_apply_rows(self, d):
+        rng = np.random.default_rng(d)
+        gens = rng.integers(0, 1 << d, size=3).tolist()
+        comb = CombinerSpec.monotone_table(
+            [int(any(x & g == g for g in gens)) for x in range(1 << d)], d)
+        rows = patterns(d).astype(int)
+        batch = comb.apply_rows(rows).tolist()
+        for row, want in zip(rows.tolist(), batch):
+            assert [comb.apply(signs) for signs in self.sign_forms(row)] == [want] * 3
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_monotone_table_index_is_the_pattern(self, d):
+        # a table holding its own indices hands back the index apply computed
+        comb = CombinerSpec("monotone-table", table=tuple(range(1 << d)))
+        for i, row in enumerate(patterns(d).astype(int).tolist()):
+            for signs in self.sign_forms(row):
+                idx = comb.apply(signs)
+                assert type(idx) is int and idx == i
 
     @pytest.mark.parametrize("comb", [
         CombinerSpec.single(1), CombinerSpec.intersection(),
