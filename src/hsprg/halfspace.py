@@ -42,9 +42,10 @@ class HalfspaceSystem:
 
     def __init__(self, W: np.ndarray | Sequence[Sequence[float]],
                  Theta: Sequence[float], strict: Sequence[bool] | None = None):
-        self.W = np.asarray(W, dtype=float)
-        if self.W.ndim == 1:
-            self.W = self.W[:, None]
+        W = np.asarray(W, dtype=float)
+        # always C order: x @ W on a view (a column slice, say) takes another loop
+        # than on a contiguous copy and can round differently near a threshold
+        self.W = np.ascontiguousarray(W[:, None] if W.ndim == 1 else W)
         self.Theta = np.asarray(Theta, dtype=float)
         self.n, self.d = self.W.shape
         if self.Theta.shape != (self.d,):
@@ -74,7 +75,6 @@ class HalfspaceSystem:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has dimension {x.shape}, expected {self.n}")
-        # not x.dot(W): on a column slice of a wider W its last bits differ
         return tuple(self._signs(x @ self.W).tolist())
 
     def sign_matrix(self, X: np.ndarray) -> np.ndarray:

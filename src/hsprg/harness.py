@@ -32,7 +32,7 @@ from .seeds import random_seed, random_seeds, seed_from_int, seed_range
 SEED_ENV_VAR = "HSPRG_SEED"
 DEFAULT_ENUM_CAP = 1 << 24
 SEED_CHUNK = 1 << 12  # seeds expanded per generator call when enumerating
-TAIL_BLOCK = 1 << 12  # (point, weight) pairs precomputed per product-space walk level
+TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
 _INTEGRAL = (numbers.Integral, np.bool_)  # f values the exact sum takes as ints
 
@@ -66,16 +66,18 @@ def shard_sizes(trials: int, shards: int) -> list[int]:
 
 
 def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
-                    ) -> tuple[int, Iterator[tuple[tuple[float, ...], int]]]:
+                    ) -> tuple[int, Iterator[tuple[np.ndarray, list[int]]]]:
     """The discrete product space as integer weights over one denominator.
 
-    Returns ``(den, walk)``: ``walk`` yields ``(point, weight)`` in
-    ``itertools.product`` order with Pr[point] = weight / den exactly.  Each
-    coordinate's probabilities become integer numerators over the lcm of
-    their denominators, and ``den`` is the product of those lcms.  Raises
-    before the walk starts when the space exceeds `cap`.
+    Returns ``(den, blocks)``: ``blocks`` yields ``(X, weights)``, a freshly
+    allocated C-contiguous (N, n) float64 array whose rows run in
+    ``itertools.product`` order and their weights as Python ints, with
+    Pr[row] = weight / den exactly.  Each coordinate's probabilities become
+    integer numerators over the lcm of their denominators, and ``den`` is
+    the product of those lcms.  Raises before any block is built when the
+    space exceeds `cap`.
     """
-    lattice = []
+    values, nums = [], []
     total = den = 1
     for c in dist.coords:
         if not isinstance(c, DiscreteCoordinate):
@@ -84,42 +86,42 @@ def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
         if total > cap:
             raise ResourceCapError(f"product space exceeds cap {cap}")
         q = math.lcm(*(p.denominator for p in c.fprobs))
-        lattice.append((c.values, [p.numerator * (q // p.denominator) for p in c.fprobs]))
+        values.append(c.values)
+        nums.append([p.numerator * (q // p.denominator) for p in c.fprobs])
         den *= q
-    return den, _walk(lattice)
+    return den, _blocks(values, nums)
 
 
-def _block(lattice) -> list[tuple[tuple[float, ...], int]]:
-    """Every (point, weight) of `lattice`, weights as prefix products."""
-    block = [((), 1)]
-    for values, nums in lattice:
-        block = [(p + (v,), w * m) for p, w in block for v, m in zip(values, nums)]
-    return block
-
-
-def _walk(lattice):
-    """(point, weight) over `lattice`: a head walk times one precomputed tail block.
+def _blocks(values, nums):
+    """Blocks of head points times one tail block, at most TAIL_BLOCK rows each.
 
     The tail is the longest run of trailing coordinates whose product fits
-    in TAIL_BLOCK points (at least one coordinate), so memory stays
-    O(TAIL_BLOCK) per level and each point costs one int multiply.
+    in TAIL_BLOCK rows (at least one coordinate).  Its rows and weights
+    (prefix products) are built once, and each block repeats them under as
+    many consecutive head points as fit, so memory stays O(TAIL_BLOCK) and
+    each row costs one int multiply.
     """
-    split = len(lattice) - 1
-    size = len(lattice[split][0])
-    while split and size * len(lattice[split - 1][0]) <= TAIL_BLOCK:
+    split = len(values) - 1
+    size = len(values[split])
+    while split and size * len(values[split - 1]) <= TAIL_BLOCK:
         split -= 1
-        size *= len(lattice[split][0])
-    tail = _block(lattice[split:])
-    if not split:
-        yield from tail
-        return
-    for head, hw in _walk(lattice[:split]):
-        for point, w in tail:
-            yield head + point, hw * w
+        size *= len(values[split])
+    tail = np.zeros((size, len(values)))
+    tail[:, split:] = list(itertools.product(*values[split:]))
+    tail_weights = [1]
+    for m in nums[split:]:
+        tail_weights = [w * v for w in tail_weights for v in m]
+    heads = zip(itertools.product(*values[:split]),
+                map(math.prod, itertools.product(*nums[:split])))
+    while chunk := list(itertools.islice(heads, max(1, TAIL_BLOCK // size))):
+        points, head_weights = zip(*chunk)
+        X = np.tile(tail, (len(chunk), 1))
+        X[:, :split] = np.repeat(points, size, axis=0)
+        yield X, [hw * w for hw in head_weights for w in tail_weights]
 
 
-def _weighted_sum(f: Callable, walk: Iterable[tuple[object, int]], den: int):
-    """Sum of f(x) * w / den over the (x, w) pairs of `walk`.
+def _weighted_sum(f: Callable, blocks: Iterable[tuple[np.ndarray, Iterable[int]]], den: int):
+    """Sum of f(x) * w / den over the rows x of X and weights w of each block.
 
     Exact while f returns integers (numpy's and bools included) or
     Fractions: the sum runs in Python ints, or Fractions, and one Fraction
@@ -128,7 +130,7 @@ def _weighted_sum(f: Callable, walk: Iterable[tuple[object, int]], den: int):
     where w / den is the correctly rounded probability.
     """
     acc = 0
-    walk = iter(walk)
+    walk = itertools.chain.from_iterable(itertools.starmap(zip, blocks))
     for x, w in walk:
         v = f(x)
         if type(v) is not int:
@@ -145,14 +147,15 @@ def _weighted_sum(f: Callable, walk: Iterable[tuple[object, int]], den: int):
     return accf
 
 
-def exact_expectation(f: Callable[[Sequence[float]], float],
+def exact_expectation(f: Callable[[np.ndarray], float],
                       dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP):
     """Sum of f * probability over the whole product space.
 
+    `f` gets each point as one float64 row of a `product_lattice` block.
     Returns a Fraction when every f value is integral/Fraction, else float.
     """
-    den, walk = product_lattice(dist, cap)
-    return _weighted_sum(f, walk, den)
+    den, blocks = product_lattice(dist, cap)
+    return _weighted_sum(f, blocks, den)
 
 
 def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
@@ -161,11 +164,11 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
     n_seeds = 1 << generator.seed_bits
     if n_seeds > cap:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {cap}")
-    rows = (x for start in range(0, n_seeds, SEED_CHUNK)
-            for x in generator.expand(seed_range(start, min(start + SEED_CHUNK, n_seeds),
-                                                 generator.seed_bits)))
+    blocks = ((generator.expand(seed_range(start, min(start + SEED_CHUNK, n_seeds),
+                                           generator.seed_bits)), itertools.repeat(1))
+              for start in range(0, n_seeds, SEED_CHUNK))
     # unit weights and den 1: the float path sums float(f(x)) and divides once
-    return _weighted_sum(f, zip(rows, itertools.repeat(1)), 1) / n_seeds
+    return _weighted_sum(f, blocks, 1) / n_seeds
 
 
 @dataclass(frozen=True)
@@ -248,7 +251,7 @@ class NisanProductGenerator:
         return self._alpha[np.arange(self.n), labels & (self._alpha.shape[1] - 1)]
 
 
-def _wilson_halfwidth(p: float, n: int) -> float:
+def wilson_halfwidth(p: float, n: int) -> float:
     """95% half-width; Wilson keeps it sane when p sits near 0 or 1."""
     if n == 0:
         return float("nan")
@@ -276,7 +279,7 @@ def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int
         counts = body(size, *(rng_for(master_seed, k * MAX_SHARDS + shard) for k in streams))
         hits = [h + int(c) for h, c in zip(hits, counts, strict=True)]
     means = tuple(h / trials for h in hits)
-    return means, math.hypot(*(_wilson_halfwidth(p, trials) for p in means))
+    return means, math.hypot(*(wilson_halfwidth(p, trials) for p in means))
 
 
 def estimate_fooling_error(f: Callable[[Sequence[float]], int]
@@ -292,7 +295,8 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
     pair is checked against its system once, before anything is drawn, and
     gives the report its ``d``; Monte Carlo evaluates it on whole shards
     through `evaluate_batch`, exact mode one point at a time through
-    `evaluate`.  A callable gets one point at a time and reports ``d = 1``.
+    `evaluate`.  A callable gets one point at a time, as one float64 row of
+    a shard or of a `product_lattice` or seed block, and reports ``d = 1``.
     """
     t0 = time.perf_counter()
     point, d = f, 1

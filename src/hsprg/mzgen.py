@@ -114,6 +114,8 @@ class MZGenerator:
             raise ValueError("alphabet size must be a power of 2")
         if not is_power_of_two(t):
             raise ValueError("t must be a power of 2")
+        if fixed_hash is not None and fixed_hash.t != t:
+            raise ValueError(f"fixed hash has {fixed_hash.t} buckets, the generator t={t}")
         self.alphabets = [np.asarray(sorted(a), dtype=float) for a in alphabets]
         self.n = len(alphabets)
         self.t = t

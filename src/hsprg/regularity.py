@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .harness import _wilson_halfwidth
+from .harness import wilson_halfwidth
 
 REG = "REG"
 JUNTA = "JUNTA"
@@ -174,4 +174,4 @@ def anticoncentration_probe(head_weights: Sequence[float], head_coords,
         total += w * coord.sample(rng, trials)
     hits = np.abs(total - theta) <= s * tau_tail
     p = float(np.mean(hits))
-    return p, _wilson_halfwidth(p, trials)
+    return p, wilson_halfwidth(p, trials)

@@ -22,7 +22,6 @@ polynomials sandwich intersections with gap 2*d*eps0 + 3*d^2*sqrt(gamma).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -33,7 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import TAIL_BLOCK, exact_expectation, expectation_over_seeds, product_lattice
+from .harness import exact_expectation, expectation_over_seeds, product_lattice
 from .regularity import TermNorms, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -164,47 +163,6 @@ class UnivariatePoly:
             la[mid] = np.log2(np.abs(1.0 - np.exp2(lz[mid])))
         log2_ahat[neg] = la
         return np.ones_like(xs), 2.0 * log2_ahat
-
-    def monomial_coefficients(self, prec_pad: int = 300):
-        """Exact-as-possible power-basis coefficients.
-
-        Converts the Chebyshev series with mpmath at a precision wide
-        enough for the 2^(4 deg D) coefficient growth.
-        """
-        import mpmath as mp
-
-        deg_d = len(self.d_cheb) - 1
-        with mp.workprec(4 * deg_d + prec_pad):
-            t_prev = [mp.mpf(1)]
-            t_cur = [mp.mpf(0), mp.mpf(1)]
-            dmono = [mp.mpf(0)] * (deg_d + 1)
-            dmono[0] = mp.mpf(float(self.d_cheb[0]))
-            if deg_d >= 1:
-                c1 = mp.mpf(float(self.d_cheb[1]))
-                dmono[0] += c1 * t_cur[0]
-                dmono[1] += c1 * t_cur[1]
-            for k in range(2, deg_d + 1):
-                t_next = [mp.mpf(0)] * (k + 1)
-                for i, v in enumerate(t_cur):
-                    t_next[i + 1] += 2 * v
-                for i, v in enumerate(t_prev):
-                    t_next[i] -= v
-                t_prev, t_cur = t_cur, t_next
-                ck = mp.mpf(float(self.d_cheb[k]))
-                for i, v in enumerate(t_cur):
-                    dmono[i] += ck * v
-
-            def conv(u, v):
-                out = [mp.mpf(0)] * (len(u) + len(v) - 1)
-                for i, ui in enumerate(u):
-                    if ui:
-                        for j, vj in enumerate(v):
-                            out[i + j] += ui * vj
-                return out
-
-            d2 = conv(dmono, dmono)
-            ahat = [mp.mpf(1)] + d2           # 1 + x * D(x)^2
-            return conv(ahat, ahat)
 
     def to_json(self) -> dict:
         return {"kind": "dgjsv", "degree": self.degree, "a": self.a, "b": self.b,
@@ -517,25 +475,12 @@ class _Certifier:
                                   self.pow_sum ** (1.0 / (2 * self.d)), self.d)
 
 
-def _lattice_blocks(dist: ProductDistribution):
-    """The product lattice in blocks of at most TAIL_BLOCK points.
-
-    Yields ``(points, X, probs)``: the points as tuples, the same points as
-    one (N, n) float array, and each point's probability as the correctly
-    rounded float of weight / den.
-    """
-    den, walk = product_lattice(dist)
-    while block := list(itertools.islice(walk, TAIL_BLOCK)):
-        points, weights = zip(*block)
-        yield points, np.array(points), [w / den for w in weights]
-
-
-def _block_values(p, points, X) -> list[float]:
-    """p at every point of a block: one evaluate_batch call when p has one."""
+def _block_values(p, X: np.ndarray) -> list[float]:
+    """p at every row of a block: one evaluate_batch call when p has one."""
     batch = getattr(p, "evaluate_batch", None)
     if batch is not None:
         return batch(X).tolist()
-    return [float(p(x)) for x in points]
+    return [float(v) for v in map(_as_callable(p), X)]
 
 
 def certify_upper(p: Callable[[Sequence[float]], float],
@@ -543,8 +488,9 @@ def certify_upper(p: Callable[[Sequence[float]], float],
                   dist: ProductDistribution, d: int) -> UpperCertification:
     """Exact enumeration of the four hybrid-product preconditions."""
     cert = _Certifier(d)
-    for points, X, fps in _lattice_blocks(dist):
-        cert.add(_block_values(p, points, X), [float(h(x)) for x in points], fps)
+    den, blocks = product_lattice(dist)
+    for X, weights in blocks:
+        cert.add(_block_values(p, X), [float(h(x)) for x in X], [w / den for w in weights])
     return cert.result()
 
 
@@ -577,12 +523,14 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
     indicators = [_as_indicator(h) for h in halfspaces]
     pointwise = True
     gap = 0.0
-    for points, X, fps in _lattice_blocks(dist):
-        p_prod = [1.0] * len(points)
-        h_prod = [1.0] * len(points)
+    den, blocks = product_lattice(dist)
+    for X, weights in blocks:
+        fps = [w / den for w in weights]
+        p_prod = [1.0] * len(X)
+        h_prod = [1.0] * len(X)
         for p, h, cert in zip(polys, indicators, certifiers):
-            pvs = _block_values(p, points, X)
-            hvs = [float(h(x)) for x in points]
+            pvs = _block_values(p, X)
+            hvs = [float(h(x)) for x in X]
             cert.add(pvs, hvs, fps)
             p_prod = [a * v for a, v in zip(p_prod, pvs)]
             h_prod = [a * v for a, v in zip(h_prod, hvs)]
@@ -623,7 +571,10 @@ class LowerSandwich:
     order: int
 
     def evaluate(self, x) -> float:
-        return 1.0 - float(self.upper_for_negation(x))
+        return 1.0 - float(_as_callable(self.upper_for_negation)(x))
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        return 1.0 - np.array(_block_values(self.upper_for_negation, X))
 
     __call__ = evaluate
 
@@ -631,7 +582,7 @@ class LowerSandwich:
 def lower_from_upper(p_u_negation, order: int | None = None) -> LowerSandwich:
     if order is None:
         order = getattr(p_u_negation, "order")
-    return LowerSandwich(_as_callable(p_u_negation), order)
+    return LowerSandwich(p_u_negation, order)
 
 
 def _as_callable(p):
@@ -683,13 +634,21 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
 
     The mechanism is junta-expectation matching: every summand of an
     order-k polynomial sees identical k-marginals under X and Y, so the
-    sandwich gap survives the change of measure.
+    sandwich gap survives the change of measure.  Both gaps are summed in
+    floats over one pass of `product_lattice` blocks, p_u and p_l evaluated
+    once per block (through `evaluate_batch` when they have one).
     """
     if order > kwise_gen.k:
         raise OrderViolation(f"sandwich order {order} exceeds k={kwise_gen.k}")
     e_true = float(exact_expectation(f, dist))
     e_kwise = float(expectation_over_seeds(f, kwise_gen))
-    gap_u = float(exact_expectation(lambda x: float(_as_callable(p_u)(x)) - f(x), dist))
-    gap_l = float(exact_expectation(lambda x: f(x) - float(_as_callable(p_l)(x)), dist))
-    eps = max(gap_u, gap_l)
+    gap_u = gap_l = 0.0
+    den, blocks = product_lattice(dist)
+    for X, weights in blocks:
+        for pu, pl, fv, w in zip(_block_values(p_u, X), _block_values(p_l, X),
+                                 map(f, X), weights):
+            fp = w / den
+            gap_u += (pu - fv) * fp
+            gap_l += (fv - pl) * fp
+    eps = max(float(gap_u), float(gap_l))
     return FoolingCheck(e_true, e_kwise, abs(e_true - e_kwise), eps, order, kwise_gen.k)

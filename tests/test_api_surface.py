@@ -1,6 +1,7 @@
-"""The package's surface: no definition without a caller, no stale tracer entry.
+"""The package's surface: no definition without a caller, no private name
+imported across modules, no stale tracer entry.
 
-Both checks read source with the standard library's ``ast``.  A name counts
+The checks read source with the standard library's ``ast``.  A name counts
 as used when it appears in ``src/``, ``tests/`` or ``perfbench/`` as an
 identifier, an attribute, an imported name or a string constant (the
 benchmark tracer names what it patches in strings), outside the body of
@@ -57,6 +58,22 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unused_definitions() == []
+
+
+def private_imports() -> list[str]:
+    """``from <package module> import _name`` inside the package (dunders allowed)."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.level or (node.module or "").partition(".")[0] == "hsprg"):
+                out += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.endswith("__")]
+    return out
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports() == []
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:

@@ -1,4 +1,4 @@
-"""Exact enumeration: the integer-lattice walker and the shared accumulator.
+"""Exact enumeration: the integer-lattice blocks and the shared accumulator.
 
 The reference below is the per-point Fraction product over
 ``itertools.product``; golden values were recorded with that reference
@@ -47,8 +47,10 @@ def reference_expectation(f, dist):
 
 
 def lattice_space(dist):
-    den, walk = product_lattice(dist)
-    return [(x, Fraction(w, den)) for x, w in walk]
+    """(point, Fraction probability) read from the rows of the lattice blocks."""
+    den, blocks = product_lattice(dist)
+    return [(tuple(x), Fraction(w, den)) for X, weights in blocks
+            for x, w in zip(X.tolist(), weights, strict=True)]
 
 
 def cube(n):
@@ -66,7 +68,34 @@ class TestWalker:
         want = list(reference_space(dist))
         assert [x for x, _ in got] == [x for x, _ in want]
         assert [p for _, p in got] == [p for _, p in want]
-        assert all(type(v) is float for x, _ in got for v in x)
+
+    @pytest.mark.parametrize("block,count", [(4, 90), (harness.TAIL_BLOCK, 1)])
+    def test_block_contract(self, monkeypatch, block, count):
+        monkeypatch.setattr(harness, "TAIL_BLOCK", block)
+        _, blocks = product_lattice(MIXED)
+        seen = []
+        for X, weights in blocks:
+            assert type(X) is np.ndarray and X.dtype == np.float64
+            assert X.ndim == 2 and X.shape[1] == MIXED.n and X.flags.c_contiguous
+            assert X.base is None and not any(np.shares_memory(X, Y) for Y in seen)
+            assert type(weights) is list and len(weights) == len(X)
+            assert all(type(w) is int for w in weights)
+            seen.append(X)
+        assert len(seen) == count
+
+    def test_f_gets_one_float64_row_on_both_passes(self):
+        rows = []
+
+        def f(x):
+            rows.append(x)
+            return 1
+
+        gen = MZGenerator([[-1.0, 0.0, 0.5, 1.0]] * 5, t=1, k=2)
+        exact_expectation(f, MIXED)
+        expectation_over_seeds(f, gen)
+        assert len(rows) == 2 * 3 * 3 * 5 * 3 + (1 << gen.seed_bits)
+        assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (5,)
+                   for x in rows)
 
     def test_denominator_is_product_of_coordinate_lcms(self):
         den, _ = product_lattice(MIXED)
@@ -76,7 +105,7 @@ class TestWalker:
         assert den == want
         # float-parsed probabilities need not sum to exactly 1 (0.1 + 0.2 + 0.7 does not)
         total = math.prod(sum(c.fprobs) for c in MIXED.coords)
-        assert sum(w for _, w in product_lattice(MIXED)[1]) == total * den
+        assert sum(sum(weights) for _, weights in product_lattice(MIXED)[1]) == total * den
 
     @pytest.mark.parametrize("block", [1, 4, 16])
     def test_head_and_tail_blocks_combine_in_order(self, monkeypatch, block):
@@ -90,18 +119,24 @@ class TestWalker:
         assert lattice_space(dist) == list(reference_space(dist))
 
     def test_memory_bounded_by_tail_block(self, monkeypatch):
-        sizes = []
-        block = harness._block
+        den, blocks = product_lattice(cube(16))
+        sizes = [len(X) for X, _ in blocks]
+        assert sum(sizes) == den == 1 << 16
+        assert max(sizes) <= harness.TAIL_BLOCK
+        # blocks stay within a small TAIL_BLOCK too, unless one coordinate is wider
+        monkeypatch.setattr(harness, "TAIL_BLOCK", 4)
+        for dist, want in [(MIXED, [3] * 90), (ProductDistribution([THIRDS, FIVE]), [5] * 3),
+                           (ProductDistribution([FIVE, RAD]), [4, 4, 2]),
+                           (ProductDistribution([FIVE, RAD, RAD]), [4] * 5)]:
+            assert [len(X) for X, _ in product_lattice(dist)[1]] == want
 
-        def recording(lattice):
-            out = block(lattice)
-            sizes.append(len(out))
-            return out
-
-        monkeypatch.setattr(harness, "_block", recording)
-        den, walk = product_lattice(cube(16))
-        assert sum(1 for _ in walk) == den == 1 << 16
-        assert sizes and max(sizes) <= harness.TAIL_BLOCK
+    def test_narrow_tail_shares_blocks(self):
+        # a wide coordinate ahead of narrow ones: head points share a block
+        wide = UniformMultisetCoordinate([float(v) for v in range(1500)])
+        dist = ProductDistribution([wide, RAD, THIRDS])
+        sizes = [len(X) for X, _ in product_lattice(dist)[1]]
+        assert sizes == [4092, 4092, 816]
+        assert lattice_space(dist) == list(reference_space(dist))
 
     def test_continuous_coordinate_refused(self):
         from hsprg.distributions import GaussianCoordinate

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import philox
 from hsprg.halfspace import (
     CombinerSpec,
     DecisionTree,
@@ -215,6 +216,20 @@ class TestSignPaths:
             system.sign_vector([1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match=r"point has dimension \(1, 4\), expected 4"):
             system.sign_vector(np.ones((1, 4)))
+
+    def test_column_slice_agrees_with_its_json_round_trip(self):
+        # a view of W must not change the last bits of any margin
+        for seed in range(20):
+            rng = philox(900 + seed)
+            n, d = int(rng.integers(4, 200)), int(rng.integers(2, 5))
+            W = rng.standard_normal((n, d + 2))
+            X = rng.choice([-1.0, -0.5, 0.5, 1.0], (8, n))
+            # row 0 sits on every threshold by the slice's own product
+            view = HalfspaceSystem(W[:, 1:d + 1], X[0] @ W[:, 1:d + 1])
+            copy = HalfspaceSystem.from_json(view.to_json())
+            assert view.W.flags.c_contiguous
+            assert [view.sign_vector(x) for x in X] == [copy.sign_vector(x) for x in X]
+            assert np.array_equal(view.sign_matrix(X), copy.sign_matrix(X))
 
     def test_result_types(self):
         system = HalfspaceSystem(np.eye(3), [0.5, 0.5, 0.5], [False, True, False])

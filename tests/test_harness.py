@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import philox
+from hsprg import harness
 from hsprg.distributions import (
     DiscreteCoordinate,
     ProductDistribution,
@@ -54,18 +55,24 @@ class TestExactExpectation:
         dist = ProductDistribution([skew, skew])
         assert exact_expectation(lambda x: int(x[0] == x[1] == 1.0), dist) == Fraction(9, 16)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # raised by the call itself, before any block is built: f is never called
+        built = []
+        blocks = harness._blocks
+        monkeypatch.setattr(harness, "_blocks", lambda *a: built.append(a) or blocks(*a))
         with pytest.raises(ResourceCapError):
             product_lattice(cube(30), cap=2 ** 10)
-        # raised before the first point: f is never called
         calls = []
         with pytest.raises(ResourceCapError):
             exact_expectation(lambda x: calls.append(x) or 1, cube(30), cap=2 ** 10)
-        assert calls == []
+        assert calls == [] and built == []
         with pytest.raises(ResourceCapError):
             product_lattice(cube(10), cap=2 ** 10 - 1)
-        den, walk = product_lattice(cube(10), cap=2 ** 10)
-        assert den == 2 ** 10 and sum(1 for _ in walk) == 2 ** 10
+        assert built == []
+        den, blocks = product_lattice(cube(10), cap=2 ** 10)
+        rows = np.concatenate([X for X, _ in blocks])
+        assert den == 2 ** 10 and rows.shape == (2 ** 10, 10)
+        assert len({tuple(x) for x in rows.tolist()}) == 2 ** 10
 
     def test_cross_method_consistency(self):
         rng = philox(31)

@@ -100,6 +100,16 @@ class TestGenerate:
         with pytest.raises(ValueError):
             gen.generate(1 << gen.seed_bits)
 
+    @pytest.mark.parametrize("t", [1, 4])
+    def test_fixed_hash_bucket_count_must_match(self, t):
+        gen = MZGenerator([[-1.0, 1.0]] * 8, t=2, k=2)
+        h = HashFunction(a=1, c=0, m=gen.hash_family.m, t=t)
+        msg = f"fixed hash has {t} buckets, the generator t=2"
+        with pytest.raises(ValueError, match=msg):
+            gen.with_fixed_hash(h)
+        with pytest.raises(ValueError, match=msg):
+            MZGenerator([[-1.0, 1.0]] * 8, t=2, k=2, fixed_hash=h)
+
     def test_alphabet_validation(self):
         with pytest.raises(ValueError):
             MZGenerator([[-1.0, 1.0], [-1.0, 0.0, 1.0]], t=1)

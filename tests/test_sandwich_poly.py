@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import philox
+from hsprg import harness
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution
 from hsprg.halfspace import DecisionTree, Halfspace, HalfspaceSystem
 from hsprg.harness import exact_expectation
@@ -168,21 +169,6 @@ class TestUnivariatePoly:
         with pytest.raises(ValueError, match="'monomial'"):
             UnivariatePoly.from_json({"kind": "monomial", "degree": 2,
                                       "coefficients": ["0.5", "-1.25", "3.0"]})
-
-    def test_structured_monomial_conversion_matches(self):
-        # monomial coefficients reach 2^(4 deg D); Horner must run in high
-        # precision or cancellation swamps the comparison
-        import mpmath as mp
-
-        p = dgjsv_poly(0.3, 0.04)
-        mono = p.monomial_coefficients()
-        assert len(mono) - 1 == p.degree
-        with mp.workprec(2000):
-            for x in (-0.9, -0.2, 0.4, 1.0):
-                horner = mp.mpf(0)
-                for c in reversed(mono):
-                    horner = horner * x + c
-                assert float(horner) == pytest.approx(p(x), abs=1e-12)
 
 
 class TestPartitionAndBranches:
@@ -551,6 +537,42 @@ class TestKWiseFoolingCheck:
         chk = kwise_fooling_check(h.evaluate, p_l, p_u, CUBE6, self.kgen(4), order=4)
         assert (chk.e_true, chk.e_kwise, chk.gap, chk.sandwich_eps) \
             == (0.34375, 0.34375, 0.0, 0.7724404699913708)
+
+    @pytest.mark.parametrize("theta,e_true,eps", [
+        (1.0, 0.34375, 0.6397945717253664),
+        (0.0, 0.65625, 0.650537400996531),
+    ])
+    def test_golden_values_generalized_polynomials(self, theta, e_true, eps):
+        # recorded with the per-point gaps; floats bit for bit
+        w = [1.0, 1.0, -1.0, 1.0, 1.0, -1.0]
+        p_u = build_upper_poly(w, theta, CUBE6_COORDS, **BUILD_KW)
+        p_l = lower_from_upper(build_upper_poly([-wi for wi in w], -theta, CUBE6_COORDS,
+                                                **BUILD_KW))
+        chk = kwise_fooling_check(Halfspace(tuple(w), theta).evaluate, p_l, p_u, CUBE6,
+                                  self.kgen(6), order=p_u.order)
+        assert (chk.e_true, chk.e_kwise, chk.gap, chk.sandwich_eps, chk.order) \
+            == (e_true, e_true, 0.0, eps, 6)
+
+    def test_one_batch_call_of_P_per_sandwich_and_block(self, monkeypatch):
+        coords, kw = [RAD] * 4, dict(BUILD_KW, delta=0.5)  # a regular 3-term tail
+        w = [1.0, 1.0, -1.0, 1.0]
+        p_u = build_upper_poly(w, 1.0, coords, **kw)
+        p_l = lower_from_upper(build_upper_poly([-wi for wi in w], -1.0, coords, **kw))
+        calls = []
+        original = UnivariatePoly.__call__
+
+        def counted(self, x):
+            calls.append(np.size(x))
+            return original(self, x)
+
+        monkeypatch.setattr(UnivariatePoly, "__call__", counted)
+        monkeypatch.setattr(harness, "TAIL_BLOCK", 4)  # 16 points in 4 blocks of 4
+        gen = MZGenerator([[-1.0, 1.0]] * 4, t=1, k=4)
+        chk = kwise_fooling_check(Halfspace(tuple(w), 1.0).evaluate, p_l, p_u,
+                                  ProductDistribution(coords), gen, order=p_u.order)
+        assert chk.ok
+        # every row is NEAR for both sandwiches: the per-point gaps made 32 calls
+        assert calls == [4] * 8
 
     def test_full_independence_zero_gap_exactly(self):
         w = (1.0, 1.0, -1.0, 1.0, 1.0, -1.0)
