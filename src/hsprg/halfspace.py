@@ -26,6 +26,8 @@ class Halfspace:
     def margin(self, x: Sequence[float]):
         if len(x) != len(self.w):
             raise ValueError(f"point has dimension {len(x)}, weights {len(self.w)}")
+        if isinstance(x, np.ndarray):
+            x = x.tolist()  # Python floats: the same products, without numpy scalars
         return sum(wi * xi for wi, xi in zip(self.w, x)) - self.theta
 
     def evaluate(self, x: Sequence[float]) -> int:

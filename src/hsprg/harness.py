@@ -1,9 +1,11 @@
 """Measurement: exact and Monte Carlo expectations, fooling error, probes.
 
 Exact mode enumerates the full product space (and the full seed space of a
-generator).  Monte Carlo goes through one sharded driver: stream k of shard
-s is Philox keyed by (master seed, k * MAX_SHARDS + s), so shard results
-are reproducible and merge order-independently.
+generator).  `f` must be a deterministic function of the point: the seed
+pass calls it once per distinct generator row of each seed chunk.  Monte
+Carlo goes through one sharded driver: stream k of shard s is Philox keyed
+by (master seed, k * MAX_SHARDS + s), so shard results are reproducible and
+merge order-independently.
 """
 
 from __future__ import annotations
@@ -120,19 +122,18 @@ def _blocks(values, nums):
         yield X, [hw * w for hw in head_weights for w in tail_weights]
 
 
-def _weighted_sum(f: Callable, blocks: Iterable[tuple[np.ndarray, Iterable[int]]], den: int):
-    """Sum of f(x) * w / den over the rows x of X and weights w of each block.
+def weighted_sum(blocks: Iterable[tuple[Iterable, Iterable[int]]], den: int):
+    """Sum of v * w / den over the values v and weights w of each block.
 
-    Exact while f returns integers (numpy's and bools included) or
+    Exact while the values are integers (numpy's and bools included) or
     Fractions: the sum runs in Python ints, or Fractions, and one Fraction
     is built at the end.  From the first other value on it runs in floats,
-    starting at the exact partial sum and adding float(f(x)) * (w / den),
+    starting at the exact partial sum and adding float(v) * (w / den),
     where w / den is the correctly rounded probability.
     """
     acc = 0
     walk = itertools.chain.from_iterable(itertools.starmap(zip, blocks))
-    for x, w in walk:
-        v = f(x)
+    for v, w in walk:
         if type(v) is not int:
             if isinstance(v, _INTEGRAL):
                 v = int(v)
@@ -142,8 +143,8 @@ def _weighted_sum(f: Callable, blocks: Iterable[tuple[np.ndarray, Iterable[int]]
     else:
         return Fraction(acc, den)
     accf = float(Fraction(acc, den)) + float(v) * (w / den)
-    for x, w in walk:
-        accf += float(f(x)) * (w / den)
+    for v, w in walk:
+        accf += float(v) * (w / den)
     return accf
 
 
@@ -155,20 +156,33 @@ def exact_expectation(f: Callable[[np.ndarray], float],
     Returns a Fraction when every f value is integral/Fraction, else float.
     """
     den, blocks = product_lattice(dist, cap)
-    return _weighted_sum(f, blocks, den)
+    return weighted_sum(((map(f, X), weights) for X, weights in blocks), den)
 
 
 def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
                            cap: int = DEFAULT_ENUM_CAP):
-    """Average of f(G(seed)) over the full seed space, exact."""
+    """Average of f(G(seed)) over the full seed space, exact.
+
+    `f` must be a deterministic function of the point: the seeds are
+    expanded SEED_CHUNK at a time, and `f` is called once per distinct
+    row of each chunk (rows compared by their bytes, so -0.0 and 0.0
+    differ).  Each seed then adds its row's value, in seed order.
+    """
     n_seeds = 1 << generator.seed_bits
     if n_seeds > cap:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {cap}")
-    blocks = ((generator.expand(seed_range(start, min(start + SEED_CHUNK, n_seeds),
-                                           generator.seed_bits)), itertools.repeat(1))
-              for start in range(0, n_seeds, SEED_CHUNK))
+
+    def blocks():
+        for start in range(0, n_seeds, SEED_CHUNK):
+            X = np.ascontiguousarray(generator.expand(
+                seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)))
+            keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            vals = [f(X[i]) for i in first]
+            yield map(vals.__getitem__, inverse.tolist()), itertools.repeat(1)
+
     # unit weights and den 1: the float path sums float(f(x)) and divides once
-    return _weighted_sum(f, blocks, 1) / n_seeds
+    return weighted_sum(blocks(), 1) / n_seeds
 
 
 @dataclass(frozen=True)
@@ -297,6 +311,8 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
     through `evaluate_batch`, exact mode one point at a time through
     `evaluate`.  A callable gets one point at a time, as one float64 row of
     a shard or of a `product_lattice` or seed block, and reports ``d = 1``.
+    Either must be a deterministic function of the point: the exact seed
+    pass calls it once per distinct generator row of each seed chunk.
     """
     t0 = time.perf_counter()
     point, d = f, 1

@@ -56,7 +56,7 @@ class ROBP:
             for row in layer:
                 if len(row) != n_labels:
                     raise ValueError(f"layer {i}: transitions must be total on {n_labels} labels")
-                if any(not 0 <= nxt < widths[i + 1] for nxt in row):
+                if min(row) < 0 or max(row) >= widths[i + 1]:
                     raise ValueError(f"layer {i}: successor out of range")
         self.widths = widths
 

@@ -32,7 +32,7 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import exact_expectation, expectation_over_seeds, product_lattice
+from .harness import expectation_over_seeds, product_lattice, weighted_sum
 from .regularity import TermNorms, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -634,21 +634,28 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
 
     The mechanism is junta-expectation matching: every summand of an
     order-k polynomial sees identical k-marginals under X and Y, so the
-    sandwich gap survives the change of measure.  Both gaps are summed in
-    floats over one pass of `product_lattice` blocks, p_u and p_l evaluated
-    once per block (through `evaluate_batch` when they have one).
+    sandwich gap survives the change of measure.  E f and both gaps are
+    summed over one pass of `product_lattice` blocks: f is called once per
+    point and p_u and p_l once per block (through `evaluate_batch` when they
+    have one).
     """
     if order > kwise_gen.k:
         raise OrderViolation(f"sandwich order {order} exceeds k={kwise_gen.k}")
-    e_true = float(exact_expectation(f, dist))
-    e_kwise = float(expectation_over_seeds(f, kwise_gen))
     gap_u = gap_l = 0.0
     den, blocks = product_lattice(dist)
-    for X, weights in blocks:
-        for pu, pl, fv, w in zip(_block_values(p_u, X), _block_values(p_l, X),
-                                 map(f, X), weights):
-            fp = w / den
-            gap_u += (pu - fv) * fp
-            gap_l += (fv - pl) * fp
+
+    def values():
+        nonlocal gap_u, gap_l
+        for X, weights in blocks:
+            fvs = list(map(f, X))
+            for pu, pl, fv, w in zip(_block_values(p_u, X), _block_values(p_l, X),
+                                     fvs, weights):
+                fp = w / den
+                gap_u += (pu - fv) * fp
+                gap_l += (fv - pl) * fp
+            yield fvs, weights
+
+    e_true = float(weighted_sum(values(), den))
+    e_kwise = float(expectation_over_seeds(f, kwise_gen))
     eps = max(float(gap_u), float(gap_l))
     return FoolingCheck(e_true, e_kwise, abs(e_true - e_kwise), eps, order, kwise_gen.k)

@@ -7,6 +7,7 @@ implementation in the harness, so float results must match bit for bit.
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -15,13 +16,16 @@ import pytest
 from hsprg import harness
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution, UniformMultisetCoordinate
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
+from hsprg.hashing import MULTIPLICATIVE, HashFunction
 from hsprg.harness import (
+    NisanProductGenerator,
     estimate_fooling_error,
     exact_expectation,
     expectation_over_seeds,
     product_lattice,
 )
 from hsprg.mzgen import MZGenerator
+from hsprg.seeds import seed_range
 
 RAD = DiscreteCoordinate.rademacher()
 TENTHS = DiscreteCoordinate([-1.0, 0.5, 2.0], [0.1, 0.2, 0.7])
@@ -83,17 +87,30 @@ class TestWalker:
             seen.append(X)
         assert len(seen) == count
 
-    def test_f_gets_one_float64_row_on_both_passes(self):
+    def test_f_gets_one_float64_row_on_both_passes(self, monkeypatch):
+        gen = MZGenerator([[-1.0, 0.0, 0.5, 1.0]] * 5, t=1, k=2)
         rows = []
 
         def f(x):
             rows.append(x)
             return 1
 
-        gen = MZGenerator([[-1.0, 0.0, 0.5, 1.0]] * 5, t=1, k=2)
         exact_expectation(f, MIXED)
-        expectation_over_seeds(f, gen)
-        assert len(rows) == 2 * 3 * 3 * 5 * 3 + (1 << gen.seed_bits)
+        assert len(rows) == 2 * 3 * 3 * 5 * 3
+        # the seed pass calls f once per distinct row of each chunk, in no fixed order
+        chunks = []
+        expand = gen.expand
+        monkeypatch.setattr(gen, "expand", lambda seeds: chunks.append(expand(seeds)) or chunks[-1])
+        for chunk in (harness.SEED_CHUNK, 16):
+            monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+            chunks.clear()
+            seen = []
+            expectation_over_seeds(lambda x: seen.append((len(chunks), x.tobytes())) or f(x), gen)
+            assert len(chunks) == -(-(1 << gen.seed_bits) // chunk)
+            for i, X in enumerate(chunks, 1):
+                got = [key for c, key in seen if c == i]
+                assert len(got) == len(set(got)) and set(got) == {r.tobytes() for r in X}
+            assert len(seen) < 1 << gen.seed_bits
         assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (5,)
                    for x in rows)
 
@@ -213,6 +230,105 @@ class TestAccumulator:
             assert exact_expectation(lambda x: int(sum(x) >= 0), cube(n)) > 0
             counts.append(len(made))
         assert counts[0] == counts[1] <= 2
+
+
+def reference_over_seeds(f, gen):
+    """The per-seed pass: f once per seed, in seed order, into the same accumulator."""
+    n_seeds = 1 << gen.seed_bits
+    values = map(f, gen.expand(seed_range(0, n_seeds, gen.seed_bits)))
+    acc = 0
+    for v in values:
+        if type(v) is not int:
+            if isinstance(v, (numbers.Integral, np.bool_)):
+                v = int(v)
+            elif not isinstance(v, Fraction):
+                break
+        acc += v * 1
+    else:
+        return Fraction(acc, 1) / n_seeds
+    accf = float(Fraction(acc, 1)) + float(v) * (1 / 1)
+    for v in values:
+        accf += float(v) * (1 / 1)
+    return accf / n_seeds
+
+
+def fixed_hash_generator():
+    gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
+    return gen.with_fixed_hash(HashFunction(a=1, c=0, m=gen.hash_family.m, t=2))
+
+
+SEED_GENERATORS = {
+    "mz-t1": lambda: MZGenerator([[-1.0, -0.3, 0.4, 1.0]] * 5, t=1, k=3),
+    "mz-t2-affine": lambda: MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2),
+    "mz-t2-multiplicative": lambda: MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2,
+                                                hash_variant=MULTIPLICATIVE),
+    "mz-t2-fixed-hash": fixed_hash_generator,
+    "nisan": lambda: NisanProductGenerator([[-1.0, 1.0]] * 2, space=1),
+}
+WEIGHTS = [0.1, 0.7, -0.3, 1.3, 0.2]
+SEED_FUNCTIONS = {
+    "int": lambda x: int(x.sum() >= 0),
+    "bool": lambda x: x[0] > x[-1],
+    "fraction": lambda x: Fraction(int(x.sum() >= 0), 3) + Fraction(int(x[0] > 0), 7),
+    "float": lambda x: sum(w * v for w, v in zip(WEIGHTS, x.tolist())) ** 2,
+    "mixed": lambda x: 0.3 if x[0] > 0 and x[-1] > 0 else int(x[1] > 0),
+}
+
+
+class TestSeedDedup:
+    """The seed pass, one f call per distinct row of a chunk, against one call per seed."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("fname", SEED_FUNCTIONS)
+    @pytest.mark.parametrize("gname", SEED_GENERATORS)
+    def test_matches_per_seed_reference(self, monkeypatch, gname, fname, chunk):
+        gen, f = SEED_GENERATORS[gname](), SEED_FUNCTIONS[fname]
+        want = reference_over_seeds(f, gen)
+        monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+        got = expectation_over_seeds(f, gen)
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("gname", ["mz-t1", "mz-t2-affine", "mz-t2-multiplicative"])
+    def test_first_float_in_a_later_chunk(self, monkeypatch, gname, chunk):
+        gen = SEED_GENERATORS[gname]()
+        rows = gen.expand(seed_range(0, 1 << gen.seed_bits, gen.seed_bits))
+        first = {}
+        for i, r in enumerate(rows):
+            first.setdefault(r.tobytes(), i)
+        late = max(first, key=first.get)  # the row that shows up last
+        assert first[late] >= 64
+
+        def f(x):
+            return 0.1 * x[0] + 0.3 if x.tobytes() == late else int(x[0] > x[1])
+
+        want = reference_over_seeds(f, gen)
+        monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+        got = expectation_over_seeds(f, gen)
+        assert type(got) is float and got == want
+
+    def test_signed_zeros_are_distinct_rows(self, monkeypatch):
+        class SignedZeros:
+            """Seeds 2j and 2j + 1 differ only in the sign of a zero; bit 2 is unused."""
+
+            seed_bits = 3
+
+            def expand(self, seeds):
+                s = seeds[:, 0].astype(np.int64)
+                return np.column_stack([np.where(s & 1, -0.0, 0.0), np.where(s & 2, 1.0, -1.0)])
+
+        seen = []
+
+        def f(x):
+            seen.append((math.copysign(1.0, x[0]), x[1]))
+            return int(math.copysign(1.0, x[0]) > 0)
+
+        for chunk, calls in [(8, 4), (2, 8)]:  # 4 distinct rows, or 2 in each chunk
+            monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+            seen.clear()
+            assert expectation_over_seeds(f, SignedZeros()) == Fraction(1, 2)
+            assert len(seen) == calls
+            assert set(seen) == {(s, v) for s in (1.0, -1.0) for v in (1.0, -1.0)}
 
 
 class TestExactEstimateGolden:

@@ -61,6 +61,35 @@ class TestNegation:
         assert h.negation().negation() == h
 
 
+class TestHalfspaceRows:
+    """A point as a tuple or as a float64 ndarray row gives the same margin."""
+
+    @staticmethod
+    def assert_rows_agree(h, X):
+        for x in X:
+            m = h.margin(tuple(x.tolist()))
+            assert type(m) is float and h.margin(x) == m
+            assert h.evaluate(x) == h.evaluate(tuple(x.tolist()))
+
+    def test_constructed_ties(self):
+        # every margin is exactly 0 on half of the cube: the boundary decides
+        for h in [Halfspace((1.0,) * 6, 0.0), Halfspace((0.5, -0.5, 1.0, 1.0, -1.0, 1.0), 1.0)]:
+            for g in (h, h.negation()):
+                self.assert_rows_agree(g, CUBE6)
+            assert sum(h.margin(x) == 0.0 for x in CUBE6) > 0
+
+    def test_random_non_dyadic_weights(self):
+        rng = philox(26)
+        for _ in range(20):
+            w = tuple(rng.standard_normal(16).tolist())
+            X = rng.choice([-1.0, -0.3, 0.1, 0.7, 1.0], size=(64, 16))
+            theta = Halfspace(w, 0.0).margin(tuple(X[0].tolist()))  # row 0 ties
+            for strict in (False, True):
+                h = Halfspace(w, theta, strict)
+                assert h.margin(X[0]) == 0.0
+                self.assert_rows_agree(h, X)
+
+
 class TestDecisionTree:
     def build(self):
         # root on hs0; left subtree queries hs1, right is a 1-leaf

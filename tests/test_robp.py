@@ -58,6 +58,14 @@ class TestEval:
         with pytest.raises(ValueError):
             ROBP([[[0]]], [1], D=1)  # only one label on a 1-bit step
 
+    @pytest.mark.parametrize("successor", [2, -1], ids=["past-width", "negative"])
+    def test_successor_out_of_range_rejected(self, successor):
+        trans = [[[0, 1]], [[0, 1], [1, successor]]]
+        with pytest.raises(ValueError, match=r"^layer 1: successor out of range$"):
+            ROBP(trans, [0, 1], D=1)
+        with pytest.raises(ValueError, match=r"^layer 1: transitions must be total on 2 labels$"):
+            ROBP([[[0, 1]], [[0, 1], [successor]]], [0, 1], D=1)
+
 
 class TestHalfspaceCompile:
     def test_two_var_theta_one(self):

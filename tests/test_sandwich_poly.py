@@ -14,6 +14,7 @@ from hsprg.distributions import DiscreteCoordinate, ProductDistribution
 from hsprg.halfspace import DecisionTree, Halfspace, HalfspaceSystem
 from hsprg.harness import exact_expectation
 from hsprg.mzgen import MZGenerator
+from hsprg.seeds import seed_range
 from hsprg.sandwich_poly import (
     DGJSV_C0,
     CertificationError,
@@ -552,6 +553,33 @@ class TestKWiseFoolingCheck:
                                   self.kgen(6), order=p_u.order)
         assert (chk.e_true, chk.e_kwise, chk.gap, chk.sandwich_eps, chk.order) \
             == (e_true, e_true, 0.0, eps, 6)
+
+    @pytest.mark.parametrize("fname,want", [
+        ("halfspace", (0.20125, 0.466796875, 0.26554687499999996, 0.8802921706063447)),
+        ("float", (1.0862499999999997, 0.654296875, 0.4319531249999997, 1.7652921706063451)),
+        ("mixed", (0.41124999999999984, 0.5320312499999951, 0.12078124999999523,
+                   1.0902921706063446)),
+    ])
+    def test_golden_values_non_dyadic_law(self, fname, want):
+        # recorded with a separate lattice pass for E f and for the gaps
+        w = (0.3, -1.1, 0.7, 0.45, -0.2)
+        h = Halfspace(w, 0.1)
+        f = {"halfspace": h.evaluate,
+             "float": lambda x: 0.3 * x[1] * x[1] + h.evaluate(x),
+             "mixed": lambda x: 0.3 if x[1] > 0.7 else h.evaluate(x)}[fname]
+        p_u = margin_square_upper(list(w), 0.1)
+        p_l = lower_from_upper(margin_square_upper([-wi for wi in w], -0.1))
+        dist = ProductDistribution([RAD, LAW3, RAD, LAW3, RAD])
+        gen = MZGenerator([[-1.0, -0.5, 0.5, 1.0]] * 5, t=1, k=4)
+        calls = []
+        chk = kwise_fooling_check(lambda x: calls.append(x.tobytes()) or f(x), p_l, p_u,
+                                  dist, gen, order=4)
+        assert (chk.e_true, chk.e_kwise, chk.gap, chk.sandwich_eps, chk.order, chk.k) \
+            == want + (4, 4)
+        # one call per lattice point, then one per distinct generator row (one seed chunk)
+        rows = gen.expand(seed_range(0, 1 << gen.seed_bits, gen.seed_bits))
+        assert (1 << gen.seed_bits) <= harness.SEED_CHUNK
+        assert len(calls) == 2 * 3 * 2 * 3 * 2 + len({r.tobytes() for r in rows})
 
     def test_one_batch_call_of_P_per_sandwich_and_block(self, monkeypatch):
         coords, kw = [RAD] * 4, dict(BUILD_KW, delta=0.5)  # a regular 3-term tail
