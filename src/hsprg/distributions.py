@@ -121,9 +121,41 @@ class DiscreteCoordinate(Coordinate):
         cdf /= cdf[-1]
         return cdf
 
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """(values, guide, M, steps): a guide table over M equal cells of [0, 1).
+
+        M is the smallest power of two at least the alphabet size, so u * M
+        and the cell edges j / M are exact.  guide[j] counts the cdf values
+        <= j / M, and `steps` is the most cdf values strictly inside one
+        cell: the corrections a uniform in that cell can need.
+        """
+        cdf = self._cdf
+        M = 1 << (len(cdf) - 1).bit_length()
+        edges = np.arange(M + 1) / M
+        guide = cdf.searchsorted(edges[:-1], side="right")
+        steps = int((cdf.searchsorted(edges[1:], side="left") - guide).max())
+        return np.asarray(self.values), guide, M, steps
+
     def lookup(self, u: np.ndarray) -> np.ndarray:
-        """The support value each uniform in `u` selects, shape kept."""
-        return np.asarray(self.values)[self._cdf.searchsorted(u, side="right")]
+        """The support value each uniform in `u` (in [0, 1)) selects, shape kept.
+
+        The index is ``searchsorted(cdf, u, side="right")``, the count of cdf
+        values <= u, exactly.  A uniform in cell j = floor(u * M) is at least
+        j / M, so guide[j] values are <= u, and below (j + 1) / M, so only
+        values strictly inside the cell remain; ``steps`` passes of
+        ``idx += cdf[idx] <= u`` count those, and cdf[-1] = 1 > u keeps idx in
+        range.  Two letters take one compare: the count is u >= cdf[0].
+        Uniforms outside [0, 1) are not checked and give no defined value.
+        """
+        values, guide, M, steps = self._guide
+        cdf = self._cdf
+        if len(cdf) == 2:
+            return np.take(values, (u >= cdf[0]).view(np.int8))
+        idx = np.take(guide, (u * M).astype(np.intp))
+        for _ in range(steps):
+            idx += np.take(cdf, idx) <= u
+        return np.take(values, idx)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Same draws and stream use as rng.choice(values, size, p=probs)."""
@@ -321,6 +353,9 @@ class ProductDistribution:
         A run of consecutive coordinates sharing one DiscreteCoordinate is
         drawn as ``rng.random((run, size))`` blocks of at most SAMPLE_BLOCK
         uniforms, row i being what coordinate i's own ``sample`` would draw.
+        Each block goes through ``lookup``, whose guide table gives the same
+        index as ``searchsorted(cdf, u, side="right")`` for every uniform, so
+        the values are those of ``rng.choice(values, p=probs)`` bit for bit.
         """
         out = np.empty((size, self.n))
         j = 0

@@ -177,8 +177,9 @@ class GF2m:
         """Elementwise product of two broadcastable int64 arrays of elements."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self._exp is not None:
-            log, exp = self._tables_as_arrays()
+        tables = self.log_exp()
+        if tables is not None:
+            log, exp = tables
             return exp[log[a] + log[b]]
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
         for i in range(self.m):  # shift-xor, reducing a by the modulus as it grows
@@ -187,8 +188,14 @@ class GF2m:
             a ^= (a >> self.m) * self.modulus
         return out
 
-    def _tables_as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """log/exp as arrays; log 0 points past every product into a zero tail."""
+    def log_exp(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """log/exp as int64 arrays when the field has tables (m <= 12), else None.
+
+        log 0 points past every sum of two logs into a zero tail of exp, so
+        ``exp[log[a] + log[b]]`` is a * b for all elements, 0 included.
+        """
+        if self._exp is None:
+            return None
         if self._array_tables is None:
             n1 = self.order - 1
             log = np.array(self._log, dtype=np.int64)

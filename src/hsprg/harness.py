@@ -28,6 +28,7 @@ from scipy.special import betainc
 
 from .distributions import DiscreteCoordinate, ProductDistribution
 from .halfspace import CombinerSpec, HalfspaceSystem, evaluate, evaluate_batch, pattern_index
+from .mzgen import gather_letters
 from .robp import nisan_expand, nisan_seed_bits
 from .seeds import random_seed, random_seeds, seed_from_int, seed_range
 
@@ -37,6 +38,7 @@ SEED_CHUNK = 1 << 12  # seeds expanded per generator call when enumerating
 TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
 _INTEGRAL = (numbers.Integral, np.bool_)  # f values the exact sum takes as ints
+_EXACT = (*_INTEGRAL, Fraction)  # f values that keep the sum exact
 
 
 class ResourceCapError(RuntimeError):
@@ -166,20 +168,29 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
     `f` must be a deterministic function of the point: the seeds are
     expanded SEED_CHUNK at a time, and `f` is called once per distinct
     row of each chunk (rows compared by their bytes, so -0.0 and 0.0
-    differ).  Each seed then adds its row's value, in seed order.
+    differ).  While every value so far is an integer or a Fraction, a
+    chunk adds each distinct value times its multiplicity, which leaves the
+    exact sum unchanged.  From the first chunk with any other value on,
+    each seed adds its row's value in seed order, so a float result is
+    the per-seed sum bit for bit.
     """
     n_seeds = 1 << generator.seed_bits
     if n_seeds > cap:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {cap}")
 
     def blocks():
+        exact = True
         for start in range(0, n_seeds, SEED_CHUNK):
             X = np.ascontiguousarray(generator.expand(
                 seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)))
             keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             vals = [f(X[i]) for i in first]
-            yield map(vals.__getitem__, inverse.tolist()), itertools.repeat(1)
+            exact = exact and all(isinstance(v, _EXACT) for v in vals)
+            if exact:
+                yield vals, np.bincount(inverse, minlength=len(vals)).tolist()
+            else:
+                yield map(vals.__getitem__, inverse.tolist()), itertools.repeat(1)
 
     # unit weights and den 1: the float path sums float(f(x)) and divides once
     return weighted_sum(blocks(), 1) / n_seeds
@@ -260,9 +271,8 @@ class NisanProductGenerator:
         return self.expand(seed_from_int(seed, self.seed_bits))[0]
 
     def expand(self, seeds: np.ndarray) -> np.ndarray:
-        labels = nisan_expand(self.space, self.label_bits, self.n, seeds)
         # a one-letter alphabet still reads 1-bit labels
-        return self._alpha[np.arange(self.n), labels & (self._alpha.shape[1] - 1)]
+        return gather_letters(self._alpha, nisan_expand(self.space, self.label_bits, self.n, seeds))
 
 
 def wilson_halfwidth(p: float, n: int) -> float:

@@ -26,8 +26,10 @@ from .seeds import check_seeds, random_seed, random_seeds, seed_fields, seed_fro
 
 # Cells (rows x coordinates) per pass of the expansion kernel, and the
 # largest table of partitions (multipliers x coordinates) kept per generator.
-_CHUNK_CELLS = 1 << 16
+_CHUNK_CELLS = 1 << 14
 _TABLE_CELLS = 1 << 21
+# Rows per sample_batch draw; it fixes the order of draws from the stream.
+_BATCH_ROWS = 1 << 15
 
 
 def _next_pow2(v: int) -> int:
@@ -84,6 +86,18 @@ def derive_params(d: int, eps: float, eta: float, C: float = 1.0,
         raise TypeError(f"unknown overrides: {sorted(overrides)}")
     return MZParams(d=d, eps=eps, eta=eta, C=C, s_param=s, delta=delta,
                     b_blocks=b, r_blocks=r, L=L, t=t, k=k)
+
+
+def gather_letters(alpha: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """``alpha[j, labels[:, j] mod size]`` for every row, as one flat gather.
+
+    `alpha` is the (n, size) stack of the coordinates' sorted alphabets,
+    size a power of two, and `labels` a (rows, n) integer array.
+    """
+    n, size = alpha.shape
+    idx = labels & (size - 1)
+    idx += np.arange(0, n * size, size)
+    return np.take(alpha.ravel(), idx)
 
 
 def _ranks(bucket: np.ndarray) -> np.ndarray:
@@ -184,17 +198,17 @@ class MZGenerator:
                    coeffs.reshape(len(seeds), self.t, self.k), out)
         return out
 
-    def sample_batch(self, rng: np.random.Generator, size: int,
-                     chunk: int = 1 << 15) -> np.ndarray:
+    def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Vectorized fresh draws: hash (a, c) and bucket seeds sampled directly.
 
         Equivalent in law to generate() over uniform seeds; used for Monte
-        Carlo scale.
+        Carlo scale.  Rows are drawn _BATCH_ROWS at a time, which fixes the
+        order of draws from `rng`.
         """
         out = np.empty((size, self.n))
         done = 0
         while done < size:
-            m = min(chunk, size - done)
+            m = min(_BATCH_ROWS, size - done)
             if self.fixed_hash is not None or self.t == 1:
                 a = c = np.zeros(m, dtype=np.int64)  # constant partition
             elif self.hash_family.variant == AFFINE:
@@ -214,20 +228,30 @@ class MZGenerator:
 
         Each coordinate takes its bucket's polynomial (constant term first)
         at its within-bucket rank, by Horner in GF(2^m_word), and the low
-        bits of that word index its alphabet.
+        bits of that word index its alphabet.  With log/exp tables the log
+        of the rank is taken once per chunk, so a Horner step is
+        exp[log[acc] + log[rank]] ^ coefficient; wider fields multiply by
+        shift-xor in ``mul_array``.
         """
         f = field(self.m_word)
-        cols = np.arange(self.n)
+        tables = f.log_exp()
         step = max(1, _CHUNK_CELLS // self.n)
         for lo in range(0, len(out), step):
             hi = min(lo + step, len(out))
             bucket, rank = self._partition_rows(a[lo:hi], c[lo:hi])
-            base = (np.arange(hi - lo)[:, None] * self.t + bucket) * self.k
-            flat = coeffs[lo:hi].reshape(-1)
-            acc = flat[base + (self.k - 1)]
-            for kk in range(self.k - 2, -1, -1):
-                acc = f.mul_array(acc, rank) ^ flat[base + kk]
-            out[lo:hi] = self._alpha[cols, acc & (self.alphabet_size - 1)]
+            # coefficient kk of each cell's bucket seed is column[kk][where]
+            where = np.arange(hi - lo)[:, None] * self.t + bucket
+            column = np.moveaxis(coeffs[lo:hi], 2, 0).reshape(self.k, -1)
+            acc = np.take(column[-1], where)
+            if tables is not None:
+                log, exp = tables
+                log_rank = np.take(log, rank)
+                for kk in range(self.k - 2, -1, -1):
+                    acc = np.take(exp, np.take(log, acc) + log_rank) ^ np.take(column[kk], where)
+            else:
+                for kk in range(self.k - 2, -1, -1):
+                    acc = f.mul_array(acc, rank) ^ np.take(column[kk], where)
+            out[lo:hi] = gather_letters(self._alpha, acc)
 
     def _partition_rows(self, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bucket, rank) of every coordinate under each row's hash (a, c).

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsprg.distributions import (
     SAMPLE_BLOCK,
@@ -45,6 +47,74 @@ def test_discrete_sample_matches_rng_choice():
         want = ref.choice(np.asarray(coord.values), size=size, p=p / p.sum())
         assert np.array_equal(coord.sample(ours, size), want)
     assert ours.random() == ref.random()
+
+
+@st.composite
+def discrete_laws(draw):
+    """Laws of 1 to 70 letters: even, random, or tiny masses packed into one cell.
+
+    Values come from a small integer range, so duplicates (merged by the
+    constructor) are common.
+    """
+    size = draw(st.integers(1, 70))
+    values = draw(st.lists(st.integers(-30, 30), min_size=size, max_size=size))
+    shape = draw(st.sampled_from(["even", "random", "clustered"]))
+    if shape == "even":
+        weights = [1.0] * size
+    elif shape == "random":
+        weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size))
+    else:
+        tiny = draw(st.lists(st.floats(1e-15, 1e-6), min_size=size, max_size=size))
+        heavy = draw(st.sets(st.integers(0, size - 1), min_size=1, max_size=3))
+        weights = [1.0 if i in heavy else w for i, w in enumerate(tiny)]
+    total = math.fsum(weights)
+    return DiscreteCoordinate(values, [w / total for w in weights])
+
+
+def choice_cdf(coord):
+    """The CDF Generator.choice builds for p = probs / sum(probs)."""
+    p = np.asarray(coord.probs)
+    cdf = np.cumsum(p / p.sum())
+    return cdf / cdf[-1]
+
+
+def edge_uniforms(coord):
+    """Every cdf value and guide-cell edge j / M in [0, 1), with both float neighbours."""
+    cells = 1 << (len(coord.values) - 1).bit_length()
+    points = np.concatenate([choice_cdf(coord), np.arange(cells) / cells])
+    near = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+    return near[(near >= 0.0) & (near < 1.0)]
+
+
+class TestLookup:
+    """The guide-table lookup against searchsorted and Generator.choice."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(coord=discrete_laws(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_lookup_is_searchsorted_right(self, coord, seed):
+        u = np.concatenate([edge_uniforms(coord), rng(seed).random(500)])
+        want = np.asarray(coord.values)[choice_cdf(coord).searchsorted(u, side="right")]
+        assert np.array_equal(coord.lookup(u), want)
+        block = u[: len(u) // 2 * 2].reshape(2, -1)
+        assert np.array_equal(coord.lookup(block), want[: block.size].reshape(2, -1))
+
+    @settings(max_examples=150, deadline=None)
+    @given(coord=discrete_laws(), seed=st.integers(0, 2 ** 32 - 1),
+           size=st.integers(0, 400))
+    def test_sample_is_rng_choice(self, coord, seed, size):
+        ours, ref = rng(seed), rng(seed)
+        p = np.asarray(coord.probs)
+        want = ref.choice(np.asarray(coord.values), size=size, p=p / p.sum())
+        assert np.array_equal(coord.sample(ours, size), want)
+        assert plain_state(ours) == plain_state(ref)
+
+    def test_clustered_cell_needs_several_steps(self):
+        # ten cdf values strictly inside the cell [0.25, 0.3125) of M = 16
+        coord = DiscreteCoordinate(range(11), [0.3] + [1e-9] * 9 + [0.7 - 9e-9])
+        u = edge_uniforms(coord)
+        want = np.asarray(coord.values)[choice_cdf(coord).searchsorted(u, side="right")]
+        assert set(want) == set(coord.values)
+        assert np.array_equal(coord.lookup(u), want)
 
 
 def plain_state(rng_):

@@ -387,6 +387,16 @@ class TestNisanProductGenerator:
         x = gen.generate(gen.random_seed(rng))
         assert set(x) <= {-1.0, 1.0} and len(x) == 6
 
+    def test_expand_matches_two_index_gather(self):
+        from hsprg.robp import nisan_expand
+        rng = philox(17)
+        alphabets = [sorted(rng.normal(size=4).tolist()) for _ in range(11)]
+        gen = NisanProductGenerator(alphabets, space=5)
+        seeds = gen.random_seeds(rng, 300)
+        labels = nisan_expand(gen.space, gen.label_bits, gen.n, seeds)
+        want = np.stack(gen.alphabets)[np.arange(gen.n), labels & 3]
+        assert np.array_equal(gen.expand(seeds), want)
+
     def test_one_letter_alphabet(self):
         gen = NisanProductGenerator([[0.5]] * 3, space=2)
         assert np.array_equal(gen.expand(gen.random_seeds(rng_for(4), 20)), np.full((20, 3), 0.5))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import philox
 from hsprg.gf2 import KWiseFamily
-from hsprg.hashing import MULTIPLICATIVE, HashFunction
+from hsprg.hashing import AFFINE, MULTIPLICATIVE, HashFunction
 from hsprg.mzgen import MZGenerator, MZParams, derive_params
 
 ETA3 = 1 / math.sqrt(3)
@@ -234,6 +234,56 @@ def packed_seed(gen, a, c, coeffs):
             raw |= int(coef) << (i * gen.m_word)
         seed |= raw << (gen.hash_bits + bucket * gen.bucket_seed_bits)
     return seed
+
+
+def reference_row(gen, seed):
+    """One row from ``partition`` and per-coordinate ``KWiseFamily.expand``."""
+    buckets, ranks = gen.partition(gen.hash_for_seed(seed))
+    fam = KWiseFamily(gen.m_word, gen.k, gen.n)
+    mask = (1 << gen.bucket_seed_bits) - 1
+    row = []
+    for j, (b, r) in enumerate(zip(buckets, ranks)):
+        raw = (seed >> (gen.hash_bits + b * gen.bucket_seed_bits)) & mask
+        word = fam.expand(fam.seed_from_int(raw), r)
+        row.append(gen.alphabets[j][word & (gen.alphabet_size - 1)])
+    return np.array(row)
+
+
+def distinct_alphabets(n, size, seed):
+    rng = philox(seed)
+    return [sorted(rng.normal(size=size).tolist()) for _ in range(n)]
+
+
+class TestExpandReference:
+    """The expansion kernel against a scalar reference, on both multiply paths."""
+
+    CASES = {
+        # (n, t, k, alphabet size, hash variant or "fixed", seeds)
+        "affine": (20, 4, 3, 4, AFFINE, 40),
+        "multiplicative": (20, 4, 5, 2, MULTIPLICATIVE, 40),
+        "fixed": (12, 4, 4, 8, "fixed", 40),
+        "t1": (9, 1, 3, 8, AFFINE, 40),
+        # n_dom = 8192 gives m_word = 13: shift-xor multiplies, no log tables
+        "wide-affine": (4097, 4, 3, 2, AFFINE, 3),
+        "wide-multiplicative": (4097, 2, 2, 4, MULTIPLICATIVE, 2),
+        "wide-fixed": (4097, 2, 3, 2, "fixed", 2),
+        "wide-t1": (4097, 1, 2, 2, AFFINE, 2),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_partition_and_kwise(self, case):
+        n, t, k, size, variant, count = self.CASES[case]
+        alphabets = distinct_alphabets(n, size, n + t)
+        if variant == "fixed":
+            gen = MZGenerator(alphabets, t=t, k=k)
+            gen = gen.with_fixed_hash(HashFunction(a=3, c=1, m=gen.hash_family.m, t=t))
+        else:
+            gen = MZGenerator(alphabets, t=t, k=k, hash_variant=variant)
+        assert (gen.m_word > 12) == case.startswith("wide")
+        seeds = gen.random_seeds(philox(n * t + k), count)
+        got = gen.expand(seeds)
+        for row, seed in zip(got, seeds):
+            assert np.array_equal(row, reference_row(gen, int.from_bytes(seed.tobytes(), "little")))
 
 
 class TestSampleBatch:
