@@ -18,7 +18,7 @@ from .harness import (
     master_seed_default,
     rng_for,
 )
-from .mzgen import MZGenerator, alphabets_from_distribution
+from .mzgen import MZGenerator, NisanProductGenerator, alphabets_from_distribution
 from .regularity import TermNorms, critical_index, head_set_partition
 from .robp import (
     ROBP,
@@ -168,7 +168,6 @@ def cmd_estimate(args) -> int:
     elif args.gen == "mz":
         gen = MZGenerator(alphabets_from_distribution(dist), t=args.t, k=args.k)
     elif args.gen == "nisan":
-        from .harness import NisanProductGenerator
         gen = NisanProductGenerator(alphabets_from_distribution(dist),
                                     space=args.nisan_space)
     else:

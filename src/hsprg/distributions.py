@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr, ndtri
 
 SQRT3 = math.sqrt(3.0)
@@ -37,6 +36,17 @@ SAMPLE_BLOCK = 1 << 18  # uniforms drawn per block by ProductDistribution.sample
 
 class DistributionError(ValueError):
     pass
+
+
+def _quad(integrand, B: float) -> float:
+    """The integral of `integrand` over [-B, B] by adaptive quadrature.
+
+    scipy.integrate is imported here, not with the module: it is most of
+    the import time of the package and only continuous laws need it.
+    """
+    from scipy import integrate
+
+    return integrate.quad(integrand, -B, B, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
 
 class Coordinate:
@@ -274,10 +284,8 @@ class TruncatedStandardizedCoordinate(Coordinate):
         z_atom = -self.mu / self.scale  # the zeroed tail lands here
 
         def moment(k: int) -> float:
-            val, _ = integrate.quad(
-                lambda u: ((u - self.mu) / self.scale) ** k * pdf(u), -B, B,
-                epsabs=1e-13, epsrel=1e-13, limit=200)
-            return val + z_atom ** k * self.tail_mass
+            return (_quad(lambda u: ((u - self.mu) / self.scale) ** k * pdf(u), B)
+                    + z_atom ** k * self.tail_mass)
 
         return moment(1), moment(2), moment(4)
 
@@ -473,12 +481,7 @@ def truncate_and_standardize(coord: Coordinate, n: int, C: float, eps: float) ->
     if pdf is None:
         raise DistributionError(f"{coord.kind} coordinate has no density for quadrature")
 
-    def raw(k: int) -> float:
-        val, _ = integrate.quad(lambda u: u ** k * pdf(u), -B, B,
-                                epsabs=1e-13, epsrel=1e-13, limit=200)
-        return val
-
-    mu, m2 = raw(1), raw(2)
+    mu, m2 = (_quad(lambda u: u ** k * pdf(u), B) for k in (1, 2))
     var = m2 - mu * mu
     if var < 0.5 - 1e-9:
         raise DistributionError(f"post-truncation variance {var:.4f} < 1/2; eps too large")

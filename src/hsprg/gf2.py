@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -88,7 +87,7 @@ def _trial_division_irreducible(poly: int, m: int) -> bool:
 
 
 class FieldError(ValueError):
-    """Invalid field construction or mixed-modulus operation."""
+    """Invalid field construction or element."""
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +162,6 @@ class GF2m:
             raise FieldError(f"0x{a:X} is not an element of GF(2^{self.m})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -219,12 +215,6 @@ class GF2m:
             e >>= 1
         return r
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GF2m) and (self.m, self.modulus) == (other.m, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.modulus))
-
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, modulus=0x{self.modulus:X})"
 
@@ -243,12 +233,10 @@ class KWiseSeed:
 class KWiseFamily:
     """k-wise independent words over n positions via polynomial evaluation.
 
-    Position j is evaluated at field point ``evaluation_points[j]``; the
-    default embedding maps j to the field element with word value j.
+    Position j is evaluated at the field element with word value j.
     """
 
-    def __init__(self, m: int, k: int, n: int,
-                 evaluation_points: Sequence[int] | None = None):
+    def __init__(self, m: int, k: int, n: int):
         if k < 1:
             raise ValueError("independence order k must be >= 1")
         if n < 1 or n > (1 << m):
@@ -257,12 +245,6 @@ class KWiseFamily:
         self.m = m
         self.k = k
         self.n = n
-        if evaluation_points is None:
-            evaluation_points = range(n)
-        pts = [self.field.check(p) for p in evaluation_points]
-        if len(pts) != n or len(set(pts)) != n:
-            raise ValueError("evaluation points must be n distinct field elements")
-        self.evaluation_points = tuple(pts)
 
     @property
     def seed_bits(self) -> int:
@@ -281,10 +263,9 @@ class KWiseFamily:
             raise ValueError(f"seed has {len(seed.coefficients)} coefficients, expected {self.k}")
         if not 0 <= index < self.n:
             raise IndexError(f"position {index} out of range [0, {self.n})")
-        x = self.evaluation_points[index]
         acc = 0
         for c in reversed(seed.coefficients):  # Horner, highest degree first
-            acc = self.field.mul(acc, x) ^ c
+            acc = self.field.mul(acc, index) ^ c
         return acc
 
     def expand_all(self, seed: KWiseSeed) -> list[int]:

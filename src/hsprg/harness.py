@@ -1,5 +1,9 @@
 """Measurement: exact and Monte Carlo expectations, fooling error, probes.
 
+The harness only measures; the generators it drives live in `mzgen` and
+reach it through their seed interface (``seed_bits``, ``random_seeds``,
+``expand``).
+
 Exact mode enumerates the full product space (and the full seed space of a
 generator).  `f` must be a deterministic function of the point: the seed
 pass calls it once per distinct generator row of each seed chunk.  Monte
@@ -28,9 +32,7 @@ from scipy.special import betainc
 
 from .distributions import DiscreteCoordinate, ProductDistribution
 from .halfspace import CombinerSpec, HalfspaceSystem, evaluate, evaluate_batch, pattern_index
-from .mzgen import gather_letters
-from .robp import nisan_expand, nisan_seed_bits
-from .seeds import random_seed, random_seeds, seed_from_int, seed_range
+from .seeds import seed_range
 
 SEED_ENV_VAR = "HSPRG_SEED"
 DEFAULT_ENUM_CAP = 1 << 24
@@ -237,42 +239,6 @@ class EstimationReport:
                 v = float(v)
             vals.append(v)
         return cls(*vals)
-
-
-class NisanProductGenerator:
-    """Product-space sampler driven by the small-width recursive PRG.
-
-    Each coordinate reads one D-bit label (D = log2 alphabet size) as an
-    index into its sorted alphabet; `space` is the width exponent of the
-    branching programs the stream is meant to fool.
-    """
-
-    def __init__(self, alphabets: Sequence[Sequence[float]], space: int = 8):
-        sizes = {len(a) for a in alphabets}
-        if len(sizes) != 1:
-            raise ValueError("all alphabets must share one size")
-        (size,) = sizes
-        if size & (size - 1):
-            raise ValueError("alphabet size must be a power of 2")
-        self.alphabets = [np.asarray(sorted(a), dtype=float) for a in alphabets]
-        self._alpha = np.stack(self.alphabets)
-        self.n = len(alphabets)
-        self.space = space
-        self.label_bits = max(1, (size - 1).bit_length())
-        self.seed_bits = nisan_seed_bits(space, self.label_bits, self.n)
-
-    def random_seed(self, rng: np.random.Generator) -> int:
-        return random_seed(rng, self.seed_bits)
-
-    def random_seeds(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return random_seeds(rng, self.seed_bits, size)
-
-    def generate(self, seed: int) -> np.ndarray:
-        return self.expand(seed_from_int(seed, self.seed_bits))[0]
-
-    def expand(self, seeds: np.ndarray) -> np.ndarray:
-        # a one-letter alphabet still reads 1-bit labels
-        return gather_letters(self._alpha, nisan_expand(self.space, self.label_bits, self.n, seeds))
 
 
 def wilson_halfwidth(p: float, n: int) -> float:

@@ -48,20 +48,19 @@ class HashFunction:
 class HashFamily:
     """Enumerable hash family from [n_pow2] onto [t] buckets."""
 
-    def __init__(self, n_pow2: int, t: int, variant: str = AFFINE, b: int = 1):
+    def __init__(self, n_pow2: int, t: int, variant: str = AFFINE):
         if not is_power_of_two(n_pow2) or not is_power_of_two(t):
             raise ValueError("n_pow2 and t must be powers of 2")
         if n_pow2 % t != 0:
             raise ValueError("t must divide n_pow2")
         if variant not in (AFFINE, MULTIPLICATIVE):
             raise ValueError(f"unknown variant {variant!r}")
+        if n_pow2 == 1:
+            raise ValueError("domain must have at least 2 positions")
         self.n_pow2 = n_pow2
         self.t = t
         self.variant = variant
-        self.b = b
-        self.m = (n_pow2 - 1).bit_length() if n_pow2 > 1 else 1
-        if n_pow2 == 1:
-            raise ValueError("domain must have at least 2 positions")
+        self.m = (n_pow2 - 1).bit_length()
         self._table: np.ndarray | None = None
 
     @property
@@ -85,25 +84,18 @@ class HashFamily:
     def from_index(self, index: int) -> HashFunction:
         if not 0 <= index < (1 << self.index_bits):
             raise ValueError(f"index needs exactly {self.index_bits} bits")
-        if self.variant == AFFINE:
-            return HashFunction(index >> self.m, index & (self.n_pow2 - 1), self.m, self.t)
-        a = (index % (self.n_pow2 - 1)) + 1
-        return HashFunction(a, 0, self.m, self.t)
+        a, c = self.coefficients(index)
+        return HashFunction(int(a), int(c), self.m, self.t)
 
-    def coefficients(self, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """from_index over an int64 array of indices: the (a, c) arrays."""
+    def coefficients(self, index: np.ndarray | int) -> tuple:
+        """The (a, c) of the functions at an index, or at an int64 array of them."""
         if self.variant == AFFINE:
             return index >> self.m, index & (self.n_pow2 - 1)
         return index % (self.n_pow2 - 1) + 1, np.zeros_like(index)
 
     def functions(self) -> Iterator[HashFunction]:
-        if self.variant == AFFINE:
-            for a in range(self.n_pow2):
-                for c in range(self.n_pow2):
-                    yield HashFunction(a, c, self.m, self.t)
-        else:
-            for a in range(1, self.n_pow2):
-                yield HashFunction(a, 0, self.m, self.t)
+        """Every function of the family, in index order."""
+        return map(self.from_index, range(self.size))
 
     def _value_table(self) -> np.ndarray:
         """Bucket of every (function, position) pair, shape (size, n), read-only.

@@ -1,10 +1,14 @@
-"""The bucket-hashed bounded-independence generator.
+"""The generators: bucket-hashed bounded independence, and Nisan's PRG.
 
-Coordinates are hashed into t buckets; within a bucket the values are
-k-wise independent (k = 5 in general, 4 suffices for regular-only
-experiments); distinct buckets draw from disjoint seed segments and are
-fully independent.  Each coordinate's alphabet is a power-of-two-sized
-multiset (the upper sandwich of its discretized law), indexed by the low
+Both share one seed interface (``seed_bits``, ``random_seeds``,
+``expand``) and read each coordinate's sorted, power-of-two-sized
+alphabet through the low bits of a word.
+
+In the bucket-hashed generator, coordinates are hashed into t buckets;
+within a bucket the values are k-wise independent (k = 5 in general, 4
+suffices for regular-only experiments); distinct buckets draw from
+disjoint seed segments and are fully independent.  Each coordinate's
+alphabet is the upper sandwich of its discretized law, indexed by the low
 bits of the k-wise word.
 
 Seed layout, low bits first: [hash index][bucket 0 seed]...[bucket t-1
@@ -22,6 +26,7 @@ import numpy as np
 
 from .gf2 import field
 from .hashing import AFFINE, HashFamily, HashFunction, is_power_of_two
+from .robp import nisan_expand, nisan_seed_bits
 from .seeds import check_seeds, random_seed, random_seeds, seed_fields, seed_from_int
 
 # Cells (rows x coordinates) per pass of the expansion kernel, and the
@@ -113,11 +118,15 @@ def _ranks(bucket: np.ndarray) -> np.ndarray:
     return rank
 
 
-class MZGenerator:
-    """Concrete sampler for a list of per-coordinate alphabets."""
+class _Generator:
+    """What every generator shares: the alphabets and the seed interface.
 
-    def __init__(self, alphabets: Sequence[Sequence[float]], t: int, k: int = 5,
-                 hash_variant: str = AFFINE, fixed_hash: HashFunction | None = None):
+    A subclass sets ``seed_bits`` and defines ``expand(seeds)``, one row
+    per seed row; ``generate`` expands one seed and ``random_seed`` is one
+    draw of ``random_seeds``.
+    """
+
+    def __init__(self, alphabets: Sequence[Sequence[float]]):
         if not alphabets:
             raise ValueError("need at least one coordinate")
         sizes = {len(a) for a in alphabets}
@@ -126,23 +135,46 @@ class MZGenerator:
         (size,) = sizes
         if not is_power_of_two(size):
             raise ValueError("alphabet size must be a power of 2")
+        self.alphabets = [np.asarray(sorted(a), dtype=float) for a in alphabets]
+        self._alpha = np.stack(self.alphabets)
+        self.n = len(alphabets)
+        self.alphabet_size = size
+        self.label_bits = max(1, (size - 1).bit_length())  # a one-letter alphabet reads 1 bit
+
+    def random_seed(self, rng: np.random.Generator) -> int:
+        return random_seed(rng, self.seed_bits)
+
+    def random_seeds(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        return random_seeds(rng, self.seed_bits, size)
+
+    def generate(self, seed: int) -> np.ndarray:
+        return self.expand(seed_from_int(seed, self.seed_bits))[0]
+
+
+class MZGenerator(_Generator):
+    """Concrete sampler for a list of per-coordinate alphabets."""
+
+    def __init__(self, alphabets: Sequence[Sequence[float]], t: int, k: int = 5,
+                 hash_variant: str = AFFINE, fixed_hash: HashFunction | None = None):
+        super().__init__(alphabets)
         if not is_power_of_two(t):
             raise ValueError("t must be a power of 2")
         if fixed_hash is not None and fixed_hash.t != t:
             raise ValueError(f"fixed hash has {fixed_hash.t} buckets, the generator t={t}")
-        self.alphabets = [np.asarray(sorted(a), dtype=float) for a in alphabets]
-        self.n = len(alphabets)
         self.t = t
         self.k = k
-        self.s_bits = max(1, (size - 1).bit_length())
-        self.alphabet_size = size
         self.n_dom = max(_next_pow2(self.n), t)
-        self.m_word = max((self.n_dom - 1).bit_length(), self.s_bits)
+        self.m_word = max((self.n_dom - 1).bit_length(), self.label_bits)
         self.hash_family = HashFamily(self.n_dom, t, variant=hash_variant)
+        if fixed_hash is not None and fixed_hash.m != self.hash_family.m:
+            raise ValueError(f"fixed hash works in GF(2^{fixed_hash.m}), "
+                             f"the generator's hash family in GF(2^{self.hash_family.m})")
         self.fixed_hash = fixed_hash
-        self.hash_bits = 0 if (fixed_hash is not None or t == 1) else self.hash_family.index_bits
+        # (a, c) of the one partition every seed shares, when the seed picks no hash
+        self._constant_hash = ((fixed_hash.a, fixed_hash.c) if fixed_hash is not None
+                               else (0, 0) if t == 1 else None)
+        self.hash_bits = 0 if self._constant_hash is not None else self.hash_family.index_bits
         self.bucket_seed_bits = self.k * self.m_word
-        self._alpha = np.stack(self.alphabets)
         self._partitions: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -161,32 +193,6 @@ class MZGenerator:
             "multiplicative_hash_total": mult_bits + per_bucket,
             "affine_hash_total": affine_bits + per_bucket,
         }
-
-    def hash_for_seed(self, seed: int) -> HashFunction:
-        if self.fixed_hash is not None:
-            return self.fixed_hash
-        if self.t == 1:
-            return self.hash_family.from_index(0)  # constant partition
-        return self.hash_family.from_index(seed & ((1 << self.hash_bits) - 1))
-
-    def partition(self, h: HashFunction) -> tuple[list[int], list[int]]:
-        """(bucket id, within-bucket rank) per coordinate, ranks by index order."""
-        buckets = [h(j) for j in range(self.n)]
-        counts = [0] * self.t
-        ranks = []
-        for b in buckets:
-            ranks.append(counts[b])
-            counts[b] += 1
-        return buckets, ranks
-
-    def random_seed(self, rng: np.random.Generator) -> int:
-        return random_seed(rng, self.seed_bits)
-
-    def random_seeds(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return random_seeds(rng, self.seed_bits, size)
-
-    def generate(self, seed: int) -> np.ndarray:
-        return self.expand(seed_from_int(seed, self.seed_bits))[0]
 
     def expand(self, seeds: np.ndarray) -> np.ndarray:
         """One generator row per seed row, shape (size, n)."""
@@ -209,8 +215,8 @@ class MZGenerator:
         done = 0
         while done < size:
             m = min(_BATCH_ROWS, size - done)
-            if self.fixed_hash is not None or self.t == 1:
-                a = c = np.zeros(m, dtype=np.int64)  # constant partition
+            if self._constant_hash is not None:
+                a = c = np.zeros(m, dtype=np.int64)  # unused: one partition
             elif self.hash_family.variant == AFFINE:
                 a = rng.integers(0, self.n_dom, size=m)
                 c = rng.integers(0, self.n_dom, size=m)
@@ -259,17 +265,18 @@ class MZGenerator:
         c only relabels the buckets by xor, which keeps the ranks, so one
         partition per multiplier a is enough: a table of them is built once
         when it is small, otherwise they are computed for the rows at hand.
-        A fixed hash, or t = 1, has a single partition.
+        When every seed shares one hash, its partition is built once and
+        returned as a (1, n) row that broadcasts over the rows.
         """
-        constant = self.fixed_hash is not None or self.t == 1
         if self._partitions is None:
-            if constant:
-                self._partitions = tuple(np.array([p], dtype=np.int32)
-                                         for p in self.partition(self.hash_for_seed(0)))
+            if self._constant_hash is not None:
+                a0, c0 = self._constant_hash
+                bucket, rank = self._multiplier_partitions(np.array([a0]))
+                self._partitions = bucket ^ (c0 & (self.t - 1)), rank
             elif self.n_dom * self.n <= _TABLE_CELLS:
                 self._partitions = tuple(p.astype(np.int32) for p in
                                          self._multiplier_partitions(np.arange(self.n_dom)))
-        if constant:
+        if self._constant_hash is not None:
             return self._partitions
         if self._partitions is None:
             bucket, rank = self._multiplier_partitions(a)
@@ -290,11 +297,28 @@ class MZGenerator:
                            self.hash_family.variant, fixed_hash=h)
 
 
+class NisanProductGenerator(_Generator):
+    """Product-space sampler driven by the small-width recursive PRG.
+
+    Each coordinate reads one ``label_bits``-bit label as an index into its
+    sorted alphabet; `space` is the width exponent of the branching
+    programs the stream is meant to fool.
+    """
+
+    def __init__(self, alphabets: Sequence[Sequence[float]], space: int = 8):
+        super().__init__(alphabets)
+        self.space = space
+        self.seed_bits = nisan_seed_bits(space, self.label_bits, self.n)
+
+    def expand(self, seeds: np.ndarray) -> np.ndarray:
+        return gather_letters(self._alpha, nisan_expand(self.space, self.label_bits, self.n, seeds))
+
+
 def alphabets_from_distribution(dist) -> list[list[float]]:
     """Per-coordinate generator alphabets from a discrete product distribution.
 
-    Coordinates must be uniform multisets (or uniform discrete laws) of one
-    common power-of-two size.
+    Coordinates must be uniform multisets (or uniform discrete laws); the
+    generators check that the alphabets share one power-of-two size.
     """
     from .distributions import DiscreteCoordinate, UniformMultisetCoordinate
 
@@ -309,7 +333,4 @@ def alphabets_from_distribution(dist) -> list[list[float]]:
             out.append(list(c.values))
         else:
             raise ValueError(f"coordinate {i} is not discrete")
-    sizes = {len(a) for a in out}
-    if len(sizes) != 1 or not is_power_of_two(next(iter(sizes))):
-        raise ValueError("alphabets must share one power-of-two size")
     return out

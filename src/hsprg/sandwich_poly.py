@@ -22,6 +22,7 @@ polynomials sandwich intersections with gap 2*d*eps0 + 3*d^2*sqrt(gamma).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -199,24 +200,13 @@ def _chebval_ab(coeffs: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.n
     return nch.chebval((np.asarray(t, dtype=float) - mid) / half, coeffs)
 
 
-_DGJSV_CACHE: dict[tuple[float, float, bool], UnivariatePoly] = {}
-
-
-def dgjsv_poly(a: float, b: float, audit: bool = True) -> UnivariatePoly:
+@functools.cache
+def dgjsv_poly(a: float, b: float) -> UnivariatePoly:
     """Construct the step approximator for (a, b) and audit it on the grid.
 
     Raises DGJSVError if any of the six properties fails at tolerance
     1e-9; the error is never silent.  Constructions are cached by (a, b).
     """
-    cached = _DGJSV_CACHE.get((a, b, audit))
-    if cached is not None:
-        return cached
-    poly = _dgjsv_build(a, b, audit)
-    _DGJSV_CACHE[(a, b, audit)] = poly
-    return poly
-
-
-def _dgjsv_build(a: float, b: float, audit: bool) -> UnivariatePoly:
     if not (0 < a < 1 and 0 < b < 1):
         raise ValueError("need 0 < a < 1 and 0 < b < 1")
     sqrt_b = math.sqrt(b)
@@ -263,20 +253,16 @@ def _dgjsv_build(a: float, b: float, audit: bool) -> UnivariatePoly:
             continue
 
         poly = UnivariatePoly(d_cheb, a, b)
-        if not audit:
-            return poly
-        report = audit_dgjsv(poly)
-        if report.ok:
+        if audit_dgjsv(poly).ok:
             return poly
 
     raise DGJSVError(f"no construction passed the audit for a={a}, b={b}")
 
 
-def audit_dgjsv(poly: UnivariatePoly, step: float = _AUDIT_STEP,
-                tol: float = _AUDIT_TOL, xmax: float = _AUDIT_XMAX) -> DGJSVAudit:
+def audit_dgjsv(poly: UnivariatePoly) -> DGJSVAudit:
     """Check the six range/growth properties on the dense grid."""
     a, b, K = poly.a, poly.b, poly.degree
-    inner = np.arange(-1.0, 1.0 + step / 2, step)
+    inner = np.arange(-1.0, 1.0 + _AUDIT_STEP / 2, _AUDIT_STEP)
     inner = np.unique(np.concatenate([inner, [-1.0, -a, 0.0, 1.0]]))
     vals = poly(inner)
     viol: dict[str, float] = {}
@@ -295,7 +281,7 @@ def audit_dgjsv(poly: UnivariatePoly, step: float = _AUDIT_STEP,
     check("p3_on[-a,0]", (inner >= -a) & (inner <= 0), low=0.0, high=1.0)
     check("p4_on[0,1]", (inner >= 0) & (inner <= 1), low=1.0, high=1.0 + b)
 
-    outer = np.arange(1.0, xmax + step / 2, step)
+    outer = np.arange(1.0, _AUDIT_XMAX + _AUDIT_STEP / 2, _AUDIT_STEP)
     _, log2p_pos = poly._log2_outside(outer)
     _, log2p_neg = poly._log2_outside(-outer)
     # P >= 0 everywhere and P >= 1 right of 1 are structural; confirm finite
@@ -305,7 +291,7 @@ def audit_dgjsv(poly: UnivariatePoly, step: float = _AUDIT_STEP,
     gap = np.maximum(log2p_pos - envelope, log2p_neg - envelope)
     viol["p6_envelope_log2"] = float(max(0.0, np.max(gap)))
 
-    ok = all(v <= tol for v in viol.values())
+    ok = all(v <= _AUDIT_TOL for v in viol.values())
     c0_ratio = K * a / math.log2(2.0 / b)
     return DGJSVAudit(ok, viol, K, c0_ratio)
 

@@ -1,5 +1,5 @@
 """The package's surface: no definition without a caller, no private name
-imported across modules, no stale tracer entry.
+imported across modules, no stale tracer entry, no quadrature on import.
 
 The checks read source with the standard library's ``ast``.  A name counts
 as used when it appears in ``src/``, ``tests/`` or ``perfbench/`` as an
@@ -10,6 +10,9 @@ the definition itself.
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -93,3 +96,13 @@ def test_tracer_entry_resolves(name, owner, attr):
     if cls:
         target = getattr(target, cls)
     assert hasattr(target, attr), f"{name}: {owner}.{attr} is gone"
+
+
+def test_import_leaves_scipy_integrate_unloaded():
+    # only continuous laws integrate; importing the package must not pay for it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, hsprg; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -248,6 +248,27 @@ class TestTruncate:
         assert m2 == pytest.approx(1.0, abs=1e-10)
         assert m4 == pytest.approx(3.0, abs=1e-3)
 
+    # float.hex of (mu, scale, second_moment_trunc, *coord.moments()), recorded
+    # while scipy.integrate was still imported with the module
+    QUADRATURE_GOLDEN = {
+        "gaussian": (GaussianCoordinate(), [
+            "0x0.0p+0", "0x1.ffff94eceab5dp-1", "0x1.ffff29d9ebd02p-1",
+            "0x0.0p+0", "0x1.ffffffffffffep-1", "0x1.7ffb35f9980b9p+1"]),
+        "uniform-shifted": (UniformIntervalCoordinate(-1.0, 3.0), [
+            "0x1.0000000000001p+0", "0x1.279a745903304p+0", "0x1.2aaaaaaaaaa90p+1",
+            "0x1.759f9831a9651p-49", "0x1.ffffffffffd97p-1", "0x1.ccccccccccd82p+0"]),
+        "uniform-cut": (UniformIntervalCoordinate(-1.0, 7.0), [
+            "0x1.9d5336963eeaap+0", "0x1.cbd418bb49cd0p+0", "0x1.7551f66572d32p+2",
+            "0x1.7300000000000p-46", "0x1.ffffffffffea6p-1", "0x1.d36ba09915b27p+0"]),
+    }
+
+    @pytest.mark.parametrize("case", QUADRATURE_GOLDEN)
+    def test_quadrature_is_bit_identical(self, case):
+        coord, want = self.QUADRATURE_GOLDEN[case]
+        res = truncate_and_standardize(coord, n=8, C=3.0, eps=0.1)
+        got = (res.mu, res.scale, res.second_moment_trunc, *res.coord.moments())
+        assert [x.hex() for x in got] == want
+
     def test_eps_too_large_raises(self):
         # B^4 = nC^2/eps below the bulk of the mass forces variance under 1/2
         with pytest.raises(DistributionError):

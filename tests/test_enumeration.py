@@ -18,13 +18,12 @@ from hsprg.distributions import DiscreteCoordinate, ProductDistribution, Uniform
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
 from hsprg.hashing import MULTIPLICATIVE, HashFunction
 from hsprg.harness import (
-    NisanProductGenerator,
     estimate_fooling_error,
     exact_expectation,
     expectation_over_seeds,
     product_lattice,
 )
-from hsprg.mzgen import MZGenerator
+from hsprg.mzgen import MZGenerator, NisanProductGenerator
 from hsprg.seeds import seed_range
 
 RAD = DiscreteCoordinate.rademacher()

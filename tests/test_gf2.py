@@ -99,10 +99,6 @@ class TestKWiseExpand:
         first = fam.expand_all(seed)
         assert fam.expand_all(fam.seed_from_int(0xDEADBEEF42)) == first
 
-    def test_distinct_evaluation_points_required(self):
-        with pytest.raises(ValueError):
-            KWiseFamily(m=2, k=2, n=3, evaluation_points=[0, 1, 1])
-
 
 @functools.lru_cache(maxsize=1)
 def seed_table(fam):

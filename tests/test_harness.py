@@ -18,7 +18,6 @@ from hsprg.halfspace import CombinerSpec, DecisionTree, HalfspaceSystem
 from hsprg.harness import (
     CovarianceSummary,
     EstimationReport,
-    NisanProductGenerator,
     OrthantSet,
     ResourceCapError,
     berry_esseen_probe,
@@ -33,7 +32,7 @@ from hsprg.harness import (
     spherical_cap_probability,
     sphere_transfer,
 )
-from hsprg.mzgen import MZGenerator, alphabets_from_distribution
+from hsprg.mzgen import MZGenerator, NisanProductGenerator, alphabets_from_distribution
 
 RAD = DiscreteCoordinate.rademacher()
 
@@ -381,7 +380,6 @@ class TestSphere:
 
 class TestNisanProductGenerator:
     def test_values_come_from_alphabets(self):
-        from hsprg.harness import NisanProductGenerator
         gen = NisanProductGenerator([[-1.0, 1.0]] * 6, space=4)
         rng = rng_for(3)
         x = gen.generate(gen.random_seed(rng))
@@ -402,14 +400,12 @@ class TestNisanProductGenerator:
         assert np.array_equal(gen.expand(gen.random_seeds(rng_for(4), 20)), np.full((20, 3), 0.5))
 
     def test_seed_bits_follow_schedule(self):
-        from hsprg.harness import NisanProductGenerator
         from hsprg.robp import nisan_seed_bits
         gen = NisanProductGenerator([[-1.0, -0.5, 0.5, 1.0]] * 8, space=5)
         assert gen.label_bits == 2
         assert gen.seed_bits == nisan_seed_bits(5, 2, 8)
 
     def test_mc_estimate_close_to_truth(self):
-        from hsprg.harness import NisanProductGenerator
         gen = NisanProductGenerator([[-1.0, 1.0]] * 8, space=6)
         f = lambda x: int(sum(x) >= 0)
         rep = estimate_fooling_error(f, cube(8), gen, mode="mc", trials=20000,

@@ -166,6 +166,18 @@ class TestFamilyIndexing:
         for i in range(1 << fam.index_bits):
             assert fam.from_index(i).a != 0
 
+    @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
+    def test_functions_and_from_index_follow_index_order(self, variant):
+        fam = HashFamily(16, 4, variant=variant)
+        if variant == AFFINE:  # a-major, then c
+            want = [HashFunction(a, c, 4, 4) for a in range(16) for c in range(16)]
+        else:  # the nonzero multipliers in order
+            want = [HashFunction(a, 0, 4, 4) for a in range(1, 16)]
+        assert list(fam.functions()) == want
+        got = [fam.from_index(i) for i in range(fam.size)]
+        assert got == want
+        assert all(type(h.a) is int and type(h.c) is int for h in got)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HashFamily(12, 4)

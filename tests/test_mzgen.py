@@ -1,6 +1,8 @@
 """Parameter schedule, seed accounting, and exact generator laws."""
 
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +13,7 @@ import pytest
 from conftest import philox
 from hsprg.gf2 import KWiseFamily
 from hsprg.hashing import AFFINE, MULTIPLICATIVE, HashFunction
-from hsprg.mzgen import MZGenerator, MZParams, derive_params
+from hsprg.mzgen import MZGenerator, MZParams, NisanProductGenerator, derive_params
 
 ETA3 = 1 / math.sqrt(3)
 
@@ -116,11 +118,52 @@ class TestGenerate:
         with pytest.raises(ValueError):
             MZGenerator([[-1.0, 0.0, 1.0]] * 2, t=1)
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_fixed_hash_field_must_match(self, extra):
+        gen = MZGenerator([[-1.0, 1.0]] * 8, t=2, k=2)
+        h = HashFunction(a=1, c=0, m=gen.hash_family.m + extra, t=2)
+        msg = rf"fixed hash works in GF\(2\^{h.m}\), the generator's hash family in GF\(2\^3\)"
+        with pytest.raises(ValueError, match=msg):
+            gen.with_fixed_hash(h)
+
+
+@pytest.mark.parametrize("make", [lambda alphabets: MZGenerator(alphabets, t=1),
+                                  lambda alphabets: NisanProductGenerator(alphabets, space=2)],
+                         ids=["mz", "nisan"])
+@pytest.mark.parametrize("alphabets,msg", [
+    ([], "need at least one coordinate"),
+    ([[-1.0, 1.0], [-1.0, 0.0, 1.0, 2.0]], "all alphabets must share one size"),
+    ([[-1.0, 0.0, 1.0]] * 2, "alphabet size must be a power of 2"),
+    ([[]] * 2, "alphabet size must be a power of 2"),
+], ids=["empty", "mixed", "three", "zero"])
+def test_both_generators_check_alphabets_alike(make, alphabets, msg):
+    with pytest.raises(ValueError, match=msg):
+        make(alphabets)
+
 
 def fixed_hash_gen(n=4, t=2, k=2, alphabet=(-1.0, 1.0)):
     gen0 = MZGenerator([list(alphabet)] * n, t=t, k=k)
     h = HashFunction(a=1, c=0, m=gen0.hash_family.m, t=t)
     return gen0.with_fixed_hash(h)
+
+
+def scalar_partition(gen, seed):
+    """(bucket, within-bucket rank) per coordinate under the hash `seed` picks.
+
+    The hash is the fixed one if any, else the family's function at the
+    seed's low ``hash_bits`` (index 0 when t = 1, a single bucket).
+    Buckets come from ``HashFunction.__call__``; ranks follow index order.
+    """
+    h = gen.fixed_hash
+    if h is None:
+        h = gen.hash_family.from_index(seed & ((1 << gen.hash_bits) - 1))
+    buckets = [h(j) for j in range(gen.n)]
+    counts = Counter()
+    ranks = []
+    for b in buckets:
+        ranks.append(counts[b])
+        counts[b] += 1
+    return buckets, ranks
 
 
 def joint_histogram(gen, positions):
@@ -150,7 +193,7 @@ def product_law(gen, positions):
 class TestExactLaws:
     def test_within_bucket_subsets_match_product(self):
         gen = fixed_hash_gen(n=4, t=2, k=2)
-        buckets, _ = gen.partition(gen.fixed_hash)
+        buckets, _ = scalar_partition(gen, 0)
         total_seeds = 1 << gen.seed_bits
         for b in range(gen.t):
             members = [j for j in range(gen.n) if buckets[j] == b]
@@ -162,7 +205,7 @@ class TestExactLaws:
 
     def test_cross_bucket_pairs_fully_independent(self):
         gen = fixed_hash_gen(n=4, t=2, k=2)
-        buckets, _ = gen.partition(gen.fixed_hash)
+        buckets, _ = scalar_partition(gen, 0)
         pairs = [(i, j) for i in range(4) for j in range(4)
                  if buckets[i] != buckets[j]]
         assert pairs
@@ -184,7 +227,7 @@ class TestExactLaws:
         # own seed segment is the full product (bucket size <= k = 5)
         alphabet = [-1.0, -0.5, 0.5, 1.0]
         gen = fixed_hash_gen(n=4, t=2, k=5, alphabet=alphabet)
-        buckets, ranks = gen.partition(gen.fixed_hash)
+        buckets, ranks = scalar_partition(gen, 0)
         counts = Counter(buckets)
         for b in range(gen.t):
             members = [j for j in range(gen.n) if buckets[j] == b]
@@ -237,8 +280,8 @@ def packed_seed(gen, a, c, coeffs):
 
 
 def reference_row(gen, seed):
-    """One row from ``partition`` and per-coordinate ``KWiseFamily.expand``."""
-    buckets, ranks = gen.partition(gen.hash_for_seed(seed))
+    """One row from ``scalar_partition`` and per-coordinate ``KWiseFamily.expand``."""
+    buckets, ranks = scalar_partition(gen, seed)
     fam = KWiseFamily(gen.m_word, gen.k, gen.n)
     mask = (1 << gen.bucket_seed_bits) - 1
     row = []
@@ -284,6 +327,79 @@ class TestExpandReference:
         got = gen.expand(seeds)
         for row, seed in zip(got, seeds):
             assert np.array_equal(row, reference_row(gen, int.from_bytes(seed.tobytes(), "little")))
+
+
+def fixed_distinct(n, t, k, size, variant, a, c):
+    gen = MZGenerator(distinct_alphabets(n, size, n + t), t=t, k=k, hash_variant=variant)
+    return gen.with_fixed_hash(HashFunction(a=a, c=c, m=gen.hash_family.m, t=t))
+
+
+class TestGoldenOutputs:
+    """Digests of every output path, recorded before MZ and Nisan shared a base class.
+
+    The over-table cases have n_dom * n > _TABLE_CELLS, so their partitions
+    are computed per row instead of read from a table.
+    """
+
+    GENERATORS = {
+        "affine": lambda: MZGenerator(distinct_alphabets(20, 4, 1), t=4, k=5),
+        "multiplicative": lambda: MZGenerator(distinct_alphabets(20, 2, 2), t=4, k=4,
+                                              hash_variant=MULTIPLICATIVE),
+        "fixed-affine": lambda: fixed_distinct(9, 4, 3, 4, AFFINE, 3, 5),
+        "fixed-multiplicative": lambda: fixed_distinct(12, 2, 4, 8, MULTIPLICATIVE, 5, 1),
+        "t1-affine": lambda: MZGenerator(distinct_alphabets(10, 2, 3), t=1, k=4),
+        "t1-multiplicative": lambda: MZGenerator(distinct_alphabets(7, 8, 4), t=1, k=3,
+                                                 hash_variant=MULTIPLICATIVE),
+        "one-letter": lambda: MZGenerator(distinct_alphabets(5, 1, 5), t=2, k=3),
+        "over-table-affine": lambda: MZGenerator(distinct_alphabets(1500, 2, 6), t=8, k=3),
+        "over-table-multiplicative": lambda: MZGenerator(distinct_alphabets(1500, 4, 7), t=4,
+                                                         k=2, hash_variant=MULTIPLICATIVE),
+        "over-table-fixed": lambda: fixed_distinct(1500, 4, 2, 2, AFFINE, 7, 3),
+        "over-table-t1": lambda: MZGenerator(distinct_alphabets(1500, 2, 8), t=1, k=3),
+        "nisan-1": lambda: NisanProductGenerator(distinct_alphabets(6, 1, 9), space=3),
+        "nisan-2": lambda: NisanProductGenerator(distinct_alphabets(11, 2, 10), space=5),
+        "nisan-4": lambda: NisanProductGenerator(distinct_alphabets(9, 4, 11), space=4),
+    }
+    GOLDEN = {
+        "affine": "e89468dab0830119",
+        "multiplicative": "6b6b421e39188301",
+        "fixed-affine": "fb93f6e2baaaa0db",
+        "fixed-multiplicative": "acd005e36f8adb3d",
+        "t1-affine": "293a253bccfb36c5",
+        "t1-multiplicative": "af3b47a309a93b87",
+        "one-letter": "63a88273f8e7523d",
+        "over-table-affine": "5963d88b6a16a198",
+        "over-table-multiplicative": "499cc58f1e3d1f13",
+        "over-table-fixed": "d630eb8c1dbad669",
+        "over-table-t1": "5be41418bafe63f2",
+        "nisan-1": "573d5a7a921523c2",
+        "nisan-2": "20f07aed4b70483e",
+        "nisan-4": "5d4e13ef5fcacb51",
+    }
+
+    @staticmethod
+    def digest(gen):
+        """sha256 over random_seeds, expand, random_seed, generate, sample_batch,
+        seed_bits_report and the final rng state, in that order."""
+        h = hashlib.sha256()
+        rng = philox(31)
+        seeds = gen.random_seeds(rng, 48)
+        h.update(seeds.tobytes())
+        h.update(gen.expand(seeds).tobytes())
+        ints = [gen.random_seed(rng) for _ in range(3)]
+        h.update(repr(ints).encode())
+        for seed in ints:
+            h.update(gen.generate(seed).tobytes())
+        if isinstance(gen, MZGenerator):
+            h.update(gen.sample_batch(rng, 48).tobytes())
+            h.update(json.dumps(gen.seed_bits_report(), sort_keys=True).encode())
+        h.update(json.dumps(rng.bit_generator.state, default=np.ndarray.tolist,
+                            sort_keys=True).encode())
+        return h.hexdigest()[:16]
+
+    @pytest.mark.parametrize("case", GENERATORS)
+    def test_digest(self, case):
+        assert self.digest(self.GENERATORS[case]()) == self.GOLDEN[case]
 
 
 class TestSampleBatch:

@@ -12,9 +12,8 @@ import pytest
 
 from conftest import philox
 from hsprg.gf2 import KWiseFamily
-from hsprg.harness import NisanProductGenerator
 from hsprg.hashing import MULTIPLICATIVE, HashFunction
-from hsprg.mzgen import MZGenerator
+from hsprg.mzgen import MZGenerator, NisanProductGenerator
 from hsprg.robp import nisan_expand, nisan_generate, nisan_seed_bits
 from hsprg.seeds import (
     check_seeds,
