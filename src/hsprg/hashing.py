@@ -40,6 +40,12 @@ class HashFunction:
     m: int
     t: int
 
+    def __post_init__(self):
+        if not (0 <= self.a < 1 << self.m and 0 <= self.c < 1 << self.m):
+            raise ValueError(f"a={self.a}, c={self.c}: both must lie in GF(2^{self.m})")
+        if not is_power_of_two(self.t) or self.t > 1 << self.m:
+            raise ValueError(f"t={self.t} is not a power of 2 at most 2^{self.m}")
+
     def __call__(self, x: int) -> int:
         f = field(self.m)
         return (f.mul(self.a, f.check(x)) ^ self.c) & (self.t - 1)

@@ -13,13 +13,16 @@ Partial sums in halfspace compilation are integers over one common scale
 boundary ties under the sgn(0)=1 convention are never decided by float
 rounding.  Acceptance is an integer path count too: with labels uniform
 over {0,1}^D, a state of layer i accepts with probability
-count / 2^(D(T-i)).
+count / 2^(D(T-i)).  Monotonicity is decided from these counts in
+polynomial time, one backward pass over layers; a counterexample comes
+from the last layer that is not a chain.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -44,6 +47,11 @@ class ROBP:
 
     def __init__(self, trans: Sequence[Sequence[Sequence[int]]],
                  accept: Sequence[int], D: int):
+        if D < 0:
+            raise ValueError(f"D must be nonnegative, got {D}")
+        bad = [b for b in accept if b not in (0, 1)]
+        if bad:
+            raise ValueError(f"accept bits must be 0 or 1, got {bad[0]!r}")
         self.trans = [[tuple(row) for row in layer] for layer in trans]
         self.accept = tuple(int(b) for b in accept)
         self.D = D
@@ -117,9 +125,6 @@ class MonotoneCertificate:
     """Per-layer state indices in nondecreasing Acc-set order."""
 
     orders: tuple[tuple[int, ...], ...]
-
-    def rank_tables(self) -> list[dict[int, int]]:
-        return [{v: r for r, v in enumerate(layer)} for layer in self.orders]
 
 
 @dataclass(frozen=True)
@@ -208,80 +213,52 @@ def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
     return program, cert
 
 
-def acc_bitsets(B: ROBP) -> list[list[int]]:
-    """Accepting-suffix sets as bitsets; suffix index is label-lexicographic.
+def _chain_pass(B: ROBP, orders: Sequence[Sequence[int]] | None = None):
+    """Accept counts, the orders, and the first pair that breaks a chain, if any.
 
-    Feasible for D*T up to ~20 bits of suffix space.
+    The orders default to each layer's states by accept count, ties by
+    index.  Layers are checked from the last back, so the pair comes from
+    the last layer whose order is not an inclusion chain.  Once layer i+1
+    is a chain, inclusion there is the order of accept counts, so Acc(u)
+    lies inside Acc(v) exactly when count(succ(u, z)) <= count(succ(v, z))
+    for every label z.  The last layer compares accept bits.
     """
-    out = [[int(b) for b in B.accept]]
-    n_labels = 1 << B.D
-    for i in reversed(range(B.T)):
-        block = 1 << (B.D * (B.T - i - 1))
-        nxt = out[0]
-        layer = []
-        for row in B.trans[i]:
-            acc = 0
-            for z in range(n_labels):
-                acc |= nxt[row[z]] << (z * block)
-            layer.append(acc)
-        out.insert(0, layer)
-    return out
+    counts = B.accept_counts()
+    if orders is None:
+        orders = tuple(tuple(sorted(range(len(c)), key=c.__getitem__)) for c in counts)
+    for i in reversed(range(B.T + 1)):
+        succ = ([(c,) for c in B.accept] if i == B.T else
+                [[counts[i + 1][a] for a in row] for row in B.trans[i]])
+        for u, v in zip(orders[i], orders[i][1:]):
+            if any(map(operator.gt, succ[u], succ[v])):
+                return counts, orders, (i, u, v)
+    return counts, orders, None
 
 
-def _decode_suffix(index: int, D: int, steps: int) -> tuple[int, ...]:
-    labels = []
-    for i in range(steps):
-        shift = D * (steps - 1 - i)
-        labels.append((index >> shift) & ((1 << D) - 1))
-    return tuple(labels)
+def _witness(B: ROBP, counts: list[list[int]], i: int, x: int, y: int):
+    """Labels of the smallest suffix accepted from x and rejected from y.
+
+    x and y are states of layer i; every later layer must be a chain.
+    """
+    for j in range(i, B.T):
+        rx, ry, nxt = B.trans[j][x], B.trans[j][y], counts[j + 1]
+        z = next(z for z, (a, b) in enumerate(zip(rx, ry)) if nxt[a] > nxt[b])
+        yield z
+        x, y = rx[z], ry[z]
 
 
 def check_monotone(B: ROBP) -> MonotoneCertificate | MonotoneCounterexample:
-    """Certificate of per-layer Acc-set total order, or an incomparable pair."""
-    sets = acc_bitsets(B)
-    orders = []
-    for i, layer in enumerate(sets):
-        idx = sorted(range(len(layer)), key=lambda v: (bin(layer[v]).count("1"), layer[v]))
-        for a, b in zip(idx, idx[1:]):
-            if layer[a] & ~layer[b]:
-                only_a = layer[a] & ~layer[b]
-                only_b = layer[b] & ~layer[a]
-                steps = B.T - i
-                return MonotoneCounterexample(
-                    i, a, b,
-                    _decode_suffix((only_a & -only_a).bit_length() - 1, B.D, steps),
-                    _decode_suffix((only_b & -only_b).bit_length() - 1, B.D, steps))
-        orders.append(tuple(idx))
-    return MonotoneCertificate(tuple(orders))
+    """The accept-count orders (ties by index) if every layer is a chain.
 
-
-def _check_certificate(B: ROBP, cert: MonotoneCertificate, counts) -> None:
-    """Check a caller's certificate against B, from the last layer back.
-
-    The last order must put rejecting states before accepting ones.  In an
-    earlier order, succ(u, z) may rank after succ(v, z) for a consecutive
-    pair u, v only when both have the same accept count: the next layer is
-    already a chain, so an equal count means equal accepting sets, and
-    every Acc(u) then lies inside Acc(v).
+    Otherwise the first failing pair of the last layer that is not a chain,
+    with the lexicographically smallest suffix on each side.
     """
-    if len(cert.orders) != B.T + 1:
-        raise ValueError(f"certificate has {len(cert.orders)} orders, "
-                         f"program has {B.T + 1} layers")
-    for i, (order, width) in enumerate(zip(cert.orders, B.widths)):
-        if sorted(order) != list(range(width)):
-            raise ValueError(f"certificate order {i} is not a permutation of "
-                             f"the layer's {width} states")
-    last = [B.accept[v] for v in cert.orders[-1]]
-    if last != sorted(last):
-        raise NotMonotoneError(f"accept bits decrease along the order of layer {B.T}")
-    ranks = cert.rank_tables()
-    for i in reversed(range(B.T)):
-        rank, count, rows = ranks[i + 1], counts[i + 1], B.trans[i]
-        for u, v in zip(cert.orders[i], cert.orders[i][1:]):
-            for a, b in zip(rows[u], rows[v]):
-                if rank[a] > rank[b] and count[a] != count[b]:
-                    raise NotMonotoneError(f"certificate orders state {u} before {v} "
-                                           f"in layer {i}, but not by acceptance")
+    counts, orders, bad = _chain_pass(B)
+    if bad is None:
+        return MonotoneCertificate(orders)
+    i, u, v = bad
+    return MonotoneCounterexample(i, u, v, tuple(_witness(B, counts, i, u, v)),
+                                  tuple(_witness(B, counts, i, v, u)))
 
 
 def sandwich_monotone(B: ROBP, eps: float,
@@ -291,41 +268,39 @@ def sandwich_monotone(B: ROBP, eps: float,
     States of each layer are grouped by quantizing their exact acceptance
     probability into intervals of width eps/(2T), in integers: state v of
     layer i falls in group count(v) * 2T * eps_den // (eps_num * 2^(D(T-i)))
-    for eps = eps_num / eps_den.  The down program routes
-    every group to its minimal representative under the monotone order,
-    the up program to its maximal.  Soundness (down <= B <= up pointwise,
-    gap <= eps) is enumerated in the tests rather than assumed.  A given
-    `cert` is checked against B first.
+    for eps = eps_num / eps_den.  The down program routes every group to
+    its first member along the monotone order, the up program to its last.
+    Soundness (down <= B <= up pointwise, gap <= eps) is enumerated in the
+    tests rather than assumed.  A given `cert`'s orders, or else the
+    accept-count orders, are checked against B first.
     """
     if not (0 < eps and math.isfinite(eps)):
         raise ValueError("eps must be finite and positive")
-    counts = B.accept_counts()
-    if cert is None:
-        result = check_monotone(B)
-        if isinstance(result, MonotoneCounterexample):
-            raise NotMonotoneError(f"program is not monotone at layer {result.layer}")
-        cert = result
-    else:
-        _check_certificate(B, cert, counts)
+    if cert is not None:
+        if len(cert.orders) != B.T + 1:
+            raise ValueError(f"certificate has {len(cert.orders)} orders, "
+                             f"program has {B.T + 1} layers")
+        for i, (order, width) in enumerate(zip(cert.orders, B.widths)):
+            if sorted(order) != list(range(width)):
+                raise ValueError(f"certificate order {i} is not a permutation of "
+                                 f"the layer's {width} states")
+    counts, orders, bad = _chain_pass(B, None if cert is None else cert.orders)
+    if bad is not None:
+        i, u, v = bad
+        raise NotMonotoneError(f"layer {i} is not a chain: state {u} comes before {v}, "
+                               f"but accepts a suffix that {v} rejects")
     eps_num, eps_den = Fraction(eps).as_integer_ratio()
     q_num = 2 * max(B.T, 1) * eps_den
-    ranks = cert.rank_tables()
 
-    # group[i][v] -> (down representative, up representative)
+    # reps[i][v] -> (down representative, up representative)
     reps: list[dict[int, tuple[int, int]]] = []
-    for i, layer_counts in enumerate(counts):
-        order = cert.orders[i]
+    for i, (order, layer_counts) in enumerate(zip(orders, counts)):
         q_den = eps_num << (B.D * (B.T - i))
         groups: dict[int, list[int]] = {}
         for v in order:
             groups.setdefault(layer_counts[v] * q_num // q_den, []).append(v)
-        table = {}
-        for members in groups.values():
-            lo = min(members, key=lambda v: ranks[i][v])
-            hi = max(members, key=lambda v: ranks[i][v])
-            for v in members:
-                table[v] = (lo, hi)
-        reps.append(table)
+        reps.append({v: (members[0], members[-1])
+                     for members in groups.values() for v in members})
 
     def build(which: int) -> ROBP:
         # a sandwich layer is a subset of B's layer, so the cap never fires

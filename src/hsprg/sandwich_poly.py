@@ -140,13 +140,13 @@ class UnivariatePoly:
             ahat = 1.0 + xs[inside] * d * d
             out[inside] = ahat * ahat
         if (~inside).any():
-            sign, log2p = self._log2_outside(xs[~inside])
+            log2p = self._log2_outside(xs[~inside])
             vals = np.where(log2p > 1023, np.inf, np.exp2(np.minimum(log2p, 1023)))
             out[~inside] = vals
         return float(out[0]) if scalar else out
 
-    def _log2_outside(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """log2 of P on |x| > 1 (P >= 0 always, so the sign is +)."""
+    def _log2_outside(self, xs: np.ndarray) -> np.ndarray:
+        """log2 of P on |x| > 1 (P >= 0 always, so no sign is kept)."""
         mant, e = _clenshaw_scaled(self.d_cheb, xs)
         log2_z = np.log2(np.abs(xs)) + 2.0 * _log2_abs(mant, e)  # z = x * D^2
         log2_ahat = np.empty_like(xs)
@@ -163,7 +163,7 @@ class UnivariatePoly:
         with np.errstate(divide="ignore"):
             la[mid] = np.log2(np.abs(1.0 - np.exp2(lz[mid])))
         log2_ahat[neg] = la
-        return np.ones_like(xs), 2.0 * log2_ahat
+        return 2.0 * log2_ahat
 
     def to_json(self) -> dict:
         return {"kind": "dgjsv", "degree": self.degree, "a": self.a, "b": self.b,
@@ -282,8 +282,8 @@ def audit_dgjsv(poly: UnivariatePoly) -> DGJSVAudit:
     check("p4_on[0,1]", (inner >= 0) & (inner <= 1), low=1.0, high=1.0 + b)
 
     outer = np.arange(1.0, _AUDIT_XMAX + _AUDIT_STEP / 2, _AUDIT_STEP)
-    _, log2p_pos = poly._log2_outside(outer)
-    _, log2p_neg = poly._log2_outside(-outer)
+    log2p_pos = poly._log2_outside(outer)
+    log2p_neg = poly._log2_outside(-outer)
     # P >= 0 everywhere and P >= 1 right of 1 are structural; confirm finite
     viol["p1_left_nonneg"] = 0.0 if np.all(np.isfinite(log2p_neg) | (log2p_neg == -np.inf)) else math.inf
     viol["p5_right_ge1"] = float(max(0.0, np.max(1.0 - np.exp2(np.minimum(log2p_pos, 60)))))

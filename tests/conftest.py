@@ -1,4 +1,5 @@
-"""Shared test helpers: reproducible RNGs and random program generators."""
+"""Shared test helpers: reproducible RNGs, random program generators and the
+brute-force monotonicity oracle."""
 
 import numpy as np
 
@@ -39,3 +40,24 @@ def random_robp(rng: np.random.Generator, T: int, max_width: int, D: int = 1) ->
               for _ in range(widths[i])] for i in range(T)]
     accept = [int(rng.integers(0, 2)) for _ in range(widths[-1])]
     return ROBP(trans, accept, D)
+
+
+def acc_bitsets(B: ROBP) -> list[list[int]]:
+    """Accepting-suffix sets as bitsets; suffix index is label-lexicographic.
+
+    The brute-force oracle for monotonicity; feasible for D*T up to ~20
+    bits of suffix space.
+    """
+    out = [[int(b) for b in B.accept]]
+    n_labels = 1 << B.D
+    for i in reversed(range(B.T)):
+        block = 1 << (B.D * (B.T - i - 1))
+        nxt = out[0]
+        layer = []
+        for row in B.trans[i]:
+            acc = 0
+            for z in range(n_labels):
+                acc |= nxt[row[z]] << (z * block)
+            layer.append(acc)
+        out.insert(0, layer)
+    return out

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hsprg.distributions import ProductDistribution
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
 from hsprg.harness import estimate_fooling_error
 from hsprg.mzgen import MZGenerator, alphabets_from_distribution
+from hsprg.robp import ROBP
 
 
 def write(path, data):
@@ -271,3 +274,49 @@ class TestParserReuse:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("usage: hsprg estimate")
         assert main(estimate_argv) == 0
+
+
+def readme_commands(*prefixes):
+    """The README's CLI example lines that start with one of `prefixes`, as argv."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith(prefixes):
+            out.append(shlex.split(line)[1:])
+    return out
+
+
+class TestReadmeExamples:
+    """The README's `hsprg gen` and `hsprg robp` lines run as written."""
+
+    def test_readme_robp_and_gen_lines_run(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "alphabet_dist.json",
+              {"coord": {"kind": "multiset", "values": [-1.0, 1.0]}, "n": 16})
+        write(tmp_path / "params.json", {"t": 4, "k": 5})
+        argvs = readme_commands("hsprg robp ", "hsprg gen ")
+        assert [argv[:2] for argv in argvs] == [
+            ["gen", "--dist"], ["robp", "compile"], ["robp", "check"], ["robp", "sandwich"],
+            ["robp", "nisan"]]
+        for argv in argvs:
+            assert main(argv) == 0, argv
+        assert np.loadtxt("samples.csv", delimiter=",").shape == (1000, 16)
+        for name in ("prog.json", "d.json", "u.json"):
+            assert (tmp_path / name).exists()
+
+    def test_check_and_sandwich_at_64_weights(self, tmp_path, monkeypatch, capsys):
+        # the suffix space has 2^64 members, far past any bitset
+        monkeypatch.chdir(tmp_path)
+        weights = json.dumps([(-1) ** (i % 3) * (1 + i % 5) for i in range(64)])
+        assert main(["robp", "compile", "--weights", weights, "--theta", "2.5",
+                     "--out", "prog.json"]) == 0
+        widths = ROBP.load("prog.json").widths
+        assert main(["robp", "check", "--prog", "prog.json", "--out", "check.json"]) == 0
+        check = json.loads(Path("check.json").read_text())
+        assert check == {"monotone": True, "orders": [list(range(wd)) for wd in widths]}
+        assert main(["robp", "sandwich", "--prog", "prog.json", "--eps", "0.1",
+                     "--out-down", "d.json", "--out-up", "u.json"]) == 0
+        info = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert 0 <= info["gap"] <= 0.1
+        assert info["down_width"] <= max(widths) and info["up_width"] <= max(widths)

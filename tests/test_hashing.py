@@ -45,6 +45,16 @@ class TestHashEval:
             coll = sum(1 for h in fam.functions() if h(i) == h(j))
             assert Fraction(coll, fam.size) == Fraction(1, 4)
 
+    @pytest.mark.parametrize("a,c,m", [(9, 0, 3), (0, 8, 3), (-1, 0, 3), ((1 << 13) + 1, 0, 13)])
+    def test_coefficients_outside_the_field_rejected(self, a, c, m):
+        with pytest.raises(ValueError, match=rf"^a={a}, c={c}: both must lie in GF\(2\^{m}\)$"):
+            HashFunction(a=a, c=c, m=m, t=2)
+
+    @pytest.mark.parametrize("t", [0, 3, 6, 16])
+    def test_bucket_count_must_be_power_of_two_in_range(self, t):
+        with pytest.raises(ValueError, match=rf"^t={t} is not a power of 2 at most 2\^3$"):
+            HashFunction(a=1, c=0, m=3, t=t)
+
     def test_total_and_deterministic(self):
         fam = HashFamily(64, 8, variant=AFFINE)
         h = fam.from_index(1234)

@@ -112,6 +112,13 @@ class TestGenerate:
         with pytest.raises(ValueError, match=msg):
             MZGenerator([[-1.0, 1.0]] * 8, t=2, k=2, fixed_hash=h)
 
+    @pytest.mark.parametrize("n,a,c", [(8, 9, 0), (8, 1, 8), (4097, (1 << 13) + 1, 0)])
+    def test_fixed_hash_outside_the_field_rejected(self, n, a, c):
+        # these used to fail in the first generate, or (m = 13) give a row
+        gen = MZGenerator([[-1.0, 1.0]] * n, t=2, k=2)
+        with pytest.raises(ValueError, match=rf"both must lie in GF\(2\^{gen.hash_family.m}\)$"):
+            gen.with_fixed_hash(HashFunction(a=a, c=c, m=gen.hash_family.m, t=2))
+
     def test_alphabet_validation(self):
         with pytest.raises(ValueError):
             MZGenerator([[-1.0, 1.0], [-1.0, 0.0, 1.0]], t=1)

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox, random_monotone_robp, random_robp
+from conftest import acc_bitsets, philox, random_monotone_robp, random_robp
 from hsprg.robp import (
     ROBP,
     MonotoneCertificate,
     MonotoneCounterexample,
     NotMonotoneError,
     ResourceError,
-    acc_bitsets,
     all_inputs,
     check_monotone,
     TreeErrorBound,
@@ -65,6 +64,21 @@ class TestEval:
             ROBP(trans, [0, 1], D=1)
         with pytest.raises(ValueError, match=r"^layer 1: transitions must be total on 2 labels$"):
             ROBP([[[0, 1]], [[0, 1], [successor]]], [0, 1], D=1)
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5, "1", None])
+    def test_accept_bits_must_be_zero_or_one(self, bit):
+        with pytest.raises(ValueError, match=rf"^accept bits must be 0 or 1, got {bit!r}$"):
+            ROBP([[[0, 1]]], [0, bit], D=1)
+        with pytest.raises(ValueError, match="accept bits must be 0 or 1"):
+            ROBP.from_json({"D": 1, "trans": [], "accept": [bit]})
+
+    def test_bool_and_integer_accept_bits_kept(self):
+        B = ROBP([[[0, 1]]], [False, np.int64(1)], D=1)
+        assert B.accept == (0, 1) and B.accept_probability() == Fraction(1, 2)
+
+    def test_negative_label_bits_rejected(self):
+        with pytest.raises(ValueError, match=r"^D must be nonnegative, got -1$"):
+            ROBP([], [1], D=-1)
 
 
 class TestHalfspaceCompile:
@@ -136,7 +150,8 @@ class TestCheckMonotone:
         B2, _ = halfspace_to_robp([-2, 1, 1], 1, PM1 * 3)
         prod = product_robp([B1, B2], lambda bits: int(all(bits)))
         res = check_monotone(prod)
-        assert isinstance(res, MonotoneCounterexample)
+        # states 0 and 1 of layer 2 both accept one suffix; ties go by index
+        assert res == MonotoneCounterexample(2, 0, 1, (1,), (0,))
         # the returned suffixes genuinely witness incomparability
         sets = acc_bitsets(prod)
         layer = sets[res.layer]
@@ -158,6 +173,38 @@ class TestCheckMonotone:
     def test_random_monotone_generator_is_monotone(self, seed):
         B = random_monotone_robp(philox(seed), T=6, max_width=8)
         assert isinstance(check_monotone(B), MonotoneCertificate)
+
+    @pytest.mark.parametrize("D", [1, 2])
+    @pytest.mark.parametrize("make", [random_monotone_robp, random_robp])
+    def test_agrees_with_bitset_oracle(self, make, D):
+        rng = philox(800 + D)
+        for _ in range(60):
+            T = int(rng.integers(1, 6 if D == 1 else 4))
+            B = make(rng, T=T, max_width=int(rng.integers(2, 6)), D=D)
+            sets = acc_bitsets(B)
+            orders = [sorted(range(len(layer)), key=lambda v: (bin(layer[v]).count("1"),
+                                                                layer[v]))
+                      for layer in sets]
+            broken = [i for i, (layer, order) in enumerate(zip(sets, orders))
+                      if any(layer[a] & ~layer[b] for a, b in zip(order, order[1:]))]
+            res = check_monotone(B)
+            if not broken:
+                assert res == MonotoneCertificate(tuple(map(tuple, orders)))
+                continue
+            # the last layer that is not a chain; its first pair along the
+            # count order that is not an inclusion, with the smallest suffixes
+            assert isinstance(res, MonotoneCounterexample)
+            layer = sets[res.layer]
+            assert res.layer == broken[-1]
+            by_count = sorted(range(len(layer)), key=lambda v: bin(layer[v]).count("1"))
+            first = next((a, b) for a, b in zip(by_count, by_count[1:]) if layer[a] & ~layer[b])
+            assert (res.v, res.w) == first
+            steps = B.T - res.layer
+            for x, y, suffix in ((res.v, res.w, res.suffix_v), (res.w, res.v, res.suffix_w)):
+                only = layer[x] & ~layer[y]
+                low = (only & -only).bit_length() - 1
+                assert suffix == tuple(low >> (B.D * (steps - 1 - j)) & ((1 << B.D) - 1)
+                                       for j in range(steps))
 
 
 def assert_sandwich_sound(pair, B, eps_budget):
@@ -241,20 +288,23 @@ class TestCallerCertificate:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_accepts_exactly_the_chain_orders(self, seed):
-        # every order is accepted iff its Acc sets grow along it
-        rng = philox(500 + seed)
-        B = random_monotone_robp(rng, T=4, max_width=4)
-        sets = acc_bitsets(B)
-        for _ in range(20):
-            orders = tuple(tuple(int(v) for v in rng.permutation(len(layer)))
-                           for layer in sets)
-            chain = all(not layer[a] & ~layer[b] for layer, order in zip(sets, orders)
-                        for a, b in zip(order, order[1:]))
-            try:
-                sandwich_monotone(B, 0.5, MonotoneCertificate(orders))
-                assert chain
-            except NotMonotoneError:
-                assert not chain
+        # every order is accepted iff its Acc sets grow along it, on
+        # monotone programs and on programs that need not be
+        for make in (random_monotone_robp, random_robp):
+            rng = philox(500 + seed)
+            B = make(rng, T=4, max_width=4)
+            sets = acc_bitsets(B)
+            counted = tuple(tuple(sorted(range(len(c)), key=c.__getitem__))
+                            for c in B.accept_counts())
+            for orders in [counted] + [tuple(tuple(int(v) for v in rng.permutation(len(layer)))
+                                             for layer in sets) for _ in range(20)]:
+                chain = all(not layer[a] & ~layer[b] for layer, order in zip(sets, orders)
+                            for a, b in zip(order, order[1:]))
+                try:
+                    sandwich_monotone(B, 0.5, MonotoneCertificate(orders))
+                    assert chain
+                except NotMonotoneError:
+                    assert not chain
 
     def test_compose_needs_one_certificate_per_program(self):
         B, cert = self.compiled()
@@ -550,7 +600,11 @@ class TestGoldenLarge:
         assert B.accept_probability() == Fraction(
             49287774668937382827426759489704494811208707428710059606727830459782767459293,
             1 << 256)
+        assert check_monotone(B) == cert
         pair = sandwich_monotone(B, 0.1, cert)
+        again = sandwich_monotone(B, 0.1)
+        assert (again.down.to_json(), again.up.to_json()) == \
+            (pair.down.to_json(), pair.up.to_json())
         assert _json_digest(pair.down) == \
             "7ab9fb82c3b91958ef010f360764c960de8be28f2a5fe26b24d1e55e27fbc5ef"
         assert _json_digest(pair.up) == \

@@ -53,7 +53,7 @@ class TestDgjsvPoly:
 
     def test_envelope_at_two(self):
         P = dgjsv_poly(0.2, 1e-2)
-        _, log2p = P._log2_outside(np.array([2.0]))
+        log2p = P._log2_outside(np.array([2.0]))
         assert log2p[0] <= P.degree * math.log2(8.0)
 
     def test_pointwise_dominates_indicator(self):
