@@ -46,6 +46,12 @@ def _dump_json(data, path: str | None):
         print(text)
 
 
+def _report_error(exc: Exception) -> int:
+    """Print the error as one JSON line; the exit status of a rejected input."""
+    print(json.dumps({"error": str(exc)}))
+    return 1
+
+
 def cmd_discretize(args) -> int:
     dist = ProductDistribution.load(args.dist)
     reports = []
@@ -108,7 +114,10 @@ def cmd_robp(args) -> int:
         print(json.dumps({"T": program.T, "D": program.D, "width": program.width}))
         return 0
     if args.robp_cmd == "check":
-        result = check_monotone(ROBP.load(args.prog))
+        try:
+            result = check_monotone(ROBP.load(args.prog))
+        except ValueError as exc:  # a malformed program
+            return _report_error(exc)
         if isinstance(result, MonotoneCertificate):
             _dump_json({"monotone": True, "orders": [list(o) for o in result.orders]},
                        args.out)
@@ -119,8 +128,10 @@ def cmd_robp(args) -> int:
                     "suffix_w": list(result.suffix_w)}, args.out)
         return 1
     if args.robp_cmd == "sandwich":
-        program = ROBP.load(args.prog)
-        pair = sandwich_monotone(program, args.eps)
+        try:
+            pair = sandwich_monotone(ROBP.load(args.prog), args.eps)
+        except ValueError as exc:  # a malformed or non-monotone program
+            return _report_error(exc)
         pair.down.save(args.out_down)
         pair.up.save(args.out_up)
         print(json.dumps({"eps": args.eps, "gap": float(pair.gap()),

@@ -173,7 +173,7 @@ class GF2m:
         """Elementwise product of two broadcastable int64 arrays of elements."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        tables = self.log_exp()
+        tables = self._log_exp()
         if tables is not None:
             log, exp = tables
             return exp[log[a] + log[b]]
@@ -184,7 +184,7 @@ class GF2m:
             a ^= (a >> self.m) * self.modulus
         return out
 
-    def log_exp(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def _log_exp(self) -> tuple[np.ndarray, np.ndarray] | None:
         """log/exp as int64 arrays when the field has tables (m <= 12), else None.
 
         log 0 points past every sum of two logs into a zero tail of exp, so

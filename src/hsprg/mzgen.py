@@ -14,12 +14,18 @@ bits of the k-wise word.
 Seed layout, low bits first: [hash index][bucket 0 seed]...[bucket t-1
 seed], every bucket consuming k*m bits whether or not it is empty, with
 m = log2 max(hash domain, alphabet size).
+
+A coordinate's k-wise word is its bucket's polynomial in GF(2^m) at the
+coordinate's rank r within the bucket.  Only its low label bits are read,
+and each is GF(2)-linear in the bucket seed C: bit j is parity(C & M[j][r])
+for masks M that depend on the shape alone (``_parity_masks``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -93,16 +99,51 @@ def derive_params(d: int, eps: float, eta: float, C: float = 1.0,
                     b_blocks=b, r_blocks=r, L=L, t=t, k=k)
 
 
-def gather_letters(alpha: np.ndarray, labels: np.ndarray) -> np.ndarray:
+def gather_letters(alpha: np.ndarray, labels: np.ndarray,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """``alpha[j, labels[:, j] mod size]`` for every row, as one flat gather.
 
     `alpha` is the (n, size) stack of the coordinates' sorted alphabets,
     size a power of two, and `labels` a (rows, n) integer array.
     """
     n, size = alpha.shape
-    idx = labels & (size - 1)
+    idx = np.bitwise_and(labels, size - 1, dtype=np.int64)
     idx += np.arange(0, n * size, size)
-    return np.take(alpha.ravel(), idx)
+    return np.take(alpha.ravel(), idx, out=out)
+
+
+@lru_cache(maxsize=None)
+def _parity_masks(m: int, k: int, label_bits: int, n: int) -> np.ndarray:
+    """Masks M with bit j of p(r) = parity(C & M[j, w, r]) summed over words w.
+
+    p(r) = sum_kk c_kk r^kk in GF(2^m), and C is its coefficients packed
+    into words as ``MZGenerator._pack`` does: coefficient kk at bit
+    (kk % q) * m of word kk // q, q = 63 // m, so no word uses bit 63.
+    Bit j of c * y is linear in the bits of c: bit i of c contributes bit j
+    of x^i * y.  Shape (label_bits, words, n), read-only and shared.
+    """
+    f = field(m)
+    q = 63 // m
+    place = np.int64(1) << ((np.arange(k) % q * m)[:, None] + np.arange(m))
+    masks = np.zeros((label_bits, -(-k // q), n), dtype=np.int64)
+    step = max(1, _TABLE_CELLS // (k * m))
+    for lo in range(0, n, step):
+        ranks = np.arange(lo, min(lo + step, n))
+        powers = [np.ones(len(ranks), dtype=np.int64)]
+        for _ in range(1, k):
+            powers.append(f.mul_array(powers[-1], ranks))
+        prod = np.empty((k, m, len(ranks)), dtype=np.int64)  # x^i * r^kk
+        y = np.stack(powers)
+        for i in range(m):
+            prod[:, i] = y
+            y = y << 1
+            y ^= (y >> m) * f.modulus
+        for j in range(label_bits):
+            terms = (prod >> j & 1) * place[:, :, None]
+            for w in range(masks.shape[1]):
+                masks[j, w, lo:lo + len(ranks)] = terms[w * q:(w + 1) * q].sum(axis=(0, 1))
+    masks.flags.writeable = False
+    return masks
 
 
 def _ranks(bucket: np.ndarray) -> np.ndarray:
@@ -175,6 +216,7 @@ class MZGenerator(_Generator):
                                else (0, 0) if t == 1 else None)
         self.hash_bits = 0 if self._constant_hash is not None else self.hash_family.index_bits
         self.bucket_seed_bits = self.k * self.m_word
+        self._masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
         self._partitions: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -198,10 +240,13 @@ class MZGenerator(_Generator):
         """One generator row per seed row, shape (size, n)."""
         seeds = check_seeds(seeds, self.seed_bits)
         index = seed_fields(seeds, 0, self.hash_bits, 1)[:, 0]
-        coeffs = seed_fields(seeds, self.hash_bits, self.m_word, self.t * self.k)
+        if self._masks.shape[1] == 1:  # each bucket seed fits one word
+            words = seed_fields(seeds, self.hash_bits, self.bucket_seed_bits, self.t)[None]
+        else:
+            coeffs = seed_fields(seeds, self.hash_bits, self.m_word, self.t * self.k)
+            words = self._pack(coeffs.reshape(len(seeds), self.t, self.k))
         out = np.empty((len(seeds), self.n))
-        self._fill(*self.hash_family.coefficients(index),
-                   coeffs.reshape(len(seeds), self.t, self.k), out)
+        self._fill(*self.hash_family.coefficients(index), words, out)
         return out
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -223,41 +268,55 @@ class MZGenerator(_Generator):
             else:
                 a, c = self.hash_family.coefficients(
                     rng.integers(0, 1 << self.hash_family.index_bits, size=m))
-            coeffs = rng.integers(0, 1 << self.m_word, size=(m, self.t, self.k))
-            self._fill(a, c, coeffs, out[done:done + m])
+            words = self._pack(rng.integers(0, 1 << self.m_word, size=(m, self.t, self.k)))
+            self._fill(a, c, words, out[done:done + m])
             done += m
         return out
 
-    def _fill(self, a: np.ndarray, c: np.ndarray, coeffs: np.ndarray,
-              out: np.ndarray) -> None:
-        """The expansion kernel: rows of hash (a, c) and (t, k) bucket seeds.
+    def _pack(self, coeffs: np.ndarray) -> np.ndarray:
+        """(rows, t, k) int64 bucket coefficients as a (words, rows, t) view of seed words.
 
-        Each coordinate takes its bucket's polynomial (constant term first)
-        at its within-bucket rank, by Horner in GF(2^m_word), and the low
-        bits of that word index its alphabet.  With log/exp tables the log
-        of the rank is taken once per chunk, so a Horner step is
-        exp[log[acc] + log[rank]] ^ coefficient; wider fields multiply by
-        shift-xor in ``mul_array``.
+        Coefficient kk moves to bit (kk % q) * m_word of word kk // q, with
+        q = 63 // m_word; with one word that is the bucket's seed field.
+        Packs in place, so the seeds are not copied.
         """
-        f = field(self.m_word)
-        tables = f.log_exp()
+        q = 63 // self.m_word
+        for kk in range(self.k):
+            if kk % q:
+                coeffs[:, :, kk] <<= kk % q * self.m_word
+                coeffs[:, :, kk - kk % q] |= coeffs[:, :, kk]
+        return np.moveaxis(coeffs[:, :, ::q], 2, 0)
+
+    def _fill(self, a: np.ndarray, c: np.ndarray, words: np.ndarray,
+              out: np.ndarray) -> None:
+        """The expansion kernel: rows of hash (a, c) and (words, rows, t) bucket seeds.
+
+        A coordinate takes its bucket's polynomial at its within-bucket rank
+        r, and the low label_bits of that word index its alphabet.  Each of
+        those bits is GF(2)-linear in the bucket's packed seed C, so label
+        bit j is parity(C & M[j][r]) over the seed words, with the masks M
+        of ``_parity_masks``: one AND and one popcount per bit and word,
+        with no field arithmetic.
+        """
         step = max(1, _CHUNK_CELLS // self.n)
+        dtype = np.min_scalar_type((1 << self.label_bits) - 1)
         for lo in range(0, len(out), step):
             hi = min(lo + step, len(out))
             bucket, rank = self._partition_rows(a[lo:hi], c[lo:hi])
-            # coefficient kk of each cell's bucket seed is column[kk][where]
             where = np.arange(hi - lo)[:, None] * self.t + bucket
-            column = np.moveaxis(coeffs[lo:hi], 2, 0).reshape(self.k, -1)
-            acc = np.take(column[-1], where)
-            if tables is not None:
-                log, exp = tables
-                log_rank = np.take(log, rank)
-                for kk in range(self.k - 2, -1, -1):
-                    acc = np.take(exp, np.take(log, acc) + log_rank) ^ np.take(column[kk], where)
-            else:
-                for kk in range(self.k - 2, -1, -1):
-                    acc = f.mul_array(acc, rank) ^ np.take(column[kk], where)
-            out[lo:hi] = gather_letters(self._alpha, acc)
+            seed = [np.take(w[lo:hi], where) for w in words]
+            label = np.zeros(where.shape, dtype)
+            bit = np.empty_like(label)
+            for j, mask in enumerate(self._masks):
+                x = seed[0] & np.take(mask[0], rank)
+                for s, mw in zip(seed[1:], mask[1:]):
+                    x ^= s & np.take(mw, rank)
+                # counted into a label-wide integer, so shifting by j cannot overflow
+                np.bitwise_count(x, out=bit)
+                bit &= 1
+                bit <<= j
+                label |= bit
+            gather_letters(self._alpha, label, out[lo:hi])
 
     def _partition_rows(self, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(bucket, rank) of every coordinate under each row's hash (a, c).
@@ -274,15 +333,16 @@ class MZGenerator(_Generator):
                 bucket, rank = self._multiplier_partitions(np.array([a0]))
                 self._partitions = bucket ^ (c0 & (self.t - 1)), rank
             elif self.n_dom * self.n <= _TABLE_CELLS:
-                self._partitions = tuple(p.astype(np.int32) for p in
-                                         self._multiplier_partitions(np.arange(self.n_dom)))
+                bucket, rank = self._multiplier_partitions(np.arange(self.n_dom))
+                self._partitions = (bucket.astype(np.min_scalar_type(self.t - 1)),
+                                    rank.astype(np.min_scalar_type(self.n - 1)))
         if self._constant_hash is not None:
             return self._partitions
         if self._partitions is None:
             bucket, rank = self._multiplier_partitions(a)
         else:
             bucket, rank = self._partitions[0][a], self._partitions[1][a]
-        return bucket ^ (c & (self.t - 1))[:, None], rank
+        return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], rank
 
     def _multiplier_partitions(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (a*j) mod t in the hash family's field, and their ranks."""

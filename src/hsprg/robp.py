@@ -20,6 +20,7 @@ from the last layer that is not a chain.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -47,6 +48,8 @@ class ROBP:
 
     def __init__(self, trans: Sequence[Sequence[Sequence[int]]],
                  accept: Sequence[int], D: int):
+        if not isinstance(D, (int, np.integer)):
+            raise ValueError(f"D must be an integer, got {D!r}")
         if D < 0:
             raise ValueError(f"D must be nonnegative, got {D}")
         bad = [b for b in accept if b not in (0, 1)]
@@ -61,21 +64,19 @@ class ROBP:
         if widths[0] != 1:
             raise ValueError("layer 0 must contain exactly the start state")
         for i, layer in enumerate(self.trans):
-            for row in layer:
-                if len(row) != n_labels:
-                    raise ValueError(f"layer {i}: transitions must be total on {n_labels} labels")
-                if min(row) < 0 or max(row) >= widths[i + 1]:
-                    raise ValueError(f"layer {i}: successor out of range")
+            if any(len(row) != n_labels for row in layer):
+                raise ValueError(f"layer {i}: transitions must be total on {n_labels} labels")
+            if not all(issubclass(kind, (int, np.integer))
+                       for kind in set(map(type, itertools.chain.from_iterable(layer)))):
+                raise ValueError(f"layer {i}: successors must be integers")
+            succ = set(itertools.chain.from_iterable(layer))
+            if succ and (min(succ) < 0 or max(succ) >= widths[i + 1]):
+                raise ValueError(f"layer {i}: successor out of range")
         self.widths = widths
 
     @property
     def width(self) -> int:
         return max(self.widths)
-
-    @property
-    def space(self) -> int:
-        """Smallest S with width <= 2^S."""
-        return max(1, (self.width - 1).bit_length())
 
     def eval(self, labels: Sequence[int]) -> int:
         if len(labels) != self.T:

@@ -13,7 +13,7 @@ from hsprg.distributions import ProductDistribution
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
 from hsprg.harness import estimate_fooling_error
 from hsprg.mzgen import MZGenerator, alphabets_from_distribution
-from hsprg.robp import ROBP
+from hsprg.robp import ROBP, halfspace_to_robp, product_robp
 
 
 def write(path, data):
@@ -96,6 +96,29 @@ def test_robp_pipeline(tmp_path, capsys):
     info = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert info["gap"] <= 0.5
     assert down.exists() and up.exists()
+
+
+@pytest.mark.parametrize("cmd", ["check", "sandwich"])
+@pytest.mark.parametrize("program,message", [
+    # the intersection of two monotone halfspace programs is not monotone
+    (product_robp([halfspace_to_robp([-2, -2, -2], 0, [[-1, 1]] * 3)[0],
+                   halfspace_to_robp([-2, 1, 1], 1, [[-1, 1]] * 3)[0]],
+                  lambda bits: int(all(bits))).to_json(), "layer 2 is not a chain"),
+    ({"D": 1, "trans": [[[0, 1.5]]], "accept": [0, 1]}, "layer 0: successors must be integers"),
+    ({"D": 1, "trans": [[[0, 2]]], "accept": [0, 1]}, "layer 0: successor out of range"),
+], ids=["not-monotone", "non-integer", "out-of-range"])
+def test_robp_rejects_bad_program_with_json(tmp_path, capsys, cmd, program, message):
+    prog = write(tmp_path / "prog.json", program)
+    args = {"check": ["--out", str(tmp_path / "check.json")],
+            "sandwich": ["--eps", "0.5", "--out-down", str(tmp_path / "d.json"),
+                         "--out-up", str(tmp_path / "u.json")]}[cmd]
+    status = main(["robp", cmd, "--prog", prog] + args)
+    assert status == 1
+    if cmd == "check" and message.startswith("layer 2"):  # check reports a counterexample
+        assert json.loads((tmp_path / "check.json").read_text())["monotone"] is False
+    else:
+        assert json.loads(capsys.readouterr().out)["error"].startswith(message)
+        assert not (tmp_path / "d.json").exists()
 
 
 def test_robp_nisan(tmp_path):

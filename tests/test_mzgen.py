@@ -9,11 +9,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import philox
-from hsprg.gf2 import KWiseFamily
+from hsprg.gf2 import KWiseFamily, field
 from hsprg.hashing import AFFINE, MULTIPLICATIVE, HashFunction
-from hsprg.mzgen import MZGenerator, MZParams, NisanProductGenerator, derive_params
+from hsprg.mzgen import MZGenerator, MZParams, NisanProductGenerator, _parity_masks, derive_params
 
 ETA3 = 1 / math.sqrt(3)
 
@@ -305,7 +307,11 @@ def distinct_alphabets(n, size, seed):
 
 
 class TestExpandReference:
-    """The expansion kernel against a scalar reference, on both multiply paths."""
+    """The expansion kernel against a scalar reference.
+
+    The reference is ``KWiseFamily.expand``, Horner with scalar field
+    multiplies, on the partition from ``HashFunction.__call__``.
+    """
 
     CASES = {
         # (n, t, k, alphabet size, hash variant or "fixed", seeds)
@@ -318,6 +324,12 @@ class TestExpandReference:
         "wide-multiplicative": (4097, 2, 2, 4, MULTIPLICATIVE, 2),
         "wide-fixed": (4097, 2, 3, 2, "fixed", 2),
         "wide-t1": (4097, 1, 2, 2, AFFINE, 2),
+        # k * m_word = 65 bits: each bucket seed spans two words
+        "wide-two-words": (4097, 2, 5, 2, AFFINE, 2),
+        # 16 label bits in two seed words of 3 and 2 coefficients; 9 label bits in one
+        "wide-labels": (5, 2, 5, 1 << 16, MULTIPLICATIVE, 6),
+        "labels-9": (20, 4, 3, 1 << 9, AFFINE, 20),
+        "one-letter": (9, 2, 3, 1, AFFINE, 20),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -330,10 +342,34 @@ class TestExpandReference:
         else:
             gen = MZGenerator(alphabets, t=t, k=k, hash_variant=variant)
         assert (gen.m_word > 12) == case.startswith("wide")
+        assert (gen.bucket_seed_bits > 63) == (case in ("wide-two-words", "wide-labels"))
         seeds = gen.random_seeds(philox(n * t + k), count)
         got = gen.expand(seeds)
         for row, seed in zip(got, seeds):
             assert np.array_equal(row, reference_row(gen, int.from_bytes(seed.tobytes(), "little")))
+
+
+@given(st.integers(1, 16), st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_parity_masks_match_scalar_field(m, k, data):
+    """Bit j of p(r) equals parity(C & M[j, :, r]), against scalar GF2m.mul."""
+    f = field(m)
+    r = data.draw(st.integers(0, min(f.order, 1 << 10) - 1), label="rank")
+    coeffs = data.draw(st.lists(st.integers(0, f.order - 1), min_size=k, max_size=k),
+                       label="coefficients")
+    masks = _parity_masks.__wrapped__(m, k, m, r + 1)  # every bit, uncached
+    q = 63 // m
+    words = [0] * masks.shape[1]
+    for kk, coef in enumerate(coeffs):
+        words[kk // q] |= coef << (kk % q * m)
+    assert max(words) < 1 << 63
+    value, power = 0, 1
+    for coef in coeffs:
+        value ^= f.mul(coef, power)
+        power = f.mul(power, r)
+    got = sum(sum(bin(w & int(masks[j, i, r])).count("1") for i, w in enumerate(words)) % 2 << j
+              for j in range(m))
+    assert got == value
 
 
 def fixed_distinct(n, t, k, size, variant, a, c):

@@ -80,6 +80,24 @@ class TestEval:
         with pytest.raises(ValueError, match=r"^D must be nonnegative, got -1$"):
             ROBP([], [1], D=-1)
 
+    @pytest.mark.parametrize("successor", [1.5, 1.0, "1", None])
+    def test_non_integer_successor_rejected(self, successor):
+        # these used to build, and fail later with a bare TypeError
+        with pytest.raises(ValueError, match=r"^layer 0: successors must be integers$"):
+            ROBP([[[0, successor]]], [0, 1], 1)
+        with pytest.raises(ValueError, match=r"^layer 1: successors must be integers$"):
+            ROBP.from_json({"D": 1, "trans": [[[0, 1]], [[0, 0], [0, successor]]],
+                            "accept": [0, 1]})
+
+    @pytest.mark.parametrize("D", [1.5, 1.0, "1"])
+    def test_non_integer_label_bits_rejected(self, D):
+        with pytest.raises(ValueError, match=rf"^D must be an integer, got {D!r}$"):
+            ROBP([[[0, 1]]], [0, 1], D)
+
+    def test_numpy_integers_accepted(self):
+        B = ROBP([[[np.int64(0), np.int32(1)]]], [0, 1], np.int64(1))
+        assert B.accept_probability() == Fraction(1, 2)
+
 
 class TestHalfspaceCompile:
     def test_two_var_theta_one(self):
