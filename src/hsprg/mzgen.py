@@ -36,9 +36,11 @@ from .robp import nisan_expand, nisan_seed_bits
 from .seeds import check_seeds, random_seed, random_seeds, seed_fields, seed_from_int
 
 # Cells (rows x coordinates) per pass of the expansion kernel, and the
-# largest table of partitions (multipliers x coordinates) kept per generator.
+# largest table (of masks or of partitions, by multiplier) kept per generator.
 _CHUNK_CELLS = 1 << 14
 _TABLE_CELLS = 1 << 21
+# Cells (label bits x coefficients x ranks) per pass of the mask builder.
+_MASK_BLOCK_CELLS = 1 << 16
 # Rows per sample_batch draw; it fixes the order of draws from the stream.
 _BATCH_ROWS = 1 << 15
 
@@ -112,7 +114,7 @@ def gather_letters(alpha: np.ndarray, labels: np.ndarray,
     return np.take(alpha.ravel(), idx, out=out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _parity_masks(m: int, k: int, label_bits: int, n: int) -> np.ndarray:
     """Masks M with bit j of p(r) = parity(C & M[j, w, r]) summed over words w.
 
@@ -120,28 +122,27 @@ def _parity_masks(m: int, k: int, label_bits: int, n: int) -> np.ndarray:
     into words as ``MZGenerator._pack`` does: coefficient kk at bit
     (kk % q) * m of word kk // q, q = 63 // m, so no word uses bit 63.
     Bit j of c * y is linear in the bits of c: bit i of c contributes bit j
-    of x^i * y.  Shape (label_bits, words, n), read-only and shared.
+    of x^i * y.  Shape (label_bits, words, n), read-only.  The cache keeps
+    the last eight shapes, so generators rebuilt for one shape (one per
+    ``hsprg estimate`` call in a process) build them once.
     """
     f = field(m)
     q = 63 // m
-    place = np.int64(1) << ((np.arange(k) % q * m)[:, None] + np.arange(m))
+    shift = np.arange(k) % q * m  # where coefficient kk starts in its word
     masks = np.zeros((label_bits, -(-k // q), n), dtype=np.int64)
-    step = max(1, _TABLE_CELLS // (k * m))
+    step = max(1, _MASK_BLOCK_CELLS // (label_bits * k))
     for lo in range(0, n, step):
         ranks = np.arange(lo, min(lo + step, n))
-        powers = [np.ones(len(ranks), dtype=np.int64)]
-        for _ in range(1, k):
-            powers.append(f.mul_array(powers[-1], ranks))
-        prod = np.empty((k, m, len(ranks)), dtype=np.int64)  # x^i * r^kk
-        y = np.stack(powers)
+        y = np.ones((k, len(ranks)), dtype=np.int64)  # x^i * r^kk, from i = 0
+        for kk in range(1, k):
+            y[kk] = f.mul_array(y[kk - 1], ranks)
         for i in range(m):
-            prod[:, i] = y
-            y = y << 1
-            y ^= (y >> m) * f.modulus
-        for j in range(label_bits):
-            terms = (prod >> j & 1) * place[:, :, None]
+            bits = y >> np.arange(label_bits)[:, None, None] & 1
+            bits <<= (shift + i)[:, None]
             for w in range(masks.shape[1]):
-                masks[j, w, lo:lo + len(ranks)] = terms[w * q:(w + 1) * q].sum(axis=(0, 1))
+                masks[:, w, lo:lo + len(ranks)] |= bits[:, w * q:(w + 1) * q].sum(axis=1)
+            y <<= 1
+            y ^= (y >> m) * f.modulus
     masks.flags.writeable = False
     return masks
 
@@ -216,8 +217,7 @@ class MZGenerator(_Generator):
                                else (0, 0) if t == 1 else None)
         self.hash_bits = 0 if self._constant_hash is not None else self.hash_family.index_bits
         self.bucket_seed_bits = self.k * self.m_word
-        self._masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
-        self._partitions: tuple[np.ndarray, np.ndarray] | None = None
+        self._tables: tuple | None = None
 
     @property
     def seed_bits(self) -> int:
@@ -240,11 +240,8 @@ class MZGenerator(_Generator):
         """One generator row per seed row, shape (size, n)."""
         seeds = check_seeds(seeds, self.seed_bits)
         index = seed_fields(seeds, 0, self.hash_bits, 1)[:, 0]
-        if self._masks.shape[1] == 1:  # each bucket seed fits one word
-            words = seed_fields(seeds, self.hash_bits, self.bucket_seed_bits, self.t)[None]
-        else:
-            coeffs = seed_fields(seeds, self.hash_bits, self.m_word, self.t * self.k)
-            words = self._pack(coeffs.reshape(len(seeds), self.t, self.k))
+        coeffs = seed_fields(seeds, self.hash_bits, self.m_word, self.t * self.k)
+        words = self._pack(coeffs.reshape(len(seeds), self.t, self.k))
         out = np.empty((len(seeds), self.n))
         self._fill(*self.hash_family.coefficients(index), words, out)
         return out
@@ -268,24 +265,24 @@ class MZGenerator(_Generator):
             else:
                 a, c = self.hash_family.coefficients(
                     rng.integers(0, 1 << self.hash_family.index_bits, size=m))
-            words = self._pack(rng.integers(0, 1 << self.m_word, size=(m, self.t, self.k)))
+            # as uint32, the same values as the int64 draw, leaving the stream in the same state
+            words = self._pack(rng.integers(0, 1 << self.m_word, size=(m, self.t, self.k),
+                                            dtype=np.uint32))
             self._fill(a, c, words, out[done:done + m])
             done += m
         return out
 
     def _pack(self, coeffs: np.ndarray) -> np.ndarray:
-        """(rows, t, k) int64 bucket coefficients as a (words, rows, t) view of seed words.
+        """(rows, t, k) bucket coefficients as (words, rows, t) int64 seed words.
 
         Coefficient kk moves to bit (kk % q) * m_word of word kk // q, with
         q = 63 // m_word; with one word that is the bucket's seed field.
-        Packs in place, so the seeds are not copied.
         """
         q = 63 // self.m_word
+        words = np.zeros((-(-self.k // q),) + coeffs.shape[:2], dtype=np.int64)
         for kk in range(self.k):
-            if kk % q:
-                coeffs[:, :, kk] <<= kk % q * self.m_word
-                coeffs[:, :, kk - kk % q] |= coeffs[:, :, kk]
-        return np.moveaxis(coeffs[:, :, ::q], 2, 0)
+            words[kk // q] |= np.left_shift(coeffs[:, :, kk], kk % q * self.m_word, dtype=np.int64)
+        return words
 
     def _fill(self, a: np.ndarray, c: np.ndarray, words: np.ndarray,
               out: np.ndarray) -> None:
@@ -295,22 +292,22 @@ class MZGenerator(_Generator):
         r, and the low label_bits of that word index its alphabet.  Each of
         those bits is GF(2)-linear in the bucket's packed seed C, so label
         bit j is parity(C & M[j][r]) over the seed words, with the masks M
-        of ``_parity_masks``: one AND and one popcount per bit and word,
-        with no field arithmetic.
+        of ``_parity_masks``: one mask gather, AND and popcount per bit and
+        word, with no field arithmetic.
         """
         step = max(1, _CHUNK_CELLS // self.n)
         dtype = np.min_scalar_type((1 << self.label_bits) - 1)
         for lo in range(0, len(out), step):
             hi = min(lo + step, len(out))
-            bucket, rank = self._partition_rows(a[lo:hi], c[lo:hi])
+            bucket, masks, index = self._partition_rows(a[lo:hi], c[lo:hi])
             where = np.arange(hi - lo)[:, None] * self.t + bucket
             seed = [np.take(w[lo:hi], where) for w in words]
             label = np.zeros(where.shape, dtype)
             bit = np.empty_like(label)
-            for j, mask in enumerate(self._masks):
-                x = seed[0] & np.take(mask[0], rank)
-                for s, mw in zip(seed[1:], mask[1:]):
-                    x ^= s & np.take(mw, rank)
+            for j, bit_masks in enumerate(masks):
+                x = seed[0] & np.take(bit_masks[0], index, axis=0)
+                for s, mask in zip(seed[1:], bit_masks[1:]):
+                    x ^= s & np.take(mask, index, axis=0)
                 # counted into a label-wide integer, so shifting by j cannot overflow
                 np.bitwise_count(x, out=bit)
                 bit &= 1
@@ -318,31 +315,48 @@ class MZGenerator(_Generator):
                 label |= bit
             gather_letters(self._alpha, label, out[lo:hi])
 
-    def _partition_rows(self, a: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(bucket, rank) of every coordinate under each row's hash (a, c).
+    def _partition_rows(self, a: np.ndarray,
+                        c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(bucket, masks, index) of every coordinate under each row's hash (a, c).
 
-        c only relabels the buckets by xor, which keeps the ranks, so one
-        partition per multiplier a is enough: a table of them is built once
-        when it is small, otherwise they are computed for the rows at hand.
-        When every seed shares one hash, its partition is built once and
-        returned as a (1, n) row that broadcasts over the rows.
+        The mask of label bit j and seed word w is
+        ``np.take(masks[j, w], index, axis=0)``, shaped like bucket.  c only
+        relabels the buckets by xor, which keeps the ranks, so all of it
+        depends on the multiplier a alone.  ``_build_tables`` decides once
+        what is kept per multiplier.
         """
-        if self._partitions is None:
-            if self._constant_hash is not None:
-                a0, c0 = self._constant_hash
-                bucket, rank = self._multiplier_partitions(np.array([a0]))
-                self._partitions = bucket ^ (c0 & (self.t - 1)), rank
-            elif self.n_dom * self.n <= _TABLE_CELLS:
-                bucket, rank = self._multiplier_partitions(np.arange(self.n_dom))
-                self._partitions = (bucket.astype(np.min_scalar_type(self.t - 1)),
-                                    rank.astype(np.min_scalar_type(self.n - 1)))
+        if self._tables is None:
+            self._tables = self._build_tables()
+        bucket, masks, index = self._tables
         if self._constant_hash is not None:
-            return self._partitions
-        if self._partitions is None:
-            bucket, rank = self._multiplier_partitions(a)
+            return bucket, masks, index
+        if bucket is None:
+            bucket, index = self._multiplier_partitions(a)
         else:
-            bucket, rank = self._partitions[0][a], self._partitions[1][a]
-        return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], rank
+            bucket, index = bucket[a], a if index is None else index[a]
+        return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], masks, index
+
+    def _build_tables(self) -> tuple:
+        """The (bucket, masks, index) tables ``_partition_rows`` reads.
+
+        When every seed shares one hash: its (1, n) partition, with the
+        masks gathered by rank.  Otherwise, if it fits, every multiplier's
+        masks M[j, w, rank_a], so a row gathers whole rows by a; else every
+        multiplier's buckets and ranks, with the masks gathered by rank;
+        else nothing, and partitions are computed for the rows at hand.
+        """
+        masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
+        if self._constant_hash is not None:
+            a0, c0 = self._constant_hash
+            bucket, rank = self._multiplier_partitions(np.array([a0]))
+            return bucket ^ (c0 & (self.t - 1)), masks, rank
+        if self.n_dom * self.n > _TABLE_CELLS:
+            return None, masks, None
+        bucket, rank = self._multiplier_partitions(np.arange(self.n_dom))
+        bucket = bucket.astype(np.min_scalar_type(self.t - 1))
+        if masks.shape[0] * masks.shape[1] * rank.size <= _TABLE_CELLS:
+            return bucket, np.take(masks, rank, axis=2), None
+        return bucket, masks, rank.astype(np.min_scalar_type(self.n - 1))
 
     def _multiplier_partitions(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Buckets (a*j) mod t in the hash family's field, and their ranks."""

@@ -52,10 +52,14 @@ class ROBP:
             raise ValueError(f"D must be an integer, got {D!r}")
         if D < 0:
             raise ValueError(f"D must be nonnegative, got {D}")
+        try:
+            self.trans = [[tuple(row) for row in layer] for layer in trans]
+            accept = tuple(accept)
+        except TypeError:  # a layer, row or accept list that is not a sequence
+            raise ValueError("trans must be a list of layers of rows, and accept a list") from None
         bad = [b for b in accept if b not in (0, 1)]
         if bad:
             raise ValueError(f"accept bits must be 0 or 1, got {bad[0]!r}")
-        self.trans = [[tuple(row) for row in layer] for layer in trans]
         self.accept = tuple(int(b) for b in accept)
         self.D = D
         self.T = len(self.trans)
@@ -109,6 +113,11 @@ class ROBP:
 
     @classmethod
     def from_json(cls, data: dict) -> "ROBP":
+        if not isinstance(data, dict):
+            raise ValueError("a program must be a JSON object")
+        missing = [key for key in ("trans", "accept", "D") if key not in data]
+        if missing:
+            raise ValueError(f"program has no {', '.join(missing)}")
         return cls(data["trans"], data["accept"], data["D"])
 
     def save(self, path: str) -> None:

@@ -106,7 +106,11 @@ def test_robp_pipeline(tmp_path, capsys):
                   lambda bits: int(all(bits))).to_json(), "layer 2 is not a chain"),
     ({"D": 1, "trans": [[[0, 1.5]]], "accept": [0, 1]}, "layer 0: successors must be integers"),
     ({"D": 1, "trans": [[[0, 2]]], "accept": [0, 1]}, "layer 0: successor out of range"),
-], ids=["not-monotone", "non-integer", "out-of-range"])
+    ({"D": 1, "trans": [[[0, 1]]]}, "program has no accept"),
+    ({"D": 1, "trans": [[0, 1]], "accept": [0, 1]}, "trans must be a list of layers of rows"),
+    ([[[0, 1]]], "a program must be a JSON object"),
+], ids=["not-monotone", "non-integer", "out-of-range", "missing-key", "non-list-row",
+        "not-an-object"])
 def test_robp_rejects_bad_program_with_json(tmp_path, capsys, cmd, program, message):
     prog = write(tmp_path / "prog.json", program)
     args = {"check": ["--out", str(tmp_path / "check.json")],

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import philox
+from hsprg import mzgen
 from hsprg.gf2 import KWiseFamily, field
 from hsprg.hashing import AFFINE, MULTIPLICATIVE, HashFunction
 from hsprg.mzgen import MZGenerator, MZParams, NisanProductGenerator, _parity_masks, derive_params
@@ -273,8 +274,8 @@ class _StubRng:
     def __init__(self, draws):
         self.draws = list(draws)
 
-    def integers(self, lo, hi, size=None):
-        return np.asarray(self.draws.pop(0), dtype=np.int64)
+    def integers(self, lo, hi, size=None, dtype=np.int64):
+        return np.asarray(self.draws.pop(0), dtype=dtype)
 
 
 def packed_seed(gen, a, c, coeffs):
@@ -370,6 +371,40 @@ def test_parity_masks_match_scalar_field(m, k, data):
     got = sum(sum(bin(w & int(masks[j, i, r])).count("1") for i, w in enumerate(words)) % 2 << j
               for j in range(m))
     assert got == value
+
+
+def test_parity_masks_blocks_match_one_block(monkeypatch):
+    """Masks built a few ranks per block equal those built in one block."""
+    whole = _parity_masks.__wrapped__(13, 5, 9, 300)
+    assert 9 * 5 * 300 <= mzgen._MASK_BLOCK_CELLS
+    monkeypatch.setattr(mzgen, "_MASK_BLOCK_CELLS", 9 * 5 * 7)  # 7 ranks per block
+    assert np.array_equal(_parity_masks.__wrapped__(13, 5, 9, 300), whole)
+
+
+@pytest.mark.parametrize("table_cells,tier", [
+    (1 << 21, "masks"), (1000, "ranks"), (100, "none")])
+@pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
+def test_table_tiers_match_reference(monkeypatch, table_cells, tier, variant):
+    """Each kind of per-multiplier table gives the scalar reference's rows.
+
+    n = 20 and 9 label bits give n_dom * n = 640 partition cells and 5760
+    mask cells, so the budget picks a mask table, a rank table or none.
+    """
+    monkeypatch.setattr(mzgen, "_TABLE_CELLS", table_cells)
+    gen = MZGenerator(distinct_alphabets(20, 1 << 9, 12), t=4, k=5, hash_variant=variant)
+    seeds = gen.random_seeds(philox(13), 20)
+    got = gen.expand(seeds)
+    bucket, masks, index = gen._tables
+    assert tier == ("none" if bucket is None else "masks" if masks.ndim == 4 else "ranks")
+    for row, seed in zip(got, seeds):
+        assert np.array_equal(row, reference_row(gen, int.from_bytes(seed.tobytes(), "little")))
+    if variant == AFFINE:
+        rng = philox(14)
+        for _ in range(10):
+            a, c = map(int, rng.integers(0, gen.n_dom, 2))
+            coeffs = rng.integers(0, 1 << gen.m_word, (gen.t, gen.k))
+            batch = gen.sample_batch(_StubRng([[a], [c], [coeffs]]), 1)
+            assert np.array_equal(batch[0], reference_row(gen, packed_seed(gen, a, c, coeffs)))
 
 
 def fixed_distinct(n, t, k, size, variant, a, c):

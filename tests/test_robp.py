@@ -94,6 +94,18 @@ class TestEval:
         with pytest.raises(ValueError, match=rf"^D must be an integer, got {D!r}$"):
             ROBP([[[0, 1]]], [0, 1], D)
 
+    @pytest.mark.parametrize("trans,accept", [([[0, 1]], [0, 1]), ([[[0, 1]]], 1), (3, [1])])
+    def test_non_sequence_structure_rejected(self, trans, accept):
+        # these used to fail with a bare TypeError
+        with pytest.raises(ValueError, match=r"^trans must be a list of layers of rows"):
+            ROBP(trans, accept, 1)
+
+    def test_from_json_names_missing_keys(self):
+        with pytest.raises(ValueError, match=r"^program has no trans, D$"):
+            ROBP.from_json({"accept": [1]})
+        with pytest.raises(ValueError, match=r"^a program must be a JSON object$"):
+            ROBP.from_json([[[0, 1]]])
+
     def test_numpy_integers_accepted(self):
         B = ROBP([[[np.int64(0), np.int32(1)]]], [0, 1], np.int64(1))
         assert B.accept_probability() == Fraction(1, 2)
