@@ -29,7 +29,7 @@ from .robp import (
     nisan_seed_bits,
     sandwich_monotone,
 )
-from .sandwich_poly import audit_dgjsv, build_upper_poly, dgjsv_poly
+from .sandwich_poly import DGJSVError, audit_dgjsv, build_upper_poly, dgjsv_poly
 
 
 def _load_json(path: str):
@@ -147,18 +147,25 @@ def cmd_robp(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
+    # bad parameters raise ValueError, and a construction that fails its
+    # own audit DGJSVError; both become a JSON error and exit status 1
     if args.sandwich_cmd == "audit":
-        poly = dgjsv_poly(args.a, args.b)
-        rep = audit_dgjsv(poly)
+        try:
+            rep = audit_dgjsv(dgjsv_poly(args.a, args.b))
+        except (ValueError, DGJSVError) as exc:
+            return _report_error(exc)
         _dump_json({"a": args.a, "b": args.b, "K": rep.K, "ok": rep.ok,
                     "c0_ratio": rep.c0_ratio, "violations": rep.violations},
                    args.out)
-        return 0 if rep.ok else 1
+        return 0
     if args.sandwich_cmd == "build":
-        dist = ProductDistribution.load(args.dist)
-        w = json.loads(args.weights)
-        gp = build_upper_poly(w, args.theta, dist.coords, delta=args.delta,
-                              t=args.t, T=args.T, d=args.d, L=args.L)
+        try:
+            dist = ProductDistribution.load(args.dist)
+            w = json.loads(args.weights)
+            gp = build_upper_poly(w, args.theta, dist.coords, delta=args.delta,
+                                  t=args.t, T=args.T, d=args.d, L=args.L)
+        except (ValueError, DGJSVError) as exc:
+            return _report_error(exc)
         _dump_json({"order": gp.order, "K": gp.K, "q": gp.q, "L": gp.L,
                     "head": list(gp.partition.head),
                     "tail_regular": gp.partition.tail_regular,

@@ -11,7 +11,8 @@ Structure: P = (1 + x*D(x)^2)^2 where D is a Chebyshev interpolant of a
 Gaussian-smoothed step times an inverse-square-root factor.  The squares
 make P >= 1[x >= 0] hold pointwise by construction (exactly, even in
 floats); the six range properties are enforced by a dense grid audit, so
-the internal recipe is replaceable.
+the internal recipe is replaceable.  The audit is kept with the polynomial,
+whose coefficients are read-only, so each polynomial is audited once.
 
 A single halfspace's upper sandwich splits on the head assignment: BAD
 (irregular tail near the threshold) takes the constant 1, NEAR scales P to
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -74,22 +75,49 @@ def _clenshaw_scaled(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     to 2^-1000 and 0.0 from 2^-1500 on, where ldexp(c_k, -e) rounds to the
     same signed zero for |c_k| < 2^425.  Rows are independent, so the
     recurrence runs in place on one block of rows at a time.
+
+    The block's max |b1| is computed only at steps where a row could pass
+    2^500.  Floats m1 >= max|b1| and m2 >= max|b2| are carried along, and
+    no row can pass g*m1 + m2 + max|c_k| with g = max|2x| (proof at the
+    update).  So every rescale happens at the step where a check at every
+    step would make it, bit for bit.  Each check sets m1 to the exact
+    maximum; a rescale only shrinks rows, so the bounds from before it
+    still hold and just force checks at the next two steps.  A NaN or
+    infinite x or coefficient makes the bound NaN or inf, so such a block
+    is checked at every step.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty_like(flat)
     exp2 = np.zeros(flat.shape, dtype=np.int32)
+    c_max = float(np.max(np.abs(coeffs)))
     for lo in range(0, len(flat), _CLENSHAW_BLOCK):
         xs, e = flat[lo:lo + _CLENSHAW_BLOCK], exp2[lo:lo + _CLENSHAW_BLOCK]
         b1, b2, tmp, mag = (np.zeros_like(xs) for _ in range(4))
         two_x = 2.0 * xs
+        g = float(np.max(np.abs(two_x)))
+        m1 = m2 = 0.0
         scale = None  # every e of the block is 0 until its first rescale
         for k in range(len(coeffs) - 1, 0, -1):
             np.multiply(two_x, b1, out=tmp)
             tmp -= b2
             tmp += coeffs[k] if scale is None else coeffs[k] * scale
             b1, b2, tmp = tmp, b1, b2
-            top = np.abs(b1, out=mag).max()
+            # Each row's new b1 is fl(fl(fl(2x*b1) - b2) + c'), where
+            # |2x| <= g, |b1| <= m1, |b2| <= m2 and |c'| <= |c_k| <= c_max
+            # (c' = fl(c_k * scale) with scale <= 1).  Round to nearest is
+            # odd-symmetric and monotone, so |fl(y)| = fl(|y|) and
+            # |fl(y)| <= fl(z) for every real |y| <= z.  Applied operation
+            # by operation (|u - v| <= |u| + |v|), |new b1| is at most the
+            # bound below, which rounds the same three operations on the
+            # larger operands.  So the bound holds with no slack, in the
+            # subnormal range and at overflow to inf too.
+            bound = g * m1 + m2 + c_max
+            if bound <= _RESCALE_LIMIT:  # False for a NaN bound
+                m1, m2 = bound, m1
+                continue
+            top = float(np.abs(b1, out=mag).max())
+            m1, m2 = top, m1
             if top > _RESCALE_LIMIT or top != top:  # a NaN row hides the maximum
                 big = mag > _RESCALE_LIMIT
                 if big.any():
@@ -122,13 +150,33 @@ class DGJSVAudit:
 
 
 class UnivariatePoly:
-    """The structured step approximator P(x) = (1 + x D(x)^2)^2, D a Chebyshev series."""
+    """The structured step approximator P(x) = (1 + x D(x)^2)^2, D a Chebyshev series.
+
+    The coefficients of D are a read-only copy and no attribute can be
+    rebound, so the grid audit that `audit_dgjsv` keeps with the polynomial
+    describes it for good.
+    """
 
     def __init__(self, d_cheb: np.ndarray, a: float, b: float):
-        self.d_cheb = np.asarray(d_cheb, dtype=float)
+        coeffs = np.array(d_cheb, dtype=float)
+        if coeffs.ndim != 1 or len(coeffs) == 0:
+            raise ValueError("d_cheb must be a non-empty list of coefficients")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("d_cheb has a non-finite coefficient")
+        for name, value in (("a", a), ("b", b)):
+            if not 0 < float(value) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
+        coeffs.flags.writeable = False
+        self.d_cheb = coeffs
         self.a = float(a)
         self.b = float(b)
         self.degree = 2 * (2 * (len(self.d_cheb) - 1) + 1)
+        self._audit: DGJSVAudit | None = None  # set by the first audit_dgjsv call
+
+    def __setattr__(self, name, value):
+        if name != "_audit" and name in self.__dict__:
+            raise AttributeError(f"UnivariatePoly.{name} is read-only")
+        object.__setattr__(self, name, value)
 
     def __call__(self, x):
         scalar = np.isscalar(x)
@@ -206,6 +254,8 @@ def dgjsv_poly(a: float, b: float) -> UnivariatePoly:
 
     Raises DGJSVError if any of the six properties fails at tolerance
     1e-9; the error is never silent.  Constructions are cached by (a, b).
+    The returned polynomial keeps the audit it passed, so
+    `audit_dgjsv(dgjsv_poly(a, b))` runs the grid once.
     """
     if not (0 < a < 1 and 0 < b < 1):
         raise ValueError("need 0 < a < 1 and 0 < b < 1")
@@ -260,7 +310,17 @@ def dgjsv_poly(a: float, b: float) -> UnivariatePoly:
 
 
 def audit_dgjsv(poly: UnivariatePoly) -> DGJSVAudit:
-    """Check the six range/growth properties on the dense grid."""
+    """Check the six range/growth properties on the dense grid.
+
+    The first call on a polynomial computes the audit and keeps it with the
+    polynomial; later calls return it without a second grid pass, each with
+    its own copy of `violations`.  A polynomial cannot change after it is
+    built, so the kept audit stays valid.  One from `dgjsv_poly` comes audited;
+    one from the constructor or `from_json` is audited on its first call.
+    """
+    kept = poly._audit
+    if kept is not None:
+        return replace(kept, violations=dict(kept.violations))
     a, b, K = poly.a, poly.b, poly.degree
     inner = np.arange(-1.0, 1.0 + _AUDIT_STEP / 2, _AUDIT_STEP)
     inner = np.unique(np.concatenate([inner, [-1.0, -a, 0.0, 1.0]]))
@@ -293,7 +353,8 @@ def audit_dgjsv(poly: UnivariatePoly) -> DGJSVAudit:
 
     ok = all(v <= _AUDIT_TOL for v in viol.values())
     c0_ratio = K * a / math.log2(2.0 / b)
-    return DGJSVAudit(ok, viol, K, c0_ratio)
+    poly._audit = DGJSVAudit(ok, viol, K, c0_ratio)
+    return DGJSVAudit(ok, dict(viol), K, c0_ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,83 @@ def test_sandwich_audit(tmp_path):
     assert rep["ok"] is True and rep["K"] % 2 == 0
 
 
+# stdout of `hsprg sandwich audit --a 0.1 --b 0.01`, recorded before the
+# audit was kept with the polynomial
+AUDIT_GOLDEN = """{
+ "a": 0.1,
+ "b": 0.01,
+ "K": 542,
+ "ok": true,
+ "c0_ratio": 7.090661919111453,
+ "violations": {
+  "p2_on[-1,-a]": 0.0,
+  "p3_on[-a,0]": 0.0,
+  "p4_on[0,1]": 0.0,
+  "p1_left_nonneg": 0.0,
+  "p5_right_ge1": 0.0,
+  "p6_envelope_log2": 0.0
+ }
+}
+"""
+
+
+def test_sandwich_audit_golden(capsys):
+    assert main(["sandwich", "audit", "--a", "0.1", "--b", "0.01"]) == 0
+    assert capsys.readouterr().out == AUDIT_GOLDEN
+
+
+def test_sandwich_audit_computes_the_grid_once(monkeypatch, capsys):
+    from hsprg.sandwich_poly import UnivariatePoly
+    calls = []
+    outside = UnivariatePoly._log2_outside
+    monkeypatch.setattr(UnivariatePoly, "_log2_outside",
+                        lambda self, xs: calls.append(len(xs)) or outside(self, xs))
+    assert main(["sandwich", "audit", "--a", "0.37", "--b", "0.02"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert len(calls) == 2  # one audit: the outer grid on each side
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--a", "1.5", "--b", "0.01"], "need 0 < a < 1 and 0 < b < 1"),
+    (["--a", "0.1", "--b", "0"], "need 0 < a < 1 and 0 < b < 1"),
+])
+def test_sandwich_audit_rejects_bad_parameters_with_json(capsys, argv, message):
+    assert main(["sandwich", "audit"] + argv) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+
+
+def test_sandwich_audit_reports_a_failed_construction(monkeypatch, capsys):
+    from hsprg import cli
+    from hsprg.sandwich_poly import DGJSVError
+
+    def fail(a, b):
+        raise DGJSVError(f"no construction passed the audit for a={a}, b={b}")
+
+    monkeypatch.setattr(cli, "dgjsv_poly", fail)
+    assert main(["sandwich", "audit", "--a", "0.1", "--b", "0.01"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "no construction passed the audit for a=0.1, b=0.01"}
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"--t": "4"}, "need t > 4"),
+    ({"--T": "4"}, "a=384.000 >= 1: T=4 too small for d=2, t=8.0"),
+    ({"--T": "4095"}, "T must be a positive even integer"),
+    ({"--weights": "[1, 1"}, "Expecting ','"),
+])
+def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, override, message):
+    dist = write(tmp_path / "d6.json",
+                 {"coord": {"kind": "multiset", "values": [-1.0, 1.0]}, "n": 6})
+    args = {"--weights": "[1,1,1,1,1,1]", "--theta": "1.0", "--dist": dist,
+            "--delta": "0.25", "--t": "8", "--T": "4096", "--d": "2", "--L": "1",
+            "--out": str(tmp_path / "poly.json")}
+    args.update(override)
+    status = main(["sandwich", "build"] + [s for kv in args.items() for s in kv])
+    assert status == 1
+    assert json.loads(capsys.readouterr().out)["error"].startswith(message)
+    assert not (tmp_path / "poly.json").exists()
+
+
 def test_sandwich_build(tmp_path):
     dist = write(tmp_path / "d6.json",
                  {"coord": {"kind": "multiset", "values": [-1.0, 1.0]}, "n": 6})

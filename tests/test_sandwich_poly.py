@@ -1,15 +1,19 @@
 """Step-approximator audit, halfspace sandwiches, hybrid products, fooling."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import philox
-from hsprg import harness
+from hsprg import harness, sandwich_poly
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution
 from hsprg.halfspace import DecisionTree, Halfspace, HalfspaceSystem
 from hsprg.harness import exact_expectation
@@ -22,6 +26,8 @@ from hsprg.sandwich_poly import (
     OrderViolation,
     RegularityPartition,
     UnivariatePoly,
+    _AUDIT_STEP,
+    _AUDIT_XMAX,
     _clenshaw_scaled,
     and_sum_evaluate,
     audit_dgjsv,
@@ -136,6 +142,85 @@ class TestClenshawKernel:
         assert e[:8192].max() == 0 and e[8192:16384].min() >= 1000  # several rescales
 
 
+@st.composite
+def kernel_inputs(draw):
+    """Coefficients up to 2^300 and rows inside, on and outside [-1, 1]."""
+    rng = philox(draw(st.integers(0, 2 ** 32 - 1)))
+    n_coeffs = draw(st.integers(1, 600))
+    top = draw(st.integers(-40, 300))
+    coeffs = rng.uniform(-1.0, 1.0, n_coeffs) * np.exp2(rng.integers(top - 60, top + 1, n_coeffs))
+    bad_coeff = draw(st.sampled_from([None, math.nan, math.inf, -math.inf]))
+    if bad_coeff is not None:
+        coeffs[rng.integers(n_coeffs)] = bad_coeff
+    size = draw(st.sampled_from([1, 2, 40, 8191, 8192, 8193]))
+    kinds = {"inside": rng.uniform(-1.0, 1.0, size),
+             "unit": rng.choice([-1.0, 1.0], size),
+             "wide": rng.uniform(-16.0, 16.0, size),
+             "edge": rng.choice([-16.0, 16.0], size)}
+    kind = draw(st.sampled_from(sorted(kinds) + ["mixed"]))
+    if kind == "mixed":
+        x = np.choose(rng.integers(0, len(kinds), size), [kinds[k] for k in sorted(kinds)])
+    else:
+        x = kinds[kind]
+    if draw(st.booleans()):
+        rows = rng.integers(0, size, 3)
+        x[rows] = [math.nan, math.inf, -math.inf]
+    return coeffs, x
+
+
+class TestClenshawKernelAgainstReference:
+    """The skipped overflow checks change no bit of (mantissa, exp2)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(kernel_inputs())
+    def test_matches_reference(self, case):
+        coeffs, x = case
+        with np.errstate(all="ignore"):
+            got, want = _clenshaw_scaled(coeffs, x), clenshaw_reference(coeffs, x)
+        if np.isinf(coeffs).any():
+            # An infinite coefficient enters a row as inf * 2^-e, which is
+            # NaN once the scale underflows to 0 at e = 1500, where the
+            # reference's ldexp keeps inf.  Such a row is not finite on
+            # either side, but its value and exponent may differ; every
+            # row that never reached e = 1500 agrees bit for bit.
+            lost = want[1] >= 1500
+            assert not np.isfinite(got[0][lost]).any()
+            got, want = [(m[~lost], e[~lost]) for m, e in (got, want)]
+        if np.isnan(coeffs).any():
+            # Where a NaN coefficient meets a NaN row, the sign of the NaN
+            # sum depends on the operand order of numpy's add loop, which
+            # differs between the kernel's in-place scalar add and the
+            # reference's array add.  Compare such rows as NaN only.
+            got, want = [(np.where(np.isnan(m), np.nan, m), e) for m, e in (got, want)]
+        assert_bitwise(got, want)
+
+    def test_audit_grids(self):
+        coeffs = dgjsv_poly(0.05, 1e-4).d_cheb
+        outer = np.arange(1.0, _AUDIT_XMAX + _AUDIT_STEP / 2, _AUDIT_STEP)
+        for x in (outer, -outer):
+            got = _clenshaw_scaled(coeffs, x)
+            assert_bitwise(got, clenshaw_reference(coeffs, x))
+            assert got[1].max() >= 1500
+
+    # Each case takes rows past 2^500 where one part of the bound alone sees
+    # it coming: the coefficient, the 2x*b1 product, the b2 carried from
+    # two steps back, and the b2 bound a check hands on without a rescale.
+    LIMIT = 2.0 ** 500
+
+    @pytest.mark.parametrize("x, coeffs", [
+        (0.5, [0.0, math.nextafter(LIMIT, math.inf)]),
+        (-1.0, [0.0, 0.0, math.nextafter(LIMIT / 3, math.inf),
+                -math.nextafter(LIMIT / 3, math.inf)]),
+        (0.0, [0.0, -0.75 * LIMIT, 0.0, 0.75 * LIMIT]),
+        (-0.5, (LIMIT * np.array([0.25, 0.45, -0.3, -0.3, 0.25, -0.1])).tolist()),
+    ], ids=["coefficient", "product", "carried-b2", "b2-after-a-check"])
+    def test_rescale_at_the_first_step_past_the_limit(self, x, coeffs):
+        xs = np.full(3, x)
+        got = _clenshaw_scaled(np.array(coeffs), xs)
+        assert_bitwise(got, clenshaw_reference(coeffs, xs))
+        assert (got[1] == 500).all()
+
+
 AUDIT_NAMES = ["p2_on[-1,-a]", "p3_on[-a,0]", "p4_on[0,1]", "p1_left_nonneg", "p5_right_ge1",
                "p6_envelope_log2"]
 
@@ -170,6 +255,103 @@ class TestUnivariatePoly:
         with pytest.raises(ValueError, match="'monomial'"):
             UnivariatePoly.from_json({"kind": "monomial", "degree": 2,
                                       "coefficients": ["0.5", "-1.25", "3.0"]})
+
+    @pytest.mark.parametrize("d_cheb, a, b, message", [
+        ([], 0.2, 0.01, "d_cheb must be a non-empty list"),
+        ([[1.0, 2.0]], 0.2, 0.01, "d_cheb must be a non-empty list"),
+        ([1.0, math.nan], 0.2, 0.01, "d_cheb has a non-finite coefficient"),
+        ([math.inf], 0.2, 0.01, "d_cheb has a non-finite coefficient"),
+        ([1.0], 0.0, 0.01, "a must lie in (0, 1), got 0.0"),
+        ([1.0], 1.0, 0.01, "a must lie in (0, 1), got 1.0"),
+        ([1.0], math.nan, 0.01, "a must lie in (0, 1), got nan"),
+        ([1.0], 0.2, -0.5, "b must lie in (0, 1), got -0.5"),
+        ([1.0], 0.2, math.inf, "b must lie in (0, 1), got inf"),
+    ])
+    def test_bad_input_rejected(self, d_cheb, a, b, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            UnivariatePoly(d_cheb, a, b)
+        data = {"kind": "dgjsv", "degree": 2, "a": a, "b": b,
+                "cheb_coefficients": [repr(float(c)) for c in np.ravel(d_cheb)]}
+        if np.ndim(d_cheb) == 1:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                UnivariatePoly.from_json(data)
+
+
+class TestAuditOnce:
+    def test_kept_audit_equals_a_fresh_one(self):
+        for a in (0.05, 0.1, 0.2):
+            for b in (1e-2, 1e-4):
+                p = dgjsv_poly(a, b)
+                kept = audit_dgjsv(p)
+                fresh = audit_dgjsv(UnivariatePoly(p.d_cheb.copy(), p.a, p.b))
+                for field in dataclasses.fields(kept):
+                    got, want = getattr(kept, field.name), getattr(fresh, field.name)
+                    assert type(got) is type(want) and got == want, field.name
+                assert list(kept.violations) == list(fresh.violations)
+
+    def test_one_grid_pass_per_construction_attempt(self, monkeypatch):
+        built, audited = [], []
+
+        class Counted(UnivariatePoly):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        def count(fn, log):
+            def wrapped(self, *args):
+                log.append(self)
+                return fn(self, *args)
+            return wrapped
+
+        monkeypatch.setattr(sandwich_poly, "UnivariatePoly", Counted)
+        monkeypatch.setattr(Counted, "__call__", count(UnivariatePoly.__call__, audited))
+        for a, b in [(0.05, 1e-4), (0.2, 1e-2), (0.37, 0.3)]:
+            built.clear()
+            audited.clear()
+            p = dgjsv_poly.__wrapped__(a, b)  # past the (a, b) cache
+            assert built and built[-1] is p
+            assert audited == built  # one inner-grid pass per attempt, none twice
+            rep = audit_dgjsv(p)
+            assert rep.ok and audited == built
+
+    def test_constructed_polynomial_is_audited_on_first_call(self, monkeypatch):
+        p = dgjsv_poly(0.2, 1e-2)
+        outside = []
+        log2_outside = UnivariatePoly._log2_outside
+        monkeypatch.setattr(UnivariatePoly, "_log2_outside",
+                            lambda self, xs: outside.append(self) or log2_outside(self, xs))
+        for q in (UnivariatePoly(p.d_cheb, p.a, p.b), UnivariatePoly.from_json(p.to_json())):
+            outside.clear()
+            first = audit_dgjsv(q)
+            assert len(outside) == 2
+            assert audit_dgjsv(q) == first == audit_dgjsv(p)
+            assert len(outside) == 2
+        audit_dgjsv(p)
+        assert len(outside) == 2
+
+    def test_returned_violations_are_a_copy(self):
+        p = dgjsv_poly(0.2, 1e-2)
+        audit_dgjsv(p).violations["p2_on[-1,-a]"] = 1.0
+        assert audit_dgjsv(p).violations["p2_on[-1,-a]"] == 0.0
+
+    def test_coefficients_are_read_only(self):
+        p = dgjsv_poly(0.2, 1e-2)
+        with pytest.raises(ValueError, match="read-only"):
+            p.d_cheb[0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            p.d_cheb *= 2.0
+        mine = np.array(p.d_cheb)
+        q = UnivariatePoly(mine, p.a, p.b)
+        mine[0] = 5.0  # the caller's array stays writable and q keeps its copy
+        assert q.d_cheb[0] == p.d_cheb[0] and not q.d_cheb.flags.writeable
+
+    @pytest.mark.parametrize("name", ["d_cheb", "a", "b", "degree"])
+    def test_attributes_cannot_be_rebound(self, name):
+        p = UnivariatePoly([0.5, 0.25], 0.2, 1e-2)
+        first = audit_dgjsv(p)
+        with pytest.raises(AttributeError, match=f"UnivariatePoly.{name} is read-only"):
+            setattr(p, name, getattr(p, name))
+        assert audit_dgjsv(p) == first
 
 
 class TestPartitionAndBranches:
