@@ -13,7 +13,7 @@ that prepares a coordinate for the bucket-hashed generator is:
     standardize the chosen multiset again
 
 Discrete coordinates are handled exactly (Fraction CDF scans); continuous
-ones by analytic quantiles where available and bisection otherwise.
+ones by their analytic quantiles.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from scipy.special import ndtr, ndtri
 
 SQRT3 = math.sqrt(3.0)
 ETA_MAX = 1.0 / SQRT3
-_QUANTILE_TOL = 1e-12
 SAMPLE_BLOCK = 1 << 18  # uniforms drawn per block by ProductDistribution.sample
 
 
@@ -50,7 +49,8 @@ def _quad(integrand, B: float) -> float:
 
 
 class Coordinate:
-    """Base class; concrete kinds implement cdf, moments, sample."""
+    """Base class; concrete kinds implement cdf, moments, sample, and the
+    continuous ones quantile."""
 
     kind = "abstract"
     is_discrete = False
@@ -59,9 +59,9 @@ class Coordinate:
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def quantile(self, q: float) -> float | None:
-        """Inverse CDF where analytic, else None (callers fall back to bisection)."""
-        return None
+    def quantile(self, q: float) -> float:
+        """Inverse CDF of a continuous kind: the smallest x with F(x) >= q."""
+        raise NotImplementedError
 
     def moments(self) -> tuple[float, float, float]:
         """(mean, second moment, fourth moment), raw not central."""
@@ -289,10 +289,7 @@ class TruncatedStandardizedCoordinate(Coordinate):
 
         return moment(1), moment(2), moment(4)
 
-    def quantile(self, q: float) -> float | None:
-        base_q = self.base.quantile(q)  # probe for analytic support
-        if base_q is None:
-            return None
+    def quantile(self, q: float) -> float:
         F = self.base.cdf
         lo_mass = F(-self.B_raw)
         atom_lo = F(0.0) - lo_mass            # Pr[y < 0], y the truncated variable
@@ -509,8 +506,8 @@ def default_gamma(eps: float, n: int, B: float) -> float:
 def bucket_boundaries(coord: Coordinate, gamma: float, B: float) -> list[float]:
     """b_k = smallest x in [-B, B] with F(x) >= k*gamma, for k = 0..g.
 
-    Exact scan for discrete coordinates; analytic quantile (clamped) or
-    bisection to 1e-12 otherwise.
+    Exact scan for discrete coordinates, else the analytic quantile clamped
+    to [-B, B] (monotone in k, so the boundaries come out sorted).
     """
     g = _validate_gamma(gamma)
     if coord.is_discrete:
@@ -527,29 +524,7 @@ def bucket_boundaries(coord: Coordinate, gamma: float, B: float) -> list[float]:
             out.append(min(max(hit, -B), B))
         return out
 
-    out = [-B]
-    for k in range(1, g + 1):
-        q = k / g
-        analytic = coord.quantile(q)
-        if analytic is not None:
-            out.append(min(max(analytic, -B), B))
-            continue
-        if coord.cdf(B) < q:
-            out.append(B)
-            continue
-        lo, hi = -B, B
-        while hi - lo > _QUANTILE_TOL:
-            mid = 0.5 * (lo + hi)
-            if coord.cdf(mid) >= q:
-                hi = mid
-            else:
-                lo = mid
-        out.append(hi)
-    # CDF monotonicity implies sorted boundaries; guard against bad inputs
-    for lo_v, hi_v in zip(out, out[1:]):
-        if hi_v < lo_v - 1e-9:
-            raise DistributionError("non-monotone CDF: boundaries out of order")
-    return out
+    return [-B] + [min(max(coord.quantile(k / g), -B), B) for k in range(1, g + 1)]
 
 
 @dataclass(frozen=True)

@@ -163,13 +163,15 @@ def _ranks(bucket: np.ndarray) -> np.ndarray:
 class _Generator:
     """What every generator shares: the alphabets and the seed interface.
 
-    A subclass sets ``seed_bits`` and defines ``expand(seeds)``, one row
-    per seed row; ``generate`` expands one seed and ``random_seed`` is one
-    draw of ``random_seeds``.
+    ``alphabets`` is one read-only (n, size) float array, each row sorted
+    (stably, so -0.0 and 0.0 keep their given order, as ``sorted`` keeps
+    them).  A subclass sets ``seed_bits`` and defines ``expand(seeds)``,
+    one row per seed row; ``generate`` expands one seed and ``random_seed``
+    is one draw of ``random_seeds``.
     """
 
     def __init__(self, alphabets: Sequence[Sequence[float]]):
-        if not alphabets:
+        if len(alphabets) == 0:
             raise ValueError("need at least one coordinate")
         sizes = {len(a) for a in alphabets}
         if len(sizes) != 1:
@@ -177,8 +179,8 @@ class _Generator:
         (size,) = sizes
         if not is_power_of_two(size):
             raise ValueError("alphabet size must be a power of 2")
-        self.alphabets = [np.asarray(sorted(a), dtype=float) for a in alphabets]
-        self._alpha = np.stack(self.alphabets)
+        self.alphabets = np.sort(np.asarray(alphabets, dtype=float), axis=1, kind="stable")
+        self.alphabets.flags.writeable = False
         self.n = len(alphabets)
         self.alphabet_size = size
         self.label_bits = max(1, (size - 1).bit_length())  # a one-letter alphabet reads 1 bit
@@ -313,7 +315,7 @@ class MZGenerator(_Generator):
                 bit &= 1
                 bit <<= j
                 label |= bit
-            gather_letters(self._alpha, label, out[lo:hi])
+            gather_letters(self.alphabets, label, out[lo:hi])
 
     def _partition_rows(self, a: np.ndarray,
                         c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -337,13 +339,18 @@ class MZGenerator(_Generator):
         return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], masks, index
 
     def _build_tables(self) -> tuple:
-        """The (bucket, masks, index) tables ``_partition_rows`` reads.
+        """The (bucket, masks, index) tables ``_partition_rows`` reads, by tier.
 
-        When every seed shares one hash: its (1, n) partition, with the
-        masks gathered by rank.  Otherwise, if it fits, every multiplier's
-        masks M[j, w, rank_a], so a row gathers whole rows by a; else every
-        multiplier's buckets and ranks, with the masks gathered by rank;
-        else nothing, and partitions are computed for the rows at hand.
+        - Every seed shares one hash (fixed hash or t = 1): its (1, n)
+          partition, with the masks gathered by rank.  The benchmark's
+          exact_enum reaches it.
+        - If it fits, every multiplier's masks M[j, w, rank_a], so a row
+          gathers whole rows by a.  mc_batch and mc_cli reach it.
+        - Else every multiplier's buckets and ranks, with the masks gathered
+          by rank.  No workload reaches it; at n = 1024, t = 64, k = 5 with
+          16 letters it measured 3x faster than no table.
+        - Else nothing, and partitions are computed for the rows at hand:
+          the only tier whose memory fits at large n.  No workload reaches it.
         """
         masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
         if self._constant_hash is not None:
@@ -363,11 +370,8 @@ class MZGenerator(_Generator):
         bucket = field(self.hash_family.m).mul_array(a[:, None], np.arange(self.n)) & (self.t - 1)
         return bucket, _ranks(bucket)
 
-    def all_seeds(self) -> range:
-        return range(1 << self.seed_bits)
-
     def with_fixed_hash(self, h: HashFunction) -> "MZGenerator":
-        return MZGenerator([list(a) for a in self.alphabets], self.t, self.k,
+        return MZGenerator(self.alphabets, self.t, self.k,
                            self.hash_family.variant, fixed_hash=h)
 
 
@@ -385,7 +389,7 @@ class NisanProductGenerator(_Generator):
         self.seed_bits = nisan_seed_bits(space, self.label_bits, self.n)
 
     def expand(self, seeds: np.ndarray) -> np.ndarray:
-        return gather_letters(self._alpha, nisan_expand(self.space, self.label_bits, self.n, seeds))
+        return gather_letters(self.alphabets, nisan_expand(self.space, self.label_bits, self.n, seeds))
 
 
 def alphabets_from_distribution(dist) -> list[list[float]]:

@@ -156,12 +156,6 @@ class SandwichPair:
         return self.up.accept_probability() - self.down.accept_probability()
 
 
-def all_inputs(D: int, T: int):
-    """Every label sequence, lexicographic; test-sized programs only."""
-    import itertools
-    return itertools.product(range(1 << D), repeat=T)
-
-
 def _layered(T: int, D: int, start, successors: Callable, accept: Callable,
              max_states: int, ordered: bool = False) -> ROBP:
     """The program on the states reachable from `start`, one layer at a time.

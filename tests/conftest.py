@@ -1,5 +1,8 @@
-"""Shared test helpers: reproducible RNGs, random program generators and the
-brute-force monotonicity oracle."""
+"""Shared test helpers: reproducible RNGs, random program generators, the
+brute-force monotonicity oracle and the enumerations that the one-row
+references need (every label sequence, every seed, every k-wise row)."""
+
+import itertools
 
 import numpy as np
 
@@ -61,3 +64,23 @@ def acc_bitsets(B: ROBP) -> list[list[int]]:
             layer.append(acc)
         out.insert(0, layer)
     return out
+
+
+def all_inputs(D: int, T: int):
+    """Every label sequence, lexicographic; test-sized programs only."""
+    return itertools.product(range(1 << D), repeat=T)
+
+
+def all_seeds(gen) -> range:
+    """Every integer seed of a generator or k-wise family (2^seed_bits of them)."""
+    return range(1 << gen.seed_bits)
+
+
+def kwise_seeds(fam):
+    """Every seed of a k-wise family as its coefficient tuple, in integer order."""
+    return map(fam.seed_from_int, all_seeds(fam))
+
+
+def expand_all(fam, seed) -> list[int]:
+    """The k-wise family's word at every position for one coefficient tuple."""
+    return [fam.expand(seed, j) for j in range(fam.n)]

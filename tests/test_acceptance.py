@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import philox, random_monotone_robp
+from conftest import all_inputs, expand_all, kwise_seeds, philox, random_monotone_robp
 from hsprg.distributions import (
     DiscreteCoordinate,
     GaussianCoordinate,
@@ -34,7 +34,6 @@ from hsprg.hashing import HashFamily, collision_stats, isolation_bound
 from hsprg.mzgen import MZGenerator
 from hsprg.regularity import TermNorms, critical_index, is_delta_regular
 from hsprg.robp import (
-    all_inputs,
     compose_monotone_sandwich,
     halfspace_to_robp,
     product_robp,
@@ -67,7 +66,7 @@ def test_criterion_01_kwise_exactness():
         n = min(8, 1 << m)
         for k in range(1, 6):
             fam = KWiseFamily(m=m, k=k, n=n)
-            outs = [tuple(fam.expand_all(s)) for s in fam.all_seeds()]
+            outs = [tuple(expand_all(fam, s)) for s in kwise_seeds(fam)]
             size = min(k, n)
             want = len(outs) // (1 << (m * size))
             for pos in itertools.combinations(range(n), size):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from hsprg.distributions import (
     SAMPLE_BLOCK,
+    Coordinate,
     DiscreteCoordinate,
     DistributionError,
     GaussianCoordinate,
@@ -293,6 +294,11 @@ class TestBucketBoundaries:
     def test_gamma_must_be_dyadic(self):
         with pytest.raises(DistributionError):
             bucket_boundaries(RADEMACHER, 0.3, B=2.0)
+
+    def test_quantile_is_abstract(self):
+        # every continuous kind has an analytic quantile; there is no fallback
+        with pytest.raises(NotImplementedError):
+            Coordinate().quantile(0.5)
 
     def test_truncated_gaussian_analytic_matches_bisection(self):
         res = truncate_and_standardize(GaussianCoordinate(), n=8, C=3.0, eps=0.1)

@@ -392,7 +392,7 @@ class TestNisanProductGenerator:
         gen = NisanProductGenerator(alphabets, space=5)
         seeds = gen.random_seeds(rng, 300)
         labels = nisan_expand(gen.space, gen.label_bits, gen.n, seeds)
-        want = np.stack(gen.alphabets)[np.arange(gen.n), labels & 3]
+        want = gen.alphabets[np.arange(gen.n), labels & 3]
         assert np.array_equal(gen.expand(seeds), want)
 
     def test_one_letter_alphabet(self):

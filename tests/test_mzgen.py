@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox
+from conftest import all_seeds, expand_all, philox
 from hsprg import mzgen
 from hsprg.gf2 import KWiseFamily, field
 from hsprg.hashing import AFFINE, MULTIPLICATIVE, HashFunction
@@ -92,7 +92,7 @@ class TestGenerate:
         fam = KWiseFamily(gen.m_word, 3, 4)
         for seed in range(1 << gen.seed_bits):
             out = gen.generate(seed)
-            words = fam.expand_all(fam.seed_from_int(seed))
+            words = expand_all(fam, fam.seed_from_int(seed))
             assert list(out) == [alphabet[w & 1] for w in words]
 
     def test_replay(self):
@@ -151,6 +151,20 @@ def test_both_generators_check_alphabets_alike(make, alphabets, msg):
         make(alphabets)
 
 
+@pytest.mark.parametrize("make", [lambda alphabets: MZGenerator(alphabets, t=2, k=2),
+                                  lambda alphabets: NisanProductGenerator(alphabets, space=2)],
+                         ids=["mz", "nisan"])
+def test_alphabets_are_one_sorted_read_only_array(make):
+    # rows sorted as `sorted` sorts them: equal -0.0 and 0.0 keep their given order
+    given = [[0.0, 2, -0.0, -1.0], [-0.0, 1.5, 0.0, -3], [3.0, 2.0, 1.0, 0.0]]
+    gen = make(given)
+    assert gen.alphabets.shape == (3, 4) and gen.alphabets.dtype == float
+    assert gen.alphabets.tobytes() == np.array([sorted(a) for a in given], dtype=float).tobytes()
+    assert [math.copysign(1, v) for v in gen.alphabets[:2, 1:3].ravel()] == [1, -1, -1, 1]
+    with pytest.raises(ValueError, match="read-only"):
+        gen.alphabets[0, 0] = 5.0
+
+
 def fixed_hash_gen(n=4, t=2, k=2, alphabet=(-1.0, 1.0)):
     gen0 = MZGenerator([list(alphabet)] * n, t=t, k=k)
     h = HashFunction(a=1, c=0, m=gen0.hash_family.m, t=t)
@@ -178,7 +192,7 @@ def scalar_partition(gen, seed):
 
 def joint_histogram(gen, positions):
     hist = Counter()
-    for seed in gen.all_seeds():
+    for seed in all_seeds(gen):
         out = gen.generate(seed)
         hist[tuple(out[list(positions)])] += 1
     return hist, 1 << gen.seed_bits
@@ -257,7 +271,7 @@ class TestExactLaws:
         total = 1 << gen.seed_bits
         exponents = [e for e in itertools.product(range(5), repeat=4)
                      if 0 < sum(e) <= 4]
-        samples = np.array([gen.generate(seed) for seed in gen.all_seeds()])
+        samples = np.array([gen.generate(seed) for seed in all_seeds(gen)])
         sums = {}
         for exps in exponents:
             sums[exps] = float((samples ** np.array(exps)).prod(axis=1).sum())

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import acc_bitsets, philox, random_monotone_robp, random_robp
+from conftest import acc_bitsets, all_inputs, philox, random_monotone_robp, random_robp
 from hsprg.robp import (
     ROBP,
     MonotoneCertificate,
     MonotoneCounterexample,
     NotMonotoneError,
     ResourceError,
-    all_inputs,
     check_monotone,
     TreeErrorBound,
     compose_monotone_sandwich,
