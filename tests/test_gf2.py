@@ -51,17 +51,29 @@ class TestFieldMul:
         assert f.mul_array(a[:, None], b[None, :5]).tolist() == \
             [[f.mul(int(x), int(y)) for y in b[:5]] for x in a]
 
-    def test_pinned_moduli_are_smallest_irreducible(self):
+    def test_pinned_moduli_are_irreducible(self):
         # degrees 1..10: the checker finds exactly the known number of
         # irreducible polynomials (OEIS A001037), so it is an arbiter
         counts = [2, 1, 2, 3, 6, 9, 18, 30, 56, 99]
         for m, want in enumerate(counts, start=1):
             assert sum(map(rabin_irreducible, range(1 << m, 2 << m))) == want
-        assert not rabin_irreducible(0b10101)  # (x^2+x+1)^2
         assert sorted(IRREDUCIBLE) == list(range(1, 33))
         for m, poly in IRREDUCIBLE.items():
             assert poly.bit_length() == m + 1 and rabin_irreducible(poly)
             assert field(m).modulus == poly
+
+    def test_reducible_modulus_rejected(self):
+        assert not rabin_irreducible(0b10101)  # (x^2+x+1)^2
+        # products of two irreducibles (x, x+1 included) of every degree up to 32
+        rng = np.random.default_rng(0)
+        for m in range(2, 33):
+            d = int(rng.integers(1, m))
+            f = _pmul(IRREDUCIBLE[d], IRREDUCIBLE[m - d])
+            assert f.bit_length() == m + 1 and not rabin_irreducible(f)
+            assert not rabin_irreducible(_pmul(0x2, (1 << (m - 1)) | 1))
+
+    def test_pinned_moduli_are_smallest_irreducible(self):
+        for m, poly in IRREDUCIBLE.items():
             if m >= 2:  # no smaller candidate of degree m; even ones have the factor x
                 assert not any(map(rabin_irreducible, range((1 << m) | 1, poly, 2)))
         # m = 1 pins x + 1, not the smaller irreducible x
@@ -78,6 +90,17 @@ def _pmod(a: int, f: int) -> int:
     while a.bit_length() >= f.bit_length():
         a ^= f << (a.bit_length() - f.bit_length())
     return a
+
+
+def _pmul(a: int, b: int) -> int:
+    """a * b, carry-less, unreduced."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+    return r
 
 
 def _pmulmod(a: int, b: int, f: int) -> int:
