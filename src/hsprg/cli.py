@@ -13,6 +13,7 @@ from . import __version__
 from .distributions import ProductDistribution, discretize_coordinate, moment_profile
 from .halfspace import CombinerSpec, HalfspaceSystem
 from .harness import (
+    ResourceCapError,
     emit_report,
     estimate_fooling_error,
     master_seed_default,
@@ -87,11 +88,14 @@ def cmd_regularity(args) -> int:
 def cmd_gen(args) -> int:
     if args.seeds < 1:
         raise SystemExit(f"--seeds must be at least 1, got {args.seeds}")
-    dist = ProductDistribution.load(args.dist)
-    params = _load_json(args.params)
-    gen = MZGenerator(alphabets_from_distribution(dist),
-                      t=params.get("t", 1), k=params.get("k", 5),
-                      hash_variant=params.get("hash", "affine"))
+    try:  # a law that is not uniform, or bad generator parameters
+        dist = ProductDistribution.load(args.dist)
+        params = _load_json(args.params)
+        gen = MZGenerator(alphabets_from_distribution(dist),
+                          t=params.get("t", 1), k=params.get("k", 5),
+                          hash_variant=params.get("hash", "affine"))
+    except ValueError as exc:
+        return _report_error(exc)
     rng = rng_for(args.master_seed if args.master_seed is not None
                   else master_seed_default())
     rows = gen.expand(gen.random_seeds(rng, args.seeds))
@@ -176,24 +180,29 @@ def cmd_sandwich(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    system = HalfspaceSystem.from_json(_load_json(args.f))
-    combiner = CombinerSpec.from_json(_load_json(args.combiner))
-    dist = ProductDistribution.load(args.dist)
+    # bad input raises ValueError, and a space too large to enumerate
+    # ResourceCapError; both become a JSON error and exit status 1
+    try:
+        system = HalfspaceSystem.from_json(_load_json(args.f))
+        combiner = CombinerSpec.from_json(_load_json(args.combiner))
+        dist = ProductDistribution.load(args.dist)
 
-    if args.gen.startswith("kwise:"):
-        k = int(args.gen.split(":", 1)[1])
-        gen = MZGenerator(alphabets_from_distribution(dist), t=1, k=k)
-    elif args.gen == "mz":
-        gen = MZGenerator(alphabets_from_distribution(dist), t=args.t, k=args.k)
-    elif args.gen == "nisan":
-        gen = NisanProductGenerator(alphabets_from_distribution(dist),
-                                    space=args.nisan_space)
-    else:
-        raise SystemExit(f"unknown generator {args.gen!r}")
+        if args.gen.startswith("kwise:"):
+            k = int(args.gen.split(":", 1)[1])
+            gen = MZGenerator(alphabets_from_distribution(dist), t=1, k=k)
+        elif args.gen == "mz":
+            gen = MZGenerator(alphabets_from_distribution(dist), t=args.t, k=args.k)
+        elif args.gen == "nisan":
+            gen = NisanProductGenerator(alphabets_from_distribution(dist),
+                                        space=args.nisan_space)
+        else:
+            raise SystemExit(f"unknown generator {args.gen!r}")
 
-    report = estimate_fooling_error(
-        (system, combiner), dist, gen, mode=args.mode, trials=args.trials,
-        master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
+        report = estimate_fooling_error(
+            (system, combiner), dist, gen, mode=args.mode, trials=args.trials,
+            master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
+    except (ValueError, ResourceCapError) as exc:
+        return _report_error(exc)
     fmt = "json" if args.out.endswith(".json") else "csv"
     emit_report([report], args.out, fmt)
     print(json.dumps(report.to_json()))

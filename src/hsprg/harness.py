@@ -9,7 +9,11 @@ generator).  `f` must be a deterministic function of the point: the seed
 pass calls it once per distinct generator row of each seed chunk.  Monte
 Carlo goes through one sharded driver: stream k of shard s is Philox keyed
 by (master seed, k * MAX_SHARDS + s), so shard results are reproducible and
-merge order-independently.
+merge order-independently.  The fooling-error estimate draws every shard's
+seeds from that shard's own stream, expands runs of consecutive shards
+(at most SEED_CHUNK rows, at least one shard) in one generator call, and
+evaluates each shard's rows on their own, so the report does not depend
+on how shards are grouped.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .seeds import seed_range
 
 SEED_ENV_VAR = "HSPRG_SEED"
 DEFAULT_ENUM_CAP = 1 << 24
-SEED_CHUNK = 1 << 12  # seeds expanded per generator call when enumerating
+SEED_CHUNK = 1 << 12  # most seeds expanded per generator call (but one Monte Carlo shard)
 TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
 _INTEGRAL = (numbers.Integral, np.bool_)  # f values the exact sum takes as ints
@@ -255,19 +259,31 @@ def wilson_halfwidth(p: float, n: int) -> float:
 
 
 def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int],
-        body: Callable[..., tuple]) -> tuple[tuple[float, ...], float]:
+        body: Callable[[list], Iterable[tuple]], run_rows: int = 0
+        ) -> tuple[tuple[float, ...], float]:
     """Sharded Monte Carlo: the mean of each hit count and their joint 95% half-width.
 
-    ``body(size, *rngs)`` runs one shard and returns one hit count per
-    stream; its rngs are streams ``k`` of ``streams`` for that shard.  The
+    Consecutive shards are grouped into runs of at most ``run_rows`` rows,
+    each run at least one shard (so by default one shard per run).
+    ``body(run)`` gets a run as a list of ``(size, rngs)``, one per shard,
+    whose rngs are streams ``k`` of ``streams`` for that shard, and returns
+    one tuple of hit counts per shard, one count per stream.  The
     half-width combines the Wilson half-widths of the means in quadrature.
     """
     if master_seed is None:
         master_seed = master_seed_default()
-    hits = [0] * len(streams)
+    runs, rows = [[]], 0
     for shard, size in enumerate(shard_sizes(trials, shards)):
-        counts = body(size, *(rng_for(master_seed, k * MAX_SHARDS + shard) for k in streams))
-        hits = [h + int(c) for h, c in zip(hits, counts, strict=True)]
+        if runs[-1] and rows + size > run_rows:
+            runs.append([])
+            rows = 0
+        runs[-1].append((size, tuple(rng_for(master_seed, k * MAX_SHARDS + shard)
+                                     for k in streams)))
+        rows += size
+    hits = [0] * len(streams)
+    for run in runs:
+        for counts in body(run):
+            hits = [h + int(c) for h, c in zip(hits, counts, strict=True)]
     means = tuple(h / trials for h in hits)
     return means, math.hypot(*(wilson_halfwidth(p, trials) for p in means))
 
@@ -310,11 +326,15 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
         ci = 0.0
         method = "exact-enumeration"
     elif mode == "mc":
-        def body(size, rng_x, rng_seeds):
-            seeds = generator.random_seeds(rng_seeds, size)
-            return hits(dist.sample(rng_x, size)), hits(generator.expand(seeds))
+        def body(run):
+            # one expand per run; each shard's rows are evaluated on their own
+            seeds = np.concatenate([generator.random_seeds(rng_seeds, size)
+                                    for size, (_, rng_seeds) in run])
+            rows = np.split(generator.expand(seeds), np.cumsum([size for size, _ in run[:-1]]))
+            return [(hits(dist.sample(rng_x, size)), hits(X))
+                    for (size, (rng_x, _)), X in zip(run, rows)]
 
-        (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body)
+        (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body, SEED_CHUNK)
         samples = trials
         method = "monte-carlo"
     else:
@@ -413,9 +433,10 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
     summary = CovarianceSummary.from_system(W, m2)
     gauss = gaussian_reference_sampler(summary.M)
 
-    def body(size, rng_x, rng_g):
-        return (orthant.contains(dist.sample(rng_x, size) @ W).sum(),
-                orthant.contains(gauss(rng_g, size)).sum())
+    def body(run):
+        return [(orthant.contains(dist.sample(rng_x, size) @ W).sum(),
+                 orthant.contains(gauss(rng_g, size)).sum())
+                for size, (rng_x, rng_g) in run]
 
     (p_s, p_g), ci = _mc(trials, shards, master_seed, (0, 2), body)
     return BerryEsseenReport(abs(p_s - p_g), ci, p_s, p_g, summary, trials)
@@ -453,13 +474,16 @@ def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
         def sampler(rng, size):
             return rng.standard_normal((size, n))
 
-    def body(size, rng):
+    def shard(size, rng):
         X = sampler(rng, size)
         norms = np.linalg.norm(X, axis=1)
         while (bad := norms == 0).any():
             X[bad] = sampler(rng, int(bad.sum()))
             norms = np.linalg.norm(X, axis=1)
         return (evaluate_batch(system, combiner, X / norms[:, None]).sum(),)
+
+    def body(run):
+        return [shard(size, rng) for size, (rng,) in run]
 
     (p,), ci = _mc(trials, shards, master_seed, (0,), body)
     return SphereTransferReport(p, ci,

@@ -19,6 +19,11 @@ A coordinate's k-wise word is its bucket's polynomial in GF(2^m) at the
 coordinate's rank r within the bucket.  Only its low label bits are read,
 and each is GF(2)-linear in the bucket seed C: bit j is parity(C & M[j][r])
 for masks M that depend on the shape alone (``_parity_masks``).
+
+C is the bucket's seed field cut into words of q = 63 // m coefficients
+each, so ``expand`` takes every bucket's words straight from the seed,
+one 64-bit word read per word (``seeds.seed_fields``); ``sample_batch``
+draws the coefficients and packs them into the same words (``_pack``).
 """
 
 from __future__ import annotations
@@ -160,6 +165,55 @@ def _ranks(bucket: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _multiplier_partitions(hash_m: int, t: int, n: int,
+                           a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Buckets (a*j) mod t of coordinates j < n in GF(2^hash_m), and their ranks."""
+    bucket = field(hash_m).mul_array(a[:, None], np.arange(n)) & (t - 1)
+    return bucket, _ranks(bucket)
+
+
+@lru_cache(maxsize=8)
+def _shared_tables(n: int, t: int, k: int, m_word: int, label_bits: int, n_dom: int,
+                   hash_m: int, constant_hash: tuple[int, int] | None,
+                   table_cells: int) -> tuple:
+    """The read-only (bucket, masks, index) tables ``_partition_rows`` reads, by tier.
+
+    - Every seed shares one hash (fixed hash or t = 1): its (1, n)
+      partition, with the masks gathered by rank.  The benchmark's
+      exact_enum reaches it.
+    - If it fits in ``table_cells``, every multiplier's masks
+      M[j, w, rank_a], so a row gathers whole rows by a.  mc_batch and
+      mc_cli reach it.
+    - Else every multiplier's buckets and ranks, with the masks gathered
+      by rank.  No workload reaches it; at n = 1024, t = 64, k = 5 with
+      16 letters it measured 3x faster than no table.
+    - Else nothing, and partitions are computed for the rows at hand:
+      the only tier whose memory fits at large n.  No workload reaches it.
+
+    The key is everything the tiers read, so generators of one shape (one
+    per ``hsprg estimate`` or ``hsprg gen`` call in a process) share their
+    tables; the last eight shapes are kept.
+    """
+    masks = _parity_masks(m_word, k, label_bits, n)
+    if constant_hash is not None:
+        a0, c0 = constant_hash
+        bucket, index = _multiplier_partitions(hash_m, t, n, np.array([a0]))
+        bucket ^= c0 & (t - 1)
+    elif n_dom * n > table_cells:
+        return None, masks, None
+    else:
+        bucket, rank = _multiplier_partitions(hash_m, t, n, np.arange(n_dom))
+        bucket = bucket.astype(np.min_scalar_type(t - 1))
+        if masks.shape[0] * masks.shape[1] * rank.size <= table_cells:
+            masks, index = np.take(masks, rank, axis=2), None
+        else:
+            index = rank.astype(np.min_scalar_type(n - 1))
+    for table in (bucket, masks, index):
+        if table is not None:
+            table.flags.writeable = False
+    return bucket, masks, index
+
+
 class _Generator:
     """What every generator shares: the alphabets and the seed interface.
 
@@ -242,8 +296,12 @@ class MZGenerator(_Generator):
         """One generator row per seed row, shape (size, n)."""
         seeds = check_seeds(seeds, self.seed_bits)
         index = seed_fields(seeds, 0, self.hash_bits, 1)[:, 0]
-        coeffs = seed_fields(seeds, self.hash_bits, self.m_word, self.t * self.k)
-        words = self._pack(coeffs.reshape(len(seeds), self.t, self.k))
+        # word w of every bucket: its coefficients w*q, ..., as _pack places them
+        q = 63 // self.m_word
+        words = [seed_fields(seeds, self.hash_bits + w * q * self.m_word,
+                             min(q, self.k - w * q) * self.m_word, self.t,
+                             stride=self.bucket_seed_bits)
+                 for w in range(-(-self.k // q))]
         out = np.empty((len(seeds), self.n))
         self._fill(*self.hash_family.coefficients(index), words, out)
         return out
@@ -278,7 +336,8 @@ class MZGenerator(_Generator):
         """(rows, t, k) bucket coefficients as (words, rows, t) int64 seed words.
 
         Coefficient kk moves to bit (kk % q) * m_word of word kk // q, with
-        q = 63 // m_word; with one word that is the bucket's seed field.
+        q = 63 // m_word: word w is the piece of the bucket's seed field
+        that ``expand`` reads from the seed.
         """
         q = 63 // self.m_word
         words = np.zeros((-(-self.k // q),) + coeffs.shape[:2], dtype=np.int64)
@@ -286,9 +345,9 @@ class MZGenerator(_Generator):
             words[kk // q] |= np.left_shift(coeffs[:, :, kk], kk % q * self.m_word, dtype=np.int64)
         return words
 
-    def _fill(self, a: np.ndarray, c: np.ndarray, words: np.ndarray,
+    def _fill(self, a: np.ndarray, c: np.ndarray, words: Sequence[np.ndarray],
               out: np.ndarray) -> None:
-        """The expansion kernel: rows of hash (a, c) and (words, rows, t) bucket seeds.
+        """The expansion kernel: rows of hash (a, c), and words[w] the (rows, t) seed word w.
 
         A coordinate takes its bucket's polynomial at its within-bucket rank
         r, and the low label_bits of that word index its alphabet.  Each of
@@ -324,51 +383,21 @@ class MZGenerator(_Generator):
         The mask of label bit j and seed word w is
         ``np.take(masks[j, w], index, axis=0)``, shaped like bucket.  c only
         relabels the buckets by xor, which keeps the ranks, so all of it
-        depends on the multiplier a alone.  ``_build_tables`` decides once
-        what is kept per multiplier.
+        depends on the multiplier a alone.  ``_shared_tables`` decides once
+        per shape what is kept per multiplier.
         """
         if self._tables is None:
-            self._tables = self._build_tables()
+            self._tables = _shared_tables(self.n, self.t, self.k, self.m_word,
+                                          self.label_bits, self.n_dom, self.hash_family.m,
+                                          self._constant_hash, _TABLE_CELLS)
         bucket, masks, index = self._tables
         if self._constant_hash is not None:
             return bucket, masks, index
         if bucket is None:
-            bucket, index = self._multiplier_partitions(a)
+            bucket, index = _multiplier_partitions(self.hash_family.m, self.t, self.n, a)
         else:
             bucket, index = bucket[a], a if index is None else index[a]
         return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], masks, index
-
-    def _build_tables(self) -> tuple:
-        """The (bucket, masks, index) tables ``_partition_rows`` reads, by tier.
-
-        - Every seed shares one hash (fixed hash or t = 1): its (1, n)
-          partition, with the masks gathered by rank.  The benchmark's
-          exact_enum reaches it.
-        - If it fits, every multiplier's masks M[j, w, rank_a], so a row
-          gathers whole rows by a.  mc_batch and mc_cli reach it.
-        - Else every multiplier's buckets and ranks, with the masks gathered
-          by rank.  No workload reaches it; at n = 1024, t = 64, k = 5 with
-          16 letters it measured 3x faster than no table.
-        - Else nothing, and partitions are computed for the rows at hand:
-          the only tier whose memory fits at large n.  No workload reaches it.
-        """
-        masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
-        if self._constant_hash is not None:
-            a0, c0 = self._constant_hash
-            bucket, rank = self._multiplier_partitions(np.array([a0]))
-            return bucket ^ (c0 & (self.t - 1)), masks, rank
-        if self.n_dom * self.n > _TABLE_CELLS:
-            return None, masks, None
-        bucket, rank = self._multiplier_partitions(np.arange(self.n_dom))
-        bucket = bucket.astype(np.min_scalar_type(self.t - 1))
-        if masks.shape[0] * masks.shape[1] * rank.size <= _TABLE_CELLS:
-            return bucket, np.take(masks, rank, axis=2), None
-        return bucket, masks, rank.astype(np.min_scalar_type(self.n - 1))
-
-    def _multiplier_partitions(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Buckets (a*j) mod t in the hash family's field, and their ranks."""
-        bucket = field(self.hash_family.m).mul_array(a[:, None], np.arange(self.n)) & (self.t - 1)
-        return bucket, _ranks(bucket)
 
     def with_fixed_hash(self, h: HashFunction) -> "MZGenerator":
         return MZGenerator(self.alphabets, self.t, self.k,

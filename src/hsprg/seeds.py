@@ -5,6 +5,11 @@ integer value, so a batch of seeds is a (size, ceil(seed_bits/8)) uint8
 array and one row is exactly what gets serialized.  Bits above
 ``seed_bits`` in the last byte are zero.
 
+``seed_fields`` reads bit fields of a batch as 64-bit word reads: the seed
+bytes are viewed as little-endian uint64 words, and a field of at most 63
+bits is the word it starts in shifted down, or'd with the next word
+shifted up, and masked.
+
 ``random_seeds(rng, bits, size)`` consumes the generator's stream exactly
 as ``size`` successive ``rng.bytes`` calls would: ``rng.bytes`` itself
 draws whole uint32 words and drops the surplus bytes, so one uint32 draw
@@ -15,7 +20,6 @@ in the same state.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 
 import numpy as np
 
@@ -71,17 +75,31 @@ def check_seeds(seeds, seed_bits: int) -> np.ndarray:
     return seeds
 
 
-def seed_fields(seeds: np.ndarray, offset: int, width: int, count: int) -> np.ndarray:
-    """``count`` consecutive ``width``-bit fields from bit ``offset``, (size, count) int64."""
+def seed_fields(seeds: np.ndarray, offset: int, width: int, count: int,
+                stride: int | None = None) -> np.ndarray:
+    """``count`` ``width``-bit fields, the first at bit ``offset``, as (size, count) int64.
+
+    Field i starts at bit offset + i * stride; the stride defaults to the
+    width, so the fields lie next to each other.  Each is read from the
+    seed bytes viewed as little-endian 64-bit words: the word it starts in
+    shifted down, the next word shifted up, and a mask.  Widths above 63
+    are rejected, since such a field need not fit two words or an int64.
+    """
+    if not 0 <= width <= 63:
+        raise ValueError(f"seed fields are 0 to 63 bits wide, got {width}")
+    stride = width if stride is None else stride
     size = len(seeds)
     if width * count == 0:
         return np.zeros((size, count), dtype=np.int64)
-    first, stop = offset // 8, offset + width * count
-    bits = np.unpackbits(seeds[:, first:(stop + 7) // 8], axis=1, bitorder="little")
-    bits = bits[:, offset - 8 * first:stop - 8 * first].reshape(size, count, width)
-    return bits @ _place_values(width)
-
-
-@lru_cache(maxsize=None)
-def _place_values(width: int) -> np.ndarray:
-    return np.int64(1) << np.arange(width, dtype=np.int64)
+    first = offset // 64
+    start = offset - 64 * first + stride * np.arange(count)  # from word `first` on
+    word, shift = start >> 6, (start & 63).astype(np.uint64)
+    last = (start[-1] + width - 1) >> 6
+    # the words the fields touch, then one zero word for the last field's pair
+    raw = np.zeros((size, 8 * (last + 2)), dtype=np.uint8)
+    span = seeds[:, 8 * first:8 * (first + last + 1)]
+    raw[:, :span.shape[1]] = span
+    words = raw.view("<u8")
+    low = np.take(words, word, axis=1) >> shift
+    high = np.take(words, word + 1, axis=1) << np.uint64(1) << (np.uint64(63) - shift)
+    return ((low | high) & np.uint64((1 << width) - 1)).astype(np.int64)

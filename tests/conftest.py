@@ -1,8 +1,10 @@
 """Shared test helpers: reproducible RNGs, random program generators, the
-brute-force monotonicity oracle and the enumerations that the one-row
-references need (every label sequence, every seed, every k-wise row)."""
+brute-force monotonicity oracle, the bit-by-bit seed field reader and the
+enumerations that the one-row references need (every label sequence,
+every seed, every k-wise row)."""
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,3 +86,23 @@ def kwise_seeds(fam):
 def expand_all(fam, seed) -> list[int]:
     """The k-wise family's word at every position for one coefficient tuple."""
     return [fam.expand(seed, j) for j in range(fam.n)]
+
+
+def unpacked_seed_fields(seeds: np.ndarray, offset: int, width: int, count: int) -> np.ndarray:
+    """The oracle for ``seeds.seed_fields``: unpack the bits, then weigh them.
+
+    ``count`` consecutive ``width``-bit fields from bit ``offset``, as a
+    (size, count) int64 array.
+    """
+    size = len(seeds)
+    if width * count == 0:
+        return np.zeros((size, count), dtype=np.int64)
+    first, stop = offset // 8, offset + width * count
+    bits = np.unpackbits(seeds[:, first:(stop + 7) // 8], axis=1, bitorder="little")
+    bits = bits[:, offset - 8 * first:stop - 8 * first].reshape(size, count, width)
+    return bits @ _place_values(width)
+
+
+@lru_cache(maxsize=None)
+def _place_values(width: int) -> np.ndarray:
+    return np.int64(1) << np.arange(width, dtype=np.int64)

@@ -2,12 +2,14 @@
 
 import argparse
 import json
+import re
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hsprg import harness
 from hsprg.cli import build_parser, main
 from hsprg.distributions import ProductDistribution
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
@@ -275,13 +277,59 @@ def test_estimate_mz_mc(tmp_path, rad_dist):
     ({"kind": "decision-tree", "tree": {"hs": 4, "low": {"leaf": 0}, "high": {"leaf": 1}}},
      "decision-tree"),
 ], ids=["table-4-entries", "single-index-5", "tree-reads-hs-4"])
-def test_estimate_rejects_combiner_that_does_not_fit(tmp_path, rad_dist, comb, kind):
+def test_estimate_rejects_combiner_that_does_not_fit(tmp_path, rad_dist, capsys, comb, kind):
     system = write(tmp_path / "sys.json", {"W": [[1.0] * 3] * 4, "Theta": [0.0] * 3})
     comb = write(tmp_path / "comb.json", comb)
-    with pytest.raises(ValueError, match=f"{kind} combiner .* d=3 halfspaces"):
-        main(["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
-              "--gen", "kwise:2", "--mode", "exact", "--out", str(tmp_path / "r.csv")])
+    assert main(["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
+                 "--gen", "kwise:2", "--mode", "exact", "--out", str(tmp_path / "r.csv")]) == 1
+    assert re.fullmatch(f"{kind} combiner .* d=3 halfspaces",
+                        json.loads(capsys.readouterr().out)["error"])
     assert not (tmp_path / "r.csv").exists()
+
+
+GAUSSIAN_DIST = {"coord": {"kind": "gaussian"}, "n": 4}
+SKEWED_DIST = {"coord": {"kind": "discrete", "values": [-1.0, 1.0], "probs": [0.25, 0.75]},
+               "n": 4}
+
+
+@pytest.mark.parametrize("argv, dist, message", [
+    (["--gen", "mz", "--t", "2", "--mode", "mc", "--trials", "0"], None,
+     "need at least one trial, got 0"),
+    (["--gen", "mz", "--t", "3"], None, "t must be a power of 2"),
+    (["--gen", "nisan"], SKEWED_DIST, "coordinate 0 is not a uniform law"),
+    (["--gen", "mz", "--t", "2"], GAUSSIAN_DIST, "coordinate 0 is not discrete"),
+], ids=["trials-0", "t-3", "skewed-law", "gaussian-law"])
+def test_estimate_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, argv, dist, message):
+    system = write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]})
+    comb = write(tmp_path / "comb.json", {"kind": "single"})
+    dist = rad_dist if dist is None else write(tmp_path / "law.json", dist)
+    assert main(["estimate", "--f", system, "--combiner", comb, "--dist", dist, *argv,
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad_dist, capsys):
+    system = write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]})
+    comb = write(tmp_path / "comb.json", {"kind": "single"})
+    assert main(["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
+                 "--gen", "mz", "--t", "4", "--mode", "exact",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"seed space 2^44 exceeds cap {harness.DEFAULT_ENUM_CAP}"}
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("params, dist, message", [
+    ({"t": 3}, None, "t must be a power of 2"),
+    ({"t": 2}, SKEWED_DIST, "coordinate 0 is not a uniform law"),
+], ids=["t-3", "skewed-law"])
+def test_gen_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, params, dist, message):
+    dist = rad_dist if dist is None else write(tmp_path / "law.json", dist)
+    assert main(["gen", "--dist", dist, "--params", write(tmp_path / "p.json", params),
+                 "--seeds", "4", "--out", str(tmp_path / "s.csv")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_estimate_reports_system_dimension(tmp_path, rad_dist):

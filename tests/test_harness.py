@@ -1,5 +1,6 @@
 """Exact/MC expectations, fooling reports, probes, serialization."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -14,8 +15,9 @@ from hsprg.distributions import (
     ProductDistribution,
     UniformMultisetCoordinate,
 )
-from hsprg.halfspace import CombinerSpec, DecisionTree, HalfspaceSystem
+from hsprg.halfspace import CombinerSpec, DecisionTree, HalfspaceSystem, evaluate_batch
 from hsprg.harness import (
+    MAX_SHARDS,
     CovarianceSummary,
     EstimationReport,
     OrthantSet,
@@ -31,7 +33,9 @@ from hsprg.harness import (
     shard_sizes,
     spherical_cap_probability,
     sphere_transfer,
+    wilson_halfwidth,
 )
+from hsprg.hashing import MULTIPLICATIVE, HashFunction
 from hsprg.mzgen import MZGenerator, NisanProductGenerator, alphabets_from_distribution
 
 RAD = DiscreteCoordinate.rademacher()
@@ -197,6 +201,110 @@ class TestMonteCarloGolden:
         rep = self.estimate(self.nisan(), pair=True)
         assert (rep.true_expectation, rep.prg_expectation, rep.ci95, rep.samples, rep.d) == \
             (0.206, 0.18975, 0.01745658340601373, 4000, 2)
+
+
+def per_shard_report(f, dist, generator, trials, master_seed, shards=8,
+                     experiment="fooling", eps=None):
+    """The Monte Carlo estimate with one draw, expand and evaluation per shard.
+
+    The reference for the runs of shards that estimate_fooling_error
+    expands in one call: the same streams, shard by shard.
+    """
+    if isinstance(f, tuple):
+        system, combiner = f
+        d = system.d
+
+        def hits(X):
+            return evaluate_batch(system, combiner, X).sum()
+    else:
+        d = 1
+
+        def hits(X):
+            return sum(f(x) for x in X)
+    true_hits = prg_hits = 0
+    for shard, size in enumerate(shard_sizes(trials, shards)):
+        rng_x, rng_seeds = rng_for(master_seed, shard), rng_for(master_seed, MAX_SHARDS + shard)
+        seeds = generator.random_seeds(rng_seeds, size)
+        true_hits += int(hits(dist.sample(rng_x, size)))
+        prg_hits += int(hits(generator.expand(seeds)))
+    true_e, prg_e = true_hits / trials, prg_hits / trials
+    ci = math.hypot(wilson_halfwidth(true_e, trials), wilson_halfwidth(prg_e, trials))
+    return EstimationReport(experiment, dist.n, d, eps, "monte-carlo", trials, true_e, prg_e,
+                            abs(true_e - prg_e), ci, generator.seed_bits, 0.0)
+
+
+class TestRunsOfShards:
+    """One expand per run of shards gives the per-shard loop's report, field for field."""
+
+    DIST = ProductDistribution.repeated(UniformMultisetCoordinate([-2.0, -0.5, -0.5, 1.0]), 24)
+
+    @staticmethod
+    def pair(n, d=2, seed=31):
+        system = HalfspaceSystem(philox(seed).normal(size=(n, d)), [0.2, -0.4][:d])
+        return system, CombinerSpec.intersection() if d == 2 else CombinerSpec.single()
+
+    def generators(self):
+        alpha = alphabets_from_distribution(self.DIST)
+        base = MZGenerator(alpha, t=4, k=5)
+        return {
+            "mz-affine": base,
+            "mz-multiplicative": MZGenerator(alpha, t=8, k=4, hash_variant=MULTIPLICATIVE),
+            "mz-t1": MZGenerator(alpha, t=1, k=5),
+            "mz-fixed-hash": base.with_fixed_hash(
+                HashFunction(a=5, c=2, m=base.hash_family.m, t=4)),
+            "nisan": NisanProductGenerator(alpha, space=5),
+        }
+
+    def check(self, f, dist, gen, trials, shards, monkeypatch, chunk=None):
+        if chunk is not None:
+            monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+        run_rows = harness.SEED_CHUNK
+        sizes = shard_sizes(trials, shards)
+        calls, real_expand = [], gen.expand
+
+        def expand(seeds):
+            calls.append(len(seeds))
+            return real_expand(seeds)
+
+        monkeypatch.setattr(gen, "expand", expand)
+        got = estimate_fooling_error(f, dist, gen, mode="mc", trials=trials,
+                                     master_seed=77, shards=shards, experiment="runs", eps=0.5)
+        monkeypatch.undo()
+        want = per_shard_report(f, dist, gen, trials, 77, shards, "runs", 0.5)
+        assert replace(got, wall_ms=0.0) == want
+        # runs of whole consecutive shards, never more rows than a chunk or one shard
+        assert sum(calls) == trials and max(calls) <= max(run_rows, max(sizes))
+        bounds = set(itertools.accumulate(sizes))
+        assert set(itertools.accumulate(calls)) <= bounds
+        assert all(a + b > run_rows for a, b in itertools.pairwise(calls))
+        return calls
+
+    @pytest.mark.parametrize("name", ["mz-affine", "mz-multiplicative", "mz-t1",
+                                      "mz-fixed-hash", "nisan"])
+    @pytest.mark.parametrize("form", ["pair", "callable"])
+    def test_generators(self, monkeypatch, name, form):
+        system, comb = self.pair(self.DIST.n)
+        f = (system, comb) if form == "pair" else lambda x: comb.apply(system.sign_vector(x))
+        calls = self.check(f, self.DIST, self.generators()[name], 1003, 7, monkeypatch)
+        assert calls == [1003]  # seven uneven shards, one run
+
+    def test_two_seed_words_per_bucket(self, monkeypatch):
+        """n = 5000 gives m_word = 13, so k * m_word = 65 bits split over two words."""
+        dist = ProductDistribution.repeated(UniformMultisetCoordinate([-1.0, 1.0]), 5000)
+        gen = MZGenerator(alphabets_from_distribution(dist), t=8, k=5)
+        assert gen.m_word == 13 and gen.k * gen.m_word > 63
+        self.check(self.pair(5000), dist, gen, 301, 3, monkeypatch)
+
+    @pytest.mark.parametrize("trials, shards, chunk, runs", [
+        (5, 8, None, [5]),                  # fewer trials than shards
+        (1003, 7, 300, [288, 286, 286, 143]),  # uneven shards, two to a run
+        (1003, 7, 100, [144, 144, 143, 143, 143, 143, 143]),  # shards above the chunk
+        (2 * 4096 + 3, 2, None, [4098, 4097]),  # shards above SEED_CHUNK itself
+    ])
+    def test_run_boundaries(self, monkeypatch, trials, shards, chunk, runs):
+        gen = self.generators()["mz-affine"]
+        assert self.check(self.pair(self.DIST.n), self.DIST, gen, trials, shards,
+                          monkeypatch, chunk) == runs
 
 
 class TestProbeGolden:

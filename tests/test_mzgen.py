@@ -421,6 +421,19 @@ def test_table_tiers_match_reference(monkeypatch, table_cells, tier, variant):
             assert np.array_equal(batch[0], reference_row(gen, packed_seed(gen, a, c, coeffs)))
 
 
+def test_generators_of_one_shape_share_read_only_tables():
+    """A second generator of the same shape reuses the first one's tables."""
+    alpha = distinct_alphabets(20, 1 << 4, 15)
+    first, second = (MZGenerator(alpha, t=4, k=5) for _ in range(2))
+    seeds = first.random_seeds(philox(15), 8)
+    assert np.array_equal(first.expand(seeds), second.expand(seeds))
+    assert all(a is b for a, b in zip(first._tables, second._tables, strict=True))
+    assert not any(table.flags.writeable for table in first._tables if table is not None)
+    other = MZGenerator(alpha, t=4, k=4)
+    other.expand(other.random_seeds(philox(16), 8))
+    assert other._tables[1] is not first._tables[1]
+
+
 def fixed_distinct(n, t, k, size, variant, a, c):
     gen = MZGenerator(distinct_alphabets(n, size, n + t), t=t, k=k, hash_variant=variant)
     return gen.with_fixed_hash(HashFunction(a=a, c=c, m=gen.hash_family.m, t=t))

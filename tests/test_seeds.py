@@ -9,8 +9,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import expand_all, philox
+from conftest import expand_all, philox, unpacked_seed_fields
 from hsprg.gf2 import KWiseFamily
 from hsprg.hashing import MULTIPLICATIVE, HashFunction
 from hsprg.mzgen import MZGenerator, NisanProductGenerator
@@ -122,6 +124,44 @@ class TestSeedFormat:
         seeds = seed_from_int(value, 17)
         assert seed_fields(seeds, 1, 4, 4).tolist() == [[0b0111, 0b1100, 0b0110, 0b1]]
         assert seed_fields(seeds, 0, 0, 1).tolist() == [[0]]
+
+    @settings(max_examples=500, deadline=None)
+    @given(read=st.data())
+    @example(read=None)
+    def test_fields_match_the_unpacked_reader(self, read):
+        """Word reads give the bits that unpacking the seed bytes gives.
+
+        Rows of 1-70 bytes, the last one partly used unless seed_bits is a
+        multiple of 8; any width from 0 to 63, offset, count and stride.
+        The explicit example is an empty batch.
+        """
+        if read is None:
+            seed_bits, rows, width, offset, count, stride = 70, 0, 13, 3, 4, 20
+        else:
+            seed_bits = read.draw(st.integers(1, 8 * 70), label="seed_bits")
+            rows = read.draw(st.integers(0, 3), label="rows")
+            width = read.draw(st.integers(0, min(63, seed_bits)), label="width")
+            stride = read.draw(st.integers(width, seed_bits), label="stride")
+            most = (seed_bits - width) // stride + 1 if stride else 4
+            count = read.draw(st.integers(0, most), label="count")
+            used = stride * (count - 1) + width if count else 0
+            offset = read.draw(st.integers(0, seed_bits - used), label="offset")
+        seeds = random_seeds(philox(rows + seed_bits), seed_bits, rows)
+        got = seed_fields(seeds, offset, width, count, stride=stride)
+        want = np.zeros((rows, count), dtype=np.int64)
+        for i in range(count):
+            want[:, i:i + 1] = unpacked_seed_fields(seeds, offset + i * stride, width, 1)
+        assert got.dtype == np.int64 and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+        if stride == width:
+            assert np.array_equal(seed_fields(seeds, offset, width, count),
+                                  unpacked_seed_fields(seeds, offset, width, count))
+
+    @pytest.mark.parametrize("width", [64, 65, 200])
+    def test_fields_wider_than_63_bits_are_rejected(self, width):
+        seeds = random_seeds(philox(10), 256, 2)
+        with pytest.raises(ValueError, match="0 to 63 bits"):
+            seed_fields(seeds, 0, width, 1)
 
     def test_zero_seeds_is_an_empty_batch(self):
         for bits in (1, 11, 70):
