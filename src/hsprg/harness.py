@@ -9,11 +9,11 @@ generator).  `f` must be a deterministic function of the point: the seed
 pass calls it once per distinct generator row of each seed chunk.  Monte
 Carlo goes through one sharded driver: stream k of shard s is Philox keyed
 by (master seed, k * MAX_SHARDS + s), so shard results are reproducible and
-merge order-independently.  The fooling-error estimate draws every shard's
-seeds from that shard's own stream, expands runs of consecutive shards
-(at most SEED_CHUNK rows, at least one shard) in one generator call, and
-evaluates each shard's rows on their own, so the report does not depend
-on how shards are grouped.
+merge order-independently.  The driver hands shards over in runs of
+consecutive shards, at most SEED_CHUNK rows and at least one shard each.
+The fooling-error estimate draws every shard's seeds from that shard's own
+stream, expands a run in one generator call, and evaluates each shard's
+rows on their own, so the report does not depend on how shards are grouped.
 """
 
 from __future__ import annotations
@@ -258,31 +258,35 @@ def wilson_halfwidth(p: float, n: int) -> float:
     return half + abs(center - p)
 
 
+def _shard_runs(sizes: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
+    """Consecutive ``(shard, size)`` pairs in runs of at most SEED_CHUNK rows, at least one shard."""
+    run, rows = [], 0
+    for shard, size in enumerate(sizes):
+        if run and rows + size > SEED_CHUNK:
+            yield run
+            run, rows = [], 0
+        run.append((shard, size))
+        rows += size
+    yield run
+
+
 def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int],
-        body: Callable[[list], Iterable[tuple]], run_rows: int = 0
-        ) -> tuple[tuple[float, ...], float]:
+        body: Callable[[list], Iterable[tuple]]) -> tuple[tuple[float, ...], float]:
     """Sharded Monte Carlo: the mean of each hit count and their joint 95% half-width.
 
-    Consecutive shards are grouped into runs of at most ``run_rows`` rows,
-    each run at least one shard (so by default one shard per run).
-    ``body(run)`` gets a run as a list of ``(size, rngs)``, one per shard,
-    whose rngs are streams ``k`` of ``streams`` for that shard, and returns
-    one tuple of hit counts per shard, one count per stream.  The
-    half-width combines the Wilson half-widths of the means in quadrature.
+    Shards are handed to ``body`` in runs (`_shard_runs`).  ``body(run)``
+    gets a run as a list of ``(size, rngs)``, one per shard, whose rngs are
+    streams ``k`` of ``streams`` for that shard, and returns one tuple of
+    hit counts per shard, one count per stream.  The half-width combines
+    the Wilson half-widths of the means in quadrature.
     """
     if master_seed is None:
         master_seed = master_seed_default()
-    runs, rows = [[]], 0
-    for shard, size in enumerate(shard_sizes(trials, shards)):
-        if runs[-1] and rows + size > run_rows:
-            runs.append([])
-            rows = 0
-        runs[-1].append((size, tuple(rng_for(master_seed, k * MAX_SHARDS + shard)
-                                     for k in streams)))
-        rows += size
     hits = [0] * len(streams)
-    for run in runs:
-        for counts in body(run):
+    for run in _shard_runs(shard_sizes(trials, shards)):
+        rngs = [(size, tuple(rng_for(master_seed, k * MAX_SHARDS + shard) for k in streams))
+                for shard, size in run]
+        for counts in body(rngs):
             hits = [h + int(c) for h, c in zip(hits, counts, strict=True)]
     means = tuple(h / trials for h in hits)
     return means, math.hypot(*(wilson_halfwidth(p, trials) for p in means))
@@ -334,7 +338,7 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
             return [(hits(dist.sample(rng_x, size)), hits(X))
                     for (size, (rng_x, _)), X in zip(run, rows)]
 
-        (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body, SEED_CHUNK)
+        (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body)
         samples = trials
         method = "monte-carlo"
     else:

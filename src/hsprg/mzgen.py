@@ -172,7 +172,7 @@ def _multiplier_partitions(hash_m: int, t: int, n: int,
     return bucket, _ranks(bucket)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)
 def _shared_tables(n: int, t: int, k: int, m_word: int, label_bits: int, n_dom: int,
                    hash_m: int, constant_hash: tuple[int, int] | None,
                    table_cells: int) -> tuple:
@@ -192,7 +192,8 @@ def _shared_tables(n: int, t: int, k: int, m_word: int, label_bits: int, n_dom: 
 
     The key is everything the tiers read, so generators of one shape (one
     per ``hsprg estimate`` or ``hsprg gen`` call in a process) share their
-    tables; the last eight shapes are kept.
+    tables.  Only the last shape is kept: a table can reach 2^21 cells of
+    int64 masks, and a process runs one shape at a time.
     """
     masks = _parity_masks(m_word, k, label_bits, n)
     if constant_hash is not None:
