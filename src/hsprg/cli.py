@@ -24,6 +24,7 @@ from .regularity import TermNorms, critical_index, head_set_partition
 from .robp import (
     ROBP,
     MonotoneCertificate,
+    ResourceError,
     check_monotone,
     halfspace_to_robp,
     nisan_generate,
@@ -87,15 +88,12 @@ def cmd_regularity(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.seeds < 1:
-        raise SystemExit(f"--seeds must be at least 1, got {args.seeds}")
-    try:  # a law that is not uniform, or bad generator parameters
-        dist = ProductDistribution.load(args.dist)
-        params = _load_json(args.params)
-        gen = MZGenerator(alphabets_from_distribution(dist),
-                          t=params.get("t", 1), k=params.get("k", 5),
-                          hash_variant=params.get("hash", "affine"))
-    except ValueError as exc:
-        return _report_error(exc)
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    dist = ProductDistribution.load(args.dist)
+    params = _load_json(args.params)
+    gen = MZGenerator(alphabets_from_distribution(dist),
+                      t=params.get("t", 1), k=params.get("k", 5),
+                      hash_variant=params.get("hash", "affine"))
     rng = rng_for(args.master_seed if args.master_seed is not None
                   else master_seed_default())
     rows = gen.expand(gen.random_seeds(rng, args.seeds))
@@ -118,10 +116,7 @@ def cmd_robp(args) -> int:
         print(json.dumps({"T": program.T, "D": program.D, "width": program.width}))
         return 0
     if args.robp_cmd == "check":
-        try:
-            result = check_monotone(ROBP.load(args.prog))
-        except ValueError as exc:  # a malformed program
-            return _report_error(exc)
+        result = check_monotone(ROBP.load(args.prog))
         if isinstance(result, MonotoneCertificate):
             _dump_json({"monotone": True, "orders": [list(o) for o in result.orders]},
                        args.out)
@@ -132,10 +127,7 @@ def cmd_robp(args) -> int:
                     "suffix_w": list(result.suffix_w)}, args.out)
         return 1
     if args.robp_cmd == "sandwich":
-        try:
-            pair = sandwich_monotone(ROBP.load(args.prog), args.eps)
-        except ValueError as exc:  # a malformed or non-monotone program
-            return _report_error(exc)
+        pair = sandwich_monotone(ROBP.load(args.prog), args.eps)
         pair.down.save(args.out_down)
         pair.up.save(args.out_up)
         print(json.dumps({"eps": args.eps, "gap": float(pair.gap()),
@@ -151,25 +143,17 @@ def cmd_robp(args) -> int:
 
 
 def cmd_sandwich(args) -> int:
-    # bad parameters raise ValueError, and a construction that fails its
-    # own audit DGJSVError; both become a JSON error and exit status 1
     if args.sandwich_cmd == "audit":
-        try:
-            rep = audit_dgjsv(dgjsv_poly(args.a, args.b))
-        except (ValueError, DGJSVError) as exc:
-            return _report_error(exc)
+        rep = audit_dgjsv(dgjsv_poly(args.a, args.b))
         _dump_json({"a": args.a, "b": args.b, "K": rep.K, "ok": rep.ok,
                     "c0_ratio": rep.c0_ratio, "violations": rep.violations},
                    args.out)
         return 0
     if args.sandwich_cmd == "build":
-        try:
-            dist = ProductDistribution.load(args.dist)
-            w = json.loads(args.weights)
-            gp = build_upper_poly(w, args.theta, dist.coords, delta=args.delta,
-                                  t=args.t, T=args.T, d=args.d, L=args.L)
-        except (ValueError, DGJSVError) as exc:
-            return _report_error(exc)
+        dist = ProductDistribution.load(args.dist)
+        w = json.loads(args.weights)
+        gp = build_upper_poly(w, args.theta, dist.coords, delta=args.delta,
+                              t=args.t, T=args.T, d=args.d, L=args.L)
         _dump_json({"order": gp.order, "K": gp.K, "q": gp.q, "L": gp.L,
                     "head": list(gp.partition.head),
                     "tail_regular": gp.partition.tail_regular,
@@ -180,29 +164,24 @@ def cmd_sandwich(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    # bad input raises ValueError, and a space too large to enumerate
-    # ResourceCapError; both become a JSON error and exit status 1
-    try:
-        system = HalfspaceSystem.from_json(_load_json(args.f))
-        combiner = CombinerSpec.from_json(_load_json(args.combiner))
-        dist = ProductDistribution.load(args.dist)
+    system = HalfspaceSystem.from_json(_load_json(args.f))
+    combiner = CombinerSpec.from_json(_load_json(args.combiner))
+    dist = ProductDistribution.load(args.dist)
 
-        if args.gen.startswith("kwise:"):
-            k = int(args.gen.split(":", 1)[1])
-            gen = MZGenerator(alphabets_from_distribution(dist), t=1, k=k)
-        elif args.gen == "mz":
-            gen = MZGenerator(alphabets_from_distribution(dist), t=args.t, k=args.k)
-        elif args.gen == "nisan":
-            gen = NisanProductGenerator(alphabets_from_distribution(dist),
-                                        space=args.nisan_space)
-        else:
-            raise SystemExit(f"unknown generator {args.gen!r}")
+    if args.gen.startswith("kwise:"):
+        k = int(args.gen.split(":", 1)[1])
+        gen = MZGenerator(alphabets_from_distribution(dist), t=1, k=k)
+    elif args.gen == "mz":
+        gen = MZGenerator(alphabets_from_distribution(dist), t=args.t, k=args.k)
+    elif args.gen == "nisan":
+        gen = NisanProductGenerator(alphabets_from_distribution(dist),
+                                    space=args.nisan_space)
+    else:
+        raise ValueError(f"unknown generator {args.gen!r}")
 
-        report = estimate_fooling_error(
-            (system, combiner), dist, gen, mode=args.mode, trials=args.trials,
-            master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
-    except (ValueError, ResourceCapError) as exc:
-        return _report_error(exc)
+    report = estimate_fooling_error(
+        (system, combiner), dist, gen, mode=args.mode, trials=args.trials,
+        master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
     fmt = "json" if args.out.endswith(".json") else "csv"
     emit_report([report], args.out, fmt)
     print(json.dumps(report.to_json()))
@@ -301,8 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a rejected input prints a JSON error and returns 1."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, ResourceCapError, ResourceError, DGJSVError) as exc:
+        return _report_error(exc)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,13 @@ C is the bucket's seed field cut into words of q = 63 // m coefficients
 each, so ``expand`` takes every bucket's words straight from the seed,
 one 64-bit word read per word (``seeds.seed_fields``); ``sample_batch``
 draws the coefficients and packs them into the same words (``_pack``).
+
+The buckets and masks of a shape come in one of two forms
+(``_shared_tables``): a table with one row per multiplier a seed can
+pick, which the benchmark's mc_cli and mc_batch read for every
+multiplier and exact_enum (t = 1) for its one multiplier; or, when
+every multiplier's table would pass ``_TABLE_CELLS``, partitions
+computed per row, which no workload reaches.
 """
 
 from __future__ import annotations
@@ -119,7 +126,6 @@ def gather_letters(alpha: np.ndarray, labels: np.ndarray,
     return np.take(alpha.ravel(), idx, out=out)
 
 
-@lru_cache(maxsize=8)
 def _parity_masks(m: int, k: int, label_bits: int, n: int) -> np.ndarray:
     """Masks M with bit j of p(r) = parity(C & M[j, w, r]) summed over words w.
 
@@ -127,9 +133,7 @@ def _parity_masks(m: int, k: int, label_bits: int, n: int) -> np.ndarray:
     into words as ``MZGenerator._pack`` does: coefficient kk at bit
     (kk % q) * m of word kk // q, q = 63 // m, so no word uses bit 63.
     Bit j of c * y is linear in the bits of c: bit i of c contributes bit j
-    of x^i * y.  Shape (label_bits, words, n), read-only.  The cache keeps
-    the last eight shapes, so generators rebuilt for one shape (one per
-    ``hsprg estimate`` call in a process) build them once.
+    of x^i * y.  Shape (label_bits, words, n).
     """
     f = field(m)
     q = 63 // m
@@ -148,7 +152,6 @@ def _parity_masks(m: int, k: int, label_bits: int, n: int) -> np.ndarray:
                 masks[:, w, lo:lo + len(ranks)] |= bits[:, w * q:(w + 1) * q].sum(axis=1)
             y <<= 1
             y ^= (y >> m) * f.modulus
-    masks.flags.writeable = False
     return masks
 
 
@@ -175,22 +178,22 @@ def _multiplier_partitions(hash_m: int, t: int, n: int,
 @lru_cache(maxsize=1)
 def _shared_tables(n: int, t: int, k: int, m_word: int, label_bits: int, n_dom: int,
                    hash_m: int, constant_hash: tuple[int, int] | None,
-                   table_cells: int) -> tuple:
-    """The read-only (bucket, masks, index) tables ``_partition_rows`` reads, by tier.
+                   table_cells: int) -> tuple[np.ndarray | None, np.ndarray]:
+    """The read-only (bucket, masks) that ``_partition_rows`` reads, in one of two forms.
 
-    - Every seed shares one hash (fixed hash or t = 1): its (1, n)
-      partition, with the masks gathered by rank.  The benchmark's
-      exact_enum reaches it.
-    - If it fits in ``table_cells``, every multiplier's masks
-      M[j, w, rank_a], so a row gathers whole rows by a.  mc_batch and
-      mc_cli reach it.
-    - Else every multiplier's buckets and ranks, with the masks gathered
-      by rank.  No workload reaches it; at n = 1024, t = 64, k = 5 with
-      16 letters it measured 3x faster than no table.
-    - Else nothing, and partitions are computed for the rows at hand:
-      the only tier whose memory fits at large n.  No workload reaches it.
+    - A table, with one row per multiplier a seed can pick: bucket[a] the
+      buckets of multiplier a, and masks[j, w, a] its masks gathered by
+      rank.  That is every multiplier, or the one multiplier of a constant
+      hash (a fixed hash, or t = 1) with c0 folded into its bucket row.
+      mc_cli and mc_batch read every multiplier's table, exact_enum the
+      one-multiplier table.  A one-multiplier table holds as many cells as
+      the masks themselves, so it is always kept; every multiplier's is
+      kept when it fits in ``table_cells``.
+    - Otherwise no buckets and the masks by rank, (label_bits, words, n),
+      and partitions are computed for the rows at hand: the only form
+      whose memory fits at large n.  No workload reaches it.
 
-    The key is everything the tiers read, so generators of one shape (one
+    The key is everything the choice reads, so generators of one shape (one
     per ``hsprg estimate`` or ``hsprg gen`` call in a process) share their
     tables.  Only the last shape is kept: a table can reach 2^21 cells of
     int64 masks, and a process runs one shape at a time.
@@ -198,21 +201,18 @@ def _shared_tables(n: int, t: int, k: int, m_word: int, label_bits: int, n_dom: 
     masks = _parity_masks(m_word, k, label_bits, n)
     if constant_hash is not None:
         a0, c0 = constant_hash
-        bucket, index = _multiplier_partitions(hash_m, t, n, np.array([a0]))
+        bucket, rank = _multiplier_partitions(hash_m, t, n, np.array([a0]))
         bucket ^= c0 & (t - 1)
-    elif n_dom * n > table_cells:
-        return None, masks, None
-    else:
+    elif masks.size * n_dom <= table_cells:
         bucket, rank = _multiplier_partitions(hash_m, t, n, np.arange(n_dom))
         bucket = bucket.astype(np.min_scalar_type(t - 1))
-        if masks.shape[0] * masks.shape[1] * rank.size <= table_cells:
-            masks, index = np.take(masks, rank, axis=2), None
-        else:
-            index = rank.astype(np.min_scalar_type(n - 1))
-    for table in (bucket, masks, index):
-        if table is not None:
-            table.flags.writeable = False
-    return bucket, masks, index
+    else:
+        bucket = None
+    if bucket is not None:
+        masks = np.take(masks, rank, axis=2)
+        bucket.flags.writeable = False
+    masks.flags.writeable = False
+    return bucket, masks
 
 
 class _Generator:
@@ -260,6 +260,8 @@ class MZGenerator(_Generator):
             raise ValueError("t must be a power of 2")
         if fixed_hash is not None and fixed_hash.t != t:
             raise ValueError(f"fixed hash has {fixed_hash.t} buckets, the generator t={t}")
+        if k < 1:
+            raise ValueError("independence order k must be >= 1")
         self.t = t
         self.k = k
         self.n_dom = max(_next_pow2(self.n), t)
@@ -384,20 +386,21 @@ class MZGenerator(_Generator):
         The mask of label bit j and seed word w is
         ``np.take(masks[j, w], index, axis=0)``, shaped like bucket.  c only
         relabels the buckets by xor, which keeps the ranks, so all of it
-        depends on the multiplier a alone.  ``_shared_tables`` decides once
-        per shape what is kept per multiplier.
+        depends on the multiplier a alone.  Over a table, index picks each
+        row's multiplier row (row 0 of a constant hash, whose one row
+        broadcasts over every row); otherwise it is each row's ranks.
         """
         if self._tables is None:
             self._tables = _shared_tables(self.n, self.t, self.k, self.m_word,
                                           self.label_bits, self.n_dom, self.hash_family.m,
                                           self._constant_hash, _TABLE_CELLS)
-        bucket, masks, index = self._tables
+        bucket, masks = self._tables
         if self._constant_hash is not None:
-            return bucket, masks, index
+            return bucket, masks, np.zeros(1, dtype=np.intp)
         if bucket is None:
             bucket, index = _multiplier_partitions(self.hash_family.m, self.t, self.n, a)
         else:
-            bucket, index = bucket[a], a if index is None else index[a]
+            bucket, index = bucket[a], a
         return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], masks, index
 
     def with_fixed_hash(self, h: HashFunction) -> "MZGenerator":

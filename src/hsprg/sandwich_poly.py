@@ -567,7 +567,7 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
     if len(halfspaces) != d:
         raise ValueError("need one halfspace per factor")
     certifiers = [_Certifier(d) for _ in polys]
-    indicators = [_as_indicator(h) for h in halfspaces]
+    indicators = [_as_callable(h) for h in halfspaces]
     pointwise = True
     gap = 0.0
     den, blocks = product_lattice(dist)
@@ -602,12 +602,6 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
 
     order = sum(getattr(p, "order", dist.n) for p in polys)
     return HybridResult(product, min(order, dist.n), bound, gap, pointwise, certs)
-
-
-def _as_indicator(h) -> Callable[[Sequence[float]], int]:
-    if isinstance(h, Halfspace):
-        return h.evaluate
-    return h
 
 
 @dataclass(frozen=True)

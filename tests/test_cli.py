@@ -74,11 +74,13 @@ def test_gen_csv_and_bin(tmp_path, rad_dist, capsys):
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])
-def test_gen_rejects_seed_counts_below_one(tmp_path, rad_dist, count):
+def test_gen_rejects_seed_counts_below_one(tmp_path, rad_dist, capsys, count):
     params = write(tmp_path / "p.json", {"t": 2, "k": 2})
-    with pytest.raises(SystemExit, match="--seeds must be at least 1"):
-        main(["gen", "--dist", rad_dist, "--params", params, "--seeds", count,
-              "--out", str(tmp_path / "s.csv")])
+    assert main(["gen", "--dist", rad_dist, "--params", params, "--seeds", count,
+                 "--out", str(tmp_path / "s.csv")]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"--seeds must be at least 1, got {count}"}
+    assert not (tmp_path / "s.csv").exists()
 
 
 def test_robp_pipeline(tmp_path, capsys):
@@ -135,6 +137,24 @@ def test_robp_nisan(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["labels"] == [1, 2]
     assert rep["seed_bits"] == 18
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["robp", "nisan", "--space", "2", "--label-bits", "2", "--steps", "2", "--seed", "-1"],
+     "seed needs exactly 18 bits"),
+    (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "[]"],
+     "need one alphabet per coordinate"),
+    (["discretize", "--eps", "0"], "need eps > 0, C >= 1, n >= 1"),
+], ids=["nisan-negative-seed", "compile-empty-alphabet", "discretize-eps-0"])
+def test_rejected_input_prints_json_error(tmp_path, capsys, argv, message):
+    """Every subcommand turns a rejected input into one JSON error line and status 1."""
+    out = tmp_path / "out.json"
+    if argv[0] == "discretize":
+        argv = argv[:1] + ["--dist", write(tmp_path / "d.json",
+                                           {"coord": {"kind": "gaussian"}, "n": 4})] + argv[1:]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+    assert not out.exists()
 
 
 def test_sandwich_audit(tmp_path):
@@ -298,7 +318,10 @@ SKEWED_DIST = {"coord": {"kind": "discrete", "values": [-1.0, 1.0], "probs": [0.
     (["--gen", "mz", "--t", "3"], None, "t must be a power of 2"),
     (["--gen", "nisan"], SKEWED_DIST, "coordinate 0 is not a uniform law"),
     (["--gen", "mz", "--t", "2"], GAUSSIAN_DIST, "coordinate 0 is not discrete"),
-], ids=["trials-0", "t-3", "skewed-law", "gaussian-law"])
+    (["--gen", "foo"], None, "unknown generator 'foo'"),
+    (["--gen", "mz", "--t", "2", "--k", "0"], None, "independence order k must be >= 1"),
+    (["--gen", "kwise:0"], None, "independence order k must be >= 1"),
+], ids=["trials-0", "t-3", "skewed-law", "gaussian-law", "unknown-gen", "mz-k-0", "kwise-0"])
 def test_estimate_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, argv, dist, message):
     system = write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]})
     comb = write(tmp_path / "comb.json", {"kind": "single"})
@@ -323,7 +346,8 @@ def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad_dist, 
 @pytest.mark.parametrize("params, dist, message", [
     ({"t": 3}, None, "t must be a power of 2"),
     ({"t": 2}, SKEWED_DIST, "coordinate 0 is not a uniform law"),
-], ids=["t-3", "skewed-law"])
+    ({"t": 2, "k": -1}, None, "independence order k must be >= 1"),
+], ids=["t-3", "skewed-law", "k-negative"])
 def test_gen_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, params, dist, message):
     dist = rad_dist if dist is None else write(tmp_path / "law.json", dist)
     assert main(["gen", "--dist", dist, "--params", write(tmp_path / "p.json", params),

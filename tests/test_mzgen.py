@@ -372,7 +372,7 @@ def test_parity_masks_match_scalar_field(m, k, data):
     r = data.draw(st.integers(0, min(f.order, 1 << 10) - 1), label="rank")
     coeffs = data.draw(st.lists(st.integers(0, f.order - 1), min_size=k, max_size=k),
                        label="coefficients")
-    masks = _parity_masks.__wrapped__(m, k, m, r + 1)  # every bit, uncached
+    masks = _parity_masks(m, k, m, r + 1)  # every bit
     q = 63 // m
     words = [0] * masks.shape[1]
     for kk, coef in enumerate(coeffs):
@@ -389,27 +389,27 @@ def test_parity_masks_match_scalar_field(m, k, data):
 
 def test_parity_masks_blocks_match_one_block(monkeypatch):
     """Masks built a few ranks per block equal those built in one block."""
-    whole = _parity_masks.__wrapped__(13, 5, 9, 300)
+    whole = _parity_masks(13, 5, 9, 300)
     assert 9 * 5 * 300 <= mzgen._MASK_BLOCK_CELLS
     monkeypatch.setattr(mzgen, "_MASK_BLOCK_CELLS", 9 * 5 * 7)  # 7 ranks per block
-    assert np.array_equal(_parity_masks.__wrapped__(13, 5, 9, 300), whole)
+    assert np.array_equal(_parity_masks(13, 5, 9, 300), whole)
 
 
-@pytest.mark.parametrize("table_cells,tier", [
-    (1 << 21, "masks"), (1000, "ranks"), (100, "none")])
+@pytest.mark.parametrize("table_cells,tier", [(1 << 21, "masks"), (100, "none")])
 @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
 def test_table_tiers_match_reference(monkeypatch, table_cells, tier, variant):
-    """Each kind of per-multiplier table gives the scalar reference's rows.
+    """Both forms, every multiplier's mask table and none, give the scalar reference's rows.
 
-    n = 20 and 9 label bits give n_dom * n = 640 partition cells and 5760
-    mask cells, so the budget picks a mask table, a rank table or none.
+    n = 20 and 9 label bits give n_dom * n * 9 = 5760 mask cells, so the
+    budget picks the table or per-row partitions.
     """
     monkeypatch.setattr(mzgen, "_TABLE_CELLS", table_cells)
     gen = MZGenerator(distinct_alphabets(20, 1 << 9, 12), t=4, k=5, hash_variant=variant)
     seeds = gen.random_seeds(philox(13), 20)
     got = gen.expand(seeds)
-    bucket, masks, index = gen._tables
-    assert tier == ("none" if bucket is None else "masks" if masks.ndim == 4 else "ranks")
+    bucket, masks = gen._tables
+    assert tier == ("none" if bucket is None else "masks")
+    assert masks.ndim == (3 if bucket is None else 4)
     for row, seed in zip(got, seeds):
         assert np.array_equal(row, reference_row(gen, int.from_bytes(seed.tobytes(), "little")))
     if variant == AFFINE:
@@ -421,6 +421,23 @@ def test_table_tiers_match_reference(monkeypatch, table_cells, tier, variant):
             assert np.array_equal(batch[0], reference_row(gen, packed_seed(gen, a, c, coeffs)))
 
 
+@pytest.mark.parametrize("n, size, t, k, form", [
+    (64, 16, 16, 5, "every multiplier"),  # mc_cli
+    (1024, 2, 64, 5, "every multiplier"),  # mc_batch
+    (16, 2, 1, 4, "one multiplier"),  # exact_enum
+    (1500, 2, 8, 3, "per row"),
+], ids=["mc_cli", "mc_batch", "exact_enum", "n-1500"])
+def test_benchmark_shapes_read_their_form(n, size, t, k, form):
+    """The benchmark's shapes read the table; only large n computes partitions per row."""
+    gen = MZGenerator([[float(v) for v in range(size)]] * n, t=t, k=k)
+    gen.expand(gen.random_seeds(philox(17), 2))
+    bucket, masks = gen._tables
+    rows = {"every multiplier": gen.n_dom, "one multiplier": 1}.get(form)
+    assert (None if bucket is None else len(bucket)) == rows
+    assert masks.shape == ((gen.label_bits, 1, n) if rows is None
+                           else (gen.label_bits, 1, rows, n))
+
+
 def test_generators_of_one_shape_share_read_only_tables():
     """A second generator of the same shape reuses the first one's tables."""
     alpha = distinct_alphabets(20, 1 << 4, 15)
@@ -428,7 +445,7 @@ def test_generators_of_one_shape_share_read_only_tables():
     seeds = first.random_seeds(philox(15), 8)
     assert np.array_equal(first.expand(seeds), second.expand(seeds))
     assert all(a is b for a, b in zip(first._tables, second._tables, strict=True))
-    assert not any(table.flags.writeable for table in first._tables if table is not None)
+    assert not any(table.flags.writeable for table in first._tables)
     other = MZGenerator(alpha, t=4, k=4)
     other.expand(other.random_seeds(philox(16), 8))
     assert other._tables[1] is not first._tables[1]
@@ -442,8 +459,9 @@ def fixed_distinct(n, t, k, size, variant, a, c):
 class TestGoldenOutputs:
     """Digests of every output path, recorded before MZ and Nisan shared a base class.
 
-    The over-table cases have n_dom * n > _TABLE_CELLS, so their partitions
-    are computed per row instead of read from a table.
+    The over-table cases have n_dom * n > _TABLE_CELLS, so the hashed ones
+    compute their partitions per row; a fixed hash or t = 1 reads its
+    one-multiplier table.
     """
 
     GENERATORS = {
