@@ -34,9 +34,14 @@ from .robp import (
 from .sandwich_poly import DGJSVError, audit_dgjsv, build_upper_poly, dgjsv_poly
 
 
-def _load_json(path: str):
+def _load(path: str, parse):
+    """parse(the JSON in the file at path); a missing or ill-typed field is a ValueError."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"{path}: {exc!r}") from exc
 
 
 def _dump_json(data, path: str | None):
@@ -55,7 +60,7 @@ def _report_error(exc: Exception) -> int:
 
 
 def cmd_discretize(args) -> int:
-    dist = ProductDistribution.load(args.dist)
+    dist = _load(args.dist, ProductDistribution.from_json)
     reports = []
     for coord in dist.coords:
         C = args.C if args.C is not None else max(1.0, moment_profile(coord).fourth_moment)
@@ -66,13 +71,14 @@ def cmd_discretize(args) -> int:
 
 
 def cmd_regularity(args) -> int:
-    data = _load_json(args.weights)
-    W = np.asarray(data["W"], dtype=float)
-    if W.ndim == 1:
-        W = W[:, None]
+    def parse(data):
+        W = np.asarray(data["W"], dtype=float)
+        if W.ndim == 1:
+            W = W[:, None]
+        return W, data.get("m2", [1.0] * len(W)), data.get("m4", [1.0] * len(W))
+
+    W, m2, m4 = _load(args.weights, parse)
     n, d = W.shape
-    m2 = data.get("m2", [1.0] * n)
-    m4 = data.get("m4", [1.0] * n)
     per_dim = []
     for i in range(d):
         norms = TermNorms.from_weights(W[:, i], m2, m4)
@@ -89,11 +95,11 @@ def cmd_regularity(args) -> int:
 def cmd_gen(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
-    dist = ProductDistribution.load(args.dist)
-    params = _load_json(args.params)
-    gen = MZGenerator(alphabets_from_distribution(dist),
-                      t=params.get("t", 1), k=params.get("k", 5),
-                      hash_variant=params.get("hash", "affine"))
+    dist = _load(args.dist, ProductDistribution.from_json)
+    t, k, hash_variant = _load(args.params, lambda params: (
+        params.get("t", 1), params.get("k", 5), params.get("hash", "affine")))
+    gen = MZGenerator(alphabets_from_distribution(dist), t=t, k=k,
+                      hash_variant=hash_variant)
     rng = rng_for(args.master_seed if args.master_seed is not None
                   else master_seed_default())
     rows = gen.expand(gen.random_seeds(rng, args.seeds))
@@ -116,7 +122,7 @@ def cmd_robp(args) -> int:
         print(json.dumps({"T": program.T, "D": program.D, "width": program.width}))
         return 0
     if args.robp_cmd == "check":
-        result = check_monotone(ROBP.load(args.prog))
+        result = check_monotone(_load(args.prog, ROBP.from_json))
         if isinstance(result, MonotoneCertificate):
             _dump_json({"monotone": True, "orders": [list(o) for o in result.orders]},
                        args.out)
@@ -127,7 +133,7 @@ def cmd_robp(args) -> int:
                     "suffix_w": list(result.suffix_w)}, args.out)
         return 1
     if args.robp_cmd == "sandwich":
-        pair = sandwich_monotone(ROBP.load(args.prog), args.eps)
+        pair = sandwich_monotone(_load(args.prog, ROBP.from_json), args.eps)
         pair.down.save(args.out_down)
         pair.up.save(args.out_up)
         print(json.dumps({"eps": args.eps, "gap": float(pair.gap()),
@@ -150,7 +156,7 @@ def cmd_sandwich(args) -> int:
                    args.out)
         return 0
     if args.sandwich_cmd == "build":
-        dist = ProductDistribution.load(args.dist)
+        dist = _load(args.dist, ProductDistribution.from_json)
         w = json.loads(args.weights)
         gp = build_upper_poly(w, args.theta, dist.coords, delta=args.delta,
                               t=args.t, T=args.T, d=args.d, L=args.L)
@@ -164,9 +170,9 @@ def cmd_sandwich(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    system = HalfspaceSystem.from_json(_load_json(args.f))
-    combiner = CombinerSpec.from_json(_load_json(args.combiner))
-    dist = ProductDistribution.load(args.dist)
+    system = _load(args.f, HalfspaceSystem.from_json)
+    combiner = _load(args.combiner, CombinerSpec.from_json)
+    dist = _load(args.dist, ProductDistribution.from_json)
 
     if args.gen.startswith("kwise:"):
         k = int(args.gen.split(":", 1)[1])
@@ -284,7 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, ResourceCapError, ResourceError, DGJSVError) as exc:
+    except (ValueError, OSError, ResourceCapError, ResourceError, DGJSVError) as exc:
         return _report_error(exc)
 
 

@@ -18,7 +18,6 @@ ones by their analytic quantiles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -389,11 +388,6 @@ class ProductDistribution:
         if "coord" in data and "n" in data:
             return cls.repeated(coordinate_from_json(data["coord"]), int(data["n"]))
         raise DistributionError("expected {'coords': [...]} or {'coord': ..., 'n': ...}")
-
-    @classmethod
-    def load(cls, path: str) -> "ProductDistribution":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ boundary atom has positive mass.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import compress
 from typing import Sequence
@@ -33,6 +34,8 @@ class Halfspace:
     def evaluate(self, x: Sequence[float]) -> int:
         m = self.margin(x)
         return int(m > 0 if self.strict else m >= 0)
+
+    __call__ = evaluate
 
     def negation(self) -> "Halfspace":
         # not(s >= t) == (-s > -t); not(s > t) == (-s >= -t)
@@ -173,7 +176,8 @@ class DecisionTree:
     def from_json(cls, data: dict) -> "DecisionTree":
         if "leaf" in data:
             return cls.leaf_node(data["leaf"])
-        return cls.branch(data["hs"], cls.from_json(data["low"]), cls.from_json(data["high"]))
+        return cls.branch(operator.index(data["hs"]), cls.from_json(data["low"]),
+                          cls.from_json(data["high"]))
 
 
 @dataclass(frozen=True)
@@ -255,7 +259,7 @@ class CombinerSpec:
     def from_json(cls, data: dict) -> "CombinerSpec":
         kind = data["kind"]
         if kind == "single":
-            return cls.single(data.get("index", 0))
+            return cls.single(operator.index(data.get("index", 0)))
         if kind == "intersection":
             return cls.intersection()
         if kind == "monotone-table":

@@ -55,10 +55,6 @@ class TermNorms:
         return cls(tuple(w * w * np.asarray(m2, dtype=float)),
                    tuple(w ** 4 * np.asarray(m4, dtype=float)))
 
-    def is_sorted(self) -> bool:
-        s = self.two_norm_sq
-        return all(s[i] >= s[i + 1] for i in range(len(s) - 1))
-
     def sorted(self) -> tuple["TermNorms", tuple[int, ...]]:
         order = tuple(sorted(range(len(self)), key=lambda j: (-self.two_norm_sq[j], j)))
         return TermNorms(tuple(self.two_norm_sq[j] for j in order),
@@ -85,13 +81,9 @@ def critical_index(norms: TermNorms, delta: float) -> tuple[int | float, tuple[i
 
     Returns (ell, order): the sequence is sorted by nonincreasing sigma^2
     first, and `order` maps sorted positions back to input indices
-    (identity when the input is already sorted).
+    (identity when the input is already sorted: ties go to the smaller index).
     """
-    if norms.is_sorted():
-        order = tuple(range(len(norms)))
-        snorms = norms
-    else:
-        snorms, order = norms.sorted()
+    snorms, order = norms.sorted()
     n = len(snorms)
     for ell in range(n):
         if is_delta_regular(snorms, delta, range(ell, n)):

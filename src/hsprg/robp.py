@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gf2 import field
-from .halfspace import is_monotone_table
+from .halfspace import CombinerSpec, is_monotone_table
 from .seeds import check_seeds, seed_fields, seed_from_int
 
 
@@ -346,13 +346,7 @@ def compose_monotone_sandwich(g_table: Sequence[int], programs: Sequence[ROBP],
         raise ValueError(f"need one certificate per program: {len(certs)} for {d}")
     pairs = [sandwich_monotone(p, eps, None if certs is None else certs[i])
              for i, p in enumerate(programs)]
-
-    def g(bits: tuple[int, ...]) -> int:
-        idx = 0
-        for i, b in enumerate(bits):
-            idx |= b << i
-        return g_table[idx]
-
+    g = CombinerSpec.monotone_table(g_table, d).apply
     down = product_robp([p.down for p in pairs], g)
     up = product_robp([p.up for p in pairs], g)
     return SandwichPair(down, up, d * eps)

@@ -442,8 +442,7 @@ def head_partition(weights: Sequence[float], coords, delta: float, t: float,
     m4 = [c.moments()[2] for c in coords]
     norms = TermNorms.from_weights(weights, m2, m4)
     if head is None:
-        order = sorted(range(n), key=lambda j: (-norms.two_norm_sq[j], j))
-        head = order[:L]
+        head = norms.sorted()[1][:L]
     head = tuple(head)
     tail = [j for j in range(n) if j not in head]
     tail_norm = math.sqrt(math.fsum(norms.two_norm_sq[j] for j in tail)) if tail else 0.0
@@ -527,23 +526,48 @@ def _block_values(p, X: np.ndarray) -> list[float]:
     batch = getattr(p, "evaluate_batch", None)
     if batch is not None:
         return batch(X).tolist()
-    return [float(v) for v in map(_as_callable(p), X)]
+    return [float(v) for v in map(p, X)]
+
+
+def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
+             d: int) -> tuple[tuple[UpperCertification, ...], bool, float]:
+    """One pass over the lattice: each factor's preconditions, and the product's.
+
+    Every factor p_i and its indicator h_i is evaluated once per block; the
+    values feed that factor's certifier and the running products of p and
+    of h, whose pointwise flag and expectation gap are summed here (a
+    product can overflow a 2d-th power where no factor does).
+    """
+    certifiers = [_Certifier(d) for _ in polys]
+    pointwise = True
+    gap = 0.0
+    den, blocks = product_lattice(dist)
+    for X, weights in blocks:
+        fps = [w / den for w in weights]
+        p_prod = [1.0] * len(X)
+        h_prod = [1.0] * len(X)
+        for p, h, cert in zip(polys, halfspaces, certifiers):
+            pvs = _block_values(p, X)
+            hvs = _block_values(h, X)
+            cert.add(pvs, hvs, fps)
+            p_prod = [a * v for a, v in zip(p_prod, pvs)]
+            h_prod = [a * v for a, v in zip(h_prod, hvs)]
+        for pv, hv, fp in zip(p_prod, h_prod, fps):
+            if pv < hv:
+                pointwise = False
+            gap += (pv - hv) * fp
+    return tuple(c.result() for c in certifiers), pointwise, gap
 
 
 def certify_upper(p: Callable[[Sequence[float]], float],
                   h: Callable[[Sequence[float]], int],
                   dist: ProductDistribution, d: int) -> UpperCertification:
     """Exact enumeration of the four hybrid-product preconditions."""
-    cert = _Certifier(d)
-    den, blocks = product_lattice(dist)
-    for X, weights in blocks:
-        cert.add(_block_values(p, X), [float(h(x)) for x in X], [w / den for w in weights])
-    return cert.result()
+    return _certify([p], [h], dist, d)[0][0]
 
 
 @dataclass(frozen=True)
 class HybridResult:
-    evaluate: Callable[[Sequence[float]], float]
     order: int
     bound: float
     measured_gap: float
@@ -558,50 +582,23 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
     Every factor must pass the four preconditions exactly (pointwise >=,
     small expectation gap, rare overshoot of 1 + 1/d^2, bounded 2d-norm);
     the resulting bound is 2 d eps0 + 3 d^2 sqrt(gamma) with eps0 and gamma
-    the measured maxima.  One pass over the lattice evaluates each factor
-    once per point and feeds both its certification and the product.
+    the measured maxima.  Factors and indicators are callables, read
+    through `evaluate_batch` where they have one.
     """
     d = len(polys)
     if d < 1:
         raise ValueError("hybrid_product needs at least one factor")
     if len(halfspaces) != d:
         raise ValueError("need one halfspace per factor")
-    certifiers = [_Certifier(d) for _ in polys]
-    indicators = [_as_callable(h) for h in halfspaces]
-    pointwise = True
-    gap = 0.0
-    den, blocks = product_lattice(dist)
-    for X, weights in blocks:
-        fps = [w / den for w in weights]
-        p_prod = [1.0] * len(X)
-        h_prod = [1.0] * len(X)
-        for p, h, cert in zip(polys, indicators, certifiers):
-            pvs = _block_values(p, X)
-            hvs = [float(h(x)) for x in X]
-            cert.add(pvs, hvs, fps)
-            p_prod = [a * v for a, v in zip(p_prod, pvs)]
-            h_prod = [a * v for a, v in zip(h_prod, hvs)]
-        for pv, hv, fp in zip(p_prod, h_prod, fps):
-            if pv < hv:
-                pointwise = False
-            gap += (pv - hv) * fp
-
-    certs = tuple(c.result() for c in certifiers)
+    certs, pointwise, gap = _certify(polys, halfspaces, dist, d)
     for cert in certs:
         if not cert.ok():
             raise CertificationError(f"factor failed certification: {cert}")
     eps0 = max(c.eps0 for c in certs)
     gamma = max(c.gamma for c in certs)
     bound = 2 * d * eps0 + 3 * d * d * math.sqrt(gamma)
-
-    def product(x):
-        out = 1.0
-        for p in polys:
-            out *= float(p(x))
-        return out
-
     order = sum(getattr(p, "order", dist.n) for p in polys)
-    return HybridResult(product, min(order, dist.n), bound, gap, pointwise, certs)
+    return HybridResult(min(order, dist.n), bound, gap, pointwise, certs)
 
 
 @dataclass(frozen=True)
@@ -612,7 +609,7 @@ class LowerSandwich:
     order: int
 
     def evaluate(self, x) -> float:
-        return 1.0 - float(_as_callable(self.upper_for_negation)(x))
+        return 1.0 - float(self.upper_for_negation(x))
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         return 1.0 - np.array(_block_values(self.upper_for_negation, X))
@@ -624,10 +621,6 @@ def lower_from_upper(p_u_negation, order: int | None = None) -> LowerSandwich:
     if order is None:
         order = getattr(p_u_negation, "order")
     return LowerSandwich(p_u_negation, order)
-
-
-def _as_callable(p):
-    return p.evaluate if hasattr(p, "evaluate") else p
 
 
 def tree_to_and_sum(tree: DecisionTree, system: HalfspaceSystem) -> list[list[Halfspace]]:

@@ -356,6 +356,47 @@ def test_gen_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, params, dis
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("name, data, error", [
+    ("combiner", {"kind": "monotone-table"}, "KeyError('table')"),
+    ("combiner", {"nokind": 1}, "KeyError('kind')"),
+    ("combiner", {"kind": "decision-tree", "tree": {"hs": 0}}, "KeyError('low')"),
+    ("combiner", [1, 2], "TypeError('list indices must be integers or slices, not str')"),
+    ("combiner", {"kind": "single", "index": "a"},
+     "TypeError(\"'str' object cannot be interpreted as an integer\")"),
+    ("f", {"W": [[1.0]] * 4}, "KeyError('Theta')"),
+    ("dist", {"coord": {"kind": "discrete", "values": [-1.0, 1.0]}, "n": 4},
+     "KeyError('probs')"),
+], ids=["table-missing", "kind-missing", "tree-low-missing", "list-combiner",
+        "string-index", "theta-missing", "probs-missing"])
+def test_estimate_rejects_malformed_json_file(tmp_path, rad_dist, capsys, name, data, error):
+    files = {"f": write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]}),
+             "combiner": write(tmp_path / "comb.json", {"kind": "single"}),
+             "dist": rad_dist}
+    files[name] = write(tmp_path / "bad.json", data)
+    assert main(["estimate", *(s for kv in files.items() for s in (f"--{kv[0]}", kv[1])),
+                 "--gen", "kwise:2", "--out", str(tmp_path / "r.csv")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": f"{files[name]}: {error}"}
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_regularity_rejects_weights_without_W(tmp_path, capsys):
+    weights = write(tmp_path / "w.json", {"w": [1.0, 2.0]})
+    assert main(["regularity", "--weights", weights, "--delta", "0.2"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": f"{weights}: KeyError('W')"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["discretize", "--eps", "0.1", "--dist"],
+    ["regularity", "--delta", "0.2", "--weights"],
+    ["robp", "check", "--prog"],
+], ids=["discretize", "regularity", "robp-check"])
+def test_missing_input_file_prints_json_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "absent.json")
+    assert main(argv + [path]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"[Errno 2] No such file or directory: {path!r}"}
+
+
 def test_estimate_reports_system_dimension(tmp_path, rad_dist):
     system = write(tmp_path / "sys.json",
                    {"W": [[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0]],

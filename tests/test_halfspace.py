@@ -60,6 +60,14 @@ class TestNegation:
         h = Halfspace((0.5, -2.0), 0.25, strict=False)
         assert h.negation().negation() == h
 
+    def test_call_is_evaluate_on_a_tie(self):
+        # x = (1, -1) sits on the boundary: the strict side and its negation split it
+        h = Halfspace((1.0, 1.0), 0.0, strict=True)
+        for g, want in ((h, 0), (h.negation(), 1)):
+            assert g((1.0, -1.0)) == g.evaluate((1.0, -1.0)) == want
+            for x in itertools.product([-1.0, 1.0], repeat=2):
+                assert g(x) == g.evaluate(x)
+
 
 class TestHalfspaceRows:
     """A point as a tuple or as a float64 ndarray row gives the same margin."""

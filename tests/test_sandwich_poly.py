@@ -506,6 +506,16 @@ class TestHybridProduct:
         p2 = build_upper_poly(w2, 0.0, CUBE6_COORDS, **BUILD_KW)
         return (p1, p2), (Halfspace(tuple(w1), 1.0), Halfspace(tuple(w2), 0.0))
 
+    @staticmethod
+    def build_law3():
+        # NEAR and FAR rows on a non-dyadic law
+        kw = dict(delta=0.5, t=8.0, T=4096, d=2, L=2)
+        cases = [([1.0] * 7, 6.0), ([3.0, -1.0, 0.5, 1.0, -2.0, 1.0, 0.25], 2.5),
+                 ([0.5, 1.0, -1.0, 2.0, 1.0, -0.5, 1.0], 3.0),
+                 ([40.0] + [1.0] * 6, 10.0), ([1.0] * 7, -1.0)]
+        polys = [build_upper_poly(w, th, LAW3_COORDS, **kw) for w, th in cases]
+        return polys, [Halfspace(tuple(w), th) for w, th in cases]
+
     def test_budget_holds_exhaustively(self):
         polys, hs = self.build_pair()
         res = hybrid_product(polys, hs, CUBE6)
@@ -525,6 +535,16 @@ class TestHybridProduct:
             (True, 0.6397945717253665, 0.0, 0.9885548969585687),
             (True, 0.48502882155699534, 0.0, 0.9899280729478804)]
 
+    def test_factor_certifications_equal_certify_upper(self):
+        # the one-factor pass gives each factor's certificate at the product's d
+        law3 = self.build_law3()
+        runs = [(*self.build_pair(), CUBE6, (0, 1))] + [
+            (*law3, LAW3_DIST, idx) for idx in [(0, 1), (1, 2), (2, 3, 4)]]
+        for polys, hs, dist, idx in runs:
+            res = hybrid_product([polys[i] for i in idx], [hs[i] for i in idx], dist)
+            for i, cert in zip(idx, res.certifications, strict=True):
+                assert certify_upper(polys[i], hs[i], dist, len(idx)) == cert
+
     def test_degenerate_single_factor(self):
         polys, hs = self.build_pair()
         res = hybrid_product(polys[:1], hs[:1], CUBE6)
@@ -533,12 +553,7 @@ class TestHybridProduct:
 
     def test_golden_values_on_non_dyadic_law(self):
         # recorded at the per-point evaluation; NEAR and FAR rows, d = 2 and 3
-        kw = dict(delta=0.5, t=8.0, T=4096, d=2, L=2)
-        cases = [([1.0] * 7, 6.0), ([3.0, -1.0, 0.5, 1.0, -2.0, 1.0, 0.25], 2.5),
-                 ([0.5, 1.0, -1.0, 2.0, 1.0, -0.5, 1.0], 3.0),
-                 ([40.0] + [1.0] * 6, 10.0), ([1.0] * 7, -1.0)]
-        polys = [build_upper_poly(w, th, LAW3_COORDS, **kw) for w, th in cases]
-        hs = [Halfspace(tuple(w), th) for w, th in cases]
+        polys, hs = self.build_law3()
         want = {
             (0, 1): ((1.1079351256542214, 0.3108292033399361), [
                 (0.07348917620873088, 0.0, 0.9999686816618276),
