@@ -6,6 +6,7 @@ import argparse
 import functools
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,14 +35,30 @@ from .robp import (
 from .sandwich_poly import DGJSVError, audit_dgjsv, build_upper_poly, dgjsv_poly
 
 
-def _load(path: str, parse):
-    """parse(the JSON in the file at path); a missing or ill-typed field is a ValueError."""
-    with open(path) as fh:
-        data = json.load(fh)
+def _parse(source: str, data, parse):
+    """parse(data); a missing or ill-typed field is a ValueError naming source."""
     try:
         return parse(data)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
-        raise ValueError(f"{path}: {exc!r}") from exc
+        raise ValueError(f"{source}: {exc!r}") from exc
+
+
+def _load(path: str, parse):
+    """parse(the JSON in the file at path), under the rule of `_parse`."""
+    with open(path) as fh:
+        return _parse(path, json.load(fh), parse)
+
+
+def _inline(flag: str, text: str, parse):
+    """parse(the JSON given inline as flag's value), under the rule of `_parse`."""
+    return _parse(flag, json.loads(text), parse)
+
+
+def _list(data, entry=Fraction) -> list:
+    """A JSON list, each entry read by entry (exact by default); else a TypeError."""
+    if not isinstance(data, list):
+        raise TypeError(f"expected a JSON list, got {data!r}")
+    return [entry(v) for v in data]
 
 
 def _dump_json(data, path: str | None):
@@ -113,10 +130,10 @@ def cmd_gen(args) -> int:
 
 def cmd_robp(args) -> int:
     if args.robp_cmd == "compile":
-        w = json.loads(args.weights)
-        alphabet = json.loads(args.alphabet)
-        if alphabet and not isinstance(alphabet[0], list):
-            alphabet = [alphabet] * len(w)
+        w = _inline("--weights", args.weights, _list)
+        # one alphabet for every step, or a list of alphabets, one per step
+        alphabet = _inline("--alphabet", args.alphabet, lambda a: (
+            [_list(a)] * len(w) if a and not isinstance(a[0], list) else _list(a, _list)))
         program, _ = halfspace_to_robp(w, args.theta, alphabet)
         program.save(args.out)
         print(json.dumps({"T": program.T, "D": program.D, "width": program.width}))
@@ -157,7 +174,7 @@ def cmd_sandwich(args) -> int:
         return 0
     if args.sandwich_cmd == "build":
         dist = _load(args.dist, ProductDistribution.from_json)
-        w = json.loads(args.weights)
+        w = _inline("--weights", args.weights, lambda data: _list(data, float))
         gp = build_upper_poly(w, args.theta, dist.coords, delta=args.delta,
                               t=args.t, T=args.T, d=args.d, L=args.L)
         _dump_json({"order": gp.order, "K": gp.K, "q": gp.q, "L": gp.L,

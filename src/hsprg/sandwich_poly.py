@@ -11,8 +11,12 @@ Structure: P = (1 + x*D(x)^2)^2 where D is a Chebyshev interpolant of a
 Gaussian-smoothed step times an inverse-square-root factor.  The squares
 make P >= 1[x >= 0] hold pointwise by construction (exactly, even in
 floats); the six range properties are enforced by a dense grid audit, so
-the internal recipe is replaceable.  The audit is kept with the polynomial,
-whose coefficients are read-only, so each polynomial is audited once.
+the internal recipe is replaceable.  On the outer grid, 1 <= |x| <= 8, a
+proven growth bound of the Chebyshev recurrence decides the rows it keeps
+under the envelope, and only the rows it cannot decide are evaluated, with
+results identical to evaluating every row.  The audit is kept with the
+polynomial, whose coefficients are read-only, so each polynomial is audited
+once.
 
 A single halfspace's upper sandwich splits on the head assignment: BAD
 (irregular tail near the threshold) takes the constant 1, NEAR scales P to
@@ -44,6 +48,7 @@ DGJSV_C0 = 12.0
 _AUDIT_STEP = 1e-4
 _AUDIT_TOL = 1e-9
 _AUDIT_XMAX = 8.0
+_BOUND_MARGIN = 4.0  # bits over the growth bound of UnivariatePoly._log2_bound
 
 
 class DGJSVError(RuntimeError):
@@ -213,6 +218,44 @@ class UnivariatePoly:
         log2_ahat[neg] = la
         return 2.0 * log2_ahat
 
+    def _log2_bound(self, ax: np.ndarray) -> np.ndarray:
+        """An upper bound on `_log2_outside` at x and at -x, for 1 <= ax = |x| <= 8.
+
+        Proof, in real arithmetic first.  Let g = 2|x| >= 2 and c >= max|c_k|.
+        After j steps the Clenshaw value of `_clenshaw_scaled` obeys
+        |b_j| <= M_j, where M_0 = M_-1 = 0 and M_j = g*M_{j-1} + M_{j-2} + c.
+        With r = (g + sqrt(g^2 + 4))/2, so r^2 = g*r + 1 and r >= g, the sums
+        S_j = 1 + r + ... + r^(j-1) obey S_j = g*S_{j-1} + S_{j-2} + (1 + r - g)
+        with 1 + r - g >= 1, so M_j <= c*S_j by induction.  The last step
+        D = x*b_1 - b_2 + c_0 has |x| <= g, so |D| <= M_n <= B = c*r^n/(r - 1)
+        for n = len(d_cheb).  Then z = x*D^2 and P = (1 + z)^2 give
+        log2 P <= 2*log2(1 + |z|) <= 2*(max(0, log2|x| + 2*log2 B) + 1) at x
+        and at -x.
+
+        In floats the same holds up to a margin, with c at least 2^-1022,
+        the smallest normal float.  A step rounds three operations to nearest
+        and enters c_k as fl(c_k * 2^-e).  In unscaled terms each rounding
+        errs by at most 2^-53 of its result, or by 2^(e - 1075) where it
+        underflows; that is at most 2^-52 of M_j too, since M_j >= c, M_j
+        grows with j, and a row has e > 0 only after its value passed 2^e.
+        So a computed row stays below (1 + 2^-50)^j * M_j, under a bit more
+        for n < 2^48.  The log2 arithmetic here and in `_log2_outside` errs
+        by a few ulps on values of at most 1024 + 5n bits, again under a
+        bit; `_BOUND_MARGIN` adds four.
+
+        No row overflows, whatever its finite coefficients, so log2 P is
+        finite or -inf on every row.  A row with e = 0 starts each step at most
+        2^500 in size (`_clenshaw_scaled` rescales it otherwise), so the step
+        adds at most 17 * 2^500 to c_k: the sum stays below 2^1023, or the
+        addition is under half an ulp of c_k and rounds to c_k.  A rescaled
+        row starts a step below 2^524 and takes c_k * 2^-e < 2^524.
+        """
+        c = max(float(np.max(np.abs(self.d_cheb))), np.finfo(float).tiny)
+        g = 2.0 * ax
+        r = 0.5 * (g + np.sqrt(g * g + 4.0))
+        log2_b = math.log2(c) + len(self.d_cheb) * np.log2(r) - np.log2(r - 1.0)
+        return 2.0 * (np.maximum(0.0, np.log2(ax) + 2.0 * log2_b) + 1.0) + _BOUND_MARGIN
+
     def to_json(self) -> dict:
         return {"kind": "dgjsv", "degree": self.degree, "a": self.a, "b": self.b,
                 "cheb_coefficients": [repr(float(c)) for c in self.d_cheb]}
@@ -312,6 +355,12 @@ def dgjsv_poly(a: float, b: float) -> UnivariatePoly:
 def audit_dgjsv(poly: UnivariatePoly) -> DGJSVAudit:
     """Check the six range/growth properties on the dense grid.
 
+    The inner grid, [-1, 1], is evaluated row by row.  On the outer grid,
+    1 <= |x| <= 8, the closed-form growth bound of `UnivariatePoly._log2_bound`
+    decides every row it keeps under the envelope K*log2(4|x|), and only the
+    rows it cannot decide are evaluated.  The result is bit for bit the
+    audit of the full grid.
+
     The first call on a polynomial computes the audit and keeps it with the
     polynomial; later calls return it without a second grid pass, each with
     its own copy of `violations`.  A polynomial cannot change after it is
@@ -342,14 +391,21 @@ def audit_dgjsv(poly: UnivariatePoly) -> DGJSVAudit:
     check("p4_on[0,1]", (inner >= 0) & (inner <= 1), low=1.0, high=1.0 + b)
 
     outer = np.arange(1.0, _AUDIT_XMAX + _AUDIT_STEP / 2, _AUDIT_STEP)
+    envelope = K * np.log2(4.0 * outer)
+    # A row whose growth bound is under the envelope passes p1, p5 and p6
+    # on both signs whatever its exact values: they are finite, P >= 1 right
+    # of 1, and log2 P stays under the envelope.  Only the other rows are
+    # evaluated, so every maximum below is the full grid's.
+    rest = poly._log2_bound(outer) > envelope
+    outer, envelope = outer[rest], envelope[rest]
     log2p_pos = poly._log2_outside(outer)
     log2p_neg = poly._log2_outside(-outer)
     # P >= 0 everywhere and P >= 1 right of 1 are structural; confirm finite
     viol["p1_left_nonneg"] = 0.0 if np.all(np.isfinite(log2p_neg) | (log2p_neg == -np.inf)) else math.inf
-    viol["p5_right_ge1"] = float(max(0.0, np.max(1.0 - np.exp2(np.minimum(log2p_pos, 60)))))
-    envelope = K * np.log2(4.0 * outer)
+    viol["p5_right_ge1"] = float(max(0.0, np.max(1.0 - np.exp2(np.minimum(log2p_pos, 60)),
+                                                 initial=0.0)))
     gap = np.maximum(log2p_pos - envelope, log2p_neg - envelope)
-    viol["p6_envelope_log2"] = float(max(0.0, np.max(gap)))
+    viol["p6_envelope_log2"] = float(max(0.0, np.max(gap, initial=0.0)))
 
     ok = all(v <= _AUDIT_TOL for v in viol.values())
     c0_ratio = K * a / math.log2(2.0 / b)

@@ -1,14 +1,16 @@
 """Shared test helpers: reproducible RNGs, random program generators, the
 brute-force monotonicity oracle, the bit-by-bit seed field reader and the
 enumerations that the one-row references need (every label sequence,
-every seed, every k-wise row)."""
+every seed, every k-wise row), and the full-grid DGJSV audit."""
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
 from hsprg.robp import ROBP
+from hsprg.sandwich_poly import _AUDIT_STEP, _AUDIT_TOL, _AUDIT_XMAX, DGJSVAudit
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -106,3 +108,38 @@ def unpacked_seed_fields(seeds: np.ndarray, offset: int, width: int, count: int)
 @lru_cache(maxsize=None)
 def _place_values(width: int) -> np.ndarray:
     return np.int64(1) << np.arange(width, dtype=np.int64)
+
+
+def full_grid_audit(poly) -> DGJSVAudit:
+    """The oracle for ``audit_dgjsv``: every row of both grids evaluated, nothing kept."""
+    a, b, K = poly.a, poly.b, poly.degree
+    inner = np.arange(-1.0, 1.0 + _AUDIT_STEP / 2, _AUDIT_STEP)
+    inner = np.unique(np.concatenate([inner, [-1.0, -a, 0.0, 1.0]]))
+    vals = poly(inner)
+    viol: dict[str, float] = {}
+
+    def check(name, mask, low=None, high=None):
+        worst = 0.0
+        if mask.any():
+            v = vals[mask]
+            if low is not None:
+                worst = max(worst, float(np.max(low - v)))
+            if high is not None:
+                worst = max(worst, float(np.max(v - high)))
+        viol[name] = worst
+
+    check("p2_on[-1,-a]", (inner >= -1) & (inner <= -a), low=0.0, high=b)
+    check("p3_on[-a,0]", (inner >= -a) & (inner <= 0), low=0.0, high=1.0)
+    check("p4_on[0,1]", (inner >= 0) & (inner <= 1), low=1.0, high=1.0 + b)
+
+    outer = np.arange(1.0, _AUDIT_XMAX + _AUDIT_STEP / 2, _AUDIT_STEP)
+    log2p_pos = poly._log2_outside(outer)
+    log2p_neg = poly._log2_outside(-outer)
+    viol["p1_left_nonneg"] = 0.0 if np.all(np.isfinite(log2p_neg) | (log2p_neg == -np.inf)) else math.inf
+    viol["p5_right_ge1"] = float(max(0.0, np.max(1.0 - np.exp2(np.minimum(log2p_pos, 60)))))
+    envelope = K * np.log2(4.0 * outer)
+    gap = np.maximum(log2p_pos - envelope, log2p_neg - envelope)
+    viol["p6_envelope_log2"] = float(max(0.0, np.max(gap)))
+
+    ok = all(v <= _AUDIT_TOL for v in viol.values())
+    return DGJSVAudit(ok, viol, K, K * a / math.log2(2.0 / b))

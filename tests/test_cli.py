@@ -145,7 +145,17 @@ def test_robp_nisan(tmp_path):
     (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "[]"],
      "need one alphabet per coordinate"),
     (["discretize", "--eps", "0"], "need eps > 0, C >= 1, n >= 1"),
-], ids=["nisan-negative-seed", "compile-empty-alphabet", "discretize-eps-0"])
+    (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "5"],
+     "--alphabet: TypeError(\"'int' object is not subscriptable\")"),
+    (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "[[-1, 1], 3]"],
+     "--alphabet: TypeError('expected a JSON list, got 3')"),
+    (["robp", "compile", "--weights", "5", "--theta", "0.5"],
+     "--weights: TypeError('expected a JSON list, got 5')"),
+    (["robp", "compile", "--weights", '{"a": 1}', "--theta", "0.5"],
+     "--weights: TypeError(\"expected a JSON list, got {'a': 1}\")"),
+], ids=["nisan-negative-seed", "compile-empty-alphabet", "discretize-eps-0",
+        "compile-int-alphabet", "compile-int-step-alphabet", "compile-int-weights",
+        "compile-object-weights"])
 def test_rejected_input_prints_json_error(tmp_path, capsys, argv, message):
     """Every subcommand turns a rejected input into one JSON error line and status 1."""
     out = tmp_path / "out.json"
@@ -228,6 +238,10 @@ def test_sandwich_audit_reports_a_failed_construction(monkeypatch, capsys):
     ({"--T": "4"}, "a=384.000 >= 1: T=4 too small for d=2, t=8.0"),
     ({"--T": "4095"}, "T must be a positive even integer"),
     ({"--weights": "[1, 1"}, "Expecting ','"),
+    ({"--weights": "5"}, "--weights: TypeError('expected a JSON list, got 5')"),
+    ({"--weights": '{"a": 1}'}, "--weights: TypeError(\"expected a JSON list, got {'a': 1}\")"),
+    ({"--weights": "[[1], 1, 1, 1, 1, 1]"},
+     "--weights: TypeError(\"float() argument must be a string or a real number, not 'list'\")"),
 ])
 def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, override, message):
     dist = write(tmp_path / "d6.json",

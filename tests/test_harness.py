@@ -203,6 +203,38 @@ class TestMonteCarloGolden:
             (0.206, 0.18975, 0.01745658340601373, 4000, 2)
 
 
+class TestMonteCarloCoverage:
+    """The Monte Carlo ci95 covers the exact fooling error at its nominal rate.
+
+    The d = 2 pair (all-ones and alternating weights, theta = (2, 0), AND)
+    on the uniform cube at n = 16, against MZ t = 1, k = 4.  One-sided
+    binomial test of H0: coverage >= 0.95 over a fixed list of master
+    seeds, rejected at ALPHA; seeds, size and level were fixed before any
+    run of this test.
+    """
+
+    N, TRIALS, ALPHA = 16, 5000, 1e-3
+    MASTER_SEEDS = range(1, 401)
+
+    def test_ci95_covers_the_exact_error(self):
+        from scipy.stats import binom
+
+        dist = ProductDistribution.repeated(DiscreteCoordinate.rademacher(), self.N)
+        alternating = [1.0 if j % 2 == 0 else -1.0 for j in range(self.N)]
+        pair = (HalfspaceSystem(np.column_stack([np.ones(self.N), alternating]), [2.0, 0.0]),
+                CombinerSpec.intersection())
+        gen = MZGenerator([[-1.0, 1.0]] * self.N, t=1, k=4)
+        exact = estimate_fooling_error(pair, dist, gen, mode="exact").fooling_error
+        assert exact == pytest.approx(0.037949, abs=5e-7)
+        covered = 0
+        for seed in self.MASTER_SEEDS:
+            rep = estimate_fooling_error(pair, dist, gen, mode="mc", trials=self.TRIALS,
+                                         master_seed=seed)
+            covered += abs(rep.fooling_error - exact) <= rep.ci95
+        p_value = binom.cdf(covered, len(self.MASTER_SEEDS), 0.95)
+        assert p_value >= self.ALPHA, (covered, p_value)
+
+
 def per_shard_report(f, dist, generator, trials, master_seed, shards=8,
                      experiment="fooling", eps=None):
     """The Monte Carlo estimate with one draw, expand and evaluation per shard.

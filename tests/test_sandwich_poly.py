@@ -6,13 +6,14 @@ import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import philox
+from conftest import full_grid_audit, philox
 from hsprg import harness, sandwich_poly
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution
 from hsprg.halfspace import DecisionTree, Halfspace, HalfspaceSystem
@@ -352,6 +353,105 @@ class TestAuditOnce:
         with pytest.raises(AttributeError, match=f"UnivariatePoly.{name} is read-only"):
             setattr(p, name, getattr(p, name))
         assert audit_dgjsv(p) == first
+
+
+def assert_same_audit(got, want):
+    """Field by field, every value of the same type and the same repr (so the same bits)."""
+    assert list(got.violations) == list(want.violations)
+    for field in dataclasses.fields(want):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if field.name == "violations":
+            g, w = list(g.values()), list(w.values())
+        else:
+            g, w = [g], [w]
+        assert [(type(v), repr(v)) for v in g] == [(type(v), repr(v)) for v in w], field.name
+
+
+OUTER = np.arange(1.0, _AUDIT_XMAX + _AUDIT_STEP / 2, _AUDIT_STEP)
+
+
+def undecided_rows(poly) -> int:
+    """Outer rows whose growth bound passes the envelope, so the audit evaluates them."""
+    return int((poly._log2_bound(OUTER) > poly.degree * np.log2(4.0 * OUTER)).sum())
+
+
+def random_series(seed):
+    """2 to 200 coefficients in [-1, 1), scaled by 2^0 to 2^600."""
+    rng = philox(seed)
+    n = int(rng.integers(2, 201))
+    return rng.uniform(-1.0, 1.0, n) * 2.0 ** int(rng.integers(0, 601))
+
+
+FILTER_CASES = {
+    **{f"power-{k}": [0.0, 0.0, 2.0 ** k] for k in range(40)},
+    **{f"random-{seed}": random_series(seed) for seed in range(16)},
+    "zero": [0.0], "zeros": [0.0] * 7, "one": [1.0], "minus-three": [-3.0],
+    "subnormal": [2.0 ** -1074],
+    # the largest float, in a series long enough for the bound to decide rows
+    "float-max": [sys.float_info.max] * 1100,
+}
+
+
+class TestAuditFilter:
+    """The outer rows the growth bound decides change no bit of the audit."""
+
+    @pytest.mark.parametrize("a, b", [(a, b) for a in (0.05, 0.1, 0.2) for b in (1e-2, 1e-4)])
+    def test_criterion_7_polynomials(self, a, b):
+        p = dgjsv_poly(a, b)
+        want = full_grid_audit(p)
+        assert_same_audit(audit_dgjsv(UnivariatePoly(p.d_cheb, a, b)), want)
+        assert_same_audit(audit_dgjsv(p), want)
+        assert undecided_rows(p) == 0
+
+    @pytest.mark.parametrize("name", sorted(FILTER_CASES))
+    def test_constructed_series(self, name):
+        p = UnivariatePoly(FILTER_CASES[name], 0.2, 1e-2)
+        with np.errstate(all="ignore"):
+            want = full_grid_audit(p)
+            assert_same_audit(audit_dgjsv(p), want)
+
+    def test_cases_reach_every_outcome(self):
+        """Cases where the bound decides no row, some rows and every row, and failing p6."""
+        polys = {name: UnivariatePoly(c, 0.2, 1e-2) for name, c in FILTER_CASES.items()}
+        undecided = {name: undecided_rows(p) for name, p in polys.items()}
+        assert {name for name, u in undecided.items() if u == 0} >= {"power-0", "zeros"}
+        assert {name for name, u in undecided.items() if 0 < u < len(OUTER)} >= {
+            "power-1", "zero", "float-max"}
+        assert undecided["power-2"] == len(OUTER)
+        with np.errstate(all="ignore"):
+            kinds = {(undecided[name] == 0,
+                      audit_dgjsv(polys[name]).violations["p6_envelope_log2"] > 0)
+                     for name in FILTER_CASES if name.startswith("random")}
+        assert kinds >= {(True, False), (False, True)}
+
+
+@st.composite
+def bound_inputs(draw):
+    """Series up to 2^1023: random, equal (fastest growth at x > 0) or alternating (x < 0)."""
+    rng = philox(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 600))
+    top = draw(st.integers(-1074, 1023))
+    shape = draw(st.sampled_from(["random", "equal", "alternating"]))
+    if shape == "random":
+        coeffs = rng.uniform(-1.0, 1.0, n) * np.exp2(rng.integers(top - 60, top + 1, n))
+    else:
+        coeffs = np.full(n, 2.0 ** top)
+        if shape == "alternating":
+            coeffs[1::2] *= -1.0
+    return coeffs, np.concatenate([[1.0, _AUDIT_XMAX], rng.uniform(1.0, _AUDIT_XMAX, 62)])
+
+
+class TestGrowthBound:
+    @settings(max_examples=150, deadline=None)
+    @given(bound_inputs())
+    def test_bound_covers_both_signs(self, case):
+        coeffs, ax = case
+        p = UnivariatePoly(coeffs, 0.2, 1e-2)
+        bound = p._log2_bound(ax)
+        assert np.isfinite(bound).all()
+        for x in (ax, -ax):
+            log2p = p._log2_outside(x)
+            assert (log2p <= bound).all()  # so log2 P is finite, or -inf at P = 0
 
 
 class TestPartitionAndBranches:
