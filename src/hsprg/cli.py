@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 
@@ -114,7 +115,8 @@ def cmd_gen(args) -> int:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     dist = _load(args.dist, ProductDistribution.from_json)
     t, k, hash_variant = _load(args.params, lambda params: (
-        params.get("t", 1), params.get("k", 5), params.get("hash", "affine")))
+        operator.index(params.get("t", 1)), operator.index(params.get("k", 5)),
+        params.get("hash", "affine")))
     gen = MZGenerator(alphabets_from_distribution(dist), t=t, k=k,
                       hash_variant=hash_variant)
     rng = rng_for(args.master_seed if args.master_seed is not None

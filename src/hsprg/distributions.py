@@ -12,12 +12,16 @@ that prepares a coordinate for the bucket-hashed generator is:
         r-th moment
     standardize the chosen multiset again
 
-Discrete coordinates are handled exactly (Fraction CDF scans); continuous
-ones by their analytic quantiles.
+Discrete coordinates are handled exactly: each keeps its law as integer
+numerators over one denominator, and the CDF scans, truncation and
+statistical distance run in integers.  Continuous ones use their analytic
+quantiles.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
@@ -74,7 +78,14 @@ class Coordinate:
 
 
 class DiscreteCoordinate(Coordinate):
-    """Explicit finite support with probabilities (exact Fraction bookkeeping)."""
+    """Explicit finite support with probabilities, kept exactly.
+
+    ``values`` are the distinct support points, sorted; Pr[values[i]] is
+    ``numerators[i] / den`` exactly, with gcd(den, *numerators) = 1, so the
+    form is unique.  ``probs`` are those ratios correctly rounded to floats.
+    A probability is read exactly, float or Fraction alike, and duplicate
+    values merge by adding their probabilities.
+    """
 
     kind = "discrete"
     is_discrete = True
@@ -91,14 +102,22 @@ class DiscreteCoordinate(Coordinate):
             raise DistributionError("negative probability")
         if abs(math.fsum(probs) - 1.0) > 1e-12:
             raise DistributionError("probabilities must sum to 1 within 1e-12")
-        merged: dict[float, Fraction] = {}
+        ratios = []
         for v, p in zip(values, probs):
-            if p == 0:
-                continue
-            merged[float(v)] = merged.get(float(v), Fraction(0)) + Fraction(p)
+            if p != 0:
+                # floats, Fractions and ints give their exact ratio, other numbers go through
+                # Fraction; int() keeps a numpy integer's ratio in Python ints
+                a, b = (p if hasattr(p, "as_integer_ratio") else Fraction(p)).as_integer_ratio()
+                ratios.append((float(v), int(a), int(b)))
+        den = math.lcm(*(b for _, _, b in ratios))
+        merged: dict[float, int] = {}
+        for v, a, b in ratios:
+            merged[v] = merged.get(v, 0) + a * (den // b)
+        common = math.gcd(den, *merged.values())
         self.values = tuple(sorted(merged))
-        self.fprobs = tuple(merged[v] for v in self.values)
-        self.probs = tuple(float(p) for p in self.fprobs)
+        self.numerators = tuple(merged[v] // common for v in self.values)
+        self.den = den // common
+        self.probs = tuple(a / self.den for a in self.numerators)
         self.symmetric = self._check_symmetric()
 
     @classmethod
@@ -106,15 +125,15 @@ class DiscreteCoordinate(Coordinate):
         return cls([-1.0, 1.0], [0.5, 0.5])
 
     def _check_symmetric(self) -> bool:
-        table = dict(zip(self.values, self.fprobs))
-        return all(table.get(-v) == p for v, p in table.items())
+        table = dict(zip(self.values, self.numerators))
+        return all(table.get(-v) == a for v, a in table.items())
 
     @property
     def alpha(self) -> float:
-        return float(min(self.fprobs))
+        return min(self.numerators) / self.den
 
     def cdf(self, x: float) -> float:
-        return float(sum(p for v, p in zip(self.values, self.fprobs) if v <= x))
+        return sum(a for v, a in zip(self.values, self.numerators) if v <= x) / self.den
 
     def moments(self) -> tuple[float, float, float]:
         mean = math.fsum(v * p for v, p in zip(self.values, self.probs))
@@ -386,7 +405,10 @@ class ProductDistribution:
         if "coords" in data:
             return cls([coordinate_from_json(c) for c in data["coords"]])
         if "coord" in data and "n" in data:
-            return cls.repeated(coordinate_from_json(data["coord"]), int(data["n"]))
+            n = data["n"]
+            if isinstance(n, bool) or not isinstance(n, int):
+                raise DistributionError(f"n must be an integer, got {n!r}")
+            return cls.repeated(coordinate_from_json(data["coord"]), n)
         raise DistributionError("expected {'coords': [...]} or {'coord': ..., 'n': ...}")
 
 
@@ -446,25 +468,25 @@ def truncate_and_standardize(coord: Coordinate, n: int, C: float, eps: float) ->
     B = (n * C * C / eps) ** 0.25
     if coord.is_discrete:
         assert isinstance(coord, DiscreteCoordinate)
-        vals, probs = [], []
-        zero_mass = Fraction(0)
-        for v, p in zip(coord.values, coord.fprobs):
+        vals, nums, zero = [], [], 0
+        for v, a in zip(coord.values, coord.numerators):
             if abs(v) < B:
                 vals.append(v)
-                probs.append(p)
+                nums.append(a)
             else:
-                zero_mass += p
-        if zero_mass > 0:
+                zero += a
+        if zero:
             vals.append(0.0)
-            probs.append(zero_mass)
-        trunc = DiscreteCoordinate(vals, probs)
+            nums.append(zero)
+        trunc = DiscreteCoordinate(vals, [Fraction(a, coord.den) for a in nums])
         mu, m2, _ = trunc.moments()
         var = m2 - mu * mu
         if var < 0.5 - 1e-9:
             raise DistributionError(f"post-truncation variance {var:.4f} < 1/2; eps too large")
         scale = math.sqrt(var)
-        out = DiscreteCoordinate([(v - mu) / scale for v in trunc.values], list(trunc.fprobs))
-        tail = float(zero_mass)
+        out = DiscreteCoordinate([(v - mu) / scale for v in trunc.values],
+                                 [Fraction(a, trunc.den) for a in trunc.numerators])
+        tail = zero / coord.den
         B_std = (B + abs(mu)) / scale
         return TruncationResult(out, B, B_std, tail, mu, scale, m2)
 
@@ -506,15 +528,12 @@ def bucket_boundaries(coord: Coordinate, gamma: float, B: float) -> list[float]:
     g = _validate_gamma(gamma)
     if coord.is_discrete:
         assert isinstance(coord, DiscreteCoordinate)
+        # F reaches k/g at the first letter whose cumulative numerator c has c*g >= k*den
+        scaled = [c * g for c in itertools.accumulate(coord.numerators)]
         out = [-B]
-        cum = Fraction(0)
-        cums = []
-        for v, p in zip(coord.values, coord.fprobs):
-            cum += p
-            cums.append((v, cum))
         for k in range(1, g + 1):
-            target = Fraction(k, g)
-            hit = next((v for v, c in cums if c >= target), B)
+            i = bisect.bisect_left(scaled, k * coord.den)
+            hit = coord.values[i] if i < len(scaled) else B
             out.append(min(max(hit, -B), B))
         return out
 
@@ -550,12 +569,11 @@ def statistical_distance(c1: DiscreteCoordinate, c2: DiscreteCoordinate) -> Frac
     """Half the L1 distance between the two pmfs, exact."""
     if not (c1.is_discrete and c2.is_discrete):
         raise DistributionError("statistical_distance needs discrete coordinates")
-    p1 = dict(zip(c1.values, c1.fprobs))
-    p2 = dict(zip(c2.values, c2.fprobs))
-    total = Fraction(0)
-    for v in set(p1) | set(p2):
-        total += abs(p1.get(v, Fraction(0)) - p2.get(v, Fraction(0)))
-    return total / 2
+    den = math.lcm(c1.den, c2.den)
+    p1 = {v: a * (den // c1.den) for v, a in zip(c1.values, c1.numerators)}
+    p2 = {v: a * (den // c2.den) for v, a in zip(c2.values, c2.numerators)}
+    total = sum(abs(p1.get(v, 0) - p2.get(v, 0)) for v in p1.keys() | p2.keys())
+    return Fraction(total, 2 * den)
 
 
 def standardize_multiset(values: Sequence[float]) -> tuple[list[float], float, float]:

@@ -82,10 +82,9 @@ def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
     Returns ``(den, blocks)``: ``blocks`` yields ``(X, weights)``, a freshly
     allocated C-contiguous (N, n) float64 array whose rows run in
     ``itertools.product`` order and their weights as Python ints, with
-    Pr[row] = weight / den exactly.  Each coordinate's probabilities become
-    integer numerators over the lcm of their denominators, and ``den`` is
-    the product of those lcms.  Raises before any block is built when the
-    space exceeds `cap`.
+    Pr[row] = weight / den exactly.  A row's weight is the product of its
+    letters' ``numerators`` and ``den`` the product of the coordinates'
+    ``den``.  Raises before any block is built when the space exceeds `cap`.
     """
     values, nums = [], []
     total = den = 1
@@ -95,10 +94,9 @@ def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
         total *= len(c.values)
         if total > cap:
             raise ResourceCapError(f"product space exceeds cap {cap}")
-        q = math.lcm(*(p.denominator for p in c.fprobs))
         values.append(c.values)
-        nums.append([p.numerator * (q // p.denominator) for p in c.fprobs])
-        den *= q
+        nums.append(c.numerators)
+        den *= c.den
     return den, _blocks(values, nums)
 
 

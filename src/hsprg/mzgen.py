@@ -438,8 +438,7 @@ def alphabets_from_distribution(dist) -> list[list[float]]:
         if isinstance(c, UniformMultisetCoordinate):
             out.append(list(c.multiset))
         elif isinstance(c, DiscreteCoordinate):
-            probs = set(c.fprobs)
-            if len(probs) != 1:
+            if len(set(c.numerators)) != 1:
                 raise ValueError(f"coordinate {i} is not a uniform law")
             out.append(list(c.values))
         else:

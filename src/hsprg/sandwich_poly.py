@@ -80,59 +80,30 @@ def _clenshaw_scaled(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     to 2^-1000 and 0.0 from 2^-1500 on, where ldexp(c_k, -e) rounds to the
     same signed zero for |c_k| < 2^425.  Rows are independent, so the
     recurrence runs in place on one block of rows at a time.
-
-    The block's max |b1| is computed only at steps where a row could pass
-    2^500.  Floats m1 >= max|b1| and m2 >= max|b2| are carried along, and
-    no row can pass g*m1 + m2 + max|c_k| with g = max|2x| (proof at the
-    update).  So every rescale happens at the step where a check at every
-    step would make it, bit for bit.  Each check sets m1 to the exact
-    maximum; a rescale only shrinks rows, so the bounds from before it
-    still hold and just force checks at the next two steps.  A NaN or
-    infinite x or coefficient makes the bound NaN or inf, so such a block
-    is checked at every step.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.empty_like(flat)
     exp2 = np.zeros(flat.shape, dtype=np.int32)
-    c_max = float(np.max(np.abs(coeffs)))
     for lo in range(0, len(flat), _CLENSHAW_BLOCK):
         xs, e = flat[lo:lo + _CLENSHAW_BLOCK], exp2[lo:lo + _CLENSHAW_BLOCK]
-        b1, b2, tmp, mag = (np.zeros_like(xs) for _ in range(4))
+        b1, b2, tmp = (np.zeros_like(xs) for _ in range(3))
         two_x = 2.0 * xs
-        g = float(np.max(np.abs(two_x)))
-        m1 = m2 = 0.0
-        scale = None  # every e of the block is 0 until its first rescale
+        scale = 1.0  # every e of the block is 0 until its first rescale
         for k in range(len(coeffs) - 1, 0, -1):
             np.multiply(two_x, b1, out=tmp)
             tmp -= b2
-            tmp += coeffs[k] if scale is None else coeffs[k] * scale
+            tmp += coeffs[k] * scale
             b1, b2, tmp = tmp, b1, b2
-            # Each row's new b1 is fl(fl(fl(2x*b1) - b2) + c'), where
-            # |2x| <= g, |b1| <= m1, |b2| <= m2 and |c'| <= |c_k| <= c_max
-            # (c' = fl(c_k * scale) with scale <= 1).  Round to nearest is
-            # odd-symmetric and monotone, so |fl(y)| = fl(|y|) and
-            # |fl(y)| <= fl(z) for every real |y| <= z.  Applied operation
-            # by operation (|u - v| <= |u| + |v|), |new b1| is at most the
-            # bound below, which rounds the same three operations on the
-            # larger operands.  So the bound holds with no slack, in the
-            # subnormal range and at overflow to inf too.
-            bound = g * m1 + m2 + c_max
-            if bound <= _RESCALE_LIMIT:  # False for a NaN bound
-                m1, m2 = bound, m1
-                continue
-            top = float(np.abs(b1, out=mag).max())
-            m1, m2 = top, m1
-            if top > _RESCALE_LIMIT or top != top:  # a NaN row hides the maximum
-                big = mag > _RESCALE_LIMIT
-                if big.any():
-                    b1[big] = np.ldexp(b1[big], -500)
-                    b2[big] = np.ldexp(b2[big], -500)
-                    e[big] += 500
-                    scale = np.ldexp(1.0, -e)
+            big = np.abs(b1) > _RESCALE_LIMIT
+            if big.any():
+                b1[big] = np.ldexp(b1[big], -500)
+                b2[big] = np.ldexp(b2[big], -500)
+                e[big] += 500
+                scale = np.ldexp(1.0, -e)
         res = xs * b1
         res -= b2
-        res += coeffs[0] if scale is None else coeffs[0] * scale
+        res += coeffs[0] * scale
         out[lo:lo + _CLENSHAW_BLOCK] = res
     return out.reshape(x.shape), exp2.reshape(x.shape)
 

@@ -1,10 +1,12 @@
 """Shared test helpers: reproducible RNGs, random program generators, the
 brute-force monotonicity oracle, the bit-by-bit seed field reader and the
 enumerations that the one-row references need (every label sequence,
-every seed, every k-wise row), and the full-grid DGJSV audit."""
+every seed, every k-wise row), the full-grid DGJSV audit, and the
+Fraction construction of a discrete law with the scans that read it."""
 
 import itertools
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -143,3 +145,50 @@ def full_grid_audit(poly) -> DGJSVAudit:
 
     ok = all(v <= _AUDIT_TOL for v in viol.values())
     return DGJSVAudit(ok, viol, K, K * a / math.log2(2.0 / b))
+
+
+def reference_law(values, probs) -> dict[float, Fraction]:
+    """The exact law of ``DiscreteCoordinate(values, probs)`` as Fractions, by value.
+
+    The oracle for the coordinate's integer form: zero masses dropped, each
+    probability read as a Fraction, and a repeated value (0.0 and -0.0
+    alike) merged under the first one seen.
+    """
+    merged: dict[float, Fraction] = {}
+    for v, p in zip(values, probs):
+        if p == 0:
+            continue
+        merged[float(v)] = merged.get(float(v), Fraction(0)) + Fraction(p)
+    return {v: merged[v] for v in sorted(merged)}
+
+
+def reference_bucket_boundaries(law: dict, gamma: float, B: float) -> list[float]:
+    """``bucket_boundaries`` of a discrete law by a Fraction CDF scan."""
+    g = Fraction(gamma).denominator
+    cums = list(zip(law, itertools.accumulate(law.values())))
+    hits = (next((v for v, c in cums if c >= Fraction(k, g)), B) for k in range(1, g + 1))
+    return [-B] + [min(max(hit, -B), B) for hit in hits]
+
+
+def reference_statistical_distance(law1: dict, law2: dict) -> Fraction:
+    return sum((abs(law1.get(v, 0) - law2.get(v, 0)) for v in law1.keys() | law2.keys()),
+               Fraction(0)) / 2
+
+
+def reference_truncation(law: dict, n: int, C: float, eps: float):
+    """``truncate_and_standardize`` of a discrete law in Fractions.
+
+    Returns (standardized law, B_raw, B, tail_mass, mu, scale, second
+    moment), or None where the truncated variance is below 1/2.
+    """
+    B = (n * C * C / eps) ** 0.25
+    kept = {v: p for v, p in law.items() if abs(v) < B}
+    zero = sum((p for v, p in law.items() if abs(v) >= B), Fraction(0))
+    trunc = reference_law([*kept, 0.0], [*kept.values(), zero])
+    mu = math.fsum(v * float(p) for v, p in trunc.items())
+    m2 = math.fsum(v * v * float(p) for v, p in trunc.items())
+    if m2 - mu * mu < 0.5 - 1e-9:
+        return None
+    scale = math.sqrt(m2 - mu * mu)
+    out = reference_law([(v - mu) / scale for v in trunc], list(trunc.values()))
+    return out, B, (B + abs(mu)) / scale, float(zero), mu, scale, m2

@@ -357,16 +357,27 @@ def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad_dist, 
     assert not (tmp_path / "r.csv").exists()
 
 
+RAD_LAW = {"kind": "multiset", "values": [-1.0, 1.0]}
+
+
 @pytest.mark.parametrize("params, dist, message", [
     ({"t": 3}, None, "t must be a power of 2"),
     ({"t": 2}, SKEWED_DIST, "coordinate 0 is not a uniform law"),
     ({"t": 2, "k": -1}, None, "independence order k must be >= 1"),
-], ids=["t-3", "skewed-law", "k-negative"])
+    ({"t": 4.0}, None, "{params}: TypeError(\"'float' object cannot be interpreted as an integer\")"),
+    ({"t": "4"}, None, "{params}: TypeError(\"'str' object cannot be interpreted as an integer\")"),
+    ({"k": 2.5}, None, "{params}: TypeError(\"'float' object cannot be interpreted as an integer\")"),
+    ({"t": 2}, {"coord": RAD_LAW, "n": 2.5}, "n must be an integer, got 2.5"),
+    ({"t": 2}, {"coord": RAD_LAW, "n": "3"}, "n must be an integer, got '3'"),
+    ({"t": 2}, {"coord": RAD_LAW, "n": True}, "n must be an integer, got True"),
+], ids=["t-3", "skewed-law", "k-negative", "t-float", "t-string", "k-float", "n-float",
+        "n-string", "n-true"])
 def test_gen_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, params, dist, message):
     dist = rad_dist if dist is None else write(tmp_path / "law.json", dist)
-    assert main(["gen", "--dist", dist, "--params", write(tmp_path / "p.json", params),
+    params = write(tmp_path / "p.json", params)
+    assert main(["gen", "--dist", dist, "--params", params,
                  "--seeds", "4", "--out", str(tmp_path / "s.csv")]) == 1
-    assert json.loads(capsys.readouterr().out) == {"error": message}
+    assert json.loads(capsys.readouterr().out) == {"error": message.format(params=params)}
     assert not (tmp_path / "s.csv").exists()
 
 

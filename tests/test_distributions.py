@@ -6,9 +6,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    reference_bucket_boundaries,
+    reference_law,
+    reference_statistical_distance,
+    reference_truncation,
+)
 from hsprg.distributions import (
     SAMPLE_BLOCK,
     Coordinate,
@@ -116,6 +122,62 @@ class TestLookup:
         want = np.asarray(coord.values)[choice_cdf(coord).searchsorted(u, side="right")]
         assert set(want) == set(coord.values)
         assert np.array_equal(coord.lookup(u), want)
+
+
+@st.composite
+def law_inputs(draw):
+    """(values, probs) of 1 to 6 letters, each probability a float, a Fraction
+    or an int: duplicate values, both signed zeros and zero masses are common."""
+    size = draw(st.integers(1, 6))
+    points = [-3.0, -2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0]
+    values = draw(st.lists(st.sampled_from(points), min_size=size, max_size=size))
+    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    weights[0] += sum(weights) == 0
+    total = sum(weights)
+    kinds = draw(st.lists(st.sampled_from(["float", "fraction", "int"]), min_size=size,
+                          max_size=size))
+    probs = [w / total if kind == "float" else
+             w // total if kind == "int" and w in (0, total) else Fraction(w, total)
+             for w, kind in zip(weights, kinds)]
+    return values, probs
+
+
+class TestIntegerLaw:
+    """The integer form of a discrete law against its Fraction construction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(law=law_inputs(), other=law_inputs(), B=st.sampled_from([0.75, 2.5, 5.0]),
+           eps=st.sampled_from([1.0, 0.1, 0.01, 1e-4]))
+    # the tail mass merges into 0.0 and the truncated law reduces to a smaller den
+    @example(law=([-3.0, 3.0, -1.0, 1.0, 0.5], [0.125, 0.125, 0.25, 0.25, 0.25]),
+             other=([0.0], [1]), B=2.5, eps=0.1)
+    def test_matches_the_fraction_reference(self, law, other, B, eps):
+        coord, ref = DiscreteCoordinate(*law), reference_law(*law)
+        assert [repr(v) for v in coord.values] == [repr(v) for v in ref]
+        assert all(type(a) is int for a in (coord.den, *coord.numerators))
+        assert math.gcd(coord.den, *coord.numerators) == 1
+        assert [Fraction(a, coord.den) for a in coord.numerators] == list(ref.values())
+        assert coord.probs == tuple(float(p) for p in ref.values())
+        assert coord.alpha == float(min(ref.values()))
+        for x in (-4.0, -0.25, *ref, *(v + 0.25 for v in ref)):
+            assert coord.cdf(x) == float(sum(p for v, p in ref.items() if v <= x))
+        assert coord.symmetric == all(ref.get(-v) == p for v, p in ref.items())
+        for s in range(1, 9):
+            assert bucket_boundaries(coord, 2.0 ** -s, B) \
+                == reference_bucket_boundaries(ref, 2.0 ** -s, B)
+        assert statistical_distance(coord, DiscreteCoordinate(*other)) \
+            == reference_statistical_distance(ref, reference_law(*other))
+        want = reference_truncation(ref, 1, 1.0, eps)
+        if want is None:
+            with pytest.raises(DistributionError, match="post-truncation variance"):
+                truncate_and_standardize(coord, 1, 1.0, eps)
+            return
+        got = truncate_and_standardize(coord, 1, 1.0, eps)
+        out = got.coord
+        assert [repr(v) for v in out.values] == [repr(v) for v in want[0]]
+        assert [Fraction(a, out.den) for a in out.numerators] == list(want[0].values())
+        assert (got.B_raw, got.B, got.tail_mass, got.mu, got.scale,
+                got.second_moment_trunc) == want[1:]
 
 
 def plain_state(rng_):
@@ -365,6 +427,26 @@ class TestPipeline:
         assert mean == pytest.approx(0.0, abs=1e-9)
         assert m2 == pytest.approx(1.0, abs=1e-9)
         assert m4 <= 3.0 + 2 * B ** 4 * g + 1e-9
+
+    @pytest.mark.parametrize("coord, most", [
+        (GaussianCoordinate(), 6),
+        (DiscreteCoordinate([-2.0, -1.0, 0.0, 1.0, 3.0], [0.05, 0.15, 0.3, 0.3, 0.2]), 16),
+    ], ids=["gaussian", "five-letters"])
+    def test_fraction_count_does_not_grow_with_granularity(self, monkeypatch, coord, most):
+        made = []
+        new = Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            made.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        counts = []
+        for s in (8, 12):
+            made.clear()
+            discretize_coordinate(coord, n=16, C=3.0, eps=0.1, gamma=2.0 ** -s)
+            counts.append(len(made))
+        assert counts[0] == counts[1] <= most
 
     def test_default_gamma_is_dyadic_and_small_enough(self):
         g = default_gamma(0.1, 8, 5.18)

@@ -13,6 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import reference_law
 from hsprg import harness
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution, UniformMultisetCoordinate
 from hsprg.halfspace import CombinerSpec, HalfspaceSystem
@@ -27,17 +28,28 @@ from hsprg.mzgen import MZGenerator, NisanProductGenerator
 from hsprg.seeds import seed_range
 
 RAD = DiscreteCoordinate.rademacher()
-TENTHS = DiscreteCoordinate([-1.0, 0.5, 2.0], [0.1, 0.2, 0.7])
+TENTHS_IN = ([-1.0, 0.5, 2.0], [0.1, 0.2, 0.7])
+TENTHS = DiscreteCoordinate(*TENTHS_IN)
 THIRDS = UniformMultisetCoordinate([-1.0, 0.0, 1.0])
-FIVE = DiscreteCoordinate([-2.0, -1.0, 0.0, 1.0, 3.0], [0.05, 0.15, 0.3, 0.3, 0.2])
+FIVE_IN = ([-2.0, -1.0, 0.0, 1.0, 3.0], [0.05, 0.15, 0.3, 0.3, 0.2])
+FIVE = DiscreteCoordinate(*FIVE_IN)
 T4 = ProductDistribution.repeated(TENTHS, 4)
 MIXED = ProductDistribution([RAD, THIRDS, TENTHS, FIVE, TENTHS])
 SMALL = ProductDistribution([RAD, THIRDS, THIRDS, RAD])
+LAWS = {RAD: reference_law([-1.0, 1.0], [0.5, 0.5]),
+        TENTHS: reference_law(*TENTHS_IN), FIVE: reference_law(*FIVE_IN)}
+
+
+def fraction_law(c):
+    """A coordinate's Fraction law, built by the reference from the coordinate's inputs."""
+    if isinstance(c, UniformMultisetCoordinate):
+        return reference_law(c.multiset, [Fraction(1, len(c.multiset))] * len(c.multiset))
+    return LAWS[c]
 
 
 def reference_space(dist):
     """(point, Fraction probability) with one Fraction product per point."""
-    supports = [list(zip(c.values, c.fprobs)) for c in dist.coords]
+    supports = [list(fraction_law(c).items()) for c in dist.coords]
     for combo in itertools.product(*supports):
         p = Fraction(1)
         for _, pr in combo:
@@ -117,10 +129,10 @@ class TestWalker:
         den, _ = product_lattice(MIXED)
         want = 1
         for c in MIXED.coords:
-            want *= math.lcm(*(p.denominator for p in c.fprobs))
+            want *= math.lcm(*(p.denominator for p in fraction_law(c).values()))
         assert den == want
         # float-parsed probabilities need not sum to exactly 1 (0.1 + 0.2 + 0.7 does not)
-        total = math.prod(sum(c.fprobs) for c in MIXED.coords)
+        total = math.prod(sum(fraction_law(c).values()) for c in MIXED.coords)
         assert sum(sum(weights) for _, weights in product_lattice(MIXED)[1]) == total * den
 
     @pytest.mark.parametrize("block", [1, 4, 16])
