@@ -26,7 +26,6 @@ from .regularity import TermNorms, critical_index, head_set_partition
 from .robp import (
     ROBP,
     MonotoneCertificate,
-    ResourceError,
     check_monotone,
     halfspace_to_robp,
     nisan_generate,
@@ -37,10 +36,10 @@ from .sandwich_poly import DGJSVError, audit_dgjsv, build_upper_poly, dgjsv_poly
 
 
 def _parse(source: str, data, parse):
-    """parse(data); a missing or ill-typed field is a ValueError naming source."""
+    """parse(data); a missing, ill-typed or infinite field is a ValueError naming source."""
     try:
         return parse(data)
-    except (KeyError, TypeError, IndexError, AttributeError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{source}: {exc!r}") from exc
 
 
@@ -309,7 +308,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ResourceCapError, ResourceError, DGJSVError) as exc:
+    except (ValueError, OSError, ResourceCapError, DGJSVError) as exc:
         return _report_error(exc)
 
 

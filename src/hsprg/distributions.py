@@ -56,7 +56,6 @@ class Coordinate:
     continuous ones quantile."""
 
     kind = "abstract"
-    is_discrete = False
     symmetric = False
 
     def cdf(self, x: float) -> float:
@@ -88,10 +87,9 @@ class DiscreteCoordinate(Coordinate):
     """
 
     kind = "discrete"
-    is_discrete = True
 
     def __init__(self, values: Sequence[float], probs: Sequence[float]):
-        if len(values) != len(probs) or not values:
+        if len(values) != len(probs) or len(values) == 0:
             raise DistributionError("values and probs must be equal-length and nonempty")
         if not all(math.isfinite(p) for p in probs):
             raise DistributionError(f"probabilities must be finite, got {list(probs)}")
@@ -199,7 +197,7 @@ class UniformMultisetCoordinate(DiscreteCoordinate):
     kind = "multiset"
 
     def __init__(self, multiset: Sequence[float]):
-        if not multiset:
+        if len(multiset) == 0:
             raise DistributionError("multiset must be nonempty")
         self.multiset = tuple(float(v) for v in multiset)
         g = len(self.multiset)
@@ -276,7 +274,7 @@ class TruncatedStandardizedCoordinate(Coordinate):
     kind = "truncated-standardized"
 
     def __init__(self, base: Coordinate, B: float, mu: float, scale: float):
-        if base.is_discrete:
+        if isinstance(base, DiscreteCoordinate):
             raise DistributionError("discrete bases are truncated exactly, not wrapped")
         self.base = base
         self.B_raw = float(B)
@@ -357,7 +355,7 @@ class ProductDistribution:
     """Independent coordinates; the ambient law for all halfspace tests."""
 
     def __init__(self, coords: Sequence[Coordinate]):
-        if not coords:
+        if len(coords) == 0:
             raise DistributionError("need at least one coordinate")
         self.coords = list(coords)
         self.n = len(self.coords)
@@ -368,7 +366,7 @@ class ProductDistribution:
 
     @property
     def is_discrete(self) -> bool:
-        return all(c.is_discrete for c in self.coords)
+        return all(isinstance(c, DiscreteCoordinate) for c in self.coords)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """(size, n) draws, with the values and stream use of one ``sample`` per coordinate.
@@ -417,7 +415,6 @@ class MomentProfile:
     mean: float
     second_moment: float
     fourth_moment: float
-    C: float
     eta: float
     alpha: float | None = None
 
@@ -443,7 +440,7 @@ def moment_profile(coord: Coordinate) -> MomentProfile:
     eta0 = (m2 * m2 / m4) ** 0.25
     eta = min(eta0, ETA_MAX) if coord.symmetric else eta0 / (2 * SQRT3)
     alpha = coord.alpha if isinstance(coord, DiscreteCoordinate) else None
-    return MomentProfile(mean, m2, m4, C=m4, eta=eta, alpha=alpha)
+    return MomentProfile(mean, m2, m4, eta=eta, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -466,8 +463,7 @@ def truncate_and_standardize(coord: Coordinate, n: int, C: float, eps: float) ->
     if eps <= 0 or C < 1 or n < 1:
         raise DistributionError("need eps > 0, C >= 1, n >= 1")
     B = (n * C * C / eps) ** 0.25
-    if coord.is_discrete:
-        assert isinstance(coord, DiscreteCoordinate)
+    if isinstance(coord, DiscreteCoordinate):
         vals, nums, zero = [], [], 0
         for v, a in zip(coord.values, coord.numerators):
             if abs(v) < B:
@@ -526,8 +522,7 @@ def bucket_boundaries(coord: Coordinate, gamma: float, B: float) -> list[float]:
     to [-B, B] (monotone in k, so the boundaries come out sorted).
     """
     g = _validate_gamma(gamma)
-    if coord.is_discrete:
-        assert isinstance(coord, DiscreteCoordinate)
+    if isinstance(coord, DiscreteCoordinate):
         # F reaches k/g at the first letter whose cumulative numerator c has c*g >= k*den
         scaled = [c * g for c in itertools.accumulate(coord.numerators)]
         out = [-B]
@@ -567,7 +562,7 @@ def make_sandwich(coord: Coordinate, gamma: float, B: float) -> SandwichedCoordi
 
 def statistical_distance(c1: DiscreteCoordinate, c2: DiscreteCoordinate) -> Fraction:
     """Half the L1 distance between the two pmfs, exact."""
-    if not (c1.is_discrete and c2.is_discrete):
+    if not (isinstance(c1, DiscreteCoordinate) and isinstance(c2, DiscreteCoordinate)):
         raise DistributionError("statistical_distance needs discrete coordinates")
     den = math.lcm(c1.den, c2.den)
     p1 = {v: a * (den // c1.den) for v, a in zip(c1.values, c1.numerators)}

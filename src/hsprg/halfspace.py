@@ -58,6 +58,9 @@ class HalfspaceSystem:
         if not (np.isfinite(self.W).all() and np.isfinite(self.Theta).all()):
             raise ValueError("HalfspaceSystem weights W and thresholds Theta must be finite")
         self.strict = tuple(strict) if strict is not None else (False,) * self.d
+        if len(self.strict) != self.d:
+            raise ValueError(f"strict needs one flag per halfspace, "
+                             f"got {len(self.strict)} for d={self.d}")
         self._strict_mask = np.array(self.strict, dtype=bool)
         self._any_strict = any(self.strict)
 
@@ -128,6 +131,8 @@ class DecisionTree:
 
     @classmethod
     def leaf_node(cls, value: int) -> "DecisionTree":
+        if value not in (0, 1):
+            raise ValueError(f"a leaf must be 0 or 1, got {value!r}")
         return cls(node=None, leaf=int(value))
 
     @classmethod
@@ -148,14 +153,10 @@ class DecisionTree:
                         self.low.evaluate_rows(signs))
 
     def leaves(self) -> list[int]:
-        if self.node is None:
-            return [self.leaf]
-        return self.low.leaves() + self.high.leaves()
+        return [leaf for _, leaf in self.paths()]
 
     def depth(self) -> int:
-        if self.node is None:
-            return 0
-        return 1 + max(self.low.depth(), self.high.depth())
+        return max(len(path) for path, _ in self.paths())
 
     def paths(self) -> list[tuple[tuple[tuple[int, int], ...], int]]:
         """(((hs index, sign bit), ...), leaf value) for every root-leaf path."""
@@ -199,6 +200,9 @@ class CombinerSpec:
 
     @classmethod
     def monotone_table(cls, table: Sequence[int], d: int) -> "CombinerSpec":
+        bad = [b for b in table if b not in (0, 1)]
+        if bad:
+            raise ValueError(f"truth table entries must be 0 or 1, got {bad[0]!r}")
         if not is_monotone_table(table, d):
             raise ValueError("truth table is not monotone")
         return cls("monotone-table", table=tuple(int(b) for b in table))

@@ -39,7 +39,7 @@ from .halfspace import CombinerSpec, HalfspaceSystem, evaluate, evaluate_batch, 
 from .seeds import seed_range
 
 SEED_ENV_VAR = "HSPRG_SEED"
-DEFAULT_ENUM_CAP = 1 << 24
+ENUM_CAP = 1 << 24    # most points or seeds an exact pass enumerates
 SEED_CHUNK = 1 << 12  # most seeds expanded per generator call (but one Monte Carlo shard)
 TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
@@ -48,7 +48,7 @@ _EXACT = (*_INTEGRAL, Fraction)  # f values that keep the sum exact
 
 
 class ResourceCapError(RuntimeError):
-    pass
+    """A space larger than its cap: ENUM_CAP here, robp.MAX_STATES for programs."""
 
 
 def rng_for(master_seed: int, shard: int = 0) -> np.random.Generator:
@@ -75,7 +75,7 @@ def shard_sizes(trials: int, shards: int) -> list[int]:
     return [per + (i < extra) for i in range(min(shards, trials))]
 
 
-def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
+def product_lattice(dist: ProductDistribution
                     ) -> tuple[int, Iterator[tuple[np.ndarray, list[int]]]]:
     """The discrete product space as integer weights over one denominator.
 
@@ -84,7 +84,7 @@ def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
     ``itertools.product`` order and their weights as Python ints, with
     Pr[row] = weight / den exactly.  A row's weight is the product of its
     letters' ``numerators`` and ``den`` the product of the coordinates'
-    ``den``.  Raises before any block is built when the space exceeds `cap`.
+    ``den``.  Raises before any block is built when the space exceeds ENUM_CAP.
     """
     values, nums = [], []
     total = den = 1
@@ -92,8 +92,8 @@ def product_lattice(dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP
         if not isinstance(c, DiscreteCoordinate):
             raise ValueError("exact enumeration needs discrete coordinates")
         total *= len(c.values)
-        if total > cap:
-            raise ResourceCapError(f"product space exceeds cap {cap}")
+        if total > ENUM_CAP:
+            raise ResourceCapError(f"product space exceeds cap {ENUM_CAP}")
         values.append(c.values)
         nums.append(c.numerators)
         den *= c.den
@@ -155,18 +155,17 @@ def weighted_sum(blocks: Iterable[tuple[Iterable, Iterable[int]]], den: int):
 
 
 def exact_expectation(f: Callable[[np.ndarray], float],
-                      dist: ProductDistribution, cap: int = DEFAULT_ENUM_CAP):
+                      dist: ProductDistribution):
     """Sum of f * probability over the whole product space.
 
     `f` gets each point as one float64 row of a `product_lattice` block.
     Returns a Fraction when every f value is integral/Fraction, else float.
     """
-    den, blocks = product_lattice(dist, cap)
+    den, blocks = product_lattice(dist)
     return weighted_sum(((map(f, X), weights) for X, weights in blocks), den)
 
 
-def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
-                           cap: int = DEFAULT_ENUM_CAP):
+def expectation_over_seeds(f: Callable[[np.ndarray], float], generator):
     """Average of f(G(seed)) over the full seed space, exact.
 
     `f` must be a deterministic function of the point: the seeds are
@@ -179,8 +178,8 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator,
     the per-seed sum bit for bit.
     """
     n_seeds = 1 << generator.seed_bits
-    if n_seeds > cap:
-        raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {cap}")
+    if n_seeds > ENUM_CAP:
+        raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {ENUM_CAP}")
 
     def blocks():
         exact = True
@@ -295,8 +294,8 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
                            dist: ProductDistribution, generator,
                            mode: str = "exact", trials: int = 10 ** 5,
                            master_seed: int | None = None, shards: int = 8,
-                           experiment: str = "fooling", eps: float | None = None,
-                           cap: int = DEFAULT_ENUM_CAP) -> EstimationReport:
+                           experiment: str = "fooling", eps: float | None = None
+                           ) -> EstimationReport:
     """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo.
 
     `f` is a callable on one point, or a ``(system, combiner)`` pair.  A
@@ -322,8 +321,8 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
             return sum(point(x) for x in X)
 
     if mode == "exact":
-        true_e = float(exact_expectation(point, dist, cap))
-        prg_e = float(expectation_over_seeds(point, generator, cap))
+        true_e = float(exact_expectation(point, dist))
+        prg_e = float(expectation_over_seeds(point, generator))
         samples = 1 << generator.seed_bits
         ci = 0.0
         method = "exact-enumeration"

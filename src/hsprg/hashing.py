@@ -144,8 +144,9 @@ class CollisionStats:
     b_certified: Fraction
     family_size: int
 
-    def certifies(self, b: int = 1) -> bool:
-        return self.b_certified <= b
+    def certifies(self) -> bool:
+        """Whether the collision parameter b = 1 of the analysis holds."""
+        return self.b_certified <= 1
 
 
 def collision_stats(family: HashFamily, positions: Sequence[int] | None = None) -> CollisionStats:

@@ -68,7 +68,6 @@ class MZParams:
     d: int
     eps: float
     eta: float
-    C: float
     s_param: float
     delta: float
     b_blocks: int
@@ -84,8 +83,7 @@ class MZParams:
             raise ValueError("within-bucket independence k must be 4 or 5")
 
 
-def derive_params(d: int, eps: float, eta: float, C: float = 1.0,
-                  **overrides) -> MZParams:
+def derive_params(d: int, eps: float, eta: float, **overrides) -> MZParams:
     """Schedule s = 1/(eta^2 sqrt(eps)), delta = eta^4 eps^8 / d^7, L = b*r,
     t = smallest power of 2 at least (dL)^2/eps.
 
@@ -109,7 +107,7 @@ def derive_params(d: int, eps: float, eta: float, C: float = 1.0,
     k = overrides.pop("k", 5)
     if overrides:
         raise TypeError(f"unknown overrides: {sorted(overrides)}")
-    return MZParams(d=d, eps=eps, eta=eta, C=C, s_param=s, delta=delta,
+    return MZParams(d=d, eps=eps, eta=eta, s_param=s, delta=delta,
                     b_blocks=b, r_blocks=r, L=L, t=t, k=k)
 
 

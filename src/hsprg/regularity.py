@@ -65,14 +65,11 @@ def is_delta_regular(norms: TermNorms, delta: float,
                      indices: Sequence[int] | None = None) -> bool:
     """sum ||x_j||_4^4 <= delta * (sum ||x_j||_2^2)^2, ties regular."""
     if indices is None:
-        s4 = math.fsum(norms.four_norm_4)
-        s2 = math.fsum(norms.two_norm_sq)
-    else:
-        idx = list(indices)
-        if not idx:
-            raise ValueError("index set must be nonempty")
-        s4 = math.fsum(norms.four_norm_4[j] for j in idx)
-        s2 = math.fsum(norms.two_norm_sq[j] for j in idx)
+        indices = range(len(norms))
+    elif not (indices := list(indices)):
+        raise ValueError("index set must be nonempty")
+    s4 = math.fsum(norms.four_norm_4[j] for j in indices)
+    s2 = math.fsum(norms.two_norm_sq[j] for j in indices)
     return s4 <= delta * s2 * s2
 
 

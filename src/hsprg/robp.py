@@ -32,11 +32,10 @@ import numpy as np
 
 from .gf2 import field
 from .halfspace import CombinerSpec, is_monotone_table
+from .harness import ResourceCapError
 from .seeds import check_seeds, seed_fields, seed_from_int
 
-
-class ResourceError(RuntimeError):
-    """State growth beyond the configured cap."""
+MAX_STATES = 1 << 18  # most states in one layer of a compiled or product program
 
 
 class NotMonotoneError(ValueError):
@@ -172,7 +171,7 @@ def _layered(T: int, D: int, start, successors: Callable, accept: Callable,
         for state in cur:
             rows.append([index.setdefault(t, len(index)) for t in successors(i, state)])
             if len(index) > max_states:
-                raise ResourceError(f"layer {i + 1} exceeds {max_states} states")
+                raise ResourceCapError(f"layer {i + 1} exceeds {max_states} states")
         cur = list(index)
         if ordered:
             order = sorted(range(len(cur)), key=cur.__getitem__)
@@ -186,16 +185,19 @@ def _layered(T: int, D: int, start, successors: Callable, accept: Callable,
 
 
 def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
-                      strict: bool = False, max_states: int = 1 << 18
-                      ) -> tuple[ROBP, MonotoneCertificate]:
+                      strict: bool = False) -> tuple[ROBP, MonotoneCertificate]:
     """Compile 1[sum w_i x_i >= theta] over per-step alphabets, exactly.
 
     Step i reads a D-bit label and takes the value alphabets[i][label mod
     size_i]; states are the reachable partial sums, each an integer: the
     exact rational sum times the lcm of the denominators of every
     increment and theta.  A positive scale keeps sums, ties and order, so
-    ordering states by partial sum certifies monotonicity.
+    ordering states by partial sum certifies monotonicity.  A float weight,
+    threshold or letter must be finite.
     """
+    for v in itertools.chain(w, (theta,), *alphabets):
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"weights, theta and alphabet letters must be finite, got {v}")
     n = len(w)
     if len(alphabets) != n:
         raise ValueError("need one alphabet per coordinate")
@@ -211,7 +213,7 @@ def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
     bound = thetaq.numerator * (scale // thetaq.denominator)
     program = _layered(n, D, 0, lambda i, s: [s + inc for inc in steps[i]],
                        lambda s: int(s > bound if strict else s >= bound),
-                       max_states, ordered=True)
+                       MAX_STATES, ordered=True)
     # sorted partial sums make the certificate the identity
     cert = MonotoneCertificate(tuple(tuple(range(wd)) for wd in program.widths))
     return program, cert
@@ -315,8 +317,8 @@ def sandwich_monotone(B: ROBP, eps: float,
     return SandwichPair(build(0), build(1), eps)
 
 
-def product_robp(programs: Sequence[ROBP], accept_fn: Callable[[tuple[int, ...]], int],
-                 max_states: int = 1 << 18) -> ROBP:
+def product_robp(programs: Sequence[ROBP], accept_fn: Callable[[tuple[int, ...]], int]
+                 ) -> ROBP:
     """Synchronous product; accept bit computed from the component bits."""
     if not programs:
         raise ValueError("need at least one program")
@@ -327,7 +329,7 @@ def product_robp(programs: Sequence[ROBP], accept_fn: Callable[[tuple[int, ...]]
         T, D, (0,) * len(programs),
         lambda i, state: zip(*(p.trans[i][v] for p, v in zip(programs, state))),
         lambda state: accept_fn(tuple(p.accept[v] for p, v in zip(programs, state))),
-        max_states)
+        MAX_STATES)
 
 
 def compose_monotone_sandwich(g_table: Sequence[int], programs: Sequence[ROBP],
@@ -380,6 +382,8 @@ class TreeErrorBound:
 
 
 def nisan_word_bits(S: int, D: int) -> int:
+    if S < 0:
+        raise ValueError(f"space must be nonnegative, got {S}")
     return S + D + 2  # 2 slack bits, pinned
 
 

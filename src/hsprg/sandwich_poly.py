@@ -408,18 +408,17 @@ class GeneralizedPolynomial:
     """Order-k upper sandwich for one halfspace, evaluable pointwise."""
 
     def __init__(self, weights: Sequence[float], theta: float,
-                 partition: RegularityPartition, P: UnivariatePoly, q: int, n: int):
+                 partition: RegularityPartition, P: UnivariatePoly, q: int):
         self.weights = np.asarray(weights, dtype=float)
         self.theta = float(theta)
         self.partition = partition
         self.P = P
         self.q = q
-        self.n = n
+        self.n = len(self.weights)
         self.L = len(partition.head)
         self.K = P.degree
-        tail = [j for j in range(n) if j not in partition.head]
         self._head = list(partition.head)
-        self._tail = tail
+        self._tail = [j for j in range(self.n) if j not in partition.head]
 
     @property
     def order(self) -> int:
@@ -462,15 +461,13 @@ class GeneralizedPolynomial:
 
 
 def head_partition(weights: Sequence[float], coords, delta: float, t: float,
-                   L: int, head: Sequence[int] | None = None) -> RegularityPartition:
+                   L: int) -> RegularityPartition:
     """Top-L coordinates by term 2-norm (ties to the smallest index)."""
     n = len(weights)
     m2 = [c.moments()[1] for c in coords]
     m4 = [c.moments()[2] for c in coords]
     norms = TermNorms.from_weights(weights, m2, m4)
-    if head is None:
-        head = norms.sorted()[1][:L]
-    head = tuple(head)
+    head = norms.sorted()[1][:L]
     tail = [j for j in range(n) if j not in head]
     tail_norm = math.sqrt(math.fsum(norms.two_norm_sq[j] for j in tail)) if tail else 0.0
     tail_regular = bool(tail) and is_delta_regular(norms, delta, tail)
@@ -478,28 +475,28 @@ def head_partition(weights: Sequence[float], coords, delta: float, t: float,
 
 
 def build_upper_poly(weights: Sequence[float], theta: float, coords,
-                     *, delta: float, t: float, T: int, d: int,
-                     C0: float = DGJSV_C0, L: int,
-                     head: Sequence[int] | None = None) -> GeneralizedPolynomial:
+                     *, delta: float, t: float, T: int, d: int, L: int
+                     ) -> GeneralizedPolynomial:
     """Upper sandwich for 1[w.x >= theta] at the stated analysis parameters.
 
-    a = 16 C0 d log2(td) / T must come out below 1 (else T is too small for
-    this d, t); b = min(1/d^2, 1/t^4); q = T/(2d) rounded down to even.
+    a = 16 C0 d log2(td) / T with C0 = DGJSV_C0 must come out below 1 (else
+    T is too small for this d, t); b = min(1/d^2, 1/t^4); q = T/(2d) rounded
+    down to even.
     """
     if t <= 4:
         raise ValueError("need t > 4")
     if T < 2 or T % 2:
         raise ValueError("T must be a positive even integer")
-    a = 16.0 * C0 * d * math.log2(t * d) / T
+    a = 16.0 * DGJSV_C0 * d * math.log2(t * d) / T
     if a >= 1:
         raise ValueError(f"a={a:.3f} >= 1: T={T} too small for d={d}, t={t}")
     b = min(1.0 / d ** 2, 1.0 / t ** 4)
     q = (T // (2 * d)) // 2 * 2
-    partition = head_partition(weights, coords, delta, t, L, head)
+    partition = head_partition(weights, coords, delta, t, L)
     P = dgjsv_poly(a, b)
     if 2 * d * P.degree > T:
         raise ValueError(f"constructed degree K={P.degree} exceeds T/(2d); increase T")
-    return GeneralizedPolynomial(weights, theta, partition, P, q, len(weights))
+    return GeneralizedPolynomial(weights, theta, partition, P, q)
 
 
 # ---------------------------------------------------------------------------

@@ -397,8 +397,7 @@ def test_criterion_10_mz_fooling_trend():
 
     B1, _ = halfspace_to_robp(list(w1), th1, [[-1, 1]] * n)
     B2, _ = halfspace_to_robp(list(w2), th2, [[-1, 1]] * n)
-    exact = float(product_robp([B1, B2], lambda bits: int(all(bits)),
-                               max_states=1 << 20).accept_probability())
+    exact = float(product_robp([B1, B2], lambda bits: int(all(bits))).accept_probability())
 
     trials = 10 ** 6
     results = {}

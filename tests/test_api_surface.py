@@ -1,5 +1,6 @@
-"""The package's surface: no definition without a caller, no private name
-imported across modules, no stale tracer entry, no quadrature on import.
+"""The package's surface: no definition without a caller, no default that no
+call overrides, no private name imported across modules, no stale tracer
+entry, no quadrature on import.
 
 The checks read source with the standard library's ``ast``.  A name counts
 as used when it appears in ``src/``, ``tests/`` or ``perfbench/`` as an
@@ -61,6 +62,86 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_has_a_caller():
     assert unused_definitions() == []
+
+
+def defaulted_parameters() -> list[tuple[str, str, str, int | None]]:
+    """``(callee, where, parameter, position or None)`` of each defaulted parameter.
+
+    Positions skip a method's ``self`` or ``cls`` (the package has no static
+    methods); an ``__init__`` is called by its class's name.
+    """
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        owners = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                  for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args, owner = node.args, owners.get(id(node))
+            positional = args.posonlyargs + args.args
+            named = [(a, i - (owner is not None)) for i, a in enumerate(positional)
+                     ][len(positional) - len(args.defaults):]
+            named += [(a, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+            callee = owner if node.name == "__init__" else node.name
+            out += [(callee, f"{path.name}:{node.lineno} {node.name}", a.arg, i) for a, i in named]
+    return out
+
+
+def spread_keys(node: ast.AST, known: dict) -> set | None:
+    """The keys a ``**node`` passes, or None when they are not known."""
+    if isinstance(node, ast.Dict):
+        return {k.value for k in node.keys} \
+            if all(isinstance(k, ast.Constant) for k in node.keys) else None
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        keys = {kw.arg for kw in node.keywords}
+        for arg in node.args:
+            base = spread_keys(arg, known)
+            keys |= {None} if base is None else base
+        return None if None in keys else keys
+    return known.get(getattr(node, "id", None) or getattr(node, "attr", None))
+
+
+def passed_parameters() -> set[tuple]:
+    """``(callee, parameter name or position)`` for each parameter some call
+    passes, and ``(callee, None)`` when a call may pass every parameter.
+
+    A call is matched by its callee's name alone, and ``cls(...)`` calls the
+    enclosing class.  A ``*`` argument or a ``**`` of unknown keys passes
+    every parameter; the keys of ``NAME = dict(...)`` or ``{...}`` are known.
+    """
+    passed = set()
+    for top in ("src", "tests", "perfbench"):
+        for path in (ROOT / top).rglob("*.py"):
+            tree, known = parse(path), {}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name) \
+                        and isinstance(node.value, (ast.Dict, ast.Call)):
+                    name, keys = node.targets[0].id, spread_keys(node.value, known)
+                    old = known.get(name, set())  # a name bound twice passes both key sets
+                    known[name] = None if old is None or keys is None else old | keys
+            owner = {id(n): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                     for n in ast.walk(c)}
+            for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+                name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                name = owner.get(id(call)) if name == "cls" else name
+                keys = set()
+                for kw in call.keywords:
+                    spread = {kw.arg} if kw.arg else spread_keys(kw.value, known)
+                    keys = None if keys is None or spread is None else keys | spread
+                if keys is None or any(isinstance(a, ast.Starred) for a in call.args):
+                    passed.add((name, None))
+                passed |= {(name, k) for k in keys or ()}
+                passed |= {(name, i) for i in range(len(call.args))}
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A default that no call in the repository overrides is a constant, not a parameter."""
+    passed = passed_parameters()
+    unpassed = [f"{where}({param})" for callee, where, param, pos in defaulted_parameters()
+                if not {(callee, None), (callee, param), (callee, pos)} & passed]
+    assert unpassed == []
 
 
 def private_imports() -> list[str]:

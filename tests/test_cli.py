@@ -142,6 +142,8 @@ def test_robp_nisan(tmp_path):
 @pytest.mark.parametrize("argv, message", [
     (["robp", "nisan", "--space", "2", "--label-bits", "2", "--steps", "2", "--seed", "-1"],
      "seed needs exactly 18 bits"),
+    (["robp", "nisan", "--space", "-1", "--label-bits", "1", "--steps", "4", "--seed", "0"],
+     "space must be nonnegative, got -1"),
     (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "[]"],
      "need one alphabet per coordinate"),
     (["discretize", "--eps", "0"], "need eps > 0, C >= 1, n >= 1"),
@@ -153,9 +155,13 @@ def test_robp_nisan(tmp_path):
      "--weights: TypeError('expected a JSON list, got 5')"),
     (["robp", "compile", "--weights", '{"a": 1}', "--theta", "0.5"],
      "--weights: TypeError(\"expected a JSON list, got {'a': 1}\")"),
-], ids=["nisan-negative-seed", "compile-empty-alphabet", "discretize-eps-0",
+    (["robp", "compile", "--weights", "[Infinity]", "--theta", "0.5"],
+     "--weights: OverflowError('cannot convert Infinity to integer ratio')"),
+    (["robp", "compile", "--weights", "[1]", "--theta", "inf"],
+     "weights, theta and alphabet letters must be finite, got inf"),
+], ids=["nisan-negative-seed", "nisan-negative-space", "compile-empty-alphabet", "discretize-eps-0",
         "compile-int-alphabet", "compile-int-step-alphabet", "compile-int-weights",
-        "compile-object-weights"])
+        "compile-object-weights", "compile-infinite-weight", "compile-infinite-theta"])
 def test_rejected_input_prints_json_error(tmp_path, capsys, argv, message):
     """Every subcommand turns a rejected input into one JSON error line and status 1."""
     out = tmp_path / "out.json"
@@ -335,7 +341,9 @@ SKEWED_DIST = {"coord": {"kind": "discrete", "values": [-1.0, 1.0], "probs": [0.
     (["--gen", "foo"], None, "unknown generator 'foo'"),
     (["--gen", "mz", "--t", "2", "--k", "0"], None, "independence order k must be >= 1"),
     (["--gen", "kwise:0"], None, "independence order k must be >= 1"),
-], ids=["trials-0", "t-3", "skewed-law", "gaussian-law", "unknown-gen", "mz-k-0", "kwise-0"])
+    (["--gen", "nisan", "--nisan-space", "-1"], None, "space must be nonnegative, got -1"),
+], ids=["trials-0", "t-3", "skewed-law", "gaussian-law", "unknown-gen", "mz-k-0", "kwise-0",
+        "nisan-space-negative"])
 def test_estimate_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, argv, dist, message):
     system = write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]})
     comb = write(tmp_path / "comb.json", {"kind": "single"})
@@ -353,11 +361,32 @@ def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad_dist, 
                  "--gen", "mz", "--t", "4", "--mode", "exact",
                  "--out", str(tmp_path / "r.csv")]) == 1
     assert json.loads(capsys.readouterr().out) == {
-        "error": f"seed space 2^44 exceeds cap {harness.DEFAULT_ENUM_CAP}"}
+        "error": f"seed space 2^44 exceeds cap {harness.ENUM_CAP}"}
     assert not (tmp_path / "r.csv").exists()
 
 
 RAD_LAW = {"kind": "multiset", "values": [-1.0, 1.0]}
+
+
+@pytest.mark.parametrize("system, comb, message", [
+    ({"strict": [False, True]}, {"kind": "monotone-table", "table": [0, 1]},
+     "strict needs one flag per halfspace, got 2 for d=1"),
+    ({}, {"kind": "monotone-table", "table": [0, 2]}, "truth table entries must be 0 or 1, got 2"),
+    ({}, {"kind": "monotone-table", "table": [0, 1.5]},
+     "truth table entries must be 0 or 1, got 1.5"),
+    ({}, {"kind": "decision-tree", "tree": {"hs": 0, "low": {"leaf": 0}, "high": {"leaf": 3}}},
+     "a leaf must be 0 or 1, got 3"),
+], ids=["strict-two-flags", "table-2", "table-1.5", "tree-leaf-3"])
+def test_estimate_rejects_bad_system_or_combiner_with_json(tmp_path, capsys, system, comb,
+                                                           message):
+    # d = 1, x1 + x2 >= 0.5 on {-1, 1}^2
+    system = write(tmp_path / "sys.json", {"W": [[1.0], [1.0]], "Theta": [0.5], **system})
+    comb = write(tmp_path / "comb.json", comb)
+    dist = write(tmp_path / "dist.json", {"coord": RAD_LAW, "n": 2})
+    assert main(["estimate", "--f", system, "--combiner", comb, "--dist", dist,
+                 "--gen", "kwise:2", "--mode", "exact", "--out", str(tmp_path / "r.csv")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.parametrize("params, dist, message", [

@@ -259,6 +259,22 @@ def test_discrete_non_finite_value_rejected(bad):
         DiscreteCoordinate([bad, 1.0], [0.5, 0.5])
 
 
+def test_numpy_arrays_build_the_same_laws():
+    coord = DiscreteCoordinate(np.array([1.0, 2.0]), np.array([0.25, 0.75]))
+    want = DiscreteCoordinate([1.0, 2.0], [0.25, 0.75])
+    assert (coord.values, coord.numerators, coord.den) == (want.values, want.numerators, want.den)
+    multiset = UniformMultisetCoordinate(np.array([-1.0, 1.0, 1.0]))
+    assert multiset.multiset == (-1.0, 1.0, 1.0) and multiset.numerators == (1, 2)
+    dist = ProductDistribution(np.array([coord, multiset], dtype=object))
+    assert dist.n == 2 and dist.coords == [coord, multiset]
+    with pytest.raises(DistributionError, match="nonempty"):
+        DiscreteCoordinate(np.array([]), np.array([]))
+    with pytest.raises(DistributionError, match="nonempty"):
+        UniformMultisetCoordinate(np.array([]))
+    with pytest.raises(DistributionError, match="at least one coordinate"):
+        ProductDistribution(np.array([], dtype=object))
+
+
 class TestMomentProfile:
     def test_rademacher(self):
         p = moment_profile(RADEMACHER)

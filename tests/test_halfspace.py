@@ -49,6 +49,12 @@ def test_non_finite_system_rejected(W, Theta):
         HalfspaceSystem(W, Theta)
 
 
+@pytest.mark.parametrize("strict", [[False, True], []])
+def test_strict_flags_must_match_d(strict):
+    with pytest.raises(ValueError, match=f"got {len(strict)} for d=1"):
+        HalfspaceSystem([[1.0], [1.0]], [0.5], strict)
+
+
 class TestNegation:
     def test_negation_exact_on_discrete_support(self):
         h = Halfspace((1.0, 1.0, 1.0), 1.0)
@@ -128,6 +134,13 @@ class TestDecisionTree:
         comb = self.build()
         assert CombinerSpec.from_json(comb.to_json()).tree == comb.tree
 
+    @pytest.mark.parametrize("leaf", [3, 0.5, -1, "1", None])
+    def test_leaf_must_be_0_or_1(self, leaf):
+        with pytest.raises(ValueError, match="a leaf must be 0 or 1"):
+            DecisionTree.leaf_node(leaf)
+        with pytest.raises(ValueError, match="a leaf must be 0 or 1"):
+            DecisionTree.from_json({"hs": 0, "low": {"leaf": 0}, "high": {"leaf": leaf}})
+
 
 class TestMonotoneTable:
     def test_and_or_are_monotone(self):
@@ -138,6 +151,11 @@ class TestMonotoneTable:
         assert not is_monotone_table([0, 1, 1, 0], 2)
         with pytest.raises(ValueError):
             CombinerSpec.monotone_table([0, 1, 1, 0], 2)
+
+    @pytest.mark.parametrize("table", [[0, 2], [0, 1.5], [-1, 0], [0, "1"]])
+    def test_entries_must_be_0_or_1(self, table):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            CombinerSpec.monotone_table(table, 1)
 
     def test_table_evaluation(self):
         maj = CombinerSpec.monotone_table([0, 0, 0, 1, 0, 1, 1, 1], 3)

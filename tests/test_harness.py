@@ -63,16 +63,19 @@ class TestExactExpectation:
         built = []
         blocks = harness._blocks
         monkeypatch.setattr(harness, "_blocks", lambda *a: built.append(a) or blocks(*a))
+        monkeypatch.setattr(harness, "ENUM_CAP", 2 ** 10)
         with pytest.raises(ResourceCapError):
-            product_lattice(cube(30), cap=2 ** 10)
+            product_lattice(cube(30))
         calls = []
         with pytest.raises(ResourceCapError):
-            exact_expectation(lambda x: calls.append(x) or 1, cube(30), cap=2 ** 10)
+            exact_expectation(lambda x: calls.append(x) or 1, cube(30))
         assert calls == [] and built == []
+        monkeypatch.setattr(harness, "ENUM_CAP", 2 ** 10 - 1)
         with pytest.raises(ResourceCapError):
-            product_lattice(cube(10), cap=2 ** 10 - 1)
+            product_lattice(cube(10))
         assert built == []
-        den, blocks = product_lattice(cube(10), cap=2 ** 10)
+        monkeypatch.setattr(harness, "ENUM_CAP", 2 ** 10)
+        den, blocks = product_lattice(cube(10))
         rows = np.concatenate([X for X, _ in blocks])
         assert den == 2 ** 10 and rows.shape == (2 ** 10, 10)
         assert len({tuple(x) for x in rows.tolist()}) == 2 ** 10

@@ -80,7 +80,7 @@ class TestCollisionStats:
         # h_a(0) = 0 for every a, so the single-bucket bound cannot hold at x=0
         stats = collision_stats(HashFamily(16, 4, variant=MULTIPLICATIVE))
         assert stats.max_single_prob == 1
-        assert not stats.certifies(1)
+        assert not stats.certifies()
 
     def test_multiplicative_family_ok_away_from_zero(self):
         fam = HashFamily(16, 4, variant=MULTIPLICATIVE)

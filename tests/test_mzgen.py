@@ -58,7 +58,7 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             derive_params(d=1, eps=0.1, eta=0.9)
         with pytest.raises(ValueError):
-            MZParams(1, 0.1, ETA3, 1.0, 1.0, 1e-9, 1, 1, 1, t=3)
+            MZParams(1, 0.1, ETA3, 1.0, 1e-9, 1, 1, 1, t=3)
 
 
 def omega16():
@@ -149,6 +149,12 @@ class TestGenerate:
 def test_both_generators_check_alphabets_alike(make, alphabets, msg):
     with pytest.raises(ValueError, match=msg):
         make(alphabets)
+
+
+def test_nisan_space_must_be_nonnegative():
+    with pytest.raises(ValueError, match="space must be nonnegative, got -1"):
+        NisanProductGenerator([[-1.0, 1.0]] * 4, space=-1)
+    assert NisanProductGenerator([[-1.0, 1.0]] * 4, space=0).space == 0
 
 
 @pytest.mark.parametrize("make", [lambda alphabets: MZGenerator(alphabets, t=2, k=2),

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import acc_bitsets, all_inputs, philox, random_monotone_robp, random_robp
+from hsprg import robp
+from hsprg.harness import ResourceCapError
 from hsprg.robp import (
     ROBP,
     MonotoneCertificate,
     MonotoneCounterexample,
     NotMonotoneError,
-    ResourceError,
     check_monotone,
     TreeErrorBound,
     compose_monotone_sandwich,
@@ -138,11 +140,28 @@ class TestHalfspaceCompile:
         B, _ = halfspace_to_robp([1, 1], 0, PM1 * 2, strict=True)
         assert [B.eval(z) for z in all_inputs(1, 2)] == [0, 0, 0, 1]
 
-    def test_state_cap(self):
+    @pytest.mark.parametrize("w,theta,alphabets", [
+        ([math.inf, 1.0], 0.5, PM1 * 2),
+        ([1.0, 1.0], -math.inf, PM1 * 2),
+        ([1.0, 1.0], math.nan, PM1 * 2),
+        ([1.0, 1.0], 0.5, [[-1.0, math.inf]] * 2),
+    ], ids=["inf-weight", "inf-theta", "nan-theta", "inf-letter"])
+    def test_non_finite_float_rejected(self, w, theta, alphabets):
+        with pytest.raises(ValueError, match="must be finite"):
+            halfspace_to_robp(w, theta, alphabets)
+
+    def test_huge_fractions_compile(self):
+        # only floats are checked: math.isfinite would overflow on these
+        big = Fraction(10 ** 400)
+        B, _ = halfspace_to_robp([big, Fraction(1)], big, PM1 * 2)
+        assert [B.eval(z) for z in all_inputs(1, 2)] == [0, 0, 0, 1]
+
+    def test_state_cap(self, monkeypatch):
         rng = philox(3)
         w = rng.normal(size=16)
-        with pytest.raises(ResourceError):
-            halfspace_to_robp(w, 0.0, PM1 * 16, max_states=50)
+        monkeypatch.setattr(robp, "MAX_STATES", 50)
+        with pytest.raises(ResourceCapError):
+            halfspace_to_robp(w, 0.0, PM1 * 16)
 
     def test_wider_alphabet_uses_label_mod_size(self):
         B, _ = halfspace_to_robp([1, 1], 0, [[-1, 0, 1, 2], [-1, 1]])
@@ -254,6 +273,14 @@ class TestSandwichMonotone:
         B = random_monotone_robp(philox(42), T=4, max_width=6)
         pair = sandwich_monotone(B, eps=1.5)
         assert_sandwich_sound(pair, B, 1.5)
+
+    def test_program_wider_than_the_state_cap(self, monkeypatch):
+        # the sandwich programs are capped by B's own width, not MAX_STATES
+        B, _ = halfspace_to_robp([1.0] * 8, 0.5, PM1 * 8)
+        monkeypatch.setattr(robp, "MAX_STATES", 1)
+        pair = sandwich_monotone(B, eps=0.01)
+        assert pair.down.width == pair.up.width == 5
+        assert_sandwich_sound(pair, B, 0.01)
 
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("eps", [0.25, 0.5])
@@ -394,15 +421,17 @@ class TestCompose:
 
 
 class TestProduct:
-    def test_state_cap(self):
+    def test_state_cap(self, monkeypatch):
         rng = philox(17)
         B1, _ = halfspace_to_robp(rng.normal(size=8).round(3), 0.1, PM1 * 8)
         B2, _ = halfspace_to_robp(rng.normal(size=8).round(3), -0.3, PM1 * 8)
         width = product_robp([B1, B2], lambda bits: int(all(bits))).width
         assert width > 8
-        assert product_robp([B1, B2], lambda bits: int(all(bits)), max_states=width).width == width
-        with pytest.raises(ResourceError):
-            product_robp([B1, B2], lambda bits: int(all(bits)), max_states=width - 1)
+        monkeypatch.setattr(robp, "MAX_STATES", width)
+        assert product_robp([B1, B2], lambda bits: int(all(bits))).width == width
+        monkeypatch.setattr(robp, "MAX_STATES", width - 1)
+        with pytest.raises(ResourceCapError):
+            product_robp([B1, B2], lambda bits: int(all(bits)))
 
 
 # to_json() of small programs, recorded before the three constructions

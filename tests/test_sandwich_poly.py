@@ -472,18 +472,18 @@ class TestPartitionAndBranches:
         P = dgjsv_poly(0.5, 0.1)
         part = RegularityPartition(head=(0,), t_scale=5.0, tail_norm=0.1,
                                   tail_regular=True, delta=0.25)
-        gp = GeneralizedPolynomial([10.0, 1.0], 3.0, part, P, q=4, n=2)
+        gp = GeneralizedPolynomial([10.0, 1.0], 3.0, part, P, q=4)
         # x0 = -1: theta' = 13 > t*tail_norm -> FAR, p = (z/13)^4
         assert gp.evaluate([-1.0, 1.0]) == pytest.approx((1.0 / 13.0) ** 4)
         # theta' < 0 FAR branch is the constant 1
-        gp2 = GeneralizedPolynomial([10.0, 1.0], -3.0, part, P, q=4, n=2)
+        gp2 = GeneralizedPolynomial([10.0, 1.0], -3.0, part, P, q=4)
         assert gp2.evaluate([1.0, 1.0]) == 1.0
 
     def test_far_at_z_equal_theta_prime_is_one(self):
         P = dgjsv_poly(0.5, 0.1)
         part = RegularityPartition(head=(0,), t_scale=5.0, tail_norm=0.05,
                                   tail_regular=True, delta=0.25)
-        gp = GeneralizedPolynomial([2.0, 1.0], 3.0, part, P, q=6, n=2)
+        gp = GeneralizedPolynomial([2.0, 1.0], 3.0, part, P, q=6)
         # theta' = 3 - 2 = 1, z = 1: (z/theta')^q = 1 on the boundary
         assert gp.evaluate([1.0, 1.0]) == pytest.approx(1.0)
 
@@ -494,7 +494,7 @@ class TestPartitionAndBranches:
                               t=5.0, L=1)
         assert not part.tail_regular
         P = dgjsv_poly(0.5, 0.1)
-        gp = GeneralizedPolynomial([1.0] * 4, 0.0, part, P, q=2, n=4)
+        gp = GeneralizedPolynomial([1.0] * 4, 0.0, part, P, q=2)
         assert gp.evaluate([1.0, -1.0, 1.0, -1.0]) == 1.0
 
     @staticmethod
@@ -520,7 +520,7 @@ class TestPartitionAndBranches:
         P = dgjsv_poly(0.5, 0.1)
         part = RegularityPartition(head=(0,), t_scale=5.0, tail_norm=tail_norm,
                                   tail_regular=tail_regular, delta=0.25)
-        gp = GeneralizedPolynomial([10.0, 1.0, -0.75], 3.0, part, P, q=6, n=3)
+        gp = GeneralizedPolynomial([10.0, 1.0, -0.75], 3.0, part, P, q=6)
         # theta' = 3 - 10 x0: FAR+ (x0 = -1), FAR- (x0 = 1), NEAR or BAD inside,
         # and x0 = 0.25 puts |theta'| = 0.5 = t_scale * tail_norm on the boundary
         head = [-1.0, 1.0, 0.25, 0.3, 0.27, 0.31]
@@ -540,8 +540,7 @@ class TestPartitionAndBranches:
     def test_far_overflow_raises(self):
         part = RegularityPartition(head=(0,), t_scale=5.0, tail_norm=0.1,
                                   tail_regular=True, delta=0.25)
-        gp = GeneralizedPolynomial([10.0, 1000.0], 3.0, part, dgjsv_poly(0.5, 0.1),
-                                   q=1024, n=2)
+        gp = GeneralizedPolynomial([10.0, 1000.0], 3.0, part, dgjsv_poly(0.5, 0.1), q=1024)
         # theta' = 13, z = 1e5: (z/theta')^1024 is far past the float range
         with pytest.raises(OverflowError):
             gp.evaluate_batch([[0.0, 0.0], [-1.0, 100.0]])
