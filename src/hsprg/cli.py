@@ -15,10 +15,10 @@ from . import __version__
 from .distributions import ProductDistribution, discretize_coordinate, moment_profile
 from .halfspace import CombinerSpec, HalfspaceSystem
 from .harness import (
+    MASTER_SEED,
     ResourceCapError,
     emit_report,
     estimate_fooling_error,
-    master_seed_default,
     rng_for,
 )
 from .mzgen import MZGenerator, NisanProductGenerator, alphabets_from_distribution
@@ -118,8 +118,7 @@ def cmd_gen(args) -> int:
         params.get("hash", "affine")))
     gen = MZGenerator(alphabets_from_distribution(dist), t=t, k=k,
                       hash_variant=hash_variant)
-    rng = rng_for(args.master_seed if args.master_seed is not None
-                  else master_seed_default())
+    rng = rng_for(args.master_seed if args.master_seed is not None else MASTER_SEED)
     rows = gen.expand(gen.random_seeds(rng, args.seeds))
     if args.out.endswith(".bin"):
         rows.astype("<f8").tofile(args.out)

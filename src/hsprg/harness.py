@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import numbers
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from .distributions import DiscreteCoordinate, ProductDistribution
 from .halfspace import CombinerSpec, HalfspaceSystem, evaluate, evaluate_batch, pattern_index
 from .seeds import seed_range
 
-SEED_ENV_VAR = "HSPRG_SEED"
+MASTER_SEED = 20100913  # the master seed of a run that names none
 ENUM_CAP = 1 << 24    # most points or seeds an exact pass enumerates
 SEED_CHUNK = 1 << 12  # most seeds expanded per generator call (but one Monte Carlo shard)
 TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
@@ -55,10 +54,6 @@ def rng_for(master_seed: int, shard: int = 0) -> np.random.Generator:
     """Philox keyed by (master, shard): reproducible, order-independent shards."""
     key = np.array([master_seed % 2 ** 64, shard % 2 ** 64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def master_seed_default() -> int:
-    return int(os.environ.get(SEED_ENV_VAR, "20100913"))
 
 
 def shard_sizes(trials: int, shards: int) -> list[int]:
@@ -278,7 +273,7 @@ def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int
     the Wilson half-widths of the means in quadrature.
     """
     if master_seed is None:
-        master_seed = master_seed_default()
+        master_seed = MASTER_SEED
     hits = [0] * len(streams)
     for run in _shard_runs(shard_sizes(trials, shards)):
         rngs = [(size, tuple(rng_for(master_seed, k * MAX_SHARDS + shard) for k in streams))
@@ -371,22 +366,20 @@ class CovarianceSummary:
 def gaussian_reference_sampler(M: np.ndarray):
     """Sampler for N(0, M) via pivoted Cholesky; M may be singular.
 
-    Falls back to an eigenvalue clamp (with a warning flag) if the
-    factorization reports an indefinite matrix.
+    ``dpstrf`` stops early on a rank-deficient matrix and on an indefinite
+    one alike, so its factor is kept only when it reproduces M to 1e-9 of
+    max |M|.  Otherwise the sampler clamps M's negative eigenvalues to 0
+    and sets its ``clamped`` flag.
     """
     M = np.asarray(M, dtype=float)
     d = M.shape[0]
-    c, piv, rank, info = lapack.dpstrf(M, lower=1)
-    warned = False
-    if info >= 0:
-        L = np.tril(c)
-        L[:, rank:] = 0.0
-        perm = np.argsort(piv - 1)
-        A = L[perm]
-    else:
+    c, piv, rank, _ = lapack.dpstrf(M, lower=1)
+    L = np.tril(c)
+    L[:, rank:] = 0.0
+    A = L[np.argsort(piv - 1)]
+    clamped = bool(np.abs(A @ A.T - M).max(initial=0.0) > 1e-9 * np.abs(M).max(initial=0.0))
+    if clamped:
         vals, vecs = np.linalg.eigh(M)
-        if vals.min() < -1e-10:
-            warned = True
         vals = np.clip(vals, 0.0, None)
         A = vecs * np.sqrt(vals)
         rank = int((vals > 0).sum())
@@ -395,7 +388,7 @@ def gaussian_reference_sampler(M: np.ndarray):
         return rng.standard_normal((size, d)) @ A.T
 
     sample.rank = rank
-    sample.clamped = warned
+    sample.clamped = clamped
     return sample
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -67,13 +66,11 @@ class HashFamily:
         self.t = t
         self.variant = variant
         self.m = (n_pow2 - 1).bit_length()
-        self._table: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        if self.variant == AFFINE:
-            return self.n_pow2 * self.n_pow2
-        return self.n_pow2 - 1  # a = 0 is the constant function, excluded
+        a, c = self.factors()
+        return len(a) * len(c)
 
     @property
     def index_bits(self) -> int:
@@ -103,27 +100,20 @@ class HashFamily:
         """Every function of the family, in index order."""
         return map(self.from_index, range(self.size))
 
-    def _value_table(self) -> np.ndarray:
-        """Bucket of every (function, position) pair, shape (size, n), read-only.
+    def factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The multipliers and the offsets, as int64 arrays; the family is every (a, c) pair."""
+        points = np.arange(self.n_pow2, dtype=np.int64)
+        if self.variant == AFFINE:
+            return points, points
+        return points[1:], points[:1]  # a = 0 is the constant function, excluded
 
-        Built once per family.  Buckets are stored in the narrowest unsigned
-        type that holds t - 1.
-        """
-        if self._table is not None:
-            return self._table
-        n = self.n_pow2
-        mask = self.t - 1
-        dtype = np.min_scalar_type(mask)
-        points = np.arange(n, dtype=np.int64)
-        prod = (field(self.m).mul_array(points[:, None], points) & mask).astype(dtype)
-        if self.variant == MULTIPLICATIVE:
-            table = prod[1:]
-        else:  # row a*n + c is x -> a*x ^ c; the mask commutes with the xor
-            table = (prod[:, None, :] ^ (points & mask).astype(dtype)[None, :, None]
-                     ).reshape(n * n, n)
-        table.flags.writeable = False
-        self._table = table
-        return table
+
+def multiplier_buckets(m: int, t: int, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Buckets (a*x) mod t in GF(2^m): one row per multiplier of a, one column per x.
+
+    h_{a,c}(x) is this bucket xor (c mod t), so the offset only relabels buckets.
+    """
+    return field(m).mul_array(a[:, None], x) & (t - 1)
 
 
 def _checked_positions(family: HashFamily, positions: Iterable[int]) -> list[int]:
@@ -149,10 +139,24 @@ class CollisionStats:
         return self.b_certified <= 1
 
 
+def _pair_collisions(family: HashFamily, positions: list[int]) -> np.ndarray:
+    """Whether each multiplier (row) collides the pairs at each difference (column).
+
+    x and y share a bucket under (a, c) exactly when (a*(x xor y)) mod t = 0,
+    whatever c is, so a pair of the positions is known by its difference.
+    """
+    a, _ = family.factors()
+    pos = np.asarray(positions, dtype=np.int64)
+    xors = np.bincount((pos[:, None] ^ pos).ravel(), minlength=family.n_pow2)
+    return multiplier_buckets(family.m, family.t, a, np.flatnonzero(xors[1:]) + 1) == 0
+
+
 def collision_stats(family: HashFamily, positions: Sequence[int] | None = None) -> CollisionStats:
-    """Enumerate the family and certify b = t * max(collision probabilities).
+    """Count over the family and certify b = t * max(collision probabilities).
 
     Positions must be distinct and lie in [0, n_pow2); all of them by default.
+    The bucket histogram of x over the family is that of (a*x) mod t over the
+    multipliers, xor-convolved with that of c mod t over the offsets.
     """
     if positions is None:
         positions = range(family.n_pow2)
@@ -160,38 +164,34 @@ def collision_stats(family: HashFamily, positions: Sequence[int] | None = None) 
     if len(set(positions)) != len(positions):
         dup = next(x for i, x in enumerate(positions) if x in positions[:i])
         raise ValueError(f"position {dup} given twice")
-    table = family._value_table()
-    size = table.shape[0]
-    rows = np.ascontiguousarray(table.T[positions])  # one row per position
+    a, c = family.factors()
+    t = family.t
+    buckets = multiplier_buckets(family.m, t, a, np.asarray(positions, dtype=np.int64))
+    hist = np.bincount((buckets + t * np.arange(len(positions))).ravel(),
+                       minlength=len(positions) * t).reshape(len(positions), t)
+    lanes = np.arange(t)
+    # relabel[v, b]: the offsets that move multiplier bucket v to bucket b.  The product runs
+    # in float64 (BLAS): each partial sum is an integer of at most size < 2^53, so exact.
+    relabel = np.bincount(c & (t - 1), minlength=t)[lanes[:, None] ^ lanes]
+    max_single = int((hist @ relabel.astype(float)).max(initial=0))
+    max_pair = int(_pair_collisions(family, positions).sum(axis=0).max(initial=0)) * len(c)
 
-    max_single = max((int(np.bincount(row, minlength=family.t).max()) for row in rows),
-                     default=0)
-    max_pair = 0
-    for i in range(len(rows) - 1):
-        max_pair = max(max_pair, int((rows[i + 1:] == rows[i]).sum(axis=1).max()))
-
-    p_single = Fraction(max_single, size)
-    p_pair = Fraction(max_pair, size) if len(positions) > 1 else Fraction(0)
-    b_cert = family.t * max(p_single, p_pair)
-    return CollisionStats(p_single, p_pair, b_cert, size)
+    p_single = Fraction(max_single, family.size)
+    p_pair = Fraction(max_pair, family.size)
+    return CollisionStats(p_single, p_pair, t * max(p_single, p_pair), family.size)
 
 
 def isolation_failure_prob(family: HashFamily, S: Iterable[int]) -> Fraction:
     """Exact probability that some pair of S lands in one bucket.
 
     Guaranteed at most b*|S|^2/(2t) for a b-collision-preserving family.
+    Whether S is isolated depends on the multiplier alone.
     """
-    S = sorted(set(_checked_positions(family, S)))
+    S = _checked_positions(family, S)
     if len(S) == 0:
         raise ValueError("S must be nonempty")
-    if len(S) == 1:
-        return Fraction(0)
-    table = family._value_table()
-    cols = table[:, S]
-    bad = np.zeros(table.shape[0], dtype=bool)
-    for i, j in combinations(range(len(S)), 2):
-        bad |= cols[:, i] == cols[:, j]
-    return Fraction(int(bad.sum()), table.shape[0])
+    bad = _pair_collisions(family, S).any(axis=1)
+    return Fraction(int(bad.sum()), len(bad))
 
 
 def isolation_bound(b: Fraction | int, ell: int, t: int) -> Fraction:

@@ -43,7 +43,14 @@ from typing import Sequence
 import numpy as np
 
 from .gf2 import field
-from .hashing import AFFINE, HashFamily, HashFunction, is_power_of_two
+from .hashing import (
+    AFFINE,
+    MULTIPLICATIVE,
+    HashFamily,
+    HashFunction,
+    is_power_of_two,
+    multiplier_buckets,
+)
 from .robp import nisan_expand, nisan_seed_bits
 from .seeds import check_seeds, random_seed, random_seeds, seed_fields, seed_from_int
 
@@ -169,7 +176,7 @@ def _ranks(bucket: np.ndarray) -> np.ndarray:
 def _multiplier_partitions(hash_m: int, t: int, n: int,
                            a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Buckets (a*j) mod t of coordinates j < n in GF(2^hash_m), and their ranks."""
-    bucket = field(hash_m).mul_array(a[:, None], np.arange(n)) & (t - 1)
+    bucket = multiplier_buckets(hash_m, t, a, np.arange(n))
     return bucket, _ranks(bucket)
 
 
@@ -283,14 +290,12 @@ class MZGenerator(_Generator):
     def seed_bits_report(self) -> dict:
         """Actual layout plus the two hash-accounting variants."""
         per_bucket = self.t * self.k * self.m_word
-        mult_bits = (2 * self.n_dom - 1).bit_length()  # log2(2n)
-        affine_bits = 2 * ((self.n_dom - 1).bit_length())
         return {
             "seed_bits": self.seed_bits,
             "hash_bits": self.hash_bits,
             "bucket_bits": per_bucket,
-            "multiplicative_hash_total": mult_bits + per_bucket,
-            "affine_hash_total": affine_bits + per_bucket,
+            **{f"{variant}_hash_total": HashFamily(self.n_dom, self.t, variant).index_bits
+               + per_bucket for variant in (MULTIPLICATIVE, AFFINE)},
         }
 
     def expand(self, seeds: np.ndarray) -> np.ndarray:

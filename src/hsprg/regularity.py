@@ -38,6 +38,8 @@ class TermNorms:
     def __post_init__(self):
         if len(self.two_norm_sq) != len(self.four_norm_4):
             raise ValueError("norm arrays must have equal length")
+        if not all(map(math.isfinite, (*self.two_norm_sq, *self.four_norm_4))):
+            raise ValueError("norms must be finite")
         if any(v < 0 for v in self.two_norm_sq) or any(v < 0 for v in self.four_norm_4):
             raise ValueError("norms must be nonnegative")
         for s2, f4 in zip(self.two_norm_sq, self.four_norm_4):

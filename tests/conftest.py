@@ -1,8 +1,9 @@
 """Shared test helpers: reproducible RNGs, random program generators, the
 brute-force monotonicity oracle, the bit-by-bit seed field reader and the
 enumerations that the one-row references need (every label sequence,
-every seed, every k-wise row), the full-grid DGJSV audit, and the
-Fraction construction of a discrete law with the scans that read it."""
+every seed, every k-wise row), the full-grid DGJSV audit, the Fraction
+construction of a discrete law with the scans that read it, and the
+brute-force hash collision and isolation counts."""
 
 import itertools
 import math
@@ -11,6 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from hsprg.gf2 import field
 from hsprg.robp import ROBP
 from hsprg.sandwich_poly import _AUDIT_STEP, _AUDIT_TOL, _AUDIT_XMAX, DGJSVAudit
 
@@ -192,3 +194,32 @@ def reference_truncation(law: dict, n: int, C: float, eps: float):
     scale = math.sqrt(m2 - mu * mu)
     out = reference_law([(v - mu) / scale for v in trunc], list(trunc.values()))
     return out, B, (B + abs(mu)) / scale, float(zero), mu, scale, m2
+
+
+def hash_columns(fam, positions) -> np.ndarray:
+    """The bucket of every function of the family at each position, one row per position.
+
+    Each function's (a, c) comes from ``coefficients`` in index order, and
+    its bucket is ((a*x) xor c) mod t through ``mul_array``.
+    """
+    a, c = fam.coefficients(np.arange(fam.size, dtype=np.int64))
+    f, dtype = field(fam.m), np.min_scalar_type(fam.t - 1)
+    return np.array([((f.mul_array(a, x) ^ c) & (fam.t - 1)).astype(dtype) for x in positions])
+
+
+def recount(fam, positions) -> tuple[Fraction, Fraction]:
+    """``collision_stats``' two maxima by a direct count over every function."""
+    cols = hash_columns(fam, positions)
+    single = max(int(np.bincount(col, minlength=fam.t).max()) for col in cols)
+    pair = max((int((cols[i] == cols[j]).sum())
+                for i, j in itertools.combinations(range(len(cols)), 2)), default=0)
+    return Fraction(single, fam.size), Fraction(pair, fam.size)
+
+
+def isolation_recount(cols: np.ndarray) -> Fraction:
+    """``isolation_failure_prob`` of a set, from its rows of ``hash_columns``:
+    the share of functions under which two of its positions share a bucket."""
+    bad = np.zeros(cols.shape[1], dtype=bool)
+    for i, j in itertools.combinations(range(len(cols)), 2):
+        bad |= cols[i] == cols[j]
+    return Fraction(int(bad.sum()), cols.shape[1])

@@ -14,7 +14,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from conftest import all_inputs, expand_all, kwise_seeds, philox, random_monotone_robp
+from conftest import (
+    all_inputs,
+    expand_all,
+    hash_columns,
+    isolation_recount,
+    kwise_seeds,
+    philox,
+    random_monotone_robp,
+)
 from hsprg.distributions import (
     DiscreteCoordinate,
     GaussianCoordinate,
@@ -30,7 +38,7 @@ from hsprg.harness import (
     spherical_cap_probability,
     sphere_transfer,
 )
-from hsprg.hashing import HashFamily, collision_stats, isolation_bound
+from hsprg.hashing import HashFamily, collision_stats, isolation_bound, isolation_failure_prob
 from hsprg.mzgen import MZGenerator
 from hsprg.regularity import TermNorms, critical_index, is_delta_regular
 from hsprg.robp import (
@@ -92,8 +100,8 @@ def test_criterion_02_hash_family():
             assert stats.max_single_prob == Fraction(1, t)
             assert stats.max_pair_prob == Fraction(1, t)
             assert stats.b_certified == 1
-            table = fam._value_table()
-            size = table.shape[0]
+            cols = hash_columns(fam, range(n))  # brute force: every function at every position
+            size = cols.shape[1]
             # complete subset sweep on GF(16); on GF(64) every pair plus all
             # larger sets inside a 12-position window (the family is
             # index-symmetric under its affine action)
@@ -101,17 +109,14 @@ def test_criterion_02_hash_family():
             for ell in (2, 3, 4):
                 bound = isolation_bound(1, ell, t)
                 for S in itertools.combinations(window, ell):
-                    cols = table[:, S]
-                    bad = np.zeros(size, dtype=bool)
-                    for i, j in itertools.combinations(range(ell), 2):
-                        bad |= cols[:, i] == cols[:, j]
-                    p = Fraction(int(bad.sum()), size)
+                    p = isolation_recount(cols[list(S)])
                     assert p <= bound
+                    assert isolation_failure_prob(fam, S) == p
                     worst_excess = max(worst_excess, float(p - bound))
                     subsets_checked += 1
             if n == 64:
                 for i, j in itertools.combinations(range(n), 2):
-                    coll = Fraction(int((table[:, i] == table[:, j]).sum()), size)
+                    coll = Fraction(int((cols[i] == cols[j]).sum()), size)
                     assert coll == Fraction(1, t)
     report(2, True, f"b=1 certified on GF(16)/GF(64), t in {{2,4,8}}; "
                     f"{subsets_checked} isolation sets within bound "

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -248,6 +249,7 @@ def test_sandwich_audit_reports_a_failed_construction(monkeypatch, capsys):
     ({"--weights": '{"a": 1}'}, "--weights: TypeError(\"expected a JSON list, got {'a': 1}\")"),
     ({"--weights": "[[1], 1, 1, 1, 1, 1]"},
      "--weights: TypeError(\"float() argument must be a string or a real number, not 'list'\")"),
+    ({"--weights": "[Infinity, 1, 1, 1, 1, 1]"}, "norms must be finite"),
 ])
 def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, override, message):
     dist = write(tmp_path / "d6.json",
@@ -431,6 +433,12 @@ def test_estimate_rejects_malformed_json_file(tmp_path, rad_dist, capsys, name, 
                  "--gen", "kwise:2", "--out", str(tmp_path / "r.csv")]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": f"{files[name]}: {error}"}
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_regularity_rejects_infinite_weight(tmp_path, capsys):
+    weights = write(tmp_path / "w.json", {"W": [[math.inf], [1.0]]})
+    assert main(["regularity", "--weights", weights, "--delta", "0.2"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": "norms must be finite"}
 
 
 def test_regularity_rejects_weights_without_W(tmp_path, capsys):

@@ -439,6 +439,19 @@ class TestCovariance:
         X = sampler(rng_for(5), 2000)
         assert np.allclose(X[:, 0], X[:, 1])
         assert X[:, 0].std() == pytest.approx(1.0, rel=0.1)
+        assert not sampler.clamped
+
+    @pytest.mark.parametrize("M,psd_part", [
+        ([[1.0, 2.0], [2.0, 1.0]], [[1.5, 1.5], [1.5, 1.5]]),  # eigenvalues 3 and -1
+        ([[-1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]]),
+    ])
+    def test_indefinite_covariance_is_clamped(self, M, psd_part):
+        """pivoted Cholesky stops early on these too; its factor must not be used."""
+        sampler = gaussian_reference_sampler(np.array(M))
+        assert sampler.clamped
+        assert sampler.rank == 1
+        X = sampler(rng_for(5), 20000)
+        assert np.allclose(np.cov(X.T), psd_part, atol=0.1)
 
 
 class TestBerryEsseen:

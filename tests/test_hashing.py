@@ -1,12 +1,12 @@
 """Exact collision and isolation properties of the hash families."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from hsprg.gf2 import field
+from conftest import philox, recount
 from hsprg.hashing import (
     AFFINE,
     MULTIPLICATIVE,
@@ -15,17 +15,8 @@ from hsprg.hashing import (
     collision_stats,
     isolation_bound,
     isolation_failure_prob,
+    multiplier_buckets,
 )
-
-
-def recount(fam, positions):
-    """Collision maxima by a direct pairwise count over a table built with mul_array."""
-    a, c = fam.coefficients(np.arange(fam.size, dtype=np.int64))
-    xs = np.arange(fam.n_pow2, dtype=np.int64)
-    cols = ((field(fam.m).mul_array(a[:, None], xs[None, :]) ^ c[:, None]) & (fam.t - 1)).T.copy()
-    single = max(int(np.bincount(cols[i], minlength=fam.t).max()) for i in positions)
-    pair = max(int((cols[i] == cols[j]).sum()) for i, j in combinations(positions, 2))
-    return Fraction(single, fam.size), Fraction(pair, fam.size)
 
 
 class TestHashEval:
@@ -93,12 +84,25 @@ class TestCollisionStats:
     @pytest.mark.parametrize("n,t", [(16, 4), (64, 8), (128, 16)])
     def test_matches_pairwise_recount(self, n, t, variant):
         fam = HashFamily(n, t, variant=variant)
-        for positions in (range(n), [n - 1, 0, 5, n // 2, 3]):
+        for positions in (range(n), range(1, n), [n - 1, 0, 5, n // 2, 3]):
             stats = collision_stats(fam, positions)
             single, pair = recount(fam, list(positions))
             assert (stats.max_single_prob, stats.max_pair_prob) == (single, pair)
             assert stats.b_certified == t * max(single, pair)
             assert stats.family_size == fam.size
+
+    @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
+    def test_matches_recount_at_the_batch_generator_domain(self, variant):
+        # 2^20 affine functions: the table of every function at every position is out of reach
+        fam = HashFamily(1024, 64, variant=variant)
+        positions = [0, *philox(24).choice(np.arange(1, 1024), 39, replace=False).tolist()]
+        stats = collision_stats(fam, positions)
+        assert (stats.max_single_prob, stats.max_pair_prob) == recount(fam, positions)
+
+    def test_affine_family_certifies_b1_at_the_batch_generator_domain(self):
+        stats = collision_stats(HashFamily(1024, 64))
+        assert stats.max_single_prob == stats.max_pair_prob == Fraction(1, 64)
+        assert stats.certifies()
 
     def test_a_fixed_to_one_breaks_pairwise(self):
         # x mod 4 collides i=0 with j=4 always; a single-function "family"
@@ -106,22 +110,20 @@ class TestCollisionStats:
         assert h(0) == h(4)
 
 
-class TestValueTable:
+class TestMultiplierBuckets:
     @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
     @pytest.mark.parametrize("n,t", [(16, 4), (64, 8)])
     def test_matches_every_hash_function(self, n, t, variant):
+        """h_{a,c}(x) is the multiplier bucket of (a, x) xor c mod t, for every (a, c) of
+        the family's factors."""
         fam = HashFamily(n, t, variant=variant)
-        expected = [[h(x) for x in range(n)] for h in fam.functions()]
-        assert fam._value_table().tolist() == expected
-
-    def test_built_once_and_read_only(self):
-        fam = HashFamily(16, 4)
-        table = fam._value_table()
-        isolation_failure_prob(fam, [0, 1, 2])
-        collision_stats(fam)
-        assert fam._value_table() is table
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+        a, c = fam.factors()
+        buckets = dict(zip(a.tolist(), multiplier_buckets(fam.m, t, a, np.arange(n)).tolist()))
+        functions = list(fam.functions())
+        assert {(h.a, h.c) for h in functions} == set(product(a.tolist(), c.tolist()))
+        assert len(functions) == len(a) * len(c) == fam.size
+        for h in functions:
+            assert [h(x) for x in range(n)] == [b ^ (h.c & (t - 1)) for b in buckets[h.a]]
 
 
 class TestIsolation:

@@ -57,6 +57,13 @@ class TestIsDeltaRegular:
         with pytest.raises(ValueError):
             TermNorms((1.0,), (0.5,))
 
+    @pytest.mark.parametrize("two,four", [((math.nan, 1.0), (1.0, 1.0)),
+                                          ((1.0, 1.0), (1.0, math.inf)),
+                                          ((-math.inf, 1.0), (1.0, 1.0))])
+    def test_non_finite_norms_rejected(self, two, four):
+        with pytest.raises(ValueError, match="^norms must be finite$"):
+            TermNorms(two, four)
+
 
 class TestCriticalIndex:
     def test_equal_weights_whole_sequence_regular(self):
