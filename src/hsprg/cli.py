@@ -133,7 +133,7 @@ def cmd_robp(args) -> int:
         w = _inline("--weights", args.weights, _list)
         # one alphabet for every step, or a list of alphabets, one per step
         alphabet = _inline("--alphabet", args.alphabet, lambda a: (
-            [_list(a)] * len(w) if a and not isinstance(a[0], list) else _list(a, _list)))
+            _list(a, _list) if a and isinstance(a[0], list) else [_list(a)] * len(w)))
         program, _ = halfspace_to_robp(w, args.theta, alphabet)
         program.save(args.out)
         print(json.dumps({"T": program.T, "D": program.D, "width": program.width}))

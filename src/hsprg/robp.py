@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -36,6 +35,7 @@ from .harness import ResourceCapError
 from .seeds import check_seeds, seed_fields, seed_from_int
 
 MAX_STATES = 1 << 18  # most states in one layer of a compiled or product program
+MAX_CELLS = 1 << 24  # most successors (states times labels) one layer may compute
 
 
 class NotMonotoneError(ValueError):
@@ -43,39 +43,43 @@ class NotMonotoneError(ValueError):
 
 
 class ROBP:
-    """Layered program: trans[i][v][label] is the successor in layer i+1."""
+    """Layered program: trans[i][v, label] (int32, read-only) is v's successor in layer i+1."""
 
     def __init__(self, trans: Sequence[Sequence[Sequence[int]]],
                  accept: Sequence[int], D: int):
-        if not isinstance(D, (int, np.integer)):
+        if isinstance(D, bool) or not isinstance(D, (int, np.integer)):
             raise ValueError(f"D must be an integer, got {D!r}")
         if D < 0:
             raise ValueError(f"D must be nonnegative, got {D}")
+        n_labels = 1 << int(D)
         try:
-            self.trans = [[tuple(row) for row in layer] for layer in trans]
-            accept = tuple(accept)
+            accept, layers = tuple(accept), []
+            for layer in trans:
+                layers.append(np.asarray(layer))
+                if layers[-1].ndim < 2 and layers[-1].size:
+                    raise TypeError
         except TypeError:  # a layer, row or accept list that is not a sequence
             raise ValueError("trans must be a list of layers of rows, and accept a list") from None
+        except ValueError:  # a layer whose rows differ in length
+            raise ValueError(f"layer {len(layers)}: transitions must be total on {n_labels} "
+                             "labels") from None
         bad = [b for b in accept if b not in (0, 1)]
         if bad:
             raise ValueError(f"accept bits must be 0 or 1, got {bad[0]!r}")
-        self.accept = tuple(int(b) for b in accept)
-        self.D = D
-        self.T = len(self.trans)
-        n_labels = 1 << D
-        widths = [len(layer) for layer in self.trans] + [len(self.accept)]
-        if widths[0] != 1:
+        self.accept, self.D, self.T = tuple(map(int, accept)), int(D), len(layers)
+        self.widths = [len(layer) for layer in layers] + [len(self.accept)]
+        if self.widths[0] != 1:
             raise ValueError("layer 0 must contain exactly the start state")
-        for i, layer in enumerate(self.trans):
-            if any(len(row) != n_labels for row in layer):
+        self.trans = []
+        for i, layer in enumerate(layers):
+            if layer.shape != (self.widths[i], n_labels):
                 raise ValueError(f"layer {i}: transitions must be total on {n_labels} labels")
-            if not all(issubclass(kind, (int, np.integer))
-                       for kind in set(map(type, itertools.chain.from_iterable(layer)))):
+            if layer.dtype.kind not in "biu":
                 raise ValueError(f"layer {i}: successors must be integers")
-            succ = set(itertools.chain.from_iterable(layer))
-            if succ and (min(succ) < 0 or max(succ) >= widths[i + 1]):
+            if layer.min() < 0 or layer.max() >= self.widths[i + 1]:
                 raise ValueError(f"layer {i}: successor out of range")
-        self.widths = widths
+            self.trans.append(layer.astype(np.int32))
+            self.trans[-1].flags.writeable = False
 
     @property
     def width(self) -> int:
@@ -88,27 +92,24 @@ class ROBP:
         for i, z in enumerate(labels):
             if not 0 <= z < (1 << self.D):
                 raise ValueError(f"label {z} does not fit in {self.D} bits")
-            v = self.trans[i][v][z]
+            v = self.trans[i].item(v, z)
         return self.accept[v]
 
-    def accept_counts(self) -> list[list[int]]:
-        """Per layer i and state v, the number of accepted label suffixes.
+    def accept_counts(self) -> list[np.ndarray]:
+        """Per layer i, an object array of Python ints: each state's accepted suffixes.
 
         Labels are uniform, so Pr[accept from v] = count / 2^(D(T-i)).
         """
-        counts = [list(self.accept)]
+        counts = [np.array(self.accept, dtype=object)]
         for layer in reversed(self.trans):
-            nxt = counts[-1]
-            counts.append([sum(map(nxt.__getitem__, row)) for row in layer])
-        counts.reverse()
+            counts.insert(0, counts[0][layer].sum(axis=1))
         return counts
 
     def accept_probability(self) -> Fraction:
         return Fraction(self.accept_counts()[0][0], 1 << (self.D * self.T))
 
     def to_json(self) -> dict:
-        return {"D": self.D, "trans": [[list(r) for r in layer] for layer in self.trans],
-                "accept": list(self.accept)}
+        return {"D": self.D, "trans": [t.tolist() for t in self.trans], "accept": list(self.accept)}
 
     @classmethod
     def from_json(cls, data: dict) -> "ROBP":
@@ -122,11 +123,6 @@ class ROBP:
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> "ROBP":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -155,33 +151,29 @@ class SandwichPair:
         return self.up.accept_probability() - self.down.accept_probability()
 
 
-def _layered(T: int, D: int, start, successors: Callable, accept: Callable,
+def _layered(T: int, D: int, start: np.ndarray, successors: Callable, accept: Callable,
              max_states: int, ordered: bool = False) -> ROBP:
     """The program on the states reachable from `start`, one layer at a time.
 
-    successors(i, state) gives the 2^D states that step i reaches from
-    `state`; states are numbered in first-seen order, or in sorted order
-    with `ordered`.  accept(state) is the accept bit of a final state.
+    States are the entries of an array, `start` the one state of layer 0.
+    successors(i, states) gives the (len(states), 2^D) states that step i
+    reaches; one np.unique numbers them in first-seen order (state by
+    state, label by label), or in sorted order with `ordered`.  accept(states)
+    gives the accept bits of the final states.
     """
-    cur = [start]
-    trans: list[list[list[int]]] = []
+    cur, trans = start, []
     for i in range(T):
-        index: dict = {}
-        rows = []
-        for state in cur:
-            rows.append([index.setdefault(t, len(index)) for t in successors(i, state)])
-            if len(index) > max_states:
-                raise ResourceCapError(f"layer {i + 1} exceeds {max_states} states")
-        cur = list(index)
-        if ordered:
-            order = sorted(range(len(cur)), key=cur.__getitem__)
-            rank = [0] * len(cur)
-            for new, old in enumerate(order):
-                rank[old] = new
-            rows = [[rank[x] for x in row] for row in rows]
-            cur = [cur[j] for j in order]
-        trans.append(rows)
-    return ROBP(trans, [accept(state) for state in cur], D)
+        if len(cur) << D > MAX_CELLS:
+            raise ResourceCapError(f"layer {i} has more than {MAX_CELLS} transitions")
+        succ = successors(i, cur)
+        cur, first, inverse = np.unique(succ, return_index=True, return_inverse=True)
+        if len(cur) > max_states:
+            raise ResourceCapError(f"layer {i + 1} exceeds {max_states} states")
+        if not ordered:
+            seen = np.argsort(first)
+            cur, inverse = cur[seen], np.argsort(seen)[inverse]
+        trans.append(inverse.reshape(succ.shape))
+    return ROBP(trans, accept(cur), D)
 
 
 def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
@@ -211,12 +203,14 @@ def halfspace_to_robp(w: Sequence, theta, alphabets: Sequence[Sequence],
     scale = math.lcm(thetaq.denominator, *(q.denominator for row in increments for q in row))
     steps = [[q.numerator * (scale // q.denominator) for q in row] for row in increments]
     bound = thetaq.numerator * (scale // thetaq.denominator)
-    program = _layered(n, D, 0, lambda i, s: [s + inc for inc in steps[i]],
-                       lambda s: int(s > bound if strict else s >= bound),
+    # partial sums stay under the sum of the largest steps: int64 below 2^62, else Python ints
+    small = sum(max(map(abs, row)) for row in steps) + abs(bound) < 1 << 62
+    steps = np.array(steps, dtype=np.int64 if small else object).reshape(n, 1 << D)
+    program = _layered(n, D, np.zeros(1, steps.dtype), lambda i, s: s[:, None] + steps[i],
+                       lambda s: (s > bound if strict else s >= bound).tolist(),
                        MAX_STATES, ordered=True)
     # sorted partial sums make the certificate the identity
-    cert = MonotoneCertificate(tuple(tuple(range(wd)) for wd in program.widths))
-    return program, cert
+    return program, MonotoneCertificate(tuple(tuple(range(wd)) for wd in program.widths))
 
 
 def _chain_pass(B: ROBP, orders: Sequence[Sequence[int]] | None = None):
@@ -231,24 +225,24 @@ def _chain_pass(B: ROBP, orders: Sequence[Sequence[int]] | None = None):
     """
     counts = B.accept_counts()
     if orders is None:
-        orders = tuple(tuple(sorted(range(len(c)), key=c.__getitem__)) for c in counts)
+        orders = tuple(tuple(np.argsort(c, kind="stable").tolist()) for c in counts)
     for i in reversed(range(B.T + 1)):
-        succ = ([(c,) for c in B.accept] if i == B.T else
-                [[counts[i + 1][a] for a in row] for row in B.trans[i]])
-        for u, v in zip(orders[i], orders[i][1:]):
-            if any(map(operator.gt, succ[u], succ[v])):
-                return counts, orders, (i, u, v)
+        succ = counts[i][:, None] if i == B.T else counts[i + 1][B.trans[i]]
+        order = np.asarray(orders[i], dtype=np.intp)
+        broken = np.flatnonzero((succ[order[:-1]] > succ[order[1:]]).any(axis=1))
+        if broken.size:
+            return counts, orders, (i, int(order[broken[0]]), int(order[broken[0] + 1]))
     return counts, orders, None
 
 
-def _witness(B: ROBP, counts: list[list[int]], i: int, x: int, y: int):
+def _witness(B: ROBP, counts: list[np.ndarray], i: int, x: int, y: int):
     """Labels of the smallest suffix accepted from x and rejected from y.
 
     x and y are states of layer i; every later layer must be a chain.
     """
     for j in range(i, B.T):
-        rx, ry, nxt = B.trans[j][x], B.trans[j][y], counts[j + 1]
-        z = next(z for z, (a, b) in enumerate(zip(rx, ry)) if nxt[a] > nxt[b])
+        rx, ry = B.trans[j][x], B.trans[j][y]
+        z = int(np.argmax(counts[j + 1][rx] > counts[j + 1][ry]))
         yield z
         x, y = rx[z], ry[z]
 
@@ -296,25 +290,20 @@ def sandwich_monotone(B: ROBP, eps: float,
         raise NotMonotoneError(f"layer {i} is not a chain: state {u} comes before {v}, "
                                f"but accepts a suffix that {v} rejects")
     eps_num, eps_den = Fraction(eps).as_integer_ratio()
-    q_num = 2 * max(B.T, 1) * eps_den
 
-    # reps[i][v] -> (down representative, up representative)
-    reps: list[dict[int, tuple[int, int]]] = []
+    # reps[i][0 or 1, v]: the down or up representative of state v of layer i.
+    # Counts never decrease along a chain, so each group is a run of the order.
+    reps = []
     for i, (order, layer_counts) in enumerate(zip(orders, counts)):
-        q_den = eps_num << (B.D * (B.T - i))
-        groups: dict[int, list[int]] = {}
-        for v in order:
-            groups.setdefault(layer_counts[v] * q_num // q_den, []).append(v)
-        reps.append({v: (members[0], members[-1])
-                     for members in groups.values() for v in members})
-
-    def build(which: int) -> ROBP:
-        # a sandwich layer is a subset of B's layer, so the cap never fires
-        return _layered(B.T, B.D, reps[0][0][which],
-                        lambda i, v: [reps[i + 1][u][which] for u in B.trans[i][v]],
-                        B.accept.__getitem__, B.width)
-
-    return SandwichPair(build(0), build(1), eps)
+        order = np.asarray(order, dtype=np.intp)
+        groups = layer_counts[order] * (2 * max(B.T, 1) * eps_den) // (eps_num << B.D * (B.T - i))
+        _, first, run = np.unique(groups, return_index=True, return_inverse=True)
+        last = np.append(first[1:], len(order)) - 1
+        reps.append(order[np.stack([first[run], last[run]])][:, np.argsort(order)])
+    # a sandwich layer is a subset of B's layer, so the cap never fires
+    down, up = (_layered(B.T, B.D, np.zeros(1, np.intp), lambda i, v, r=r: r[i + 1][B.trans[i][v]],
+                         lambda v: np.take(B.accept, v).tolist(), B.width) for r in zip(*reps))
+    return SandwichPair(down, up, eps)
 
 
 def product_robp(programs: Sequence[ROBP], accept_fn: Callable[[tuple[int, ...]], int]
@@ -325,10 +314,19 @@ def product_robp(programs: Sequence[ROBP], accept_fn: Callable[[tuple[int, ...]]
     D, T = programs[0].D, programs[0].T
     if any(p.D != D or p.T != T for p in programs):
         raise ValueError("programs must share D and T")
+    # a product state is the mixed-radix number of its component states (int64 if it fits)
+    radix = np.cumprod([1] + [p.width for p in programs], dtype=object)
+    kind = np.int64 if radix[-1] < 1 << 63 else object
+
+    def parts(states):  # each component's states, one array per program
+        return [(states // r % p.width).astype(np.intp) for p, r in zip(programs, radix)]
+
     return _layered(
-        T, D, (0,) * len(programs),
-        lambda i, state: zip(*(p.trans[i][v] for p, v in zip(programs, state))),
-        lambda state: accept_fn(tuple(p.accept[v] for p, v in zip(programs, state))),
+        T, D, np.zeros(1, kind),
+        lambda i, s: sum(p.trans[i][v].astype(kind) * r
+                         for p, v, r in zip(programs, parts(s), radix)),
+        lambda s: list(map(accept_fn, zip(*(np.take(p.accept, v).tolist()
+                                            for p, v in zip(programs, parts(s)))))),
         MAX_STATES)
 
 
@@ -384,6 +382,8 @@ class TreeErrorBound:
 def nisan_word_bits(S: int, D: int) -> int:
     if S < 0:
         raise ValueError(f"space must be nonnegative, got {S}")
+    if D < 0:
+        raise ValueError(f"label bits must be nonnegative, got {D}")
     return S + D + 2  # 2 slack bits, pinned
 
 

@@ -114,8 +114,9 @@ def test_robp_pipeline(tmp_path, capsys):
     ({"D": 1, "trans": [[[0, 1]]]}, "program has no accept"),
     ({"D": 1, "trans": [[0, 1]], "accept": [0, 1]}, "trans must be a list of layers of rows"),
     ([[[0, 1]]], "a program must be a JSON object"),
+    ({"D": True, "trans": [[[0, 1]]], "accept": [0, 1]}, "D must be an integer, got True"),
 ], ids=["not-monotone", "non-integer", "out-of-range", "missing-key", "non-list-row",
-        "not-an-object"])
+        "not-an-object", "bool-label-bits"])
 def test_robp_rejects_bad_program_with_json(tmp_path, capsys, cmd, program, message):
     prog = write(tmp_path / "prog.json", program)
     args = {"check": ["--out", str(tmp_path / "check.json")],
@@ -145,7 +146,11 @@ def test_robp_nisan(tmp_path):
      "seed needs exactly 18 bits"),
     (["robp", "nisan", "--space", "-1", "--label-bits", "1", "--steps", "4", "--seed", "0"],
      "space must be nonnegative, got -1"),
+    (["robp", "nisan", "--space", "1", "--label-bits", "-1", "--steps", "4", "--seed", "0"],
+     "label bits must be nonnegative, got -1"),
     (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "[]"],
+     "alphabets must be nonempty"),
+    (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "[[-1, 1]]"],
      "need one alphabet per coordinate"),
     (["discretize", "--eps", "0"], "need eps > 0, C >= 1, n >= 1"),
     (["robp", "compile", "--weights", "[1, 1]", "--theta", "0.5", "--alphabet", "5"],
@@ -160,7 +165,8 @@ def test_robp_nisan(tmp_path):
      "--weights: OverflowError('cannot convert Infinity to integer ratio')"),
     (["robp", "compile", "--weights", "[1]", "--theta", "inf"],
      "weights, theta and alphabet letters must be finite, got inf"),
-], ids=["nisan-negative-seed", "nisan-negative-space", "compile-empty-alphabet", "discretize-eps-0",
+], ids=["nisan-negative-seed", "nisan-negative-space", "nisan-negative-label-bits",
+        "compile-empty-alphabet", "compile-one-alphabet-for-two-steps", "discretize-eps-0",
         "compile-int-alphabet", "compile-int-step-alphabet", "compile-int-weights",
         "compile-object-weights", "compile-infinite-weight", "compile-infinite-theta"])
 def test_rejected_input_prints_json_error(tmp_path, capsys, argv, message):
@@ -590,7 +596,7 @@ class TestReadmeExamples:
         weights = json.dumps([(-1) ** (i % 3) * (1 + i % 5) for i in range(64)])
         assert main(["robp", "compile", "--weights", weights, "--theta", "2.5",
                      "--out", "prog.json"]) == 0
-        widths = ROBP.load("prog.json").widths
+        widths = ROBP.from_json(json.loads(Path("prog.json").read_text())).widths
         assert main(["robp", "check", "--prog", "prog.json", "--out", "check.json"]) == 0
         check = json.loads(Path("check.json").read_text())
         assert check == {"monotone": True, "orders": [list(range(wd)) for wd in widths]}

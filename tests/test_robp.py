@@ -90,10 +90,30 @@ class TestEval:
             ROBP.from_json({"D": 1, "trans": [[[0, 1]], [[0, 0], [0, successor]]],
                             "accept": [0, 1]})
 
-    @pytest.mark.parametrize("D", [1.5, 1.0, "1"])
+    @pytest.mark.parametrize("D", [1.5, 1.0, "1", True])
     def test_non_integer_label_bits_rejected(self, D):
         with pytest.raises(ValueError, match=rf"^D must be an integer, got {D!r}$"):
             ROBP([[[0, 1]]], [0, 1], D)
+        with pytest.raises(ValueError, match=rf"^D must be an integer, got {D!r}$"):
+            ROBP.from_json({"D": D, "trans": [[[0, 1]]], "accept": [0, 1]})
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_array_layer_rejected(self, dtype):
+        # float lists are covered by test_non_integer_successor_rejected
+        layer = np.array([[0, 1]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"^layer 0: successors must be integers$"):
+            ROBP([layer], [0, 1], 1)
+
+    @pytest.mark.parametrize("D", [64, 1000])
+    def test_huge_label_bits_fail_on_row_length(self, D):
+        # a (1, 2^D) array cannot be allocated: the row-length check must come first
+        with pytest.raises(ValueError, match=rf"^layer 0: transitions must be total on "
+                                             rf"{1 << D} labels$"):
+            ROBP([[[0, 1]]], [0, 1], D)
+
+    def test_layers_are_read_only_int32(self):
+        B = ROBP([np.array([[0, 1]], dtype=np.uint8)], [0, 1], 1)
+        assert B.trans[0].dtype == np.int32 and not B.trans[0].flags.writeable
 
     @pytest.mark.parametrize("trans,accept", [([[0, 1]], [0, 1]), ([[[0, 1]]], 1), (3, [1])])
     def test_non_sequence_structure_rejected(self, trans, accept):
@@ -421,6 +441,12 @@ class TestCompose:
 
 
 class TestProduct:
+    def test_radix_past_int64(self):
+        # 64 components of width 3 number their product states past 2^63
+        B, _ = halfspace_to_robp([1, 1], 1, PM1 * 2)
+        prod = product_robp([B] * 64, lambda bits: bits[0])
+        assert prod.to_json() == B.to_json()
+
     def test_state_cap(self, monkeypatch):
         rng = philox(17)
         B1, _ = halfspace_to_robp(rng.normal(size=8).round(3), 0.1, PM1 * 8)
@@ -613,6 +639,86 @@ def halfspace_cases(draw):
     else:
         theta = draw(SCALARS)
     return w, theta, alphabets, draw(st.booleans())
+
+
+def ref_product(programs, accept_fn):
+    """The synchronous product over tuple states, numbered in first-seen order."""
+    return _ref_layered(programs[0].T, programs[0].D, (0,) * len(programs),
+                        lambda i, s: zip(*(p.trans[i][v] for p, v in zip(programs, s))),
+                        lambda s: accept_fn(tuple(p.accept[v] for p, v in zip(programs, s))),
+                        ordered=False)
+
+
+HUGE = st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30), st.sampled_from([1, 3, 1 << 70]))
+
+
+@st.composite
+def halfspace_pairs(draw):
+    """Two halfspaces over the same mixed alphabets, weights small or huge."""
+    n = draw(st.integers(1, 4))
+    alphabets = draw(st.lists(st.lists(SCALARS, min_size=1, max_size=4), min_size=n, max_size=n))
+    scalars = st.one_of(SCALARS, HUGE)
+    return alphabets, [(draw(st.lists(scalars, min_size=n, max_size=n)), draw(scalars),
+                        draw(st.booleans())) for _ in range(2)]
+
+
+class TestArrayBuilder:
+    """The array builder against the list references above."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(halfspace_pairs(), st.lists(st.integers(0, 1), min_size=4, max_size=4))
+    def test_compile_sandwich_product_match_references(self, case, table):
+        alphabets, halfspaces = case
+        programs = []
+        for w, theta, strict in halfspaces:
+            B, cert = halfspace_to_robp(w, theta, alphabets, strict=strict)
+            assert B.to_json() == ref_compile(w, theta, alphabets, strict).to_json()
+            assert [list(c) for c in B.accept_counts()] == [
+                [p * (1 << (B.D * (B.T - i))) for p in layer]
+                for i, layer in enumerate(ref_probabilities(B))]
+            pair = sandwich_monotone(B, 0.1, cert)
+            assert (pair.down.to_json(), pair.up.to_json()) == ref_sandwich(B, 0.1)
+            programs += [B, pair.down]
+
+        def accept_fn(bits):
+            return table[bits[0] + 2 * bits[1]]
+
+        for two in (programs[::2], programs[1::2], programs[:2]):
+            assert product_robp(two, accept_fn).to_json() == ref_product(two, accept_fn).to_json()
+
+    @pytest.mark.parametrize("top", [(1 << 61) - 1, 1 << 61], ids=["int64", "python-ints"])
+    def test_partial_sums_on_either_side_of_2_62(self, top):
+        # the largest steps sum to 2^62 - 1 (int64 states) or 2^62 (Python int states)
+        w, alphabets = [1 << 61, top], [[-1, 1], [-1, 0, 1]]
+        for theta in (0, 1, -1, top):
+            B, _ = halfspace_to_robp(w, theta, alphabets)
+            assert B.to_json() == ref_compile(w, theta, alphabets).to_json()
+            assert B.accept_probability() == ref_probabilities(B)[0][0]
+
+    def test_layer_cells_capped(self, monkeypatch):
+        # 2^13 letters: layer 1 has 2^13 states, so layer 2 would need 2^26 successors
+        with pytest.raises(ResourceCapError, match=r"^layer 1 has more than 16777216 "):
+            halfspace_to_robp([1, 2 ** -13], 0, [list(range(1 << 13))] * 2)
+        monkeypatch.setattr(robp, "MAX_CELLS", 8)
+        assert halfspace_to_robp([1, 2, 4], 0, PM1 * 3)[0].widths == [1, 2, 4, 8]
+        with pytest.raises(ResourceCapError, match=r"^layer 3 has more than 8 transitions$"):
+            halfspace_to_robp([1, 2, 4, 8], 0, PM1 * 4)
+
+    def test_caller_values_are_python_ints(self):
+        B, cert = halfspace_to_robp(*HS6)
+        pair = sandwich_monotone(B, 0.5, cert)
+        prod = product_robp([B, pair.up], lambda bits: int(all(bits)))
+        for P in (B, pair.down, pair.up, prod):
+            assert all(type(v) is int for v in [P.T, P.D, P.width, *P.widths, *P.accept])
+            assert all(type(c) is int for layer in P.accept_counts() for c in layer)
+            assert json.loads(json.dumps(P.to_json())) == P.to_json()
+        assert all(type(v) is int for order in check_monotone(B).orders for v in order)
+        B1, _ = halfspace_to_robp([-2, -2, -2], 0, PM1 * 3)
+        B2, _ = halfspace_to_robp([-2, 1, 1], 1, PM1 * 3)
+        bad = check_monotone(product_robp([B1, B2], lambda bits: int(all(bits))))
+        assert isinstance(bad, MonotoneCounterexample)
+        assert all(type(v) is int for v in [bad.layer, bad.v, bad.w, *bad.suffix_v,
+                                             *bad.suffix_w])
 
 
 class TestIntegerStates:
