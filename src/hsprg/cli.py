@@ -92,6 +92,9 @@ def cmd_regularity(args) -> int:
         W = np.asarray(data["W"], dtype=float)
         if W.ndim == 1:
             W = W[:, None]
+        if W.ndim != 2 or not W.size:
+            raise ValueError("W must be a vector or an n x d matrix with n, d >= 1, "
+                             f"got shape {W.shape}")
         return W, data.get("m2", [1.0] * len(W)), data.get("m4", [1.0] * len(W))
 
     W, m2, m4 = _load(args.weights, parse)

@@ -10,8 +10,8 @@ is regular.  For d output dimensions the head set H0 is grown greedily,
 one heaviest term at a time, until every dimension's surviving sequence is
 regular (REG) or that dimension has exhausted its budget L (JUNTA).
 
-Sums near the decision threshold go through math.fsum, and equality counts
-as regular.
+Every sum is correctly rounded (math.fsum), so no verdict depends on term
+order; the comparison, where equality counts as regular, is made in floats.
 """
 
 from __future__ import annotations
@@ -28,23 +28,26 @@ REG = "REG"
 JUNTA = "JUNTA"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TermNorms:
-    """Per-term ||x_j||_2^2 and ||x_j||_4^4 for one output dimension."""
+    """Per-term ||x_j||_2^2 and ||x_j||_4^4 for one output dimension, read-only."""
 
-    two_norm_sq: tuple[float, ...]
-    four_norm_4: tuple[float, ...]
+    two_norm_sq: np.ndarray
+    four_norm_4: np.ndarray
 
     def __post_init__(self):
-        if len(self.two_norm_sq) != len(self.four_norm_4):
+        two, four = (np.array(v, dtype=np.float64) for v in (self.two_norm_sq, self.four_norm_4))
+        if two.ndim != 1 or two.shape != four.shape:
             raise ValueError("norm arrays must have equal length")
-        if not all(map(math.isfinite, (*self.two_norm_sq, *self.four_norm_4))):
+        if not (np.isfinite(two).all() and np.isfinite(four).all()):
             raise ValueError("norms must be finite")
-        if any(v < 0 for v in self.two_norm_sq) or any(v < 0 for v in self.four_norm_4):
+        if (two < 0).any() or (four < 0).any():
             raise ValueError("norms must be nonnegative")
-        for s2, f4 in zip(self.two_norm_sq, self.four_norm_4):
-            if f4 < s2 * s2 - 1e-9 * max(1.0, s2 * s2):
-                raise ValueError("||x||_4^4 < ||x||_2^4 violates Cauchy-Schwarz")
+        if (four < two * two - 1e-9 * np.maximum(1.0, two * two)).any():
+            raise ValueError("||x||_4^4 < ||x||_2^4 violates Cauchy-Schwarz")
+        for name, arr in (("two_norm_sq", two), ("four_norm_4", four)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.two_norm_sq)
@@ -53,25 +56,30 @@ class TermNorms:
     def from_weights(cls, weights: Sequence[float], m2: Sequence[float],
                      m4: Sequence[float]) -> "TermNorms":
         """Norms of the scaled terms w_j * x_j from raw coordinate moments."""
-        w = np.asarray(weights, dtype=float)
-        return cls(tuple(w * w * np.asarray(m2, dtype=float)),
-                   tuple(w ** 4 * np.asarray(m4, dtype=float)))
+        w, m2, m4 = (np.asarray(v, dtype=float) for v in (weights, m2, m4))
+        if w.ndim != 1 or not len(w):
+            raise ValueError("weights must be a nonempty vector")
+        if m2.shape != w.shape or m4.shape != w.shape:
+            raise ValueError(f"need one m2 and one m4 per weight, {len(w)} weights")
+        return cls(w * w * m2, w ** 4 * m4)
 
-    def sorted(self) -> tuple["TermNorms", tuple[int, ...]]:
-        order = tuple(sorted(range(len(self)), key=lambda j: (-self.two_norm_sq[j], j)))
-        return TermNorms(tuple(self.two_norm_sq[j] for j in order),
-                         tuple(self.four_norm_4[j] for j in order)), order
+    def order(self) -> np.ndarray:
+        """Term indices by nonincreasing sigma^2, ties to the smaller index."""
+        return np.lexsort((np.arange(len(self)), -self.two_norm_sq))
 
 
 def is_delta_regular(norms: TermNorms, delta: float,
                      indices: Sequence[int] | None = None) -> bool:
-    """sum ||x_j||_4^4 <= delta * (sum ||x_j||_2^2)^2, ties regular."""
-    if indices is None:
-        indices = range(len(norms))
-    elif not (indices := list(indices)):
-        raise ValueError("index set must be nonempty")
-    s4 = math.fsum(norms.four_norm_4[j] for j in indices)
-    s2 = math.fsum(norms.two_norm_sq[j] for j in indices)
+    """sum ||x_j||_4^4 <= delta * (sum ||x_j||_2^2)^2 over indices, ties regular."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    two, four = norms.two_norm_sq, norms.four_norm_4
+    if indices is not None:
+        idx = np.asarray(indices, dtype=np.intp)
+        if not idx.size:
+            raise ValueError("index set must be nonempty")
+        two, four = two[idx], four[idx]
+    s4, s2 = math.fsum(four.tolist()), math.fsum(two.tolist())
     return s4 <= delta * s2 * s2
 
 
@@ -82,12 +90,10 @@ def critical_index(norms: TermNorms, delta: float) -> tuple[int | float, tuple[i
     first, and `order` maps sorted positions back to input indices
     (identity when the input is already sorted: ties go to the smaller index).
     """
-    snorms, order = norms.sorted()
-    n = len(snorms)
-    for ell in range(n):
-        if is_delta_regular(snorms, delta, range(ell, n)):
-            return ell, order
-    return math.inf, order
+    order = norms.order()
+    ell = next((ell for ell in range(len(order))
+                if is_delta_regular(norms, delta, order[ell:])), math.inf)
+    return ell, tuple(order.tolist())
 
 
 @dataclass(frozen=True)
@@ -126,21 +132,20 @@ def head_set_partition(W: np.ndarray, m2: Sequence[float], m4: Sequence[float],
     if L < 0:
         raise ValueError("head budget L must be nonnegative")
     per_dim = [TermNorms.from_weights(W[:, i], m2, m4) for i in range(d)]
-    surviving = list(range(n))
+    alive = np.ones(n, dtype=bool)
     H0: list[int] = []
     counters = [0] * d
 
     def dim_regular(i: int) -> bool:
-        if not surviving:
-            return True  # nothing left to dominate
-        return is_delta_regular(per_dim[i], delta, surviving)
+        survivors = np.flatnonzero(alive)  # none left: nothing to dominate
+        return not survivors.size or is_delta_regular(per_dim[i], delta, survivors)
 
     while True:
         pick = next((i for i in range(d) if counters[i] < L and not dim_regular(i)), None)
         if pick is None:
             break
-        j = max(surviving, key=lambda jj: (per_dim[pick].two_norm_sq[jj], -jj))
-        surviving.remove(j)
+        j = int(np.argmax(np.where(alive, per_dim[pick].two_norm_sq, -1.0)))
+        alive[j] = False
         H0.append(j)
         counters[pick] += 1
         if len(H0) > d * L:

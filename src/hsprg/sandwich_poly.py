@@ -463,15 +463,15 @@ class GeneralizedPolynomial:
 def head_partition(weights: Sequence[float], coords, delta: float, t: float,
                    L: int) -> RegularityPartition:
     """Top-L coordinates by term 2-norm (ties to the smallest index)."""
-    n = len(weights)
-    m2 = [c.moments()[1] for c in coords]
-    m4 = [c.moments()[2] for c in coords]
-    norms = TermNorms.from_weights(weights, m2, m4)
-    head = norms.sorted()[1][:L]
-    tail = [j for j in range(n) if j not in head]
-    tail_norm = math.sqrt(math.fsum(norms.two_norm_sq[j] for j in tail)) if tail else 0.0
-    tail_regular = bool(tail) and is_delta_regular(norms, delta, tail)
-    return RegularityPartition(head, t, tail_norm, tail_regular, delta)
+    if L < 0:
+        raise ValueError("head budget L must be nonnegative")
+    moments = np.array([c.moments() for c in coords], dtype=float).reshape(-1, 3)
+    norms = TermNorms.from_weights(weights, moments[:, 1], moments[:, 2])
+    order = norms.order()
+    tail = order[L:]
+    tail_norm = math.sqrt(math.fsum(norms.two_norm_sq[tail].tolist())) if tail.size else 0.0
+    tail_regular = bool(tail.size) and is_delta_regular(norms, delta, tail)
+    return RegularityPartition(tuple(order[:L].tolist()), t, tail_norm, tail_regular, delta)
 
 
 def build_upper_poly(weights: Sequence[float], theta: float, coords,

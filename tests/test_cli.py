@@ -256,6 +256,9 @@ def test_sandwich_audit_reports_a_failed_construction(monkeypatch, capsys):
     ({"--weights": "[[1], 1, 1, 1, 1, 1]"},
      "--weights: TypeError(\"float() argument must be a string or a real number, not 'list'\")"),
     ({"--weights": "[Infinity, 1, 1, 1, 1, 1]"}, "norms must be finite"),
+    ({"--L": "-1"}, "head budget L must be nonnegative"),
+    ({"--delta": "nan"}, "delta must be finite and positive, got nan"),
+    ({"--weights": "[1, 1, 1, 1]"}, "need one m2 and one m4 per weight, 4 weights"),
 ])
 def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, override, message):
     dist = write(tmp_path / "d6.json",
@@ -445,6 +448,23 @@ def test_regularity_rejects_infinite_weight(tmp_path, capsys):
     weights = write(tmp_path / "w.json", {"W": [[math.inf], [1.0]]})
     assert main(["regularity", "--weights", weights, "--delta", "0.2"]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": "norms must be finite"}
+
+
+@pytest.mark.parametrize("data,delta,error", [
+    ({"W": [[1, 2], [3, 4], [5, 6]], "m2": [1.0]}, "0.2",
+     "need one m2 and one m4 per weight, 3 weights"),
+    ({"W": [[[1.0, 2.0]], [[3.0, 4.0]]]}, "0.2",
+     "W must be a vector or an n x d matrix with n, d >= 1, got shape (2, 1, 2)"),
+    ({"W": []}, "0.2", "W must be a vector or an n x d matrix with n, d >= 1, got shape (0, 1)"),
+    ({"W": [[], []]}, "0.2",
+     "W must be a vector or an n x d matrix with n, d >= 1, got shape (2, 0)"),
+    ({"W": [1.0, 2.0]}, "nan", "delta must be finite and positive, got nan"),
+    ({"W": [1.0, 2.0]}, "-1", "delta must be finite and positive, got -1.0"),
+], ids=["short-m2", "3-d", "empty", "no-columns", "nan-delta", "negative-delta"])
+def test_regularity_rejects_bad_input(tmp_path, capsys, data, delta, error):
+    weights = write(tmp_path / "w.json", data)
+    assert main(["regularity", "--weights", weights, "--delta", delta, "--L", "1"]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": error}
 
 
 def test_regularity_rejects_weights_without_W(tmp_path, capsys):

@@ -552,6 +552,10 @@ class TestPartitionAndBranches:
                               t=5.0, L=2)
         assert part.head == (1, 2)
 
+    def test_negative_head_budget_rejected(self):
+        with pytest.raises(ValueError, match="^head budget L must be nonnegative$"):
+            head_partition([1.0, 5.0, 2.0, 1.0], [RAD] * 4, delta=0.25, t=5.0, L=-1)
+
 
 BUILD_KW = dict(delta=0.25, t=8.0, T=4096, d=2, L=1)
 
