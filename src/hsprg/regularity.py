@@ -43,7 +43,10 @@ class TermNorms:
             raise ValueError("norms must be finite")
         if (two < 0).any() or (four < 0).any():
             raise ValueError("norms must be nonnegative")
-        if (four < two * two - 1e-9 * np.maximum(1.0, two * two)).any():
+        with np.errstate(over="ignore", invalid="ignore"):  # two^2 = inf: the finite four is below
+            sq = two * two
+            short = np.isinf(sq) | (four < sq - 1e-9 * np.maximum(1.0, sq))
+        if short.any():
             raise ValueError("||x||_4^4 < ||x||_2^4 violates Cauchy-Schwarz")
         for name, arr in (("two_norm_sq", two), ("four_norm_4", four)):
             arr.setflags(write=False)
@@ -68,11 +71,16 @@ class TermNorms:
         return np.lexsort((np.arange(len(self)), -self.two_norm_sq))
 
 
+def check_delta(delta: float) -> None:
+    """Raise ValueError unless delta is finite and positive."""
+    if not (math.isfinite(delta) and delta > 0):
+        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+
+
 def is_delta_regular(norms: TermNorms, delta: float,
                      indices: Sequence[int] | None = None) -> bool:
     """sum ||x_j||_4^4 <= delta * (sum ||x_j||_2^2)^2 over indices, ties regular."""
-    if not (math.isfinite(delta) and delta > 0):
-        raise ValueError(f"delta must be finite and positive, got {delta!r}")
+    check_delta(delta)
     two, four = norms.two_norm_sq, norms.four_norm_4
     if indices is not None:
         idx = np.asarray(indices, dtype=np.intp)

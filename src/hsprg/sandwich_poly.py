@@ -39,7 +39,7 @@ from scipy.special import ndtr, ndtri
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
 from .harness import expectation_over_seeds, product_lattice, weighted_sum
-from .regularity import TermNorms, is_delta_regular
+from .regularity import TermNorms, check_delta, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
 # range; the audit reports the measured ratio for every constructed P.
@@ -49,6 +49,7 @@ _AUDIT_STEP = 1e-4
 _AUDIT_TOL = 1e-9
 _AUDIT_XMAX = 8.0
 _BOUND_MARGIN = 4.0  # bits over the growth bound of UnivariatePoly._log2_bound
+_PROBE_STRIDES = (64, 8)  # subgrids a degree candidate must pass before the full grid
 
 
 class DGJSVError(RuntimeError):
@@ -108,6 +109,33 @@ def _clenshaw_scaled(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.
     return out.reshape(x.shape), exp2.reshape(x.shape)
 
 
+def _chebval(x, c):
+    """`nch.chebval(x, c)` bit for bit: numpy's recurrence and operand order, in place."""
+    if len(c) < 3 or np.ndim(x) != 1 or len(x) < 2:  # in-place ops are slow on one element
+        return nch.chebval(x, c)
+    x = np.asarray(x, dtype=float)
+    x2 = x * 2
+    c0, c1, spare = np.full_like(x, c[-2]), np.full_like(x, c[-1]), np.empty_like(x)
+    for i in range(3, len(c) + 1):
+        np.subtract(c[-i], c1, out=spare)  # c0 = c[-i] - c1
+        c1 *= x2
+        np.add(c0, c1, out=c1)  # c1 = c0_old + c1*x2
+        c0, spare = spare, c0
+    c1 *= x
+    return np.add(c0, c1, out=c1)
+
+
+def _within(err, target: float) -> bool:
+    """max(err(slice(None))) <= target, rejected first on strided subgrids.
+
+    A point's error is the same float in any subset, so a subset's max over
+    target is the grid's.  A NaN rejects on the full grid only.
+    """
+    if any(np.max(err(slice(None, None, s))) > target for s in _PROBE_STRIDES):
+        return False
+    return bool(np.max(err(slice(None))) <= target)
+
+
 def _log2_abs(mant: np.ndarray, e: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):
         return np.log2(np.abs(mant)) + e
@@ -160,7 +188,7 @@ class UnivariatePoly:
         out = np.empty_like(xs)
         inside = np.abs(xs) <= 1.0
         if inside.any():
-            d = nch.chebval(xs[inside], self.d_cheb)
+            d = _chebval(xs[inside], self.d_cheb)
             ahat = 1.0 + xs[inside] * d * d
             out[inside] = ahat * ahat
         if (~inside).any():
@@ -245,8 +273,8 @@ def _interp_inverse_sqrt(a: float, rel_target: float) -> tuple[np.ndarray, float
     deg = 4
     while deg <= 400:
         cs = _cheb_interp_ab(lambda t: 1.0 / np.sqrt(t), deg, lo, hi)
-        vals = _chebval_ab(cs, ts, lo, hi)
-        if np.max(np.abs(vals * np.sqrt(ts) - 1.0)) <= rel_target:
+        if _within(lambda s: np.abs(_chebval_ab(cs, ts[s], lo, hi) * np.sqrt(ts[s]) - 1.0),
+                   rel_target):
             return cs, lo, hi
         deg = int(deg * 1.5) + 1
     raise DGJSVError("inverse-sqrt factor did not converge")
@@ -259,7 +287,7 @@ def _cheb_interp_ab(func, deg: int, lo: float, hi: float) -> np.ndarray:
 
 def _chebval_ab(coeffs: np.ndarray, t: np.ndarray, lo: float, hi: float) -> np.ndarray:
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    return nch.chebval((np.asarray(t, dtype=float) - mid) / half, coeffs)
+    return _chebval((np.asarray(t, dtype=float) - mid) / half, coeffs)
 
 
 @functools.cache
@@ -299,17 +327,16 @@ def dgjsv_poly(a: float, b: float) -> UnivariatePoly:
             cand = nch.chebinterpolate(d_target, deg)
             tail = np.abs(cand) > 1e-17 * np.max(np.abs(cand))
             cand = cand[: max(2, int(np.nonzero(tail)[0].max()) + 1)]
-            err = np.max(np.abs(nch.chebval(dense, cand) - want))
-            if err <= sqrt_b / 24:
+            if _within(lambda s: np.abs(_chebval(dense[s], cand) - want[s]), sqrt_b / 24):
                 d_cheb = cand
                 break
             deg = int(deg * 1.4) + 1
         if d_cheb is None:
             continue
 
-        dl = nch.chebval(left, d_cheb)
-        dm = nch.chebval(midg, d_cheb)
-        dr = nch.chebval(right, d_cheb)
+        dl = _chebval(left, d_cheb)
+        dm = _chebval(midg, d_cheb)
+        dr = _chebval(right, d_cheb)
         ok = (np.max(np.abs(1.0 + left * dl * dl)) <= 0.85 * sqrt_b
               and np.max(np.abs(midg) * dm * dm) <= 1.9
               and np.max(right * dr * dr) <= right_budget)
@@ -463,6 +490,7 @@ class GeneralizedPolynomial:
 def head_partition(weights: Sequence[float], coords, delta: float, t: float,
                    L: int) -> RegularityPartition:
     """Top-L coordinates by term 2-norm (ties to the smallest index)."""
+    check_delta(delta)  # an empty tail (L >= n) makes no verdict that would check it
     if L < 0:
         raise ValueError("head budget L must be nonnegative")
     moments = np.array([c.moments() for c in coords], dtype=float).reshape(-1, 3)

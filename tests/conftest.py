@@ -1,7 +1,8 @@
 """Shared test helpers: reproducible RNGs, random program generators, the
 brute-force monotonicity oracle, the bit-by-bit seed field reader and the
 enumerations that the one-row references need (every label sequence,
-every seed, every k-wise row), the full-grid DGJSV audit, the Fraction
+every seed, every k-wise row), the full-grid DGJSV audit and degree
+search, the Fraction
 construction of a discrete law with the scans that read it, and the
 brute-force hash collision and isolation counts."""
 
@@ -11,10 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev as nch
+from scipy.special import ndtr, ndtri
 
 from hsprg.gf2 import field
 from hsprg.robp import ROBP
-from hsprg.sandwich_poly import _AUDIT_STEP, _AUDIT_TOL, _AUDIT_XMAX, DGJSVAudit
+from hsprg.sandwich_poly import _AUDIT_STEP, _AUDIT_TOL, _AUDIT_XMAX, DGJSVAudit, UnivariatePoly
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -147,6 +150,56 @@ def full_grid_audit(poly) -> DGJSVAudit:
 
     ok = all(v <= _AUDIT_TOL for v in viol.values())
     return DGJSVAudit(ok, viol, K, K * a / math.log2(2.0 / b))
+
+
+def full_grid_dgjsv(a: float, b: float) -> np.ndarray:
+    """The oracle for ``dgjsv_poly``'s searches: numpy's chebval on every grid point.
+
+    The construction as it was before probe rejection, returning the
+    coefficients of D; each degree candidate is judged on its whole grid.
+    """
+    sqrt_b = math.sqrt(b)
+    rlo, rhi = 0.9 * a, 1.08
+    rmid, rhalf = 0.5 * (rhi + rlo), 0.5 * (rhi - rlo)
+    ts = np.linspace(a, 1.02, 3000)
+    deg = 4
+    while True:
+        r_cheb = nch.chebinterpolate(lambda u: 1.0 / np.sqrt(rmid + rhalf * u), deg)
+        vals = nch.chebval((ts - rmid) / rhalf, r_cheb)
+        if np.max(np.abs(vals * np.sqrt(ts) - 1.0)) <= sqrt_b / 24:
+            break
+        deg = int(deg * 1.5) + 1
+        assert deg <= 400
+    x0 = -a / 2.0
+    w0 = (a / 2.0) / float(ndtri(1.0 - sqrt_b / 16.0))
+    left = np.unique(np.concatenate([np.linspace(-1.0, -a, 4001), [-1.0, -a]]))
+    midg = np.linspace(-a, 0.0, 2001)[1:-1]
+    right = np.linspace(0.0, 1.0, 4001)[1:]
+    for attempt in range(10):
+        w = w0 * 0.85 ** attempt
+
+        def d_target(x):
+            return ndtr((x0 - x) / w) * nch.chebval((-x - rmid) / rhalf, r_cheb)
+
+        dense = np.linspace(-1.0, 1.0, 8001)
+        want = d_target(dense)
+        deg = 8
+        while deg <= 6000:
+            cand = nch.chebinterpolate(d_target, deg)
+            tail = np.abs(cand) > 1e-17 * np.max(np.abs(cand))
+            cand = cand[: max(2, int(np.nonzero(tail)[0].max()) + 1)]
+            if np.max(np.abs(nch.chebval(dense, cand) - want)) <= sqrt_b / 24:
+                break
+            deg = int(deg * 1.4) + 1
+        else:
+            continue
+        dl, dm, dr = (nch.chebval(g, cand) for g in (left, midg, right))
+        if (np.max(np.abs(1.0 + left * dl * dl)) <= 0.85 * sqrt_b
+                and np.max(np.abs(midg) * dm * dm) <= 1.9
+                and np.max(right * dr * dr) <= 0.85 * (math.sqrt(1.0 + b) - 1.0)
+                and full_grid_audit(UnivariatePoly(cand, a, b)).ok):
+            return cand
+    raise AssertionError(f"no construction for a={a}, b={b}")
 
 
 def reference_law(values, probs) -> dict[float, Fraction]:

@@ -259,6 +259,7 @@ def test_sandwich_audit_reports_a_failed_construction(monkeypatch, capsys):
     ({"--L": "-1"}, "head budget L must be nonnegative"),
     ({"--delta": "nan"}, "delta must be finite and positive, got nan"),
     ({"--weights": "[1, 1, 1, 1]"}, "need one m2 and one m4 per weight, 4 weights"),
+    ({"--delta": "nan", "--L": "6"}, "delta must be finite and positive, got nan"),  # empty tail
 ])
 def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, override, message):
     dist = write(tmp_path / "d6.json",

@@ -60,6 +60,13 @@ class TestIsDeltaRegular:
         with pytest.raises(ValueError):
             TermNorms((1.0,), (0.5,))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("two", [1e200, 1.4e154, 1.7976931348623157e308])
+    def test_cauchy_schwarz_guard_where_the_square_overflows(self, two):
+        with pytest.raises(ValueError, match="violates Cauchy-Schwarz$"):
+            TermNorms([1.0, two], [1.0, 1.0])
+        assert TermNorms([1.0, 1.3e154], [1.0, 1.69e308]).two_norm_sq[1] == 1.3e154
+
     @pytest.mark.parametrize("two,four", [((math.nan, 1.0), (1.0, 1.0)),
                                           ((1.0, 1.0), (1.0, math.inf)),
                                           ((-math.inf, 1.0), (1.0, 1.0))])

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import chebyshev as nch
 
-from conftest import full_grid_audit, philox
+from conftest import full_grid_audit, full_grid_dgjsv, philox
 from hsprg import harness, sandwich_poly
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution
 from hsprg.halfspace import DecisionTree, Halfspace, HalfspaceSystem
@@ -29,7 +30,10 @@ from hsprg.sandwich_poly import (
     UnivariatePoly,
     _AUDIT_STEP,
     _AUDIT_XMAX,
+    _chebval,
     _clenshaw_scaled,
+    _interp_inverse_sqrt,
+    _within,
     and_sum_evaluate,
     audit_dgjsv,
     build_upper_poly,
@@ -227,13 +231,22 @@ AUDIT_NAMES = ["p2_on[-1,-a]", "p3_on[-a,0]", "p4_on[0,1]", "p1_left_nonneg", "p
 
 
 class TestGoldenAudit:
-    """audit_dgjsv reports, recorded before the Clenshaw kernel was blocked."""
+    """audit_dgjsv reports, recorded before the Clenshaw kernel was blocked
+    ((0.05, 1e-4) and (0.2, 1e-2)) or before the degree searches probed subgrids."""
 
     @pytest.mark.parametrize("a, b, K, c0_ratio, digest", [
+        (0.05, 1e-2, 1498, 9.798719146521178,
+         "a2b5b331ea60435987f2724002204489d260ef75cb7cf6f1eef87c4c6440c785"),
         (0.05, 1e-4, 2098, 7.341973103416289,
          "b6c7337d46d37ece870d9db7c875bbaf74af511ca1416bd92bc718574c4dd51f"),
+        (0.1, 1e-2, 542, 7.090661919111453,
+         "dfd38b9e44cdeccff3f20db0c3433227b72ce6c0a21b8fc011a84662d43aeb70"),
+        (0.1, 1e-4, 1070, 7.4889525459060335,
+         "eaa0f5cdae2a795a5432c4df6fa0ce3c5262f69eda7e685cea7103808945771a"),
         (0.2, 1e-2, 274, 7.16915633150014,
          "c9cc608d39b30f8c0157c85f8edf4555588ee8c3a425a279cdb57e0d1ffc2042"),
+        (0.2, 1e-4, 542, 7.586938840899197,
+         "d8e6f8e7c4ca5f4c82958299a68c2eb58e8a9cb33cd872fec87319754182f07d"),
     ])
     def test_report(self, a, b, K, c0_ratio, digest):
         P = dgjsv_poly(a, b)
@@ -243,6 +256,72 @@ class TestGoldenAudit:
         assert (rep.K, rep.c0_ratio) == (K, c0_ratio)
         text = json.dumps(P.to_json(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("a, b, n, digest", [
+        (0.05, 1e-2, 12, "67853898acf0be66868218fd592de5325a63eb705d19a60602973243886ff14e"),
+        (0.05, 1e-4, 18, "d1094ad267cbbda890f530ebaa49cb6ca6d03d8f1356084b123c728e1a608e11"),
+        (0.1, 1e-2, 12, "ac22731cca20b60a1f31b2267972a9e2b5ea3895ef8d0e9af2e1c857a398fa6a"),
+        (0.1, 1e-4, 18, "2a4c32a6b803ad0815438b51e094e2ca9cfa39afa9b3fabae2ce88a6f7a424b6"),
+        (0.2, 1e-2, 8, "b600847ad9ffb5130da430cfe445c06556da2bfc950815a8fd3c3959647b5c61"),
+        (0.2, 1e-4, 12, "3f418ac06bf954f7d3ccf5586ddf11316ba29c305286416f89f693ce19244539"),
+    ])
+    def test_inverse_sqrt_factor(self, a, b, n, digest):
+        cs, lo, hi = _interp_inverse_sqrt(a, math.sqrt(b) / 24)
+        assert (cs.dtype, len(cs), lo, hi) == (np.float64, n, 0.9 * a, 1.08)
+        assert hashlib.sha256(cs.tobytes()).hexdigest() == digest
+
+
+class TestDegreeSearch:
+    """Probe rejection picks the degree the full-grid search picks."""
+
+    @pytest.mark.parametrize("a, b", [(0.3, 0.1), (0.15, 1e-3), (0.07, 1e-3)])
+    def test_same_coefficients_as_full_grid_search(self, a, b):
+        got = dgjsv_poly.__wrapped__(a, b).d_cheb
+        assert got.tobytes() == full_grid_dgjsv(a, b).tobytes()
+
+    @pytest.mark.parametrize("where, value, want, passes", [
+        (3, 2.0, False, 3),  # off both subgrids: only the full grid sees it
+        (16, 2.0, False, 2),  # on the every-8th subgrid
+        (3, 1.0, True, 3),  # equal to the target passes
+        (0, math.nan, False, 3),  # NaN never rejects on a subgrid, and fails on the grid
+    ])
+    def test_within(self, where, value, want, passes):
+        err = np.full(8001, 0.5)
+        err[where] = value
+        seen = []
+        assert _within(lambda s: seen.append(s) or err[s], 1.0) is want
+        assert len(seen) == passes
+
+
+@st.composite
+def chebval_inputs(draw):
+    """Series of 1-600 terms at points inside and outside [-1, 1] (some not finite),
+    in 0, 1 or 2 dimensions."""
+    rng = philox(draw(st.integers(0, 2 ** 32 - 1)))
+    n_coeffs = draw(st.integers(1, 600))
+    top = draw(st.integers(-40, 40))
+    coeffs = rng.uniform(-1.0, 1.0, n_coeffs) * np.exp2(rng.integers(top - 60, top + 1, n_coeffs))
+    shape = draw(st.sampled_from([(0,), (1,), (2,), (8001,), (20004,), (), (3, 7)]))
+    x = rng.uniform(-1.0, 1.0, shape) * draw(st.sampled_from([1.0, 1.5, 16.0]))
+    if x.size and draw(st.booleans()):
+        x.flat[rng.integers(0, x.size, 3)] = [math.nan, math.inf, -math.inf]
+    return coeffs, x
+
+
+class TestChebval:
+    @settings(max_examples=150, deadline=None)
+    @given(chebval_inputs())
+    def test_matches_numpy_bit_for_bit(self, case):
+        coeffs, x = case
+        with np.errstate(all="ignore"):
+            got, want = _chebval(x, coeffs), nch.chebval(x, coeffs)
+        assert np.shape(got) == np.shape(want) and np.asarray(got).dtype == want.dtype
+        assert (np.asarray(got).view(np.int64) == want.view(np.int64)).all()
+
+    def test_strided_input(self):
+        coeffs = dgjsv_poly(0.05, 1e-4).d_cheb
+        x = np.linspace(-1.0, 1.0, 8001)
+        assert _chebval(x[::8], coeffs).tobytes() == _chebval(x, coeffs)[::8].tobytes()
 
 
 class TestUnivariatePoly:
@@ -555,6 +634,12 @@ class TestPartitionAndBranches:
     def test_negative_head_budget_rejected(self):
         with pytest.raises(ValueError, match="^head budget L must be nonnegative$"):
             head_partition([1.0, 5.0, 2.0, 1.0], [RAD] * 4, delta=0.25, t=5.0, L=-1)
+
+    @pytest.mark.parametrize("L", [1, 4, 5])
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, 0.0, -1.0])
+    def test_delta_checked_even_with_an_empty_tail(self, delta, L):
+        with pytest.raises(ValueError, match="^delta must be finite and positive, got "):
+            head_partition([1.0, 5.0, 2.0, 1.0], [RAD] * 4, delta=delta, t=5.0, L=L)
 
 
 BUILD_KW = dict(delta=0.25, t=8.0, T=4096, d=2, L=1)
