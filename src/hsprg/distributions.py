@@ -40,6 +40,15 @@ class DistributionError(ValueError):
     pass
 
 
+def _merge(values, numerators) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, sorted, each with its int numerators summed (-0.0 or 0.0: first seen)."""
+    vals = np.asarray(values, dtype=float)
+    order = np.argsort(vals, kind="stable")
+    vals = vals[order]
+    starts = np.flatnonzero(np.r_[True, vals[1:] != vals[:-1]])
+    return vals[starts], np.add.reduceat(np.asarray(numerators, dtype=object)[order], starts)
+
+
 def _quad(integrand, B: float) -> float:
     """The integral of `integrand` over [-B, B] by adaptive quadrature.
 
@@ -61,8 +70,8 @@ class Coordinate:
     def cdf(self, x: float) -> float:
         raise NotImplementedError
 
-    def quantile(self, q: float) -> float:
-        """Inverse CDF of a continuous kind: the smallest x with F(x) >= q."""
+    def quantile(self, q: np.ndarray) -> np.ndarray:
+        """Inverse CDF of a continuous kind, elementwise: the smallest x with F(x) >= q."""
         raise NotImplementedError
 
     def moments(self) -> tuple[float, float, float]:
@@ -108,23 +117,29 @@ class DiscreteCoordinate(Coordinate):
                 a, b = (p if hasattr(p, "as_integer_ratio") else Fraction(p)).as_integer_ratio()
                 ratios.append((float(v), int(a), int(b)))
         den = math.lcm(*(b for _, _, b in ratios))
-        merged: dict[float, int] = {}
-        for v, a, b in ratios:
-            merged[v] = merged.get(v, 0) + a * (den // b)
-        common = math.gcd(den, *merged.values())
-        self.values = tuple(sorted(merged))
-        self.numerators = tuple(merged[v] // common for v in self.values)
+        self._set_law([v for v, _, _ in ratios], [a * (den // b) for _, a, b in ratios], den)
+
+    def _set_law(self, values, numerators, den: int) -> None:
+        """Pr[values[i]] = numerators[i] / den, merged by `_merge` and reduced by the gcd."""
+        vals, nums = _merge(values, numerators)
+        common = math.gcd(den, *nums.tolist())
+        nums //= common
         self.den = den // common
-        self.probs = tuple(a / self.den for a in self.numerators)
-        self.symmetric = self._check_symmetric()
+        self.values = tuple(vals.tolist())
+        self.numerators = tuple(nums.tolist())
+        self.probs = tuple((nums / self.den).tolist())
+        self.symmetric = np.array_equal(vals, -vals[::-1]) and np.array_equal(nums, nums[::-1])
+
+    @classmethod
+    def _from_counts(cls, values, numerators, den: int) -> "DiscreteCoordinate":
+        """The law of `_set_law`, for finite values; `__init__`'s input checks are skipped."""
+        law = cls.__new__(cls)
+        law._set_law(values, numerators, den)
+        return law
 
     @classmethod
     def rademacher(cls) -> "DiscreteCoordinate":
         return cls([-1.0, 1.0], [0.5, 0.5])
-
-    def _check_symmetric(self) -> bool:
-        table = dict(zip(self.values, self.numerators))
-        return all(table.get(-v) == a for v, a in table.items())
 
     @property
     def alpha(self) -> float:
@@ -134,10 +149,10 @@ class DiscreteCoordinate(Coordinate):
         return sum(a for v, a in zip(self.values, self.numerators) if v <= x) / self.den
 
     def moments(self) -> tuple[float, float, float]:
-        mean = math.fsum(v * p for v, p in zip(self.values, self.probs))
-        m2 = math.fsum(v * v * p for v, p in zip(self.values, self.probs))
-        m4 = math.fsum(v ** 4 * p for v, p in zip(self.values, self.probs))
-        return mean, m2, m4
+        # numpy's products are Python's, but its x ** 4 is not: powers stay per letter
+        v, p = np.array(self.values), np.array(self.probs)
+        v4 = np.array([x ** 4 for x in self.values])
+        return tuple(math.fsum((m * p).tolist()) for m in (v, v * v, v4))
 
     @cached_property
     def _cdf(self) -> np.ndarray:
@@ -199,9 +214,11 @@ class UniformMultisetCoordinate(DiscreteCoordinate):
     def __init__(self, multiset: Sequence[float]):
         if len(multiset) == 0:
             raise DistributionError("multiset must be nonempty")
-        self.multiset = tuple(float(v) for v in multiset)
-        g = len(self.multiset)
-        super().__init__(list(self.multiset), [Fraction(1, g)] * g)
+        self.multiset = tuple(map(float, multiset))
+        arr = np.array(self.multiset)
+        if not np.isfinite(arr).all():
+            raise DistributionError(f"support values must be finite, got {arr[~np.isfinite(arr)][0]}")
+        self._set_law(arr, np.ones(len(arr), dtype=np.int64), len(arr))
 
     def to_json(self) -> dict:
         return {"kind": "multiset", "values": list(self.multiset)}
@@ -219,8 +236,8 @@ class GaussianCoordinate(Coordinate):
     def pdf(self, x: float) -> float:
         return math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
-    def quantile(self, q: float) -> float:
-        return float(ndtri(q))
+    def quantile(self, q: np.ndarray) -> np.ndarray:
+        return ndtri(q)
 
     def moments(self) -> tuple[float, float, float]:
         return 0.0, 1.0, 3.0
@@ -249,7 +266,7 @@ class UniformIntervalCoordinate(Coordinate):
     def pdf(self, x: float) -> float:
         return 1.0 / (self.hi - self.lo) if self.lo <= x <= self.hi else 0.0
 
-    def quantile(self, q: float) -> float:
+    def quantile(self, q: np.ndarray) -> np.ndarray:
         return self.lo + q * (self.hi - self.lo)
 
     def _raw(self, k: int) -> float:
@@ -305,17 +322,14 @@ class TruncatedStandardizedCoordinate(Coordinate):
 
         return moment(1), moment(2), moment(4)
 
-    def quantile(self, q: float) -> float:
+    def quantile(self, q: np.ndarray) -> np.ndarray:
         F = self.base.cdf
         lo_mass = F(-self.B_raw)
         atom_lo = F(0.0) - lo_mass            # Pr[y < 0], y the truncated variable
         atom_hi = atom_lo + self.tail_mass    # Pr[y <= 0]
-        if q <= atom_lo:
-            w = self.base.quantile(q + lo_mass)
-        elif q <= atom_hi:
-            w = 0.0
-        else:
-            w = self.base.quantile(q + lo_mass - self.tail_mass)
+        u = q + lo_mass
+        w = self.base.quantile(np.where(q <= atom_lo, u, u - self.tail_mass))
+        w = np.where((atom_lo < q) & (q <= atom_hi), 0.0, w)
         return (w - self.mu) / self.scale
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -460,28 +474,25 @@ def truncate_and_standardize(coord: Coordinate, n: int, C: float, eps: float) ->
     Raises when the post-truncation variance drops below 1/2, the regime in
     which eps is too large for this (n, C).
     """
+    for name, value in (("eps", eps), ("C", C)):
+        if not math.isfinite(value):
+            raise DistributionError(f"{name} must be finite, got {value}")
     if eps <= 0 or C < 1 or n < 1:
         raise DistributionError("need eps > 0, C >= 1, n >= 1")
     B = (n * C * C / eps) ** 0.25
     if isinstance(coord, DiscreteCoordinate):
-        vals, nums, zero = [], [], 0
-        for v, a in zip(coord.values, coord.numerators):
-            if abs(v) < B:
-                vals.append(v)
-                nums.append(a)
-            else:
-                zero += a
-        if zero:
-            vals.append(0.0)
-            nums.append(zero)
-        trunc = DiscreteCoordinate(vals, [Fraction(a, coord.den) for a in nums])
+        inside = np.abs(coord.values) < B
+        zero = sum(itertools.compress(coord.numerators, ~inside))  # the cut mass, moved to 0.0
+        vals = [*itertools.compress(coord.values, inside)] + [0.0] * bool(zero)
+        nums = [*itertools.compress(coord.numerators, inside)] + [zero] * bool(zero)
+        trunc = DiscreteCoordinate._from_counts(vals, nums, coord.den)
         mu, m2, _ = trunc.moments()
         var = m2 - mu * mu
         if var < 0.5 - 1e-9:
             raise DistributionError(f"post-truncation variance {var:.4f} < 1/2; eps too large")
         scale = math.sqrt(var)
-        out = DiscreteCoordinate([(v - mu) / scale for v in trunc.values],
-                                 [Fraction(a, trunc.den) for a in trunc.numerators])
+        out = DiscreteCoordinate._from_counts([(v - mu) / scale for v in trunc.values],
+                                              trunc.numerators, trunc.den)
         tail = zero / coord.den
         B_std = (B + abs(mu)) / scale
         return TruncationResult(out, B, B_std, tail, mu, scale, m2)
@@ -500,7 +511,7 @@ def truncate_and_standardize(coord: Coordinate, n: int, C: float, eps: float) ->
 
 
 def _validate_gamma(gamma: float) -> int:
-    frac = Fraction(gamma)
+    frac = Fraction(gamma) if math.isfinite(gamma) else Fraction(0)
     if frac.numerator != 1 or frac.denominator & (frac.denominator - 1):
         raise DistributionError(f"gamma={gamma} must be 2^-s for integer s")
     return frac.denominator
@@ -532,7 +543,8 @@ def bucket_boundaries(coord: Coordinate, gamma: float, B: float) -> list[float]:
             out.append(min(max(hit, -B), B))
         return out
 
-    return [-B] + [min(max(coord.quantile(k / g), -B), B) for k in range(1, g + 1)]
+    q = coord.quantile(np.arange(1, g + 1) / g)
+    return [-B] + np.minimum(np.maximum(q, -B), B).tolist()
 
 
 @dataclass(frozen=True)
@@ -565,10 +577,9 @@ def statistical_distance(c1: DiscreteCoordinate, c2: DiscreteCoordinate) -> Frac
     if not (isinstance(c1, DiscreteCoordinate) and isinstance(c2, DiscreteCoordinate)):
         raise DistributionError("statistical_distance needs discrete coordinates")
     den = math.lcm(c1.den, c2.den)
-    p1 = {v: a * (den // c1.den) for v, a in zip(c1.values, c1.numerators)}
-    p2 = {v: a * (den // c2.den) for v, a in zip(c2.values, c2.numerators)}
-    total = sum(abs(p1.get(v, 0) - p2.get(v, 0)) for v in p1.keys() | p2.keys())
-    return Fraction(total, 2 * den)
+    signed = [a * (den // c1.den) for a in c1.numerators] + [-a * (den // c2.den) for a in c2.numerators]
+    _, diff = _merge(c1.values + c2.values, signed)
+    return Fraction(np.abs(diff).sum(), 2 * den)
 
 
 def standardize_multiset(values: Sequence[float]) -> tuple[list[float], float, float]:

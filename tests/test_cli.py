@@ -165,10 +165,15 @@ def test_robp_nisan(tmp_path):
      "--weights: OverflowError('cannot convert Infinity to integer ratio')"),
     (["robp", "compile", "--weights", "[1]", "--theta", "inf"],
      "weights, theta and alphabet letters must be finite, got inf"),
+    (["discretize", "--eps", "0.1", "--gamma", "inf"], "gamma=inf must be 2^-s for integer s"),
+    (["discretize", "--eps", "0.1", "--gamma", "nan"], "gamma=nan must be 2^-s for integer s"),
+    (["discretize", "--eps", "nan"], "eps must be finite, got nan"),
+    (["discretize", "--eps", "0.1", "--C", "nan"], "C must be finite, got nan"),
 ], ids=["nisan-negative-seed", "nisan-negative-space", "nisan-negative-label-bits",
         "compile-empty-alphabet", "compile-one-alphabet-for-two-steps", "discretize-eps-0",
         "compile-int-alphabet", "compile-int-step-alphabet", "compile-int-weights",
-        "compile-object-weights", "compile-infinite-weight", "compile-infinite-theta"])
+        "compile-object-weights", "compile-infinite-weight", "compile-infinite-theta",
+        "discretize-gamma-inf", "discretize-gamma-nan", "discretize-eps-nan", "discretize-C-nan"])
 def test_rejected_input_prints_json_error(tmp_path, capsys, argv, message):
     """Every subcommand turns a rejected input into one JSON error line and status 1."""
     out = tmp_path / "out.json"

@@ -1,5 +1,7 @@
 """Moment profiles, truncation, bucket boundaries, sandwich laws, SD."""
 
+import hashlib
+import json
 import math
 import tracemalloc
 from fractions import Fraction
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from conftest import (
     reference_bucket_boundaries,
@@ -477,6 +480,164 @@ class TestPipeline:
         vals, shift, scale = standardize_multiset([1.0, 3.0])
         assert vals == [-1.0, 1.0]
         assert shift == 2.0 and scale == 1.0
+
+
+def report_digest(rep) -> str:
+    """sha256 of a report's JSON and of the exact form of its discrete laws."""
+    h = hashlib.sha256(json.dumps(rep.to_json(), sort_keys=True).encode())
+    for law in (rep.truncation.coord, rep.sandwich.lower, rep.sandwich.upper):
+        if isinstance(law, DiscreteCoordinate):
+            h.update(repr((law.values, law.numerators, law.den, law.probs, law.symmetric)).encode())
+        else:
+            h.update(repr(law.to_json()).encode())
+    return h.hexdigest()
+
+
+ZERO_ATOM = DiscreteCoordinate([-3.0, -1.0, -0.25, 0.5, 1.0, 2.5],
+                               [0.05, 0.25, 0.15, 0.25, 0.25, 0.05])
+DUPLICATES = UniformMultisetCoordinate([-1.5, -0.5, 0.0, -0.5, -0.0, 0.5, 0.5, 2.0, 0.5, -1.5])
+
+
+class TestGoldenReports:
+    """Report digests recorded while the laws were still built one Fraction per letter."""
+
+    # (coord, n, C, eps, gamma, digest); gamma None is default_gamma
+    GOLDEN = {
+        "certify": (GaussianCoordinate(), 256, 3.0, 0.1, 2.0 ** -12,
+                    "b44dd8ae7519e2dfbda12517dfcd585c83b9d6a7a3fa57572e13eeaeee6eb537"),
+        "mc-cli": (GaussianCoordinate(), 64, 3.0, 0.1, 2.0 ** -4,
+                   "acf14706b4d9255a96c22261303445b4d836170389058dc1e73b9efc5d2d8b83"),
+        "uniform": (UniformIntervalCoordinate(-1.0, 3.0), 16, 2.0, 0.1, 2.0 ** -4,
+                    "e1b2b58b2e3b7b1588447d86d997d1459df6e88aec8d9af73861d4d831f57589"),
+        # the tail above B lands on an atom inside the bulk
+        "uniform-cut": (UniformIntervalCoordinate(-1.0, 7.0), 256, 3.0, 0.1, 2.0 ** -12,
+                        "eed3fd76da6b14e1ce9bbc99be7785119126b59e13dd62bfb834fd5f482e911c"),
+        # -3.0 and 2.5 lie beyond B = 8^(1/4) and move to a new letter 0.0
+        "zero-atom": (ZERO_ATOM, 4, 1.0, 0.5, 2.0 ** -6,
+                      "73260afbf41da9fe27f1c5d56f4d0fc3c81375d0c48827e8ac8c4c06bbda7891"),
+        "zero-atom-default-gamma": (ZERO_ATOM, 4, 1.0, 0.5, None,
+                                    "c2395f105537e93aed421eff949f563912d3f58ca0e921722a98f3ed2cc03865"),
+        "multiset": (DUPLICATES, 16, 2.0, 0.25, 2.0 ** -4,
+                     "c865f966f1cd2494d345fc850a1447c5b83889e8dcc2ca682c6ea002a7e6b80c"),
+        # 524,288 letters
+        "gaussian-default-gamma": (GaussianCoordinate(), 16, 3.0, 0.1, None,
+                                   "a2db60428e97311b65f1bb5db31bcf8ac1bfa14c579f527e7acd307ef9136d97"),
+    }
+
+    @pytest.mark.parametrize("case", GOLDEN)
+    def test_report_digest(self, case):
+        coord, n, C, eps, gamma, want = self.GOLDEN[case]
+        assert report_digest(discretize_coordinate(coord, n, C, eps, gamma=gamma)) == want
+
+
+def scalar_quantile(coord, q: float) -> float:
+    """One letter's quantile, branch by branch, as the per-letter loop computed it."""
+    if isinstance(coord, GaussianCoordinate):
+        return float(ndtri(q))
+    if isinstance(coord, UniformIntervalCoordinate):
+        return coord.lo + q * (coord.hi - coord.lo)
+    F = coord.base.cdf
+    lo_mass = F(-coord.B_raw)
+    atom_lo = F(0.0) - lo_mass
+    atom_hi = atom_lo + coord.tail_mass
+    if q <= atom_lo:
+        w = scalar_quantile(coord.base, q + lo_mass)
+    elif q <= atom_hi:
+        w = 0.0
+    else:
+        w = scalar_quantile(coord.base, q + lo_mass - coord.tail_mass)
+    return (w - coord.mu) / coord.scale
+
+
+def atom_edges(coord) -> list[float]:
+    """The truncated law's atom ends, a point inside and the floats next to each end."""
+    if not isinstance(coord, TruncatedStandardizedCoordinate):
+        return []
+    lo_mass = coord.base.cdf(-coord.B_raw)
+    atom_lo = coord.base.cdf(0.0) - lo_mass
+    atom_hi = atom_lo + coord.tail_mass
+    return [atom_lo, atom_hi, (atom_lo + atom_hi) / 2,
+            *(np.nextafter(e, d) for e in (atom_lo, atom_hi) for d in (0.0, 1.0))]
+
+
+QUANTILE_KINDS = {
+    "gaussian": GaussianCoordinate(),
+    "uniform": UniformIntervalCoordinate(-1.0, 3.0),
+    "truncated-gaussian": truncate_and_standardize(GaussianCoordinate(), 8, 3.0, 0.1).coord,
+    # a tail mass of about 0.23 on the atom at y = 0
+    "truncated-uniform-cut": truncate_and_standardize(UniformIntervalCoordinate(-1.0, 7.0),
+                                                      8, 3.0, 0.1).coord,
+}
+
+
+class TestArrayPaths:
+    """The array quantile, counted multiset laws and array moments against per-letter code."""
+
+    @pytest.mark.parametrize("kind", QUANTILE_KINDS)
+    def test_quantile_matches_scalar_bits(self, kind):
+        coord = QUANTILE_KINDS[kind]
+        q = np.array([0.0, 1.0, 0.5, 1e-300, 1 - 2 ** -53, *atom_edges(coord),
+                      *(np.arange(1, 1025) / 1024), *np.random.default_rng(5).random(256)])
+        want = np.array([scalar_quantile(coord, x) for x in q.tolist()])
+        assert np.array_equal(np.asarray(coord.quantile(q)).view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("kind", QUANTILE_KINDS)
+    @pytest.mark.parametrize("s", [1, 4, 10])
+    def test_bucket_boundaries_match_scalar_loop(self, kind, s):
+        coord, g, B = QUANTILE_KINDS[kind], 2 ** s, 2.5
+        want = [-B] + [min(max(scalar_quantile(coord, k / g), -B), B) for k in range(1, g + 1)]
+        got = bucket_boundaries(coord, 2.0 ** -s, B)
+        assert all(type(b) is float for b in got)
+        assert [b.hex() for b in got] == [b.hex() for b in want]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 2.5])
+                    | st.floats(-1e6, 1e6), min_size=1, max_size=40))
+    def test_multiset_law_is_the_fraction_law(self, multiset):
+        g = len(multiset)
+        coord, ref = UniformMultisetCoordinate(multiset), reference_law(multiset, [Fraction(1, g)] * g)
+        assert [repr(v) for v in coord.values] == [repr(v) for v in ref]
+        assert all(type(a) is int for a in (coord.den, *coord.numerators))
+        assert [Fraction(a, coord.den) for a in coord.numerators] == list(ref.values())
+        assert coord.probs == tuple(float(p) for p in ref.values())
+        assert coord.symmetric == all(ref.get(-v) == p for v, p in ref.items())
+
+    @pytest.mark.parametrize("multiset, first", [
+        ([0.0, -0.0, 1.0, -0.0], "0x0.0p+0"), ([-0.0, 0.0, 1.0, 0.0], "-0x0.0p+0")])
+    def test_multiset_keeps_the_first_signed_zero(self, multiset, first):
+        coord = UniformMultisetCoordinate(multiset)
+        assert [v.hex() for v in coord.values] == [first, "0x1.0000000000000p+0"]
+        assert coord.numerators == (3, 1) and coord.den == 4
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_multiset_rejects_non_finite_values(self, bad):
+        with pytest.raises(DistributionError, match=f"support values must be finite, got {bad}"):
+            UniformMultisetCoordinate([1.0, bad, float("nan")])
+
+    @settings(max_examples=200, deadline=None)
+    @given(law=law_inputs() | st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
+    def test_moments_match_tuple_reference(self, law):
+        coord = DiscreteCoordinate(*law) if isinstance(law, tuple) else UniformMultisetCoordinate(law)
+        vp = list(zip(coord.values, coord.probs))
+        want = (math.fsum(v * p for v, p in vp), math.fsum(v * v * p for v, p in vp),
+                math.fsum(v ** 4 * p for v, p in vp))
+        assert [m.hex() for m in coord.moments()] == [m.hex() for m in want]
+
+
+@pytest.mark.parametrize("gamma", [float("inf"), float("nan")])
+def test_non_finite_gamma_rejected(gamma):
+    with pytest.raises(DistributionError, match=f"gamma={gamma} must be 2"):
+        bucket_boundaries(GaussianCoordinate(), gamma, 4.0)
+
+
+@pytest.mark.parametrize("name, kwargs", [("eps", {"eps": float("nan"), "C": 3.0}),
+                                          ("eps", {"eps": float("inf"), "C": 3.0}),
+                                          ("C", {"eps": 0.1, "C": float("nan")})],
+                         ids=["eps-nan", "eps-inf", "C-nan"])
+def test_non_finite_eps_or_C_rejected(name, kwargs):
+    for coord in (GaussianCoordinate(), RADEMACHER):
+        with pytest.raises(DistributionError, match=f"{name} must be finite"):
+            truncate_and_standardize(coord, 4, **kwargs)
 
 
 class TestRoundTrip:
