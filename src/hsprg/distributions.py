@@ -20,7 +20,6 @@ quantiles.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass, field as dc_field
@@ -534,16 +533,13 @@ def bucket_boundaries(coord: Coordinate, gamma: float, B: float) -> list[float]:
     """
     g = _validate_gamma(gamma)
     if isinstance(coord, DiscreteCoordinate):
-        # F reaches k/g at the first letter whose cumulative numerator c has c*g >= k*den
-        scaled = [c * g for c in itertools.accumulate(coord.numerators)]
-        out = [-B]
-        for k in range(1, g + 1):
-            i = bisect.bisect_left(scaled, k * coord.den)
-            hit = coord.values[i] if i < len(scaled) else B
-            out.append(min(max(hit, -B), B))
-        return out
-
-    q = coord.quantile(np.arange(1, g + 1) / g)
+        # F reaches k/g at the first letter whose cumulative numerator c has c*g >= k*den:
+        # each letter takes the k up to floor(c*g/den) that no earlier letter took, and B
+        # takes the k that no letter reaches
+        reached = [c * g // coord.den for c in itertools.accumulate(coord.numerators)]
+        q = np.repeat([*coord.values, B], np.diff(np.minimum(reached + [g], g), prepend=0))
+    else:
+        q = coord.quantile(np.arange(1, g + 1) / g)
     return [-B] + np.minimum(np.maximum(q, -B), B).tolist()
 
 

@@ -6,7 +6,10 @@ reach it through their seed interface (``seed_bits``, ``random_seeds``,
 
 Exact mode enumerates the full product space (and the full seed space of a
 generator).  `f` must be a deterministic function of the point: the seed
-pass calls it once per distinct generator row of each seed chunk.  Monte
+pass calls it once per distinct generator row of each seed chunk.  Every
+exact pass, here and in `sandwich_poly`, sums through one `WeightedSum`:
+integer weights over one denominator, exact while the values allow, then
+floats in the order fed.  Monte
 Carlo goes through one sharded driver: stream k of shard s is Philox keyed
 by (master seed, k * MAX_SHARDS + s), so shard results are reproducible and
 merge order-independently.  The driver hands shards over in runs of
@@ -123,30 +126,50 @@ def _blocks(values, nums):
         yield X, [hw * w for hw in head_weights for w in tail_weights]
 
 
-def weighted_sum(blocks: Iterable[tuple[Iterable, Iterable[int]]], den: int):
-    """Sum of v * w / den over the values v and weights w of each block.
+class WeightedSum:
+    """Running sum of v * w / den over values v and integer weights w.
 
     Exact while the values are integers (numpy's and bools included) or
-    Fractions: the sum runs in Python ints, or Fractions, and one Fraction
-    is built at the end.  From the first other value on it runs in floats,
-    starting at the exact partial sum and adding float(v) * (w / den),
-    where w / den is the correctly rounded probability.
+    Fractions: the sum runs in Python ints, or Fractions, and `value` is
+    one Fraction.  From the first other value on, `exact` is False and the
+    sum runs in floats, starting at the exact partial sum and adding
+    float(v) * (w / den), where w / den is the correctly rounded
+    probability.  A sum fed floats from its first value adds them in the
+    order given, as a plain float loop from 0.0 does.
     """
-    acc = 0
-    walk = itertools.chain.from_iterable(itertools.starmap(zip, blocks))
-    for v, w in walk:
-        if type(v) is not int:
-            if isinstance(v, _INTEGRAL):
-                v = int(v)
-            elif not isinstance(v, Fraction):
-                break
-        acc += v * w
-    else:
-        return Fraction(acc, den)
-    accf = float(Fraction(acc, den)) + float(v) * (w / den)
-    for v, w in walk:
-        accf += float(v) * (w / den)
-    return accf
+
+    def __init__(self, den: int):
+        self.den = den
+        self.exact = True
+        self._acc = 0
+
+    def add(self, values: Iterable, weights: Iterable[int]) -> None:
+        """Fold in the values, each times its weight, in order."""
+        den = self.den
+        walk = zip(values, weights)
+        if self.exact:
+            acc = self._acc
+            for v, w in walk:
+                if type(v) is not int:
+                    if isinstance(v, _INTEGRAL):
+                        v = int(v)
+                    elif not isinstance(v, Fraction):
+                        break
+                acc += v * w
+            else:
+                self._acc = acc
+                return
+            self.exact = False
+            self._acc = float(Fraction(acc, den)) + float(v) * (w / den)
+        acc = self._acc
+        for v, w in walk:
+            acc += float(v) * (w / den)
+        self._acc = acc
+
+    @property
+    def value(self):
+        """The sum so far: a Fraction while exact, else a float."""
+        return Fraction(self._acc, self.den) if self.exact else self._acc
 
 
 def exact_expectation(f: Callable[[np.ndarray], float],
@@ -157,7 +180,10 @@ def exact_expectation(f: Callable[[np.ndarray], float],
     Returns a Fraction when every f value is integral/Fraction, else float.
     """
     den, blocks = product_lattice(dist)
-    return weighted_sum(((map(f, X), weights) for X, weights in blocks), den)
+    total = WeightedSum(den)
+    for X, weights in blocks:
+        total.add(map(f, X), weights)
+    return total.value
 
 
 def expectation_over_seeds(f: Callable[[np.ndarray], float], generator):
@@ -176,22 +202,18 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator):
     if n_seeds > ENUM_CAP:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {ENUM_CAP}")
 
-    def blocks():
-        exact = True
-        for start in range(0, n_seeds, SEED_CHUNK):
-            X = np.ascontiguousarray(generator.expand(
-                seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)))
-            keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            vals = [f(X[i]) for i in first]
-            exact = exact and all(isinstance(v, _EXACT) for v in vals)
-            if exact:
-                yield vals, np.bincount(inverse, minlength=len(vals)).tolist()
-            else:
-                yield map(vals.__getitem__, inverse.tolist()), itertools.repeat(1)
-
-    # unit weights and den 1: the float path sums float(f(x)) and divides once
-    return weighted_sum(blocks(), 1) / n_seeds
+    total = WeightedSum(1)  # unit weights: the float path sums float(f(x)) and divides once
+    for start in range(0, n_seeds, SEED_CHUNK):
+        X = np.ascontiguousarray(generator.expand(
+            seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)))
+        keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        vals = [f(X[i]) for i in first]
+        if total.exact and all(isinstance(v, _EXACT) for v in vals):
+            total.add(vals, np.bincount(inverse, minlength=len(vals)).tolist())
+        else:
+            total.add(map(vals.__getitem__, inverse.tolist()), itertools.repeat(1))
+    return total.value / n_seeds
 
 
 @dataclass(frozen=True)
@@ -295,7 +317,9 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
 
     `f` is a callable on one point, or a ``(system, combiner)`` pair.  A
     pair is checked against its system once, before anything is drawn, and
-    gives the report its ``d``; Monte Carlo evaluates it on whole shards
+    gives the report its ``d``.  The law, the generator and a pair's
+    system must have one dimension n, also checked before anything is
+    drawn.  Monte Carlo evaluates a pair on whole shards
     through `evaluate_batch`, exact mode one point at a time through
     `evaluate`.  A callable gets one point at a time, as one float64 row of
     a shard or of a `product_lattice` or seed block, and reports ``d = 1``.
@@ -304,16 +328,20 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
     """
     t0 = time.perf_counter()
     point, d = f, 1
+    sizes = {"law": dist.n, "generator": generator.n}
     if isinstance(f, tuple):
         system, combiner = f
         combiner.check_fits(system.d)
         point, d = functools.partial(evaluate, system, combiner), system.d
+        sizes["system"] = system.n
 
         def hits(X):
             return evaluate_batch(system, combiner, X).sum()
     else:
         def hits(X):
             return sum(point(x) for x in X)
+    if len(set(sizes.values())) > 1:
+        raise ValueError("dimensions differ: " + ", ".join(f"{k} n={v}" for k, v in sizes.items()))
 
     if mode == "exact":
         true_e = float(exact_expectation(point, dist))

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -38,7 +39,7 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import expectation_over_seeds, product_lattice, weighted_sum
+from .harness import WeightedSum, expectation_over_seeds, product_lattice
 from .regularity import TermNorms, check_delta, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -544,40 +545,11 @@ class UpperCertification:
                 and self.norm2d <= 1.0 + 2.0 / self.d ** 2 + 1e-12)
 
 
-class _Certifier:
-    """Running sums of the four hybrid-product preconditions for one factor."""
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError(f"need at least one factor, got d={d}")
-        self.d = d
-        self.pointwise = True
-        self.gap = self.gamma = self.pow_sum = 0.0
-
-    def add(self, pvs: Sequence[float], hvs: Sequence[float], fps: Sequence[float]) -> None:
-        """Fold in one block: values of p and h, and probabilities, per point."""
-        thresh = 1.0 + 1.0 / self.d ** 2
-        power = 2 * self.d
-        pointwise, gap, gamma, pow_sum = self.pointwise, self.gap, self.gamma, self.pow_sum
-        for pv, hv, fp in zip(pvs, hvs, fps):
-            if pv < hv:
-                pointwise = False
-            gap += (pv - hv) * fp
-            if pv > thresh:
-                gamma += fp
-            pow_sum += pv ** power * fp
-        self.pointwise, self.gap, self.gamma, self.pow_sum = pointwise, gap, gamma, pow_sum
-
-    def result(self) -> UpperCertification:
-        return UpperCertification(self.pointwise, self.gap, self.gamma,
-                                  self.pow_sum ** (1.0 / (2 * self.d)), self.d)
-
-
 def _block_values(p, X: np.ndarray) -> list[float]:
-    """p at every row of a block: one evaluate_batch call when p has one."""
+    """p at every row of a block, as floats: one evaluate_batch call when p has one."""
     batch = getattr(p, "evaluate_batch", None)
     if batch is not None:
-        return batch(X).tolist()
+        return np.asarray(batch(X), dtype=float).tolist()
     return [float(v) for v in map(p, X)]
 
 
@@ -585,30 +557,35 @@ def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
              d: int) -> tuple[tuple[UpperCertification, ...], bool, float]:
     """One pass over the lattice: each factor's preconditions, and the product's.
 
-    Every factor p_i and its indicator h_i is evaluated once per block; the
-    values feed that factor's certifier and the running products of p and
-    of h, whose pointwise flag and expectation gap are summed here (a
-    product can overflow a 2d-th power where no factor does).
+    Every factor p_i and its indicator h_i is evaluated once per block, as
+    floats; each factor's gap, overshoot mass and 2d-th-power sum and the
+    gap of the running products of p and of h (a product can overflow a
+    2d-th power where no factor does) are `WeightedSum`s fed floats, so
+    they add in lattice order as a point-by-point float loop does.
     """
-    certifiers = [_Certifier(d) for _ in polys]
-    pointwise = True
-    gap = 0.0
+    if d < 1:
+        raise ValueError(f"need at least one factor, got d={d}")
+    thresh, power = 1.0 + 1.0 / d ** 2, 2 * d
     den, blocks = product_lattice(dist)
+    sums = [(WeightedSum(den), WeightedSum(den), WeightedSum(den)) for _ in polys]
+    below = [False] * len(polys)  # p_i < h_i at some point
+    gap, prod_below = WeightedSum(den), False
     for X, weights in blocks:
-        fps = [w / den for w in weights]
-        p_prod = [1.0] * len(X)
-        h_prod = [1.0] * len(X)
-        for p, h, cert in zip(polys, halfspaces, certifiers):
-            pvs = _block_values(p, X)
-            hvs = _block_values(h, X)
-            cert.add(pvs, hvs, fps)
-            p_prod = [a * v for a, v in zip(p_prod, pvs)]
-            h_prod = [a * v for a, v in zip(h_prod, hvs)]
-        for pv, hv, fp in zip(p_prod, h_prod, fps):
-            if pv < hv:
-                pointwise = False
-            gap += (pv - hv) * fp
-    return tuple(c.result() for c in certifiers), pointwise, gap
+        p_prod = h_prod = [1.0] * len(X)
+        for i, (p, h, (gap_i, gamma_i, pow_i)) in enumerate(zip(polys, halfspaces, sums)):
+            pvs, hvs = _block_values(p, X), _block_values(h, X)
+            below[i] = below[i] or any(map(operator.lt, pvs, hvs))
+            gap_i.add(map(operator.sub, pvs, hvs), weights)
+            gamma_i.add([float(pv > thresh) for pv in pvs], weights)
+            pow_i.add([pv ** power for pv in pvs], weights)
+            p_prod = list(map(operator.mul, p_prod, pvs))
+            h_prod = list(map(operator.mul, h_prod, hvs))
+        prod_below = prod_below or any(map(operator.lt, p_prod, h_prod))
+        gap.add(map(operator.sub, p_prod, h_prod), weights)
+    certs = tuple(UpperCertification(not b, gap_i.value, gamma_i.value,
+                                     pow_i.value ** (1.0 / power), d)
+                  for b, (gap_i, gamma_i, pow_i) in zip(below, sums))
+    return certs, not prod_below, gap.value
 
 
 def certify_upper(p: Callable[[Sequence[float]], float],
@@ -671,7 +648,10 @@ class LowerSandwich:
 
 def lower_from_upper(p_u_negation, order: int | None = None) -> LowerSandwich:
     if order is None:
-        order = getattr(p_u_negation, "order")
+        order = getattr(p_u_negation, "order", None)
+        if order is None:
+            raise ValueError("lower_from_upper: order must be given for an upper "
+                             "sandwich with no order attribute")
     return LowerSandwich(p_u_negation, order)
 
 
@@ -727,21 +707,14 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
     """
     if order > kwise_gen.k:
         raise OrderViolation(f"sandwich order {order} exceeds k={kwise_gen.k}")
-    gap_u = gap_l = 0.0
     den, blocks = product_lattice(dist)
-
-    def values():
-        nonlocal gap_u, gap_l
-        for X, weights in blocks:
-            fvs = list(map(f, X))
-            for pu, pl, fv, w in zip(_block_values(p_u, X), _block_values(p_l, X),
-                                     fvs, weights):
-                fp = w / den
-                gap_u += (pu - fv) * fp
-                gap_l += (fv - pl) * fp
-            yield fvs, weights
-
-    e_true = float(weighted_sum(values(), den))
+    total, gap_u, gap_l = WeightedSum(den), WeightedSum(den), WeightedSum(den)
+    for X, weights in blocks:
+        fvs = list(map(f, X))
+        total.add(fvs, weights)
+        gap_u.add(map(operator.sub, _block_values(p_u, X), fvs), weights)
+        gap_l.add(map(operator.sub, fvs, _block_values(p_l, X)), weights)
+    e_true = float(total.value)
     e_kwise = float(expectation_over_seeds(f, kwise_gen))
-    eps = max(float(gap_u), float(gap_l))
+    eps = max(float(gap_u.value), float(gap_l.value))
     return FoolingCheck(e_true, e_kwise, abs(e_true - e_kwise), eps, order, kwise_gen.k)

@@ -3,11 +3,13 @@ brute-force monotonicity oracle, the bit-by-bit seed field reader and the
 enumerations that the one-row references need (every label sequence,
 every seed, every k-wise row), the full-grid DGJSV audit and degree
 search, the Fraction
-construction of a discrete law with the scans that read it, and the
-brute-force hash collision and isolation counts."""
+construction of a discrete law with the scans that read it, the one-shot
+weighted sum and the point-by-point certificate loop that the running sum
+replaced, and the brute-force hash collision and isolation counts."""
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import lru_cache
 
@@ -247,6 +249,60 @@ def reference_truncation(law: dict, n: int, C: float, eps: float):
     scale = math.sqrt(m2 - mu * mu)
     out = reference_law([(v - mu) / scale for v in trunc], list(trunc.values()))
     return out, B, (B + abs(mu)) / scale, float(zero), mu, scale, m2
+
+
+def weighted_sum_walk(blocks, den: int):
+    """Sum of v * w / den over the ``(values, weights)`` blocks, in one walk.
+
+    Exact while the values are integers (numpy's and bools included) or
+    Fractions, returning one Fraction; from the first other value on a float
+    sum that starts at the exact partial sum and adds float(v) * (w / den).
+    """
+    acc = 0
+    walk = itertools.chain.from_iterable(itertools.starmap(zip, blocks))
+    for v, w in walk:
+        if type(v) is not int:
+            if isinstance(v, (numbers.Integral, np.bool_)):
+                v = int(v)
+            elif not isinstance(v, Fraction):
+                break
+        acc += v * w
+    else:
+        return Fraction(acc, den)
+    accf = float(Fraction(acc, den)) + float(v) * (w / den)
+    for v, w in walk:
+        accf += float(v) * (w / den)
+    return accf
+
+
+def reference_certify(polys, indicators, dist, d: int):
+    """Every factor's ``(pointwise, eps0, gamma, norm2d, d)`` and the product's
+    pointwise flag and gap, one lattice point at a time.
+
+    Points run in ``itertools.product`` order; each sum is a float from 0.0
+    that adds its term times the point's correctly rounded probability.
+    """
+    thresh, power = 1.0 + 1.0 / d ** 2, 2 * d
+    den = math.prod(c.den for c in dist.coords)
+    factors = [[True, 0.0, 0.0, 0.0] for _ in polys]
+    pointwise, gap = True, 0.0
+    for point in itertools.product(*(zip(c.values, c.numerators) for c in dist.coords)):
+        x = np.array([v for v, _ in point])
+        fp = math.prod(w for _, w in point) / den
+        p_prod = h_prod = 1.0
+        for p, h, acc in zip(polys, indicators, factors):
+            pv, hv = float(p(x)), float(h(x))
+            if pv < hv:
+                acc[0] = False
+            acc[1] += (pv - hv) * fp
+            if pv > thresh:
+                acc[2] += fp
+            acc[3] += pv ** power * fp
+            p_prod, h_prod = p_prod * pv, h_prod * hv
+        if p_prod < h_prod:
+            pointwise = False
+        gap += (p_prod - h_prod) * fp
+    return [(ok, g, m, s ** (1.0 / power), d) for ok, g, m, s in factors], pointwise, gap
 
 
 def hash_columns(fam, positions) -> np.ndarray:

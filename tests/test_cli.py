@@ -169,17 +169,27 @@ def test_robp_nisan(tmp_path):
     (["discretize", "--eps", "0.1", "--gamma", "nan"], "gamma=nan must be 2^-s for integer s"),
     (["discretize", "--eps", "nan"], "eps must be finite, got nan"),
     (["discretize", "--eps", "0.1", "--C", "nan"], "C must be finite, got nan"),
+    (["estimate", "--gen", "mz", "--t", "2", "--k", "2", "--mode", "mc", "--trials", "10"],
+     "dimensions differ: law n=4, generator n=4, system n=3"),
 ], ids=["nisan-negative-seed", "nisan-negative-space", "nisan-negative-label-bits",
         "compile-empty-alphabet", "compile-one-alphabet-for-two-steps", "discretize-eps-0",
         "compile-int-alphabet", "compile-int-step-alphabet", "compile-int-weights",
         "compile-object-weights", "compile-infinite-weight", "compile-infinite-theta",
-        "discretize-gamma-inf", "discretize-gamma-nan", "discretize-eps-nan", "discretize-C-nan"])
+        "discretize-gamma-inf", "discretize-gamma-nan", "discretize-eps-nan", "discretize-C-nan",
+        "estimate-3-weights-on-4-coordinates"])
 def test_rejected_input_prints_json_error(tmp_path, capsys, argv, message):
     """Every subcommand turns a rejected input into one JSON error line and status 1."""
     out = tmp_path / "out.json"
     if argv[0] == "discretize":
         argv = argv[:1] + ["--dist", write(tmp_path / "d.json",
                                            {"coord": {"kind": "gaussian"}, "n": 4})] + argv[1:]
+    if argv[0] == "estimate":
+        argv = argv[:1] + [
+            "--f", write(tmp_path / "sys.json", {"W": [[1.0], [1.0], [1.0]], "Theta": [0.5]}),
+            "--combiner", write(tmp_path / "comb.json", {"kind": "single"}),
+            "--dist", write(tmp_path / "d.json",
+                            {"coord": {"kind": "multiset", "values": [-1.0, 1.0]}, "n": 4}),
+        ] + argv[1:]
     assert main(argv + ["--out", str(out)]) == 1
     assert json.loads(capsys.readouterr().out) == {"error": message}
     assert not out.exists()

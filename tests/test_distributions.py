@@ -1,6 +1,7 @@
 """Moment profiles, truncation, bucket boundaries, sandwich laws, SD."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -589,6 +590,16 @@ class TestArrayPaths:
         got = bucket_boundaries(coord, 2.0 ** -s, B)
         assert all(type(b) is float for b in got)
         assert [b.hex() for b in got] == [b.hex() for b in want]
+
+    def test_bucket_boundaries_past_int64_numerators(self):
+        third = Fraction(1, 3 ** 41)
+        values, probs = [-1.0, 0.5, 2.0], [third, Fraction(1, 2), Fraction(1, 2) - third]
+        coord = DiscreteCoordinate(values, probs)
+        assert max(itertools.accumulate(coord.numerators)) > 2 ** 63
+        for s in (1, 6, 12):
+            got = bucket_boundaries(coord, 2.0 ** -s, 2.5)
+            assert all(type(b) is float for b in got)
+            assert got == reference_bucket_boundaries(reference_law(values, probs), 2.0 ** -s, 2.5)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.75, 1.0, 2.5])

@@ -7,8 +7,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import philox
+from conftest import philox, weighted_sum_walk
 from hsprg import harness
 from hsprg.distributions import (
     DiscreteCoordinate,
@@ -22,6 +24,7 @@ from hsprg.harness import (
     EstimationReport,
     OrthantSet,
     ResourceCapError,
+    WeightedSum,
     berry_esseen_probe,
     emit_report,
     estimate_fooling_error,
@@ -94,6 +97,48 @@ class TestExactExpectation:
         assert abs(mc - exact) <= 4 * se
 
 
+SUM_VALUES = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.fractions(max_denominator=10 ** 6),
+    st.sampled_from([-0.0, 0.0, 0.1, 1.0]),
+    st.floats(-1e6, 1e6),
+)
+
+
+class TestWeightedSum:
+    """The running sum, block by block, against the one-shot walk it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=st.lists(st.tuples(SUM_VALUES, st.integers(0, 2 ** 70)), max_size=40),
+           den=st.integers(1, 2 ** 70), data=st.data())
+    def test_matches_the_one_shot_walk(self, stream, den, data):
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=6), label="cuts"))
+        blocks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)])]
+        want = weighted_sum_walk((([v for v, _ in b], [w for _, w in b]) for b in blocks), den)
+        total = WeightedSum(den)
+        for b in blocks:
+            total.add(iter([v for v, _ in b]), (w for _, w in b))
+        assert total.exact is isinstance(want, Fraction)
+        if total.exact:
+            assert type(total.value) is Fraction and total.value == want
+        else:
+            assert type(total.value) is float and total.value.hex() == want.hex()
+
+    def test_ints_after_the_first_float_add_as_floats(self):
+        total = WeightedSum(3)
+        total.add([1, np.int64(2)], [1, 2 ** 52])
+        assert total.exact and total.value == Fraction(2 ** 53 + 1, 3)
+        total.add([-0.0, 1], [2, 1])
+        # the float sum starts at the rounded exact sum, not at float(2^53 + 1) / 3
+        want = float(Fraction(2 ** 53 + 1, 3)) + -0.0 * (2 / 3) + 1.0 * (1 / 3)
+        assert not total.exact and total.value.hex() == want.hex()
+        total.add([np.bool_(True), Fraction(1, 3)], [2 ** 64, 1])
+        want = want + 1.0 * (2 ** 64 / 3) + 1 / 3 * (1 / 3)
+        assert total.value.hex() == want.hex()
+
+
 class TestFoolingError:
     def test_constant_function_error_zero(self):
         gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
@@ -164,6 +209,23 @@ class TestSystemCombinerPair:
         with pytest.raises(ValueError, match=f"{kind} combiner .* d=2 halfspaces"):
             estimate_fooling_error((self.SYSTEM, comb), Untouchable([RAD] * 6), self.GEN,
                                    mode=mode, trials=100)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("pair, gen, sizes", [
+        (True, MZGenerator([[-1.0, 1.0]] * 4, t=1, k=3), "law n=4, generator n=4, system n=6"),
+        (False, MZGenerator([[-1.0, 1.0]] * 6, t=1, k=3), "law n=4, generator n=6"),
+    ], ids=["system-n-6", "generator-n-6"])
+    def test_size_mismatch_rejected_before_sampling(self, mode, pair, gen, sizes):
+        class Untouchable(ProductDistribution):
+            def sample(self, rng, size):
+                raise AssertionError("sampled before the sizes were checked")
+
+        def f(x):
+            raise AssertionError("evaluated before the sizes were checked")
+
+        f = (self.SYSTEM, CombinerSpec.intersection()) if pair else f
+        with pytest.raises(ValueError, match=f"^dimensions differ: {sizes}$"):
+            estimate_fooling_error(f, Untouchable([RAD] * 4), gen, mode=mode, trials=100)
 
 
 class TestMonteCarloGolden:

@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as nch
 
-from conftest import full_grid_audit, full_grid_dgjsv, philox
+from conftest import full_grid_audit, full_grid_dgjsv, philox, reference_certify
 from hsprg import harness, sandwich_poly
 from hsprg.distributions import DiscreteCoordinate, ProductDistribution
 from hsprg.halfspace import DecisionTree, Halfspace, HalfspaceSystem
@@ -809,6 +810,72 @@ class TestHybridProduct:
             hybrid_product([Half()], [lambda x: int(sum(x) >= 0)], CUBE6)
 
 
+THIRDS = DiscreteCoordinate([-1.0, 0.5, 2.0], [Fraction(1, 3)] * 3)
+
+
+class Bump:
+    """1[m >= 0] + c*m^2 for the margin m: an upper sandwich that passes 1 + 1/d^2."""
+
+    order = 2
+
+    def __init__(self, w, theta, c):
+        self.w, self.theta, self.c = w, theta, c
+
+    def __call__(self, x):
+        m = sum(wi * xi for wi, xi in zip(self.w, x)) - self.theta
+        return float(m >= 0) + self.c * m * m
+
+
+class TestOvershootMass:
+    """Certificates with Pr[p > 1 + 1/d^2] > 0 on a law with a thirds coordinate.
+
+    The values were recorded with the point-by-point float loop that the
+    running sums replaced; the overshoot mass is a float sum of rounded
+    probabilities, which an exact sum would round differently here.
+    """
+
+    DIST = ProductDistribution([THIRDS, RAD, THIRDS, LAW3, RAD])
+    CASES = [((1.0, 1.0, -0.5, 1.0, 0.5), 0.5, 0.02), ((0.5, -1.0, 1.0, 0.25, 1.0), -0.5, 0.03)]
+
+    def build(self):
+        return [Bump(*c) for c in self.CASES], [Halfspace(w, th) for w, th, _ in self.CASES]
+
+    @staticmethod
+    def hexed(cert):
+        return (cert[0], *(v.hex() for v in cert[1:4]), cert[4])
+
+    def test_hybrid_product(self):
+        polys, hs = self.build()
+        res = hybrid_product(polys, hs, self.DIST)
+        certs, pointwise, gap = reference_certify(polys, [h.evaluate for h in hs], self.DIST, 2)
+        assert [self.hexed(dataclasses.astuple(c)) for c in res.certifications] \
+            == [self.hexed(c) for c in certs] == [
+                (True, "0x1.bd70a3d70a3d9p-4", "0x1.f49f49f49f49fp-4", "0x1.1186b9bf6a471p+0", 2),
+                (True, "0x1.8f2b020c49ba8p-3", "0x1.16c16c16c16c0p-2", "0x1.3e387064167e1p+0", 2)]
+        assert (res.pointwise_ok, res.measured_gap.hex()) == (pointwise, gap.hex()) \
+            == (True, "0x1.f2317a372d7c0p-3")
+        assert (res.bound.hex(), res.order) == ("0x1.c299711208392p+2", 4)
+
+    @pytest.mark.parametrize("i, d, want", [
+        (0, 1, ("0x1.bd70a3d70a3d9p-4", "0x0.0p+0", "0x1.f0feb22fb5320p-1")),
+        (0, 3, ("0x1.bd70a3d70a3d9p-4", "0x1.360b60b60b60ap-2", "0x1.1eb7969224dd5p+0")),
+        (1, 1, ("0x1.8f2b020c49ba8p-3", "0x1.3e93e93e93e94p-6", "0x1.1d7f546c346fcp+0")),
+        (1, 2, ("0x1.8f2b020c49ba8p-3", "0x1.16c16c16c16c0p-2", "0x1.3e387064167e1p+0")),
+        (1, 3, ("0x1.8f2b020c49ba8p-3", "0x1.c71c71c71c718p-2", "0x1.5648c87cd71c8p+0")),
+    ])
+    def test_certify_upper(self, i, d, want):
+        polys, hs = self.build()
+        cert = dataclasses.astuple(certify_upper(polys[i], hs[i].evaluate, self.DIST, d))
+        (ref,), _, _ = reference_certify(polys[i:i + 1], [hs[i].evaluate], self.DIST, d)
+        assert self.hexed(cert) == self.hexed(ref) == (True, *want, d)
+
+    def test_an_exact_overshoot_mass_would_differ(self):
+        polys, hs = self.build()
+        cert = certify_upper(polys[1], hs[1].evaluate, self.DIST, 3)
+        exact = exact_expectation(lambda x: int(polys[1](x) > 1 + 1 / 9), self.DIST)
+        assert cert.gamma < float(exact)
+
+
 def margin_square_upper(w, theta, s=0.35):
     """Order-2 upper sandwich (1 + s*u)^2 of 1[u >= 0], u the scaled margin."""
     scale = math.sqrt(sum(wi * wi for wi in w))
@@ -830,6 +897,11 @@ class TestLowerFromUpper:
                 return 1.0
         p_l = lower_from_upper(One())
         assert p_l.evaluate([1.0]) == 0.0
+
+    def test_order_must_be_given_for_a_plain_callable(self):
+        with pytest.raises(ValueError, match="order must be given"):
+            lower_from_upper(lambda x: 1.0)
+        assert lower_from_upper(lambda x: 1.0, order=3).order == 3
 
     def test_exact_complement(self):
         h = Halfspace((1.0, 1.0), 0.0)
