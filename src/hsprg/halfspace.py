@@ -80,14 +80,21 @@ class HalfspaceSystem:
         return signs.view(np.int8)
 
     def sign_vector(self, x: Sequence[float]) -> tuple[int, ...]:
+        """The signs of one point, from its own contiguous (n,) @ W product."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has dimension {x.shape}, expected {self.n}")
-        return tuple(self._signs(x @ self.W).tolist())
+        return tuple(self._signs(np.ascontiguousarray(x) @ self.W).tolist())
 
     def sign_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Sign vectors for a batch of points, shape (samples, d)."""
-        return self._signs(np.asarray(X, dtype=float) @ self.W)
+        """Sign vectors for a batch of points, shape (samples, d).
+
+        Each row is its own (1, n) @ W product, one BLAS call with
+        `sign_vector`'s arguments, so row i gets sign_vector(X[i]) bit for
+        bit whatever the layout of X and whatever rows share the call.
+        """
+        X = np.ascontiguousarray(X, dtype=float)
+        return self._signs((X[:, None, :] @ self.W)[:, 0])
 
     def to_json(self) -> dict:
         return {"W": self.W.tolist(), "Theta": self.Theta.tolist(),

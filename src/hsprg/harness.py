@@ -5,24 +5,22 @@ reach it through their seed interface (``seed_bits``, ``random_seeds``,
 ``expand``).
 
 Exact mode enumerates the full product space (and the full seed space of a
-generator).  `f` must be a deterministic function of the point: the seed
-pass calls it once per distinct generator row of each seed chunk.  Every
-exact pass, here and in `sandwich_poly`, sums through one `WeightedSum`:
-integer weights over one denominator, exact while the values allow, then
-floats in the order fed.  Monte
-Carlo goes through one sharded driver: stream k of shard s is Philox keyed
-by (master seed, k * MAX_SHARDS + s), so shard results are reproducible and
-merge order-independently.  The driver hands shards over in runs of
-consecutive shards, at most SEED_CHUNK rows and at least one shard each.
-The fooling-error estimate draws every shard's seeds from that shard's own
-stream, expands a run in one generator call, and evaluates each shard's
-rows on their own, so the report does not depend on how shards are grouped.
+generator).  Both modes read `f` a block of rows at a time through one
+reader, `block_values`; a pair's signs are each row's own product, so a
+value never depends on its block.  Every exact pass, here and in
+`sandwich_poly`, sums through one `WeightedSum`: integer weights over one
+denominator, exact while the values allow, then floats in the order fed.
+Monte Carlo goes through one sharded driver: stream k of shard s is Philox
+keyed by (master seed, k * MAX_SHARDS + s), so shard results are
+reproducible and merge order-independently.  The driver hands shards over
+in runs of consecutive shards, at most SEED_CHUNK rows and at least one
+shard each.  The fooling-error estimate draws every shard from its own
+streams and expands and evaluates a run at once.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import itertools
 import json
 import math
@@ -37,7 +35,7 @@ from scipy.linalg import lapack
 from scipy.special import betainc
 
 from .distributions import DiscreteCoordinate, ProductDistribution
-from .halfspace import CombinerSpec, HalfspaceSystem, evaluate, evaluate_batch, pattern_index
+from .halfspace import CombinerSpec, HalfspaceSystem, evaluate_batch, pattern_index
 from .seeds import seed_range
 
 MASTER_SEED = 20100913  # the master seed of a run that names none
@@ -172,27 +170,38 @@ class WeightedSum:
         return Fraction(self._acc, self.den) if self.exact else self._acc
 
 
-def exact_expectation(f: Callable[[np.ndarray], float],
-                      dist: ProductDistribution):
+def block_values(f, X: np.ndarray) -> list:
+    """f at every row of a block: a ``(system, combiner)`` pair through
+    `evaluate_batch`, an object with ``evaluate_batch`` through that method
+    (array results as Python scalars), any other callable row by row."""
+    if isinstance(f, tuple):
+        return evaluate_batch(*f, X).tolist()
+    batch = getattr(f, "evaluate_batch", None)
+    if batch is not None:
+        return np.asarray(batch(X)).tolist()
+    return list(map(f, X))
+
+
+def exact_expectation(f, dist: ProductDistribution):
     """Sum of f * probability over the whole product space.
 
-    `f` gets each point as one float64 row of a `product_lattice` block.
+    `f` is read a `product_lattice` block at a time, through `block_values`.
     Returns a Fraction when every f value is integral/Fraction, else float.
     """
     den, blocks = product_lattice(dist)
     total = WeightedSum(den)
     for X, weights in blocks:
-        total.add(map(f, X), weights)
+        total.add(block_values(f, X), weights)
     return total.value
 
 
-def expectation_over_seeds(f: Callable[[np.ndarray], float], generator):
+def expectation_over_seeds(f, generator):
     """Average of f(G(seed)) over the full seed space, exact.
 
     `f` must be a deterministic function of the point: the seeds are
-    expanded SEED_CHUNK at a time, and `f` is called once per distinct
-    row of each chunk (rows compared by their bytes, so -0.0 and 0.0
-    differ).  While every value so far is an integer or a Fraction, a
+    expanded SEED_CHUNK at a time, and `block_values` reads `f` on the
+    distinct rows of each chunk (rows compared by their bytes, so -0.0 and
+    0.0 differ).  While every value so far is an integer or a Fraction, a
     chunk adds each distinct value times its multiplicity, which leaves the
     exact sum unchanged.  From the first chunk with any other value on,
     each seed adds its row's value in seed order, so a float result is
@@ -208,7 +217,7 @@ def expectation_over_seeds(f: Callable[[np.ndarray], float], generator):
             seed_range(start, min(start + SEED_CHUNK, n_seeds), generator.seed_bits)))
         keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-        vals = [f(X[i]) for i in first]
+        vals = block_values(f, X[first])
         if total.exact and all(isinstance(v, _EXACT) for v in vals):
             total.add(vals, np.bincount(inverse, minlength=len(vals)).tolist())
         else:
@@ -290,9 +299,9 @@ def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int
 
     Shards are handed to ``body`` in runs (`_shard_runs`).  ``body(run)``
     gets a run as a list of ``(size, rngs)``, one per shard, whose rngs are
-    streams ``k`` of ``streams`` for that shard, and returns one tuple of
-    hit counts per shard, one count per stream.  The half-width combines
-    the Wilson half-widths of the means in quadrature.
+    streams ``k`` of ``streams`` for that shard, and returns tuples of hit
+    counts, one count per stream, to be summed: one per shard or per run.
+    The half-width combines the Wilson half-widths of the means in quadrature.
     """
     if master_seed is None:
         master_seed = MASTER_SEED
@@ -306,7 +315,7 @@ def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int
     return means, math.hypot(*(wilson_halfwidth(p, trials) for p in means))
 
 
-def estimate_fooling_error(f: Callable[[Sequence[float]], int]
+def estimate_fooling_error(f: Callable[[np.ndarray], int]
                            | tuple[HalfspaceSystem, CombinerSpec],
                            dist: ProductDistribution, generator,
                            mode: str = "exact", trials: int = 10 ** 5,
@@ -315,48 +324,37 @@ def estimate_fooling_error(f: Callable[[Sequence[float]], int]
                            ) -> EstimationReport:
     """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo.
 
-    `f` is a callable on one point, or a ``(system, combiner)`` pair.  A
-    pair is checked against its system once, before anything is drawn, and
-    gives the report its ``d``.  The law, the generator and a pair's
+    Both modes read `f` through `block_values`: exact mode a lattice block
+    or a seed chunk's distinct rows at a time, Monte Carlo a run of shards
+    at a time.  A ``(system, combiner)`` pair is checked against its system
+    once, before anything is drawn, and gives the report its ``d``; any
+    other `f` reports ``d = 1``.  The law, the generator and a pair's
     system must have one dimension n, also checked before anything is
-    drawn.  Monte Carlo evaluates a pair on whole shards
-    through `evaluate_batch`, exact mode one point at a time through
-    `evaluate`.  A callable gets one point at a time, as one float64 row of
-    a shard or of a `product_lattice` or seed block, and reports ``d = 1``.
-    Either must be a deterministic function of the point: the exact seed
-    pass calls it once per distinct generator row of each seed chunk.
+    drawn.  `f` must be a deterministic function of the point.
     """
     t0 = time.perf_counter()
-    point, d = f, 1
+    d = 1
     sizes = {"law": dist.n, "generator": generator.n}
     if isinstance(f, tuple):
         system, combiner = f
         combiner.check_fits(system.d)
-        point, d = functools.partial(evaluate, system, combiner), system.d
-        sizes["system"] = system.n
-
-        def hits(X):
-            return evaluate_batch(system, combiner, X).sum()
-    else:
-        def hits(X):
-            return sum(point(x) for x in X)
+        d, sizes["system"] = system.d, system.n
     if len(set(sizes.values())) > 1:
         raise ValueError("dimensions differ: " + ", ".join(f"{k} n={v}" for k, v in sizes.items()))
 
     if mode == "exact":
-        true_e = float(exact_expectation(point, dist))
-        prg_e = float(expectation_over_seeds(point, generator))
+        true_e = float(exact_expectation(f, dist))
+        prg_e = float(expectation_over_seeds(f, generator))
         samples = 1 << generator.seed_bits
         ci = 0.0
         method = "exact-enumeration"
     elif mode == "mc":
         def body(run):
-            # one expand per run; each shard's rows are evaluated on their own
+            # every shard draws from its own streams; the run is evaluated once
+            X = np.concatenate([dist.sample(rng_x, size) for size, (rng_x, _) in run])
             seeds = np.concatenate([generator.random_seeds(rng_seeds, size)
                                     for size, (_, rng_seeds) in run])
-            rows = np.split(generator.expand(seeds), np.cumsum([size for size, _ in run[:-1]]))
-            return [(hits(dist.sample(rng_x, size)), hits(X))
-                    for (size, (rng_x, _)), X in zip(run, rows)]
+            return [(sum(block_values(f, X)), sum(block_values(f, generator.expand(seeds))))]
 
         (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body)
         samples = trials
@@ -496,16 +494,14 @@ def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
         def sampler(rng, size):
             return rng.standard_normal((size, n))
 
-    def shard(size, rng):
-        X = sampler(rng, size)
-        norms = np.linalg.norm(X, axis=1)
-        while (bad := norms == 0).any():
-            X[bad] = sampler(rng, int(bad.sum()))
-            norms = np.linalg.norm(X, axis=1)
-        return (evaluate_batch(system, combiner, X / norms[:, None]).sum(),)
-
     def body(run):
-        return [shard(size, rng) for size, (rng,) in run]
+        for size, (rng,) in run:
+            X = sampler(rng, size)
+            norms = np.linalg.norm(X, axis=1)
+            while (bad := norms == 0).any():
+                X[bad] = sampler(rng, int(bad.sum()))
+                norms = np.linalg.norm(X, axis=1)
+            yield (evaluate_batch(system, combiner, X / norms[:, None]).sum(),)
 
     (p,), ci = _mc(trials, shards, master_seed, (0,), body)
     return SphereTransferReport(p, ci,

@@ -39,7 +39,7 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import WeightedSum, expectation_over_seeds, product_lattice
+from .harness import WeightedSum, block_values, expectation_over_seeds, product_lattice
 from .regularity import TermNorms, check_delta, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -546,11 +546,8 @@ class UpperCertification:
 
 
 def _block_values(p, X: np.ndarray) -> list[float]:
-    """p at every row of a block, as floats: one evaluate_batch call when p has one."""
-    batch = getattr(p, "evaluate_batch", None)
-    if batch is not None:
-        return np.asarray(batch(X), dtype=float).tolist()
-    return [float(v) for v in map(p, X)]
+    """p at every row of a block (`harness.block_values`), as floats."""
+    return list(map(float, block_values(p, X)))
 
 
 def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
@@ -611,8 +608,8 @@ def hybrid_product(polys: Sequence, halfspaces: Sequence,
     Every factor must pass the four preconditions exactly (pointwise >=,
     small expectation gap, rare overshoot of 1 + 1/d^2, bounded 2d-norm);
     the resulting bound is 2 d eps0 + 3 d^2 sqrt(gamma) with eps0 and gamma
-    the measured maxima.  Factors and indicators are callables, read
-    through `evaluate_batch` where they have one.
+    the measured maxima.  Factors and indicators are read a block at a
+    time through `harness.block_values`.
     """
     d = len(polys)
     if d < 1:
@@ -701,16 +698,15 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
     The mechanism is junta-expectation matching: every summand of an
     order-k polynomial sees identical k-marginals under X and Y, so the
     sandwich gap survives the change of measure.  E f and both gaps are
-    summed over one pass of `product_lattice` blocks: f is called once per
-    point and p_u and p_l once per block (through `evaluate_batch` when they
-    have one).
+    summed over one pass of `product_lattice` blocks, reading f, p_u and
+    p_l once per block through `harness.block_values`.
     """
     if order > kwise_gen.k:
         raise OrderViolation(f"sandwich order {order} exceeds k={kwise_gen.k}")
     den, blocks = product_lattice(dist)
     total, gap_u, gap_l = WeightedSum(den), WeightedSum(den), WeightedSum(den)
     for X, weights in blocks:
-        fvs = list(map(f, X))
+        fvs = block_values(f, X)
         total.add(fvs, weights)
         gap_u.add(map(operator.sub, _block_values(p_u, X), fvs), weights)
         gap_l.add(map(operator.sub, fvs, _block_values(p_l, X)), weights)

@@ -235,20 +235,20 @@ def sign_cases(draw):
 
 
 class TestSignPaths:
-    """sign_vector and sign_matrix keep the signs of `x @ W - Theta` bit for bit."""
+    """sign_vector and sign_matrix keep the signs of each row's `x @ W - Theta` bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(sign_cases())
     def test_signs_equal_the_margin_rule(self, case):
         system, X = case
         with np.errstate(all="ignore"):
+            rows = []
             for x in X:
                 margins = x @ system.W - system.Theta
                 assert system.sign_vector(x) == old_signs(margins, system.strict)
                 assert system.sign_vector(tuple(x.tolist())) == old_signs(margins, system.strict)
-            margins = X @ system.W - system.Theta
-            assert system.sign_matrix(X).tolist() == [
-                list(old_signs(row, system.strict)) for row in margins]
+                rows.append(list(old_signs(margins, system.strict)))
+            assert system.sign_matrix(X).tolist() == rows
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_ties(self, strict):
@@ -293,6 +293,36 @@ class TestSignPaths:
         out = system.sign_matrix(patterns(3))
         assert out.dtype == np.int8 and out.shape == (8, 3)
         assert system.sign_matrix(np.empty((0, 3))).shape == (0, 3)
+
+
+def tie_case(seed):
+    """A seeded system with Theta on one row's own margin, and its points (C order)."""
+    rng = philox(seed)
+    n, d, rows = int(rng.integers(1, 65)), int(rng.integers(1, 5)), int(rng.integers(2, 17))
+    W = rng.standard_normal((n, d))
+    X = rng.choice([-1.0, -0.3, 0.1, 0.7, 1.0], (rows, n))
+    strict = rng.integers(0, 2, d).astype(bool).tolist()
+    return HalfspaceSystem(W, X[int(rng.integers(rows))] @ W, strict), X
+
+
+LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray,
+           "strided": lambda X: np.repeat(X, 2, axis=1)[:, ::2]}
+
+
+class TestOneSignRule:
+    """Every row's signs come from its own product, whatever shares the call."""
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_rows_and_prefixes_follow_sign_vector(self, layout):
+        for seed in range(300):
+            system, X = tie_case(seed)
+            want = [list(system.sign_vector(x)) for x in X]
+            X = LAYOUTS[layout](X)
+            assert [list(system.sign_vector(x)) for x in X] == want, seed
+            signs = system.sign_matrix(X)
+            assert signs.tolist() == want, seed
+            for k in range(len(X) + 1):
+                assert np.array_equal(system.sign_matrix(X[:k]), signs[:k]), (seed, k)
 
 
 def patterns(d):
@@ -364,6 +394,34 @@ class TestBatchCombiners:
             for signs in self.sign_forms(row):
                 idx = comb.apply(signs)
                 assert type(idx) is int and idx == i
+
+    @staticmethod
+    def every_combiner(d):
+        """single at every index, intersection, monotone tables, seeded trees."""
+        yield from map(CombinerSpec.single, range(d))
+        yield CombinerSpec.intersection()
+        rng = philox(40 + d)
+        for _ in range(4):
+            gens = rng.integers(0, 1 << d, size=int(rng.integers(0, 4))).tolist()
+            yield CombinerSpec.monotone_table(
+                [int(any(x & g == g for g in gens)) for x in range(1 << d)], d)
+
+        def tree(depth):
+            if depth == 0 or rng.random() < 0.25:
+                return DecisionTree.leaf_node(int(rng.integers(0, 2)))
+            # indices drawn with replacement, so a path can read one halfspace twice
+            return DecisionTree.branch(int(rng.integers(0, d)), tree(depth - 1), tree(depth - 1))
+
+        for _ in range(8):
+            yield CombinerSpec.decision_tree(tree(4))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_apply_rows_equals_apply_for_every_kind(self, d):
+        rows = patterns(d).astype(int)
+        for comb in self.every_combiner(d):
+            batch = comb.apply_rows(rows).tolist()
+            for row, want in zip(rows.tolist(), batch):
+                assert [comb.apply(signs) for signs in self.sign_forms(row)] == [want] * 3, comb
 
     @pytest.mark.parametrize("comb", [
         CombinerSpec.single(1), CombinerSpec.intersection(),

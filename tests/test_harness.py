@@ -195,6 +195,22 @@ class TestSystemCombinerPair:
         assert replace(pair, wall_ms=0.0) == replace(ref, d=2, wall_ms=0.0)
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_same_report_as_the_callable_on_ties(self, mode):
+        # Theta on one cube point's own margin: the pair's block reads must
+        # give that point the per-row signs wherever it lands in a block
+        comb = CombinerSpec.intersection()
+        points = np.array(list(itertools.product([-1.0, 1.0], repeat=6)))
+        kw = dict(mode=mode, trials=3001, master_seed=5, shards=3)
+        for seed in range(40):
+            rng = philox(seed)
+            W = rng.standard_normal((6, 2))
+            system = HalfspaceSystem(W, points[int(rng.integers(64))] @ W)
+            pair = estimate_fooling_error((system, comb), cube(6), self.GEN, **kw)
+            ref = estimate_fooling_error(lambda x: comb.apply(system.sign_vector(x)),
+                                         cube(6), self.GEN, **kw)
+            assert replace(pair, wall_ms=0.0) == replace(ref, d=2, wall_ms=0.0), seed
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
     @pytest.mark.parametrize("comb, kind", [
         (CombinerSpec("monotone-table", table=(0, 0, 0, 1, 0, 1, 1, 1)), "monotone-table"),
         (CombinerSpec.single(2), "single"),
