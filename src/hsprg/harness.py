@@ -4,9 +4,11 @@ The harness only measures; the generators it drives live in `mzgen` and
 reach it through their seed interface (``seed_bits``, ``random_seeds``,
 ``expand``).
 
-Exact mode enumerates the full product space (and the full seed space of a
-generator).  Both modes read `f` a block of rows at a time through one
-reader, `block_values`; a pair's signs are each row's own product, so a
+Exact mode enumerates the full product space, and the seed space of a
+generator: through its GF(2) image when it has one (``image_seeds``, one
+point per label row each hash multiplier can give, with its weight),
+else seed by seed.  Both modes read `f` a block of rows at a time through
+one reader, `block_values`; a pair's signs are each row's own product, so a
 value never depends on its block.  Every exact pass, here and in
 `sandwich_poly`, sums through one `WeightedSum`: integer weights over one
 denominator, exact while the values allow, then floats in the order fed.
@@ -39,7 +41,7 @@ from .halfspace import CombinerSpec, HalfspaceSystem, evaluate_batch, pattern_in
 from .seeds import seed_range
 
 MASTER_SEED = 20100913  # the master seed of a run that names none
-ENUM_CAP = 1 << 24    # most points or seeds an exact pass enumerates
+ENUM_CAP = 1 << 24    # most points, seeds or seed-image points an exact pass enumerates
 SEED_CHUNK = 1 << 12  # most seeds expanded per generator call (but one Monte Carlo shard)
 TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
@@ -164,6 +166,17 @@ class WeightedSum:
             acc += float(v) * (w / den)
         self._acc = acc
 
+    def add_floats(self, values: Iterable[float], probs: Iterable[float]) -> None:
+        """Fold in float values, each times its weight's w / den, as `add` does
+        from its first float on: several sums over one block divide once."""
+        if self.exact:
+            self.exact = False
+            self._acc = float(Fraction(self._acc, self.den))
+        acc = self._acc
+        for v, p in zip(values, probs):
+            acc += v * p
+        self._acc = acc
+
     @property
     def value(self):
         """The sum so far: a Fraction while exact, else a float."""
@@ -198,17 +211,46 @@ def exact_expectation(f, dist: ProductDistribution):
 def expectation_over_seeds(f, generator):
     """Average of f(G(seed)) over the full seed space, exact.
 
-    `f` must be a deterministic function of the point: the seeds are
-    expanded SEED_CHUNK at a time, and `block_values` reads `f` on the
-    distinct rows of each chunk (rows compared by their bytes, so -0.0 and
-    0.0 differ).  While every value so far is an integer or a Fraction, a
-    chunk adds each distinct value times its multiplicity, which leaves the
-    exact sum unchanged.  From the first chunk with any other value on,
-    each seed adds its row's value in seed order, so a float result is
-    the per-seed sum bit for bit.
+    `f` must be a deterministic function of the point.  A generator with
+    an image (``image_seeds``, the MZ generator's) whose point count is at
+    most min(2^seed_bits, ENUM_CAP) is read through it: `block_values`
+    reads `f` once per image point, an image block at a time, and each
+    value adds with its block's weight over 2^seed_bits, so the seed space
+    itself may pass ENUM_CAP.  Integer and Fraction values give the same
+    rational as a pass over every seed.  If some value is neither, a seed
+    space within ENUM_CAP is summed again by the seed pass below, each
+    row's value read back from the image by the row's bytes, so f is
+    never called twice; past the cap the result is the float sum in
+    image order.
+
+    The seed pass (any other generator) expands the seeds SEED_CHUNK at a
+    time and reads `f` on the distinct rows of each chunk (rows compared
+    by their bytes, so -0.0 and 0.0 differ).  While every value so far is
+    an integer or a Fraction, a chunk adds each distinct value times its
+    multiplicity; from the first chunk with any other value on, each seed
+    adds its row's value in seed order, so a float result is the per-seed
+    sum bit for bit.
     """
     n_seeds = 1 << generator.seed_bits
-    if n_seeds > ENUM_CAP:
+    image = getattr(generator, "image_seeds", None)
+    if image is not None:
+        points, blocks = image(SEED_CHUNK)
+        if points > ENUM_CAP:
+            raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {ENUM_CAP}, "
+                                   f"and so does its image of {points} points")
+        total = WeightedSum(n_seeds)
+        kept = []  # each block's seeds and values, for a seed-order float sum
+        for seeds, weight in blocks:
+            vals = block_values(f, generator.expand(seeds))
+            total.add(vals, itertools.repeat(weight))
+            if n_seeds <= ENUM_CAP:
+                kept.append((seeds, vals))
+        if total.exact or n_seeds > ENUM_CAP:
+            return total.value
+        value = {x.tobytes(): v for seeds, vals in kept
+                 for x, v in zip(generator.expand(seeds), vals)}
+        f = lambda x: value[x.tobytes()]
+    elif n_seeds > ENUM_CAP:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {ENUM_CAP}")
 
     total = WeightedSum(1)  # unit weights: the float path sums float(f(x)) and divides once
@@ -324,13 +366,14 @@ def estimate_fooling_error(f: Callable[[np.ndarray], int]
                            ) -> EstimationReport:
     """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo.
 
-    Both modes read `f` through `block_values`: exact mode a lattice block
-    or a seed chunk's distinct rows at a time, Monte Carlo a run of shards
-    at a time.  A ``(system, combiner)`` pair is checked against its system
-    once, before anything is drawn, and gives the report its ``d``; any
-    other `f` reports ``d = 1``.  The law, the generator and a pair's
-    system must have one dimension n, also checked before anything is
-    drawn.  `f` must be a deterministic function of the point.
+    Both modes read `f` through `block_values`: exact mode a lattice block,
+    a block of the seed image or a seed chunk's distinct rows at a time,
+    Monte Carlo a run of shards at a time.  A ``(system, combiner)`` pair
+    is checked against its system once, before anything is drawn, and
+    gives the report its ``d``; any other `f` reports ``d = 1``.  The law,
+    the generator and a pair's system must have one dimension n, also
+    checked before anything is drawn.  `f` must be a deterministic
+    function of the point.
     """
     t0 = time.perf_counter()
     d = 1

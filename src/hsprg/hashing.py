@@ -107,6 +107,15 @@ class HashFamily:
             return points, points
         return points[1:], points[:1]  # a = 0 is the constant function, excluded
 
+    def multiplier_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each multiplier a, its index with offset c = 0, and how many of
+        the 2^index_bits indices pick a, as int64 arrays."""
+        a, _ = self.factors()
+        if self.variant == AFFINE:
+            return a, a << self.m, np.full(len(a), self.n_pow2)
+        per, extra = divmod(1 << self.index_bits, len(a))
+        return a, a - 1, per + (a - 1 < extra)
+
 
 def multiplier_buckets(m: int, t: int, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Buckets (a*x) mod t in GF(2^m): one row per multiplier of a, one column per x.

@@ -31,6 +31,12 @@ pick, which the benchmark's mc_cli and mc_batch read for every
 multiplier and exact_enum (t = 1) for its one multiplier; or, when
 every multiplier's table would pass ``_TABLE_CELLS``, partitions
 computed per row, which no workload reaches.
+
+Since every label bit read is linear in the bucket seeds, a uniform seed
+under one hash multiplier a gives label rows uniform on the image V_a of
+a linear map over GF(2); the offset c only permutes the iid bucket seeds.
+``image_seeds`` names one seed per point of each V_a, with its weight, so
+an exact pass reads f once per point of V_a instead of once per seed.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -52,7 +58,14 @@ from .hashing import (
     multiplier_buckets,
 )
 from .robp import nisan_expand, nisan_seed_bits
-from .seeds import check_seeds, random_seed, random_seeds, seed_fields, seed_from_int
+from .seeds import (
+    check_seeds,
+    random_seed,
+    random_seeds,
+    seed_bytes,
+    seed_fields,
+    seed_from_int,
+)
 
 # Cells (rows x coordinates) per pass of the expansion kernel, and the
 # largest table (of masks or of partitions, by multiplier) kept per generator.
@@ -178,6 +191,35 @@ def _multiplier_partitions(hash_m: int, t: int, n: int,
     """Buckets (a*j) mod t of coordinates j < n in GF(2^hash_m), and their ranks."""
     bucket = multiplier_buckets(hash_m, t, a, np.arange(n))
     return bucket, _ranks(bucket)
+
+
+def _prefix_pivots(masks: np.ndarray, m: int) -> list[tuple[int, ...]]:
+    """Pivot bits of the label rows of ranks 0, ..., c - 1 in one bucket, for each c.
+
+    Row (j, r), label bit j of the coordinate at rank r, is the functional
+    sum_w masks[j, w, r] << (w * q * m) on the bucket's seed field (word w
+    starts at bit w * q * m, q = 63 // m).  The rows are reduced rank by
+    rank into a GF(2) basis of packed ints, one vector per leading bit, so
+    entry c lists the leading bits found below rank c.  The basis is
+    triangular on them: the seeds supported there map one-to-one onto the
+    image of those rows.
+    """
+    q = 63 // m
+    basis: dict[int, int] = {}
+    found = [()]
+    for rank_rows in masks.transpose(2, 0, 1).tolist():
+        pivots = found[-1]
+        for words in rank_rows:
+            v = sum(word << (w * q * m) for w, word in enumerate(words))
+            while v:
+                top = v.bit_length() - 1
+                if top not in basis:
+                    basis[top] = v
+                    pivots += (top,)
+                    break
+                v ^= basis[top]
+        found.append(pivots)
+    return found
 
 
 @lru_cache(maxsize=1)
@@ -405,6 +447,68 @@ class MZGenerator(_Generator):
         else:
             bucket, index = bucket[a], a
         return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], masks, index
+
+    def image_seeds(self, chunk: int) -> tuple[int, Iterator[tuple[np.ndarray, int]]]:
+        """One seed per point of each multiplier's image: ``(points, blocks)``.
+
+        Under multiplier a, the label rows are A_a times the bucket seeds
+        over GF(2).  A_a is block diagonal by bucket, and the rows of a
+        bucket holding c coordinates are those of ranks 0, ..., c - 1, so
+        one reduction of the rank rows (``_prefix_pivots``) gives each
+        bucket's pivot bits, and their union J_a has rank_a bits.  The seeds
+        whose bucket bits lie in J_a, with the hash field set to an index
+        of a with offset 0, map one-to-one onto V_a.  An offset only
+        permutes the iid bucket seeds, so every hash with multiplier a has
+        the same image; a constant hash is its own one multiplier.  Only
+        the alphabet's index bits count, so a one-letter alphabet has one
+        point per multiplier.
+
+        `points` is the sum of 2^rank_a, computed before any block is
+        built.  `blocks` yields ``(seeds, weight)``: at most `chunk` seeds
+        of one multiplier, each standing for `weight` of the 2^seed_bits
+        seeds, that is 2^(bucket bits - rank_a) times the number of hash
+        indices that pick a.
+        """
+        if self._constant_hash is None:
+            mult, index, picks = self.hash_family.multiplier_indices()
+            c0 = 0
+        else:
+            a0, c0 = self._constant_hash
+            mult, index, picks = np.array([[a0], [0], [1]])
+        masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
+        pivots = _prefix_pivots(masks[:(self.alphabet_size - 1).bit_length()], self.m_word)
+        step = max(1, _CHUNK_CELLS // self.n)
+
+        def bucket_counts(lo: int, hi: int) -> np.ndarray:
+            """Coordinates per bucket under multipliers lo, ..., hi - 1, shape (hi - lo, t)."""
+            bucket = multiplier_buckets(self.hash_family.m, self.t, mult[lo:hi], np.arange(self.n))
+            bucket ^= c0 & (self.t - 1)
+            bucket += self.t * np.arange(hi - lo)[:, None]
+            return np.bincount(bucket.ravel(), minlength=(hi - lo) * self.t).reshape(-1, self.t)
+
+        sizes = np.array([len(p) for p in pivots])
+        ranks = np.concatenate([sizes[bucket_counts(lo, min(lo + step, len(mult)))].sum(axis=1)
+                                for lo in range(0, len(mult), step)])
+        bucket_bits = self.t * self.bucket_seed_bits
+
+        def blocks():
+            for lo in range(0, len(mult), step):
+                hi = min(lo + step, len(mult))
+                for counts, idx, pick in zip(bucket_counts(lo, hi).tolist(),
+                                             index[lo:hi].tolist(), picks[lo:hi].tolist()):
+                    bits = [self.hash_bits + b * self.bucket_seed_bits + p
+                            for b, c in enumerate(counts) for p in pivots[c]]
+                    weight = pick << (bucket_bits - len(bits))
+                    head = np.frombuffer(idx.to_bytes(seed_bytes(self.seed_bits), "little"),
+                                         dtype=np.uint8)
+                    for start in range(0, 1 << len(bits), chunk):
+                        i = np.arange(start, min(start + chunk, 1 << len(bits)))
+                        seeds = np.tile(head, (len(i), 1))
+                        for j, pos in enumerate(bits):
+                            seeds[:, pos >> 3] |= (i >> j & 1).astype(np.uint8) << (pos & 7)
+                        yield seeds, weight
+
+        return sum(1 << r for r in ranks.tolist()), blocks()
 
     def with_fixed_hash(self, h: HashFunction) -> "MZGenerator":
         return MZGenerator(self.alphabets, self.t, self.k,

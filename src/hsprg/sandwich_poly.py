@@ -558,7 +558,8 @@ def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
     floats; each factor's gap, overshoot mass and 2d-th-power sum and the
     gap of the running products of p and of h (a product can overflow a
     2d-th power where no factor does) are `WeightedSum`s fed floats, so
-    they add in lattice order as a point-by-point float loop does.
+    they add in lattice order as a point-by-point float loop does.  Each
+    block's probabilities w / den are divided once and shared by every sum.
     """
     if d < 1:
         raise ValueError(f"need at least one factor, got d={d}")
@@ -568,17 +569,18 @@ def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
     below = [False] * len(polys)  # p_i < h_i at some point
     gap, prod_below = WeightedSum(den), False
     for X, weights in blocks:
+        probs = [w / den for w in weights]
         p_prod = h_prod = [1.0] * len(X)
         for i, (p, h, (gap_i, gamma_i, pow_i)) in enumerate(zip(polys, halfspaces, sums)):
             pvs, hvs = _block_values(p, X), _block_values(h, X)
             below[i] = below[i] or any(map(operator.lt, pvs, hvs))
-            gap_i.add(map(operator.sub, pvs, hvs), weights)
-            gamma_i.add([float(pv > thresh) for pv in pvs], weights)
-            pow_i.add([pv ** power for pv in pvs], weights)
+            gap_i.add_floats(map(operator.sub, pvs, hvs), probs)
+            gamma_i.add_floats([float(pv > thresh) for pv in pvs], probs)
+            pow_i.add_floats([pv ** power for pv in pvs], probs)
             p_prod = list(map(operator.mul, p_prod, pvs))
             h_prod = list(map(operator.mul, h_prod, hvs))
         prod_below = prod_below or any(map(operator.lt, p_prod, h_prod))
-        gap.add(map(operator.sub, p_prod, h_prod), weights)
+        gap.add_floats(map(operator.sub, p_prod, h_prod), probs)
     certs = tuple(UpperCertification(not b, gap_i.value, gamma_i.value,
                                      pow_i.value ** (1.0 / power), d)
                   for b, (gap_i, gamma_i, pow_i) in zip(below, sums))

@@ -381,14 +381,33 @@ def test_estimate_rejects_bad_input_with_json(tmp_path, rad_dist, capsys, argv, 
     assert not (tmp_path / "r.csv").exists()
 
 
-def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad_dist, capsys):
-    system = write(tmp_path / "sys.json", {"W": [[1.0]] * 4, "Theta": [0.0]})
-    comb = write(tmp_path / "comb.json", {"kind": "single"})
-    assert main(["estimate", "--f", system, "--combiner", comb, "--dist", rad_dist,
-                 "--gen", "mz", "--t", "4", "--mode", "exact",
+@pytest.fixture
+def rad16(tmp_path):
+    """x_1 + ... + x_16 >= 2 on {-1, 1}^16: the system, combiner and law files."""
+    return ["--f", write(tmp_path / "sys.json", {"W": [[1.0]] * 16, "Theta": [2.0]}),
+            "--combiner", write(tmp_path / "comb.json", {"kind": "single"}),
+            "--dist", write(tmp_path / "dist.json", {"coord": RAD_LAW, "n": 16})]
+
+
+def test_estimate_exact_past_2_24_seeds(tmp_path, rad16, capsys):
+    # 2^72 seeds, read through the image of each of the 16 hash multipliers
+    out = tmp_path / "r.json"
+    assert main(["estimate", *rad16, "--gen", "mz", "--t", "4", "--k", "4", "--mode", "exact",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())[0]
+    assert (rep["method"], rep["samples"], rep["seed_bits"]) == ("exact-enumeration", 2 ** 72, 72)
+    assert json.loads(capsys.readouterr().out) == rep
+    assert float(rep["true_exp"]) == 26333 / 65536  # Pr[at least 9 of 16 coordinates are 1]
+
+
+def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad16, capsys):
+    # t = 512: 511 multipliers put every coordinate in a bucket of its own, 2^16 points each,
+    # and multiplier 0 puts all 16 in bucket 0, whose rows have rank 11
+    assert main(["estimate", *rad16, "--gen", "mz", "--t", "512", "--k", "4", "--mode", "exact",
                  "--out", str(tmp_path / "r.csv")]) == 1
     assert json.loads(capsys.readouterr().out) == {
-        "error": f"seed space 2^44 exceeds cap {harness.ENUM_CAP}"}
+        "error": f"seed space 2^18450 exceeds cap {harness.ENUM_CAP}, "
+                 f"and so does its image of {511 * 2 ** 16 + 2 ** 11} points"}
     assert not (tmp_path / "r.csv").exists()
 
 

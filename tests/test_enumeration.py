@@ -8,6 +8,7 @@ implementation in the harness, so float results must match bit for bit.
 import itertools
 import math
 import numbers
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from hsprg.harness import (
     product_lattice,
 )
 from hsprg.mzgen import MZGenerator, NisanProductGenerator
-from hsprg.seeds import seed_range
+from hsprg.seeds import seed_fields, seed_range
 
 RAD = DiscreteCoordinate.rademacher()
 TENTHS_IN = ([-1.0, 0.5, 2.0], [0.1, 0.2, 0.7])
@@ -99,16 +100,21 @@ class TestWalker:
         assert len(seen) == count
 
     def test_f_gets_one_float64_row_on_both_passes(self, monkeypatch):
-        gen = MZGenerator([[-1.0, 0.0, 0.5, 1.0]] * 5, t=1, k=2)
         rows = []
 
         def f(x):
             rows.append(x)
             return 1
 
+        def float64_rows(n):
+            return all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (n,)
+                       for x in rows)
+
         exact_expectation(f, MIXED)
-        assert len(rows) == 2 * 3 * 3 * 5 * 3
-        # the seed pass calls f once per distinct row of each chunk, in no fixed order
+        assert len(rows) == 2 * 3 * 3 * 5 * 3 and float64_rows(5)
+        # a generator with no image: f once per distinct row of each chunk, in no fixed order
+        rows.clear()
+        gen = NisanProductGenerator([[-1.0, 0.0, 0.5, 1.0]] * 2, space=0)
         chunks = []
         expand = gen.expand
         monkeypatch.setattr(gen, "expand", lambda seeds: chunks.append(expand(seeds)) or chunks[-1])
@@ -122,8 +128,19 @@ class TestWalker:
                 got = [key for c, key in seen if c == i]
                 assert len(got) == len(set(got)) and set(got) == {r.tobytes() for r in X}
             assert len(seen) < 1 << gen.seed_bits
-        assert all(type(x) is np.ndarray and x.dtype == np.float64 and x.shape == (5,)
-                   for x in rows)
+        assert float64_rows(2)
+        # an MZ generator: f once per point of its image, whatever the chunk
+        rows.clear()
+        gen = MZGenerator([[-1.0, 0.0, 0.5, 1.0]] * 5, t=1, k=2)
+        points, _ = gen.image_seeds(harness.SEED_CHUNK)
+        every_row = gen.expand(seed_range(0, 1 << gen.seed_bits, gen.seed_bits))
+        assert points < 1 << gen.seed_bits
+        for chunk in (harness.SEED_CHUNK, 16):
+            monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+            seen = []
+            expectation_over_seeds(lambda x: seen.append(x.tobytes()) or f(x), gen)
+            assert len(seen) == points and set(seen) == {r.tobytes() for r in every_row}
+        assert len(rows) == 2 * points and float64_rows(5)
 
     def test_denominator_is_product_of_coordinate_lcms(self):
         den, _ = product_lattice(MIXED)
@@ -340,6 +357,118 @@ class TestSeedDedup:
             assert expectation_over_seeds(f, SignedZeros()) == Fraction(1, 2)
             assert len(seen) == calls
             assert set(seen) == {(s, v) for s in (1.0, -1.0) for v in (1.0, -1.0)}
+
+
+def fixed_hash(gen, a, c):
+    return gen.with_fixed_hash(HashFunction(a=a, c=c, m=gen.hash_family.m, t=gen.t))
+
+
+IMAGE_GENERATORS = {
+    **{name: make for name, make in SEED_GENERATORS.items() if name.startswith("mz")},
+    "4-letters-multiplicative": lambda: MZGenerator([[-1.0, -0.3, 0.4, 1.0]] * 3, t=2, k=2,
+                                                    hash_variant=MULTIPLICATIVE),
+    "8-letters-t1": lambda: MZGenerator([[j - 3.5 for j in range(8)]] * 4, t=1, k=3),
+    "8-letters-t2": lambda: MZGenerator([[j - 3.5 for j in range(8)]] * 2, t=2, k=1),
+    "one-letter": lambda: MZGenerator([[0.5]] * 4, t=2, k=2),
+    "repeated-letters": lambda: MZGenerator([[-1.0, -1.0, 0.0, 1.0]] * 3, t=2, k=2),
+    "fixed-hash-offset": lambda: fixed_hash(MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2), 3, 1),
+}
+DISTINCT_LETTERS = [name for name in IMAGE_GENERATORS
+                    if name not in ("one-letter", "repeated-letters")]
+
+
+def by_multiplier(gen, seeds, rows, weights):
+    """{multiplier: Counter of row bytes, each row counted with its weight}."""
+    if gen.hash_bits:
+        mult = gen.hash_family.coefficients(seed_fields(seeds, 0, gen.hash_bits, 1)[:, 0])[0]
+    else:
+        mult = np.zeros(len(seeds), dtype=np.int64)
+    out = {}
+    for a, row, w in zip(mult.tolist(), rows, weights):
+        out.setdefault(a, Counter())[row.tobytes()] += w
+    return out
+
+
+def image_of(gen, chunk=7):
+    """(points, seeds, weights) of every image block, concatenated."""
+    points, blocks = gen.image_seeds(chunk)
+    blocks = list(blocks)
+    assert all(1 <= len(seeds) <= chunk for seeds, _ in blocks)
+    seeds = np.concatenate([s for s, _ in blocks])
+    return points, seeds, [w for s, w in blocks for _ in s]
+
+
+class TestSeedImage:
+    """The MZ seed pass over the image of each multiplier, against every seed."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("fname", SEED_FUNCTIONS)
+    @pytest.mark.parametrize("gname", IMAGE_GENERATORS)
+    def test_matches_per_seed_reference(self, monkeypatch, gname, fname, chunk):
+        gen, f = IMAGE_GENERATORS[gname](), SEED_FUNCTIONS[fname]
+        want = reference_over_seeds(f, gen)
+        monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+        calls = []
+        got = expectation_over_seeds(lambda x: calls.append(x) or f(x), gen)
+        assert type(got) is type(want) and got == want
+        assert len(calls) == gen.image_seeds(chunk)[0]
+
+    @pytest.mark.parametrize("gname", IMAGE_GENERATORS)
+    def test_weights_are_seed_multiplicities(self, gname):
+        # per multiplier, each image row carries as many of the seeds as map to it
+        gen = IMAGE_GENERATORS[gname]()
+        assert gen.seed_bits <= 24
+        every = seed_range(0, 1 << gen.seed_bits, gen.seed_bits)
+        want = by_multiplier(gen, every, gen.expand(every), itertools.repeat(1))
+        points, seeds, weights = image_of(gen)
+        got = by_multiplier(gen, seeds, gen.expand(seeds), weights)
+        assert got == want and len(seeds) == points
+        assert sum(weights) == 1 << gen.seed_bits
+
+    @pytest.mark.parametrize("gname", DISTINCT_LETTERS)
+    def test_rank_counts_distinct_rows(self, gname):
+        # distinct letters: the image of multiplier a has 2^rank_a points, one per distinct row
+        gen = IMAGE_GENERATORS[gname]()
+        every = seed_range(0, 1 << gen.seed_bits, gen.seed_bits)
+        want = by_multiplier(gen, every, gen.expand(every), itertools.repeat(1))
+        _, seeds, weights = image_of(gen)
+        got = by_multiplier(gen, seeds, gen.expand(seeds), itertools.repeat(1))
+        assert got.keys() == want.keys()
+        for a, rows in got.items():
+            rank = (len(rows) - 1).bit_length()
+            assert len(rows) == 1 << rank == len(want[a]) and set(rows.values()) == {1}
+
+    def test_one_letter_alphabet_has_one_point_per_multiplier(self):
+        gen = IMAGE_GENERATORS["one-letter"]()
+        points, seeds, weights = image_of(gen)
+        assert points == gen.hash_family.n_pow2 == len(seeds)
+        assert weights == [(1 << gen.seed_bits) // points] * points
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_f_called_once_per_image_point(self, monkeypatch, chunk):
+        gen = MZGenerator([[-1.0, 1.0]] * 6, t=2, k=3)
+        points, seeds, _ = image_of(gen, chunk)
+        monkeypatch.setattr(harness, "SEED_CHUNK", chunk)
+        calls = []
+        expectation_over_seeds(lambda x: calls.append(x.tobytes()) or int(x.sum() > 0), gen)
+        assert len(calls) == points < 1 << gen.seed_bits
+        assert Counter(calls) == Counter(r.tobytes() for r in gen.expand(seeds))
+
+    def test_48_bit_golden(self):
+        # a fixed hash at n = 16, t = 4, k = 3: 2^48 seeds, rank 12, one 4096-point image
+        gen = fixed_hash(MZGenerator([[-1.0, 1.0]] * 16, t=4, k=3), 1, 0)
+        assert gen.seed_bits == 48 and gen.image_seeds(harness.SEED_CHUNK)[0] == 4096
+        got = expectation_over_seeds(lambda x: int(x.sum() >= 2), gen)
+        assert type(got) is Fraction and got == Fraction(1181, 4096)
+
+    def test_image_past_the_cap_names_its_size(self, monkeypatch):
+        gen = MZGenerator([[-1.0, 1.0]] * 4, t=4, k=5)
+        points, _ = gen.image_seeds(harness.SEED_CHUNK)
+        monkeypatch.setattr(harness, "ENUM_CAP", points - 1)
+        calls = []
+        with pytest.raises(harness.ResourceCapError, match=f"image of {points} points$"):
+            expectation_over_seeds(lambda x: calls.append(x) or 1, gen)
+        assert calls == []
 
 
 class TestExactEstimateGolden:

@@ -126,6 +126,20 @@ class TestWeightedSum:
         else:
             assert type(total.value) is float and total.value.hex() == want.hex()
 
+    @settings(max_examples=200, deadline=None)
+    @given(head=st.lists(st.tuples(SUM_VALUES, st.integers(0, 2 ** 70)), max_size=8),
+           tail=st.lists(st.tuples(st.floats(-1e6, 1e6), st.integers(0, 2 ** 70)),
+                         min_size=1, max_size=20),
+           den=st.integers(1, 2 ** 70))
+    def test_add_floats_matches_add(self, head, tail, den):
+        # floats with the caller's w / den give the bits `add` gives with the weights
+        want, got = WeightedSum(den), WeightedSum(den)
+        for total in (want, got):
+            total.add([v for v, _ in head], [w for _, w in head])
+        want.add([v for v, _ in tail], [w for _, w in tail])
+        got.add_floats([v for v, _ in tail], [w / den for _, w in tail])
+        assert not got.exact and got.value.hex() == want.value.hex()
+
     def test_ints_after_the_first_float_add_as_floats(self):
         total = WeightedSum(3)
         total.add([1, np.int64(2)], [1, 2 ** 52])

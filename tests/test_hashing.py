@@ -190,6 +190,17 @@ class TestFamilyIndexing:
         assert got == want
         assert all(type(h.a) is int and type(h.c) is int for h in got)
 
+    @pytest.mark.parametrize("n_pow2", [2, 4, 16])
+    @pytest.mark.parametrize("variant", [AFFINE, MULTIPLICATIVE])
+    def test_multiplier_indices_count_every_index(self, variant, n_pow2):
+        fam = HashFamily(n_pow2, 2, variant=variant)
+        a, c = fam.coefficients(np.arange(1 << fam.index_bits))
+        mult, first, picks = fam.multiplier_indices()
+        assert mult.tolist() == sorted(set(a.tolist()))
+        assert picks.tolist() == [int((a == m).sum()) for m in mult.tolist()]
+        assert fam.coefficients(first)[0].tolist() == mult.tolist()
+        assert not fam.coefficients(first)[1].any()
+
     def test_validation(self):
         with pytest.raises(ValueError):
             HashFamily(12, 4)
