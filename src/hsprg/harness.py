@@ -27,6 +27,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,10 +147,10 @@ class WeightedSum:
     def add(self, values: Iterable, weights: Iterable[int]) -> None:
         """Fold in the values, each times its weight, in order."""
         den = self.den
-        walk = zip(values, weights)
+        values, weights = iter(values), iter(weights)
         if self.exact:
             acc = self._acc
-            for v, w in walk:
+            for v, w in zip(values, weights):
                 if type(v) is not int:
                     if isinstance(v, _INTEGRAL):
                         v = int(v)
@@ -159,16 +160,14 @@ class WeightedSum:
             else:
                 self._acc = acc
                 return
-            self.exact = False
-            self._acc = float(Fraction(acc, den)) + float(v) * (w / den)
-        acc = self._acc
-        for v, w in walk:
-            acc += float(v) * (w / den)
-        self._acc = acc
+            self._acc = acc
+            values, weights = itertools.chain([v], values), itertools.chain([w], weights)
+        self.add_floats(map(float, values), map(operator.truediv, weights, itertools.repeat(den)))
 
     def add_floats(self, values: Iterable[float], probs: Iterable[float]) -> None:
-        """Fold in float values, each times its weight's w / den, as `add` does
-        from its first float on: several sums over one block divide once."""
+        """Fold in float values, each times its weight's probability w / den:
+        `add` from its first float on, or several sums over one block that
+        divide its weights once."""
         if self.exact:
             self.exact = False
             self._acc = float(Fraction(self._acc, self.den))
@@ -213,15 +212,19 @@ def expectation_over_seeds(f, generator):
 
     `f` must be a deterministic function of the point.  A generator with
     an image (``image_seeds``, the MZ generator's) whose point count is at
-    most min(2^seed_bits, ENUM_CAP) is read through it: `block_values`
-    reads `f` once per image point, an image block at a time, and each
-    value adds with its block's weight over 2^seed_bits, so the seed space
-    itself may pass ENUM_CAP.  Integer and Fraction values give the same
-    rational as a pass over every seed.  If some value is neither, a seed
-    space within ENUM_CAP is summed again by the seed pass below, each
-    row's value read back from the image by the row's bytes, so f is
-    never called twice; past the cap the result is the float sum in
-    image order.
+    most ENUM_CAP is read through it: `block_values` reads `f` once per
+    image point, an image block at a time, and each value adds with its
+    block's weight over 2^seed_bits, so the seed space itself may pass
+    ENUM_CAP.  Integer and Fraction values give the same rational as a
+    pass over every seed.  If some value is neither and the seed space is
+    within ENUM_CAP, the seed pass below sums it again in seed order, so a
+    float result is the per-seed sum bit for bit: an image of at most
+    SEED_CHUNK points is read to the end and kept, one chunk of rows, and
+    the seed pass takes each row's value from it by the row's bytes; a
+    larger image is left at its first block with such a value, and the
+    seed pass reads `f` again.  Past the cap the result is the float sum
+    in image order.  An image past the cap raises before `f` is read, its
+    count stopped once it passes the cap.
 
     The seed pass (any other generator) expands the seeds SEED_CHUNK at a
     time and reads `f` on the distinct rows of each chunk (rows compared
@@ -231,25 +234,28 @@ def expectation_over_seeds(f, generator):
     adds its row's value in seed order, so a float result is the per-seed
     sum bit for bit.
     """
-    n_seeds = 1 << generator.seed_bits
     image = getattr(generator, "image_seeds", None)
     if image is not None:
-        points, blocks = image(SEED_CHUNK)
-        if points > ENUM_CAP:
+        points, blocks = image(SEED_CHUNK, ENUM_CAP)
+        if blocks is None:  # raised before 2^seed_bits is built: it can have billions of bits
             raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {ENUM_CAP}, "
-                                   f"and so does its image of {points} points")
-        total = WeightedSum(n_seeds)
-        kept = []  # each block's seeds and values, for a seed-order float sum
+                                   f"and so does its image, of at least {points} points")
+    n_seeds = 1 << generator.seed_bits
+    if image is not None:
+        total, kept = WeightedSum(n_seeds), []
         for seeds, weight in blocks:
-            vals = block_values(f, generator.expand(seeds))
+            X = generator.expand(seeds)
+            vals = block_values(f, X)
             total.add(vals, itertools.repeat(weight))
-            if n_seeds <= ENUM_CAP:
-                kept.append((seeds, vals))
+            if points <= SEED_CHUNK:  # one chunk of rows at most, kept for a seed-order float sum
+                kept.append((X, vals))
+            elif not total.exact and n_seeds <= ENUM_CAP:
+                break  # a float result, summed in seed order below, reading f again
         if total.exact or n_seeds > ENUM_CAP:
             return total.value
-        value = {x.tobytes(): v for seeds, vals in kept
-                 for x, v in zip(generator.expand(seeds), vals)}
-        f = lambda x: value[x.tobytes()]
+        if kept:
+            value = {x.tobytes(): v for X, vals in kept for x, v in zip(X, vals)}
+            f = lambda x: value[x.tobytes()]
     elif n_seeds > ENUM_CAP:
         raise ResourceCapError(f"seed space 2^{generator.seed_bits} exceeds cap {ENUM_CAP}")
 

@@ -107,13 +107,22 @@ class HashFamily:
             return points, points
         return points[1:], points[:1]  # a = 0 is the constant function, excluded
 
-    def multiplier_indices(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each multiplier a, its index with offset c = 0, and how many of
-        the 2^index_bits indices pick a, as int64 arrays."""
-        a, _ = self.factors()
+    @property
+    def multiplier_count(self) -> int:
+        """How many multipliers a `factors` lists, without listing them."""
+        return self.n_pow2 - (self.variant == MULTIPLICATIVE)
+
+    def multiplier_indices(self, lo: int = 0, hi: int | None = None
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Multipliers lo, ..., hi - 1 of `factors` (every one by default), each
+        one's index with offset c = 0, and how many of the 2^index_bits
+        indices pick it, as int64 arrays; only the slice asked for is built."""
+        count = self.multiplier_count
+        a = np.arange(lo, count if hi is None else min(hi, count), dtype=np.int64)
         if self.variant == AFFINE:
             return a, a << self.m, np.full(len(a), self.n_pow2)
-        per, extra = divmod(1 << self.index_bits, len(a))
+        a += 1  # a = 0 is excluded
+        per, extra = divmod(1 << self.index_bits, count)
         return a, a - 1, per + (a - 1 < extra)
 
 

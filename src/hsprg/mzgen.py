@@ -36,7 +36,8 @@ Since every label bit read is linear in the bucket seeds, a uniform seed
 under one hash multiplier a gives label rows uniform on the image V_a of
 a linear map over GF(2); the offset c only permutes the iid bucket seeds.
 ``image_seeds`` names one seed per point of each V_a, with its weight, so
-an exact pass reads f once per point of V_a instead of once per seed.
+an exact pass reads f once per point of V_a instead of once per seed; it
+counts the points first, and only until they pass the caller's cap.
 """
 
 from __future__ import annotations
@@ -448,56 +449,69 @@ class MZGenerator(_Generator):
             bucket, index = bucket[a], a
         return bucket ^ (c & (self.t - 1)).astype(bucket.dtype)[:, None], masks, index
 
-    def image_seeds(self, chunk: int) -> tuple[int, Iterator[tuple[np.ndarray, int]]]:
+    def image_seeds(self, chunk: int,
+                    cap: int) -> tuple[int, Iterator[tuple[np.ndarray, int]] | None]:
         """One seed per point of each multiplier's image: ``(points, blocks)``.
 
         Under multiplier a, the label rows are A_a times the bucket seeds
         over GF(2).  A_a is block diagonal by bucket, and the rows of a
         bucket holding c coordinates are those of ranks 0, ..., c - 1, so
-        one reduction of the rank rows (``_prefix_pivots``) gives each
-        bucket's pivot bits, and their union J_a has rank_a bits.  The seeds
-        whose bucket bits lie in J_a, with the hash field set to an index
-        of a with offset 0, map one-to-one onto V_a.  An offset only
-        permutes the iid bucket seeds, so every hash with multiplier a has
-        the same image; a constant hash is its own one multiplier.  Only
-        the alphabet's index bits count, so a one-letter alphabet has one
-        point per multiplier.
+        one reduction of the rank rows (``_prefix_pivots``) gives the pivot
+        bits each coordinate adds at its rank in its bucket (the partition
+        of ``_multiplier_partitions``), and their union J_a has rank_a bits.
+        The seeds whose bucket bits lie in J_a, with the hash field set to
+        an index of a with offset 0, map one-to-one onto V_a.  An offset
+        only permutes the iid bucket seeds, so every hash with multiplier a
+        has the same image; a constant hash is its own one multiplier.
+        Only the alphabet's index bits count, so a one-letter alphabet has
+        one point per multiplier.
 
-        `points` is the sum of 2^rank_a, computed before any block is
-        built.  `blocks` yields ``(seeds, weight)``: at most `chunk` seeds
-        of one multiplier, each standing for `weight` of the 2^seed_bits
-        seeds, that is 2^(bucket bits - rank_a) times the number of hash
-        indices that pick a.
+        `points` is the sum of 2^rank_a, counted before any block is built
+        and only until it passes `cap`: every multiplier has a point, so
+        more multipliers than `cap` stop it at once, and otherwise it stops
+        after the first pass of multipliers that passes `cap`.  A count
+        above `cap` is a lower bound, and `blocks` is then None.  Else
+        `blocks` yields ``(seeds, weight)``: at most `chunk` seeds of one
+        multiplier, each standing for `weight` of the 2^seed_bits seeds,
+        that is 2^(bucket bits - rank_a) times the number of hash indices
+        that pick a.  The count and the blocks each build the multipliers
+        and their partitions a pass at a time, so memory stays one pass and
+        one block.
         """
         if self._constant_hash is None:
-            mult, index, picks = self.hash_family.multiplier_indices()
-            c0 = 0
+            n_mult, c0 = self.hash_family.multiplier_count, 0
+            indices = self.hash_family.multiplier_indices
         else:
-            a0, c0 = self._constant_hash
-            mult, index, picks = np.array([[a0], [0], [1]])
+            (a0, c0), n_mult = self._constant_hash, 1
+            indices = lambda lo, hi: np.array([[a0], [0], [1]])
+        if n_mult > cap:
+            return n_mult, None
         masks = _parity_masks(self.m_word, self.k, self.label_bits, self.n)
         pivots = _prefix_pivots(masks[:(self.alphabet_size - 1).bit_length()], self.m_word)
+        added = [pivots[r + 1][len(pivots[r]):] for r in range(self.n)]  # new pivots at rank r
         step = max(1, _CHUNK_CELLS // self.n)
 
-        def bucket_counts(lo: int, hi: int) -> np.ndarray:
-            """Coordinates per bucket under multipliers lo, ..., hi - 1, shape (hi - lo, t)."""
-            bucket = multiplier_buckets(self.hash_family.m, self.t, mult[lo:hi], np.arange(self.n))
-            bucket ^= c0 & (self.t - 1)
-            bucket += self.t * np.arange(hi - lo)[:, None]
-            return np.bincount(bucket.ravel(), minlength=(hi - lo) * self.t).reshape(-1, self.t)
+        def partitions():
+            """(index, picks, bucket, rank) of each pass of `step` multipliers."""
+            for lo in range(0, n_mult, step):
+                mult, index, picks = indices(lo, lo + step)
+                bucket, rank = _multiplier_partitions(self.hash_family.m, self.t, self.n, mult)
+                yield index, picks, bucket ^ (c0 & (self.t - 1)), rank
 
-        sizes = np.array([len(p) for p in pivots])
-        ranks = np.concatenate([sizes[bucket_counts(lo, min(lo + step, len(mult)))].sum(axis=1)
-                                for lo in range(0, len(mult), step)])
+        gain = np.array([len(p) for p in added])
+        points = 0
+        for *_, rank in partitions():
+            points += sum(1 << r for r in gain[rank].sum(axis=1).tolist())
+            if points > cap:
+                return points, None
         bucket_bits = self.t * self.bucket_seed_bits
 
         def blocks():
-            for lo in range(0, len(mult), step):
-                hi = min(lo + step, len(mult))
-                for counts, idx, pick in zip(bucket_counts(lo, hi).tolist(),
-                                             index[lo:hi].tolist(), picks[lo:hi].tolist()):
+            for index, picks, bucket, rank in partitions():
+                for row_bucket, row_rank, idx, pick in zip(bucket.tolist(), rank.tolist(),
+                                                           index.tolist(), picks.tolist()):
                     bits = [self.hash_bits + b * self.bucket_seed_bits + p
-                            for b, c in enumerate(counts) for p in pivots[c]]
+                            for b, r in zip(row_bucket, row_rank) for p in added[r]]
                     weight = pick << (bucket_bits - len(bits))
                     head = np.frombuffer(idx.to_bytes(seed_bytes(self.seed_bits), "little"),
                                          dtype=np.uint8)
@@ -508,7 +522,7 @@ class MZGenerator(_Generator):
                             seeds[:, pos >> 3] |= (i >> j & 1).astype(np.uint8) << (pos & 7)
                         yield seeds, weight
 
-        return sum(1 << r for r in ranks.tolist()), blocks()
+        return points, blocks()
 
     def with_fixed_hash(self, h: HashFunction) -> "MZGenerator":
         return MZGenerator(self.alphabets, self.t, self.k,

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -407,8 +408,23 @@ def test_estimate_reports_an_oversized_seed_space_with_json(tmp_path, rad16, cap
                  "--out", str(tmp_path / "r.csv")]) == 1
     assert json.loads(capsys.readouterr().out) == {
         "error": f"seed space 2^18450 exceeds cap {harness.ENUM_CAP}, "
-                 f"and so does its image of {511 * 2 ** 16 + 2 ** 11} points"}
+                 f"and so does its image, of at least {511 * 2 ** 16 + 2 ** 11} points"}
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("t,points", [
+    (2 ** 20, 1023 * 2 ** 16 + 2 ** 11),  # the count stops after its first 1024 multipliers
+    (2 ** 40, 2 ** 40),                   # more multipliers than the cap: nothing is counted
+])
+def test_estimate_stops_counting_a_large_image_at_the_cap(tmp_path, rad16, capsys, t, points):
+    t0 = time.perf_counter()
+    assert main(["estimate", *rad16, "--gen", "mz", "--t", str(t), "--k", "4", "--mode", "exact",
+                 "--out", str(tmp_path / "r.csv")]) == 1
+    assert time.perf_counter() - t0 < 5
+    seed_bits = MZGenerator([[-1.0, 1.0]] * 16, t=t, k=4).seed_bits
+    assert json.loads(capsys.readouterr().out) == {
+        "error": f"seed space 2^{seed_bits} exceeds cap {harness.ENUM_CAP}, "
+                 f"and so does its image, of at least {points} points"}
 
 
 RAD_LAW = {"kind": "multiset", "values": [-1.0, 1.0]}

@@ -132,7 +132,7 @@ class TestWalker:
         # an MZ generator: f once per point of its image, whatever the chunk
         rows.clear()
         gen = MZGenerator([[-1.0, 0.0, 0.5, 1.0]] * 5, t=1, k=2)
-        points, _ = gen.image_seeds(harness.SEED_CHUNK)
+        points, _ = gen.image_seeds(harness.SEED_CHUNK, harness.ENUM_CAP)
         every_row = gen.expand(seed_range(0, 1 << gen.seed_bits, gen.seed_bits))
         assert points < 1 << gen.seed_bits
         for chunk in (harness.SEED_CHUNK, 16):
@@ -391,7 +391,7 @@ def by_multiplier(gen, seeds, rows, weights):
 
 def image_of(gen, chunk=7):
     """(points, seeds, weights) of every image block, concatenated."""
-    points, blocks = gen.image_seeds(chunk)
+    points, blocks = gen.image_seeds(chunk, harness.ENUM_CAP)
     blocks = list(blocks)
     assert all(1 <= len(seeds) <= chunk for seeds, _ in blocks)
     seeds = np.concatenate([s for s, _ in blocks])
@@ -411,7 +411,9 @@ class TestSeedImage:
         calls = []
         got = expectation_over_seeds(lambda x: calls.append(x) or f(x), gen)
         assert type(got) is type(want) and got == want
-        assert len(calls) == gen.image_seeds(chunk)[0]
+        points = gen.image_seeds(chunk, harness.ENUM_CAP)[0]
+        if type(want) is Fraction or points <= chunk:  # else a float reads f in the seed pass
+            assert len(calls) == points
 
     @pytest.mark.parametrize("gname", IMAGE_GENERATORS)
     def test_weights_are_seed_multiplicities(self, gname):
@@ -457,18 +459,45 @@ class TestSeedImage:
     def test_48_bit_golden(self):
         # a fixed hash at n = 16, t = 4, k = 3: 2^48 seeds, rank 12, one 4096-point image
         gen = fixed_hash(MZGenerator([[-1.0, 1.0]] * 16, t=4, k=3), 1, 0)
-        assert gen.seed_bits == 48 and gen.image_seeds(harness.SEED_CHUNK)[0] == 4096
+        assert gen.seed_bits == 48
+        assert gen.image_seeds(harness.SEED_CHUNK, harness.ENUM_CAP)[0] == 4096
         got = expectation_over_seeds(lambda x: int(x.sum() >= 2), gen)
         assert type(got) is Fraction and got == Fraction(1181, 4096)
 
     def test_image_past_the_cap_names_its_size(self, monkeypatch):
         gen = MZGenerator([[-1.0, 1.0]] * 4, t=4, k=5)
-        points, _ = gen.image_seeds(harness.SEED_CHUNK)
+        points, _ = gen.image_seeds(harness.SEED_CHUNK, harness.ENUM_CAP)
         monkeypatch.setattr(harness, "ENUM_CAP", points - 1)
         calls = []
-        with pytest.raises(harness.ResourceCapError, match=f"image of {points} points$"):
+        with pytest.raises(harness.ResourceCapError, match=f"image, of at least {points} points$"):
             expectation_over_seeds(lambda x: calls.append(x) or 1, gen)
         assert calls == []
+
+    def test_float_past_the_cap_sums_in_image_order(self, monkeypatch):
+        gen, f = MZGenerator([[-1.0, 1.0]] * 4, t=4, k=5), SEED_FUNCTIONS["float"]
+        points, seeds, weights = image_of(gen)
+        monkeypatch.setattr(harness, "ENUM_CAP", points)  # the image fits, the seed space does not
+        want = 0.0
+        for x, w in zip(gen.expand(seeds), weights):
+            want += f(x) * (w / (1 << gen.seed_bits))
+        calls = []
+        got = expectation_over_seeds(lambda x: calls.append(x) or f(x), gen)
+        assert type(got) is float and got == want and len(calls) == points
+
+    def test_count_stops_once_it_passes_the_cap(self):
+        # n = 16: a pass holds 1024 multipliers, so t = 2048 counts its 2048 in two passes
+        gen = MZGenerator([[-1.0, 1.0]] * 16, t=2048, k=4)
+        every, blocks = gen.image_seeds(1, 1 << 30)
+        assert blocks is not None
+        first = 1023 * 2 ** 16 + 2 ** 11  # multiplier 0 puts all 16 in one bucket, of rank 11
+        assert every == first + 1024 * 2 ** 16
+        for cap in (2048, first - 1):
+            assert gen.image_seeds(1, cap) == (first, None)
+        assert gen.image_seeds(1, first) == (every, None)
+        # more multipliers than the cap: no partition is computed
+        assert gen.image_seeds(1, 2047) == (2048, None)
+        one = MZGenerator([[0.5]] * 16, t=2048, k=4)  # one point per multiplier
+        assert one.image_seeds(1, 2047) == (2048, None) and one.image_seeds(1, 2048)[0] == 2048
 
 
 class TestExactEstimateGolden:

@@ -196,10 +196,13 @@ class TestFamilyIndexing:
         fam = HashFamily(n_pow2, 2, variant=variant)
         a, c = fam.coefficients(np.arange(1 << fam.index_bits))
         mult, first, picks = fam.multiplier_indices()
-        assert mult.tolist() == sorted(set(a.tolist()))
+        assert mult.tolist() == sorted(set(a.tolist())) and fam.multiplier_count == len(mult)
         assert picks.tolist() == [int((a == m).sum()) for m in mult.tolist()]
         assert fam.coefficients(first)[0].tolist() == mult.tolist()
         assert not fam.coefficients(first)[1].any()
+        slices = [fam.multiplier_indices(lo, lo + 3) for lo in range(0, len(mult), 3)]
+        for whole, parts in zip((mult, first, picks), zip(*slices)):
+            assert np.concatenate(parts).tolist() == whole.tolist()
 
     def test_validation(self):
         with pytest.raises(ValueError):
