@@ -4,6 +4,9 @@ The sign convention gives 1 on the boundary: h(x) = 1[w.x >= theta].
 Negating under that convention flips strictness, so each halfspace carries
 a strict flag and negation is exact even on discrete supports where the
 boundary atom has positive mass.
+
+Every float sign comes from one rule, `HalfspaceSystem`'s: each point's own
+(n,) @ W product against Theta.  A `Halfspace` reads its one-column system.
 """
 
 from __future__ import annotations
@@ -24,16 +27,23 @@ class Halfspace:
     theta: float
     strict: bool = False
 
-    def margin(self, x: Sequence[float]):
+    def __post_init__(self):
+        object.__setattr__(self, "_system", HalfspaceSystem(self.w, [self.theta], [self.strict]))
+
+    def _point(self, x: Sequence[float]) -> Sequence[float]:
         if len(x) != len(self.w):
             raise ValueError(f"point has dimension {len(x)}, weights {len(self.w)}")
-        if isinstance(x, np.ndarray):
-            x = x.tolist()  # Python floats: the same products, without numpy scalars
-        return sum(wi * xi for wi, xi in zip(self.w, x)) - self.theta
+        return x
+
+    def margin(self, x: Sequence[float]) -> float:
+        return float(self._system.row_products([self._point(x)])[0, 0] - self._system.Theta[0])
 
     def evaluate(self, x: Sequence[float]) -> int:
-        m = self.margin(x)
-        return int(m > 0 if self.strict else m >= 0)
+        return self._system.sign_vector(self._point(x))[0]
+
+    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
+        """`evaluate` on every row of X, as int8: the system's `sign_matrix`."""
+        return self._system.sign_matrix(X)[:, 0]
 
     __call__ = evaluate
 
@@ -86,15 +96,15 @@ class HalfspaceSystem:
             raise ValueError(f"point has dimension {x.shape}, expected {self.n}")
         return tuple(self._signs(np.ascontiguousarray(x) @ self.W).tolist())
 
-    def sign_matrix(self, X: np.ndarray) -> np.ndarray:
-        """Sign vectors for a batch of points, shape (samples, d).
+    def row_products(self, X: np.ndarray) -> np.ndarray:
+        """Each row's own (1, n) @ W product, shape (samples, d): one BLAS call
+        with `sign_vector`'s arguments, so row i is the product sign_vector(X[i])
+        reads, bit for bit, whatever the layout of X and the rows in the call."""
+        return (np.ascontiguousarray(X, dtype=float)[:, None, :] @ self.W)[:, 0]
 
-        Each row is its own (1, n) @ W product, one BLAS call with
-        `sign_vector`'s arguments, so row i gets sign_vector(X[i]) bit for
-        bit whatever the layout of X and whatever rows share the call.
-        """
-        X = np.ascontiguousarray(X, dtype=float)
-        return self._signs((X[:, None, :] @ self.W)[:, 0])
+    def sign_matrix(self, X: np.ndarray) -> np.ndarray:
+        """Sign vectors for a batch of points, shape (samples, d): row i is sign_vector(X[i])."""
+        return self._signs(self.row_products(X))
 
     def to_json(self) -> dict:
         return {"W": self.W.tolist(), "Theta": self.Theta.tolist(),

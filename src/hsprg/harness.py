@@ -164,6 +164,16 @@ class WeightedSum:
             values, weights = itertools.chain([v], values), itertools.chain([w], weights)
         self.add_floats(map(float, values), map(operator.truediv, weights, itertools.repeat(den)))
 
+    def add_shared(self, values: list, weight: int) -> None:
+        """`add` of values that share one weight: while exact, their sum adds once."""
+        types = set(map(type, values))
+        if self.exact and all(issubclass(t, _EXACT) for t in types):
+            if types - {int, Fraction}:  # numpy integers and bools: Python ints, as in `add`
+                values = [v if isinstance(v, Fraction) else int(v) for v in values]
+            self._acc += sum(values) * weight
+        else:
+            self.add(values, itertools.repeat(weight))
+
     def add_floats(self, values: Iterable[float], probs: Iterable[float]) -> None:
         """Fold in float values, each times its weight's probability w / den:
         `add` from its first float on, or several sums over one block that
@@ -214,9 +224,10 @@ def expectation_over_seeds(f, generator):
     an image (``image_seeds``, the MZ generator's) whose point count is at
     most ENUM_CAP is read through it: `block_values` reads `f` once per
     image point, an image block at a time, and each value adds with its
-    block's weight over 2^seed_bits, so the seed space itself may pass
-    ENUM_CAP.  Integer and Fraction values give the same rational as a
-    pass over every seed.  If some value is neither and the seed space is
+    block's weight over 2^seed_bits (an exact block's sum adds once, by
+    `WeightedSum.add_shared`), so the seed space itself may pass ENUM_CAP.
+    Integer and Fraction values give the same rational as a pass over
+    every seed.  If some value is neither and the seed space is
     within ENUM_CAP, the seed pass below sums it again in seed order, so a
     float result is the per-seed sum bit for bit: an image of at most
     SEED_CHUNK points is read to the end and kept, one chunk of rows, and
@@ -246,7 +257,7 @@ def expectation_over_seeds(f, generator):
         for seeds, weight in blocks:
             X = generator.expand(seeds)
             vals = block_values(f, X)
-            total.add(vals, itertools.repeat(weight))
+            total.add_shared(vals, weight)
             if points <= SEED_CHUNK:  # one chunk of rows at most, kept for a seed-order float sum
                 kept.append((X, vals))
             elif not total.exact and n_seeds <= ENUM_CAP:
@@ -498,6 +509,12 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
                        shards: int = 8) -> BerryEsseenReport:
     """Estimate |Pr[S in A] - Pr[G in A]| with G ~ N(0, Cov S)."""
     W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != dist.n:
+        raise ValueError(f"W has shape {W.shape} but the law has {dist.n} coordinates, "
+                         f"one per row of W")
+    if len(orthant.theta) != W.shape[1]:
+        raise ValueError(f"the orthant has dimension {len(orthant.theta)} "
+                         f"but W has {W.shape[1]} columns")
     m2 = [c.moments()[1] for c in dist.coords]
     summary = CovarianceSummary.from_system(W, m2)
     gauss = gaussian_reference_sampler(summary.M)
@@ -513,6 +530,8 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
 
 def spherical_cap_probability(height: float, n: int) -> float:
     """Pr[x . e1 >= height] for x uniform on S^(n-1), via the incomplete beta."""
+    if math.isnan(height) or n < 1:
+        raise ValueError(f"need a height that is not NaN and n >= 1, got {height}, {n}")
     if not -1.0 <= height <= 1.0:
         return 0.0 if height > 0 else 1.0
     tail = 0.5 * betainc((n - 1) / 2.0, 0.5, 1.0 - height * height)

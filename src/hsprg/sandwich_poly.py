@@ -458,10 +458,12 @@ class GeneralizedPolynomial:
     def evaluate_batch(self, X) -> np.ndarray:
         """The sandwich at every row of an (N, n) array.
 
-        Each row gets the float arithmetic of a scalar evaluation: head and
-        tail sums run over the columns in index order from zero, and P is
-        called once, on the NEAR rows.  A FAR power (z/theta')^q too large
-        for a float raises OverflowError, as Python's float ** int does.
+        Each row gets the float arithmetic of a scalar evaluation: the head
+        sum runs from zero over the columns in `partition.head` order (by
+        term norm, largest first), the tail sum over the rest in index
+        order, and P is called once, on the NEAR rows.  A FAR power
+        (z/theta')^q too large for a float raises OverflowError, as Python's
+        float ** int does.
         """
         X = np.asarray(X, dtype=float)
         head_sum = np.zeros(len(X))

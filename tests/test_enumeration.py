@@ -297,6 +297,7 @@ WEIGHTS = [0.1, 0.7, -0.3, 1.3, 0.2]
 SEED_FUNCTIONS = {
     "int": lambda x: int(x.sum() >= 0),
     "bool": lambda x: x[0] > x[-1],
+    "int64": lambda x: np.int64(x.sum()),
     "fraction": lambda x: Fraction(int(x.sum() >= 0), 3) + Fraction(int(x[0] > 0), 7),
     "float": lambda x: sum(w * v for w, v in zip(WEIGHTS, x.tolist())) ** 2,
     "mixed": lambda x: 0.3 if x[0] > 0 and x[-1] > 0 else int(x[1] > 0),

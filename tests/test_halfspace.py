@@ -324,6 +324,29 @@ class TestOneSignRule:
             for k in range(len(X) + 1):
                 assert np.array_equal(system.sign_matrix(X[:k]), signs[:k]), (seed, k)
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 39), rows=st.integers(1, 16),
+           tie=st.sampled_from(["left-to-right", "product"]), strict=st.booleans())
+    def test_halfspace_is_its_one_column_system(self, seed, n, rows, tie, strict):
+        # theta sits on row 0's margin, summed left to right in Python or by
+        # the system's own product: the two orders round apart on some rows
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(n)
+        X = rng.choice([-1.0, 1.0], size=(rows, n))
+        theta = (sum(wi * xi for wi, xi in zip(w.tolist(), X[0].tolist()))
+                 if tie == "left-to-right" else float((X[0] @ w[:, None])[0]))
+        h = Halfspace(tuple(w.tolist()), theta, strict)
+        system = HalfspaceSystem(w[:, None], [theta], [strict])
+        want = system.sign_matrix(X)[:, 0]
+        assert [h.evaluate(x) for x in X] == [system.sign_vector(x)[0] for x in X] == want.tolist()
+        assert [h.evaluate(tuple(x.tolist())) for x in X] == want.tolist()
+        assert np.array_equal(h.evaluate_batch(X), want)
+        margins = [h.margin(x) for x in X]
+        assert [int(m > 0 if strict else m >= 0) for m in margins] == want.tolist()
+        neg = h.negation()
+        assert [neg.evaluate(x) for x in X] == (1 - want).tolist()
+        assert np.array_equal(neg.evaluate_batch(X), 1 - want)
+
 
 def patterns(d):
     """Every 0/1 sign pattern of length d, row i with bit j in column j."""

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -139,6 +140,22 @@ class TestWeightedSum:
         want.add([v for v, _ in tail], [w for _, w in tail])
         got.add_floats([v for v, _ in tail], [w / den for _, w in tail])
         assert not got.exact and got.value.hex() == want.value.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(blocks=st.lists(st.tuples(st.lists(SUM_VALUES, max_size=12), st.integers(0, 2 ** 70)),
+                           max_size=6),
+           den=st.integers(1, 2 ** 70))
+    def test_add_shared_matches_add(self, blocks, den):
+        # an exact block's sum adds once; a block with a float adds value by value
+        want, got = WeightedSum(den), WeightedSum(den)
+        for values, weight in blocks:
+            want.add(values, itertools.repeat(weight))
+            got.add_shared(values, weight)
+            assert got.exact is want.exact
+        if got.exact:
+            assert type(got.value) is Fraction and got.value == want.value
+        else:
+            assert got.value.hex() == want.value.hex()
 
     def test_ints_after_the_first_float_add_as_floats(self):
         total = WeightedSum(3)
@@ -581,6 +598,18 @@ class TestBerryEsseen:
             tol = base.ci95 + rep.ci95
             assert abs(rep.gap - base.gap) <= tol + 1e-12
 
+    def test_orthant_of_another_dimension_rejected(self):
+        orthant = OrthantSet(np.zeros(2), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match="orthant has dimension 2 but W has 1 columns"):
+            berry_esseen_probe(np.ones((4, 1)), cube(4), orthant, trials=100)
+
+    @pytest.mark.parametrize("shape", [(5, 2), (4,)])
+    def test_rows_other_than_the_law_rejected(self, shape):
+        orthant = OrthantSet(np.zeros(2), (0, 0, 0, 1))
+        with pytest.raises(ValueError, match=rf"W has shape {re.escape(str(shape))} "
+                                             "but the law has 4 coordinates"):
+            berry_esseen_probe(np.ones(shape), cube(4), orthant, trials=100)
+
     def test_scaling_quantity_reported(self):
         W = np.ones((16, 1)) / 4.0
         cov = CovarianceSummary.from_system(W, np.ones(16))
@@ -593,6 +622,14 @@ class TestSphere:
         # on S^2 the cap above height h has normalized area (1-h)/2
         for h in (0.0, 0.3, 0.7):
             assert spherical_cap_probability(h, 3) == pytest.approx((1 - h) / 2)
+
+    def test_cap_domain(self):
+        assert spherical_cap_probability(math.inf, 3) == 0.0
+        assert spherical_cap_probability(-math.inf, 3) == 1.0
+        assert spherical_cap_probability(0.3, 1) == spherical_cap_probability(-0.3, 1) == 0.5
+        for height, n in [(math.nan, 3), (0.3, 0), (0.3, -2)]:
+            with pytest.raises(ValueError, match="not NaN and n >= 1"):
+                spherical_cap_probability(height, n)
 
     def test_origin_halfspace_half(self):
         rng = philox(51)

@@ -785,6 +785,27 @@ class TestHybridProduct:
         assert 1 <= len(calls) <= 2
         assert sum(calls) <= 2 * 1024
 
+    def test_each_indicator_is_read_once_per_block(self, monkeypatch):
+        rows, blocks = [], []
+        evaluate, evaluate_batch = Halfspace.evaluate, Halfspace.evaluate_batch
+
+        def per_row(self, x):
+            rows.append(x)
+            return evaluate(self, x)
+
+        def per_block(self, X):
+            blocks.append(len(X))
+            return evaluate_batch(self, X)
+
+        for name, fn in [("evaluate", per_row), ("__call__", per_row),
+                         ("evaluate_batch", per_block)]:
+            monkeypatch.setattr(Halfspace, name, fn)
+        polys, hs = self.build_law3()
+        res = hybrid_product(polys[2:], hs[2:], LAW3_DIST)
+        assert res.pointwise_ok
+        # the 3^7 lattice points form one block: one read per factor, none per row
+        assert rows == [] and blocks == [3 ** 7] * 3
+
     def test_empty_factor_list_refused(self):
         with pytest.raises(ValueError, match="at least one factor"):
             hybrid_product([], [], CUBE6)
