@@ -5,8 +5,9 @@ Negating under that convention flips strictness, so each halfspace carries
 a strict flag and negation is exact even on discrete supports where the
 boundary atom has positive mass.
 
-Every float sign comes from one rule, `HalfspaceSystem`'s: each point's own
-(n,) @ W product against Theta.  A `Halfspace` reads its one-column system.
+Every float sign comes from one rule, `HalfspaceSystem`'s: each (point, column)
+margin is its own contiguous dot product, so column i of a system,
+`system.halfspace(i)` and a `Halfspace` of its weights split ties alike.
 """
 
 from __future__ import annotations
@@ -58,9 +59,9 @@ class HalfspaceSystem:
     def __init__(self, W: np.ndarray | Sequence[Sequence[float]],
                  Theta: Sequence[float], strict: Sequence[bool] | None = None):
         W = np.asarray(W, dtype=float)
-        # always C order: x @ W on a view (a column slice, say) takes another loop
-        # than on a contiguous copy and can round differently near a threshold
         self.W = np.ascontiguousarray(W[:, None] if W.ndim == 1 else W)
+        # contiguous rows: on a strided operand numpy's dot leaves BLAS
+        self.WT = np.ascontiguousarray(self.W.T)
         self.Theta = np.asarray(Theta, dtype=float)
         self.n, self.d = self.W.shape
         if self.Theta.shape != (self.d,):
@@ -90,17 +91,17 @@ class HalfspaceSystem:
         return signs.view(np.int8)
 
     def sign_vector(self, x: Sequence[float]) -> tuple[int, ...]:
-        """The signs of one point, from its own contiguous (n,) @ W product."""
+        """The signs of one point, one contiguous dot product per column."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise ValueError(f"point has dimension {x.shape}, expected {self.n}")
-        return tuple(self._signs(np.ascontiguousarray(x) @ self.W).tolist())
+        return tuple(self._signs(np.vecdot(np.ascontiguousarray(x), self.WT)).tolist())
 
     def row_products(self, X: np.ndarray) -> np.ndarray:
-        """Each row's own (1, n) @ W product, shape (samples, d): one BLAS call
-        with `sign_vector`'s arguments, so row i is the product sign_vector(X[i])
-        reads, bit for bit, whatever the layout of X and the rows in the call."""
-        return (np.ascontiguousarray(X, dtype=float)[:, None, :] @ self.W)[:, 0]
+        """Shape (samples, d): entry (r, j) is the contiguous dot of X[r] and
+        column j that `sign_vector` and column j's own system read, bit for bit,
+        whatever X's layout, the other rows or the other columns."""
+        return np.vecdot(np.ascontiguousarray(X, dtype=float)[:, None, :], self.WT)
 
     def sign_matrix(self, X: np.ndarray) -> np.ndarray:
         """Sign vectors for a batch of points, shape (samples, d): row i is sign_vector(X[i])."""

@@ -374,6 +374,13 @@ def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int
     return means, math.hypot(*(wilson_halfwidth(p, trials) for p in means))
 
 
+def check_dimensions(sizes: dict[str, int | None]) -> None:
+    """Raise ValueError naming every known size (None is unknown) unless they agree."""
+    known = {name: n for name, n in sizes.items() if n is not None}
+    if len(set(known.values())) > 1:
+        raise ValueError("dimensions differ: " + ", ".join(f"{k} n={v}" for k, v in known.items()))
+
+
 def estimate_fooling_error(f: Callable[[np.ndarray], int]
                            | tuple[HalfspaceSystem, CombinerSpec],
                            dist: ProductDistribution, generator,
@@ -399,8 +406,7 @@ def estimate_fooling_error(f: Callable[[np.ndarray], int]
         system, combiner = f
         combiner.check_fits(system.d)
         d, sizes["system"] = system.d, system.n
-    if len(set(sizes.values())) > 1:
-        raise ValueError("dimensions differ: " + ", ".join(f"{k} n={v}" for k, v in sizes.items()))
+    check_dimensions(sizes)
 
     if mode == "exact":
         true_e = float(exact_expectation(f, dist))
@@ -515,12 +521,13 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
     if len(orthant.theta) != W.shape[1]:
         raise ValueError(f"the orthant has dimension {len(orthant.theta)} "
                          f"but W has {W.shape[1]} columns")
+    system = HalfspaceSystem(W, orthant.theta)  # S through the one margin rule
     m2 = [c.moments()[1] for c in dist.coords]
     summary = CovarianceSummary.from_system(W, m2)
     gauss = gaussian_reference_sampler(summary.M)
 
     def body(run):
-        return [(orthant.contains(dist.sample(rng_x, size) @ W).sum(),
+        return [(orthant.contains(system.row_products(dist.sample(rng_x, size))).sum(),
                  orthant.contains(gauss(rng_g, size)).sum())
                 for size, (rng_x, rng_g) in run]
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -39,7 +40,8 @@ from scipy.special import ndtr, ndtri
 
 from .distributions import ProductDistribution
 from .halfspace import DecisionTree, Halfspace, HalfspaceSystem
-from .harness import WeightedSum, block_values, expectation_over_seeds, product_lattice
+from .harness import (WeightedSum, block_values, check_dimensions, expectation_over_seeds,
+                      product_lattice)
 from .regularity import TermNorms, check_delta, is_delta_regular
 
 # Calibrated ceiling for K * a / log2(2/b) over the supported parameter
@@ -445,8 +447,8 @@ class GeneralizedPolynomial:
         self.n = len(self.weights)
         self.L = len(partition.head)
         self.K = P.degree
-        self._head = list(partition.head)
         self._tail = [j for j in range(self.n) if j not in partition.head]
+        self._system = HalfspaceSystem(self.weights, [self.theta])
 
     @property
     def order(self) -> int:
@@ -458,31 +460,30 @@ class GeneralizedPolynomial:
     def evaluate_batch(self, X) -> np.ndarray:
         """The sandwich at every row of an (N, n) array.
 
-        Each row gets the float arithmetic of a scalar evaluation: the head
-        sum runs from zero over the columns in `partition.head` order (by
-        term norm, largest first), the tail sum over the rest in index
-        order, and P is called once, on the NEAR rows.  A FAR power
-        (z/theta')^q too large for a float raises OverflowError, as Python's
-        float ** int does.
+        m = w.x - theta is the margin its halfspace's one-column system reads;
+        z sums the tail in index order, and theta' = z - m.  An empty tail
+        gives 1[m >= 0], which is h.  Else BAD rows and FAR rows with theta'
+        <= 0 give 1, NEAR rows P(m / scale), FAR rows with theta' > 0 give
+        (z/theta')^q (OverflowError past the float range, as float ** int).
+        So p >= h at every row, in floats: where m >= 0 the NEAR argument is
+        +0 or more, where P >= 1 exactly, and theta' = fl(z - m) <= z makes a
+        FAR+ ratio at least 1.  The negation's sandwich reads m' = -m exactly,
+        so `lower_from_upper` of it stays <= h.
         """
         X = np.asarray(X, dtype=float)
-        head_sum = np.zeros(len(X))
-        for j in self._head:
-            head_sum += self.weights[j] * X[:, j]
+        m = self._system.row_products(X)[:, 0] - self.theta
+        part = self.partition
+        if part.tail_norm == 0.0:
+            return (m >= 0).astype(float)
         z = np.zeros(len(X))
         for j in self._tail:
             z += self.weights[j] * X[:, j]
-        theta_prime = self.theta - head_sum
-        part = self.partition
-        if part.tail_norm == 0.0:
-            return (theta_prime <= 0).astype(float)
+        theta_prime = z - m
         out = np.ones(len(X))  # BAD rows and FAR rows with theta' <= 0
-        far = np.abs(theta_prime) > part.t_scale * part.tail_norm
-        near = ~far
+        near = ~(np.abs(theta_prime) > part.t_scale * part.tail_norm)  # NaN is NEAR
         if part.tail_regular and near.any():
-            scale = 2.0 * part.t_scale * part.tail_norm
-            out[near] = self.P((z[near] - theta_prime[near]) / scale)
-        power = far & (theta_prime > 0)
+            out[near] = self.P(m[near] / (2.0 * part.t_scale * part.tail_norm))
+        power = ~near & (theta_prime > 0)
         out[power] = [(zi / ti) ** self.q
                       for zi, ti in zip(z[power].tolist(), theta_prime[power].tolist())]
         return out
@@ -514,8 +515,10 @@ def build_upper_poly(weights: Sequence[float], theta: float, coords,
     T is too small for this d, t); b = min(1/d^2, 1/t^4); q = T/(2d) rounded
     down to even.
     """
-    if t <= 4:
-        raise ValueError("need t > 4")
+    if not isinstance(d, numbers.Integral) or d < 1:
+        raise ValueError(f"need an integer d >= 1, got d={d!r}")
+    if not (math.isfinite(t) and t > 4):
+        raise ValueError(f"need t > 4 and finite, got t={t!r}")
     if T < 2 or T % 2:
         raise ValueError("T must be a positive even integer")
     a = 16.0 * DGJSV_C0 * d * math.log2(t * d) / T
@@ -552,6 +555,18 @@ def _block_values(p, X: np.ndarray) -> list[float]:
     return list(map(float, block_values(p, X)))
 
 
+def _factor_n(f) -> int | None:
+    """The n a factor (or the object of a bound method such as `h.evaluate`)
+    knows: a GeneralizedPolynomial's, a Halfspace's weight count, a
+    LowerSandwich's upper polynomial's; None for any other callable."""
+    f = getattr(f, "__self__", f)
+    if isinstance(f, LowerSandwich):
+        return _factor_n(f.upper_for_negation)
+    if isinstance(f, Halfspace):
+        return len(f.w)
+    return f.n if isinstance(f, GeneralizedPolynomial) else None
+
+
 def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
              d: int) -> tuple[tuple[UpperCertification, ...], bool, float]:
     """One pass over the lattice: each factor's preconditions, and the product's.
@@ -565,6 +580,10 @@ def _certify(polys: Sequence, halfspaces: Sequence, dist: ProductDistribution,
     """
     if d < 1:
         raise ValueError(f"need at least one factor, got d={d}")
+    sizes = {"law": dist.n}
+    for name, factors in (("p", polys), ("h", halfspaces)):
+        sizes.update((f"{name}[{i}]", _factor_n(f)) for i, f in enumerate(factors))
+    check_dimensions(sizes)
     thresh, power = 1.0 + 1.0 / d ** 2, 2 * d
     den, blocks = product_lattice(dist)
     sums = [(WeightedSum(den), WeightedSum(den), WeightedSum(den)) for _ in polys]
@@ -707,6 +726,8 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
     """
     if order > kwise_gen.k:
         raise OrderViolation(f"sandwich order {order} exceeds k={kwise_gen.k}")
+    check_dimensions({"law": dist.n, "generator": kwise_gen.n, "f": _factor_n(f),
+                      "p_l": _factor_n(p_l), "p_u": _factor_n(p_u)})
     den, blocks = product_lattice(dist)
     total, gap_u, gap_l = WeightedSum(den), WeightedSum(den), WeightedSum(den)
     for X, weights in blocks:

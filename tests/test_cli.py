@@ -276,6 +276,10 @@ def test_sandwich_audit_reports_a_failed_construction(monkeypatch, capsys):
     ({"--delta": "nan"}, "delta must be finite and positive, got nan"),
     ({"--weights": "[1, 1, 1, 1]"}, "need one m2 and one m4 per weight, 4 weights"),
     ({"--delta": "nan", "--L": "6"}, "delta must be finite and positive, got nan"),  # empty tail
+    ({"--d": "0"}, "need an integer d >= 1, got d=0"),
+    ({"--d": "-3"}, "need an integer d >= 1, got d=-3"),
+    ({"--t": "nan"}, "need t > 4 and finite, got t=nan"),
+    ({"--t": "inf"}, "need t > 4 and finite, got t=inf"),
 ])
 def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, override, message):
     dist = write(tmp_path / "d6.json",

@@ -234,8 +234,60 @@ def sign_cases(draw):
     return HalfspaceSystem(W, Theta, strict), X
 
 
+@st.composite
+def column_cases(draw):
+    """(system, points): n up to 300, d up to 6, points C, Fortran or strided,
+    mixed strict flags, each threshold on a tie of some row under the margin
+    rule (the column's own 1-D dot), the old whole-row product, or neither."""
+    n, d, rows = draw(st.integers(1, 300)), draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    rng = philox(draw(st.integers(0, 2 ** 32 - 1)))
+    W = rng.standard_normal((n, d))
+    X = rng.choice([-1.0, -0.5, 0.5, 1.0, 0.1, 0.3], (rows, n))
+    x = X[draw(st.integers(0, rows - 1))]
+    old = x @ W
+    Theta = []
+    for i in range(d):
+        rule = draw(st.sampled_from(["margin", "row", "free"]))
+        Theta.append(x @ np.ascontiguousarray(W[:, i]) if rule == "margin"
+                     else old[i] if rule == "row" else rng.standard_normal())
+    strict = draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        X = np.asfortranarray(X)
+    elif layout == "strided":
+        wide = np.zeros((rows, 2 * n))
+        wide[:, ::2] = X
+        X = wide[:, ::2]
+    return HalfspaceSystem(W, Theta, strict), X
+
+
+class TestColumnStability:
+    """Every margin is its own contiguous dot: a column's signs do not depend on
+    the other columns, the other rows, or the layout of the points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(column_cases())
+    def test_columns_rows_and_prefixes_agree(self, case):
+        system, X = case
+        signs = system.sign_matrix(X)
+        for i in range(system.d):
+            w = np.ascontiguousarray(system.W[:, i])
+            theta, strict = float(system.Theta[i]), system.strict[i]
+            oracle = [int(m > theta if strict else m >= theta)
+                      for m in (np.ascontiguousarray(x) @ w for x in X)]
+            assert signs[:, i].tolist() == oracle
+            assert system.halfspace(i).evaluate_batch(X).tolist() == oracle
+            assert Halfspace(tuple(system.W[:, i]), theta, strict).evaluate_batch(X).tolist() \
+                == oracle
+        for r, x in enumerate(X):
+            assert system.sign_vector(x) == tuple(signs[r].tolist())
+        for k in range(1, len(X)):
+            assert np.array_equal(system.sign_matrix(X[:k]), signs[:k])
+
+
 class TestSignPaths:
-    """sign_vector and sign_matrix keep the signs of each row's `x @ W - Theta` bit for bit."""
+    """sign_vector and sign_matrix keep the signs of each margin, a row's 1-D dot with
+    one contiguous column minus its threshold, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(sign_cases())
@@ -244,7 +296,8 @@ class TestSignPaths:
         with np.errstate(all="ignore"):
             rows = []
             for x in X:
-                margins = x @ system.W - system.Theta
+                margins = np.array([x @ np.ascontiguousarray(system.W[:, i])
+                                    for i in range(system.d)]) - system.Theta
                 assert system.sign_vector(x) == old_signs(margins, system.strict)
                 assert system.sign_vector(tuple(x.tolist())) == old_signs(margins, system.strict)
                 rows.append(list(old_signs(margins, system.strict)))

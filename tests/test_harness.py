@@ -603,6 +603,34 @@ class TestBerryEsseen:
         with pytest.raises(ValueError, match="orthant has dimension 2 but W has 1 columns"):
             berry_esseen_probe(np.ones((4, 1)), cube(4), orthant, trials=100)
 
+    @pytest.mark.parametrize("W,theta", [([[1.0], [np.nan], [1.0], [1.0]], [0.0]),
+                                         ([[1.0], [np.inf], [1.0], [1.0]], [0.0]),
+                                         ([[1.0]] * 4, [np.inf])])
+    def test_non_finite_weights_or_orthant_rejected(self, W, theta):
+        orthant = OrthantSet(np.array(theta), (0, 1))
+        with pytest.raises(ValueError, match="must be finite"):
+            berry_esseen_probe(np.array(W), cube(4), orthant, trials=100)
+
+    def test_sum_is_each_rows_margin_product(self, monkeypatch):
+        # S reaches the orthant as the system's row products, whatever rows share a shard
+        W = philox(5).normal(size=(6, 2))
+        system = HalfspaceSystem(W, [0.0, 0.0])
+        seen, contains = [], OrthantSet.contains
+
+        def recorded(self, points):
+            seen.append(points)
+            return contains(self, points)
+
+        monkeypatch.setattr(OrthantSet, "contains", recorded)
+        law = ProductDistribution.repeated(
+            DiscreteCoordinate([-1.0, 0.1, 0.3], [0.25, 0.25, 0.5]), 6)
+        berry_esseen_probe(W, law, OrthantSet(np.zeros(2), (0, 0, 0, 1)), trials=301,
+                           master_seed=4, shards=3)
+        # per shard: the sums S, then the Gaussian reference points
+        samples = np.concatenate([law.sample(rng_for(4, s), size)
+                                  for s, size in enumerate(shard_sizes(301, 3))])
+        assert np.array_equal(np.concatenate(seen[::2]), system.row_products(samples))
+
     @pytest.mark.parametrize("shape", [(5, 2), (4,)])
     def test_rows_other_than_the_law_rejected(self, shape):
         orthant = OrthantSet(np.zeros(2), (0, 0, 0, 1))

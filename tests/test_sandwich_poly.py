@@ -579,18 +579,19 @@ class TestPartitionAndBranches:
 
     @staticmethod
     def scalar_reference(gp, x):
-        """The per-point evaluation: Python sums, one branch, one P call."""
-        head_sum = float(sum(gp.weights[j] * x[j] for j in gp._head))
+        """The per-point evaluation: the halfspace's own margin m, a Python tail
+        sum z, theta' = z - m, one branch and one P call."""
+        m = Halfspace(tuple(gp.weights), gp.theta).margin(x)
         z = float(sum(gp.weights[j] * x[j] for j in gp._tail))
-        theta_prime = gp.theta - head_sum
+        theta_prime = z - m
         part = gp.partition
         if part.tail_norm == 0.0:
-            return "ZERO", 1.0 if theta_prime <= 0 else 0.0
+            return "ZERO", 1.0 if m >= 0 else 0.0
         event = part.classify(theta_prime)
         if event == "BAD":
             return event, 1.0
         if event == "NEAR":
-            return event, float(gp.P((z - theta_prime) / (2.0 * part.t_scale * part.tail_norm)))
+            return event, float(gp.P(m / (2.0 * part.t_scale * part.tail_norm)))
         if theta_prime <= 0:
             return "FAR-", 1.0
         return "FAR+", (z / theta_prime) ** gp.q
@@ -676,6 +677,16 @@ class TestBuildUpperPoly:
         with pytest.raises(ValueError):
             build_upper_poly([1.0] * 6, 0.0, CUBE6_COORDS,
                              delta=0.25, t=8.0, T=4095, d=2, L=1)
+
+    @pytest.mark.parametrize("kw,message", [
+        (dict(d=0), "need an integer d >= 1, got d=0"),
+        (dict(d=1.5), "need an integer d >= 1, got d=1.5"),
+        (dict(t=math.nan), "need t > 4 and finite, got t=nan"),
+        (dict(t=math.inf), "need t > 4 and finite, got t=inf"),
+    ])
+    def test_d_and_t_validation_names_the_parameter(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_upper_poly([1.0] * 6, 0.0, CUBE6_COORDS, **dict(BUILD_KW, **kw))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_halfspaces_pointwise(self, seed):
@@ -974,6 +985,142 @@ class TestTreeToAndSum:
         sysd = self.system()
         tree = DecisionTree.branch(0, DecisionTree.leaf_node(0), DecisionTree.leaf_node(0))
         assert tree_to_and_sum(tree, sysd) == []
+
+
+def tie_theta(rng, w, x, head):
+    """A threshold on a tie at x: the one rule's own product, the head-order
+    sum the sandwich used to read, or one ulp either side of the product."""
+    own = float(np.ascontiguousarray(x) @ np.ascontiguousarray(w))
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return own
+    if kind == 1:
+        order = list(head) + [j for j in range(len(w)) if j not in head]
+        return float(sum(w[j] * x[j] for j in order))
+    return float(np.nextafter(own, -np.inf if kind == 2 else np.inf))
+
+
+def tie_system(rng, n, d, rows):
+    """A system whose thresholds sit on ties of some row, under the margin rule
+    (a column's own 1-D dot) for some columns and the old whole-row product for
+    the others, and its points."""
+    W = rng.standard_normal((n, d))
+    X = rng.choice([-1.0, -0.5, 0.5, 1.0], (rows, n))
+    x = X[int(rng.integers(0, rows))]
+    old = x @ W
+    Theta = [old[i] if rng.random() < 0.5 else x @ np.ascontiguousarray(W[:, i])
+             for i in range(d)]
+    return HalfspaceSystem(W, Theta, list(rng.random(d) < 0.3)), X
+
+
+def random_tree(rng, d, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return DecisionTree.leaf_node(int(rng.integers(0, 2)))
+    return DecisionTree.branch(int(rng.integers(0, d)), random_tree(rng, d, depth - 1),
+                               random_tree(rng, d, depth - 1))
+
+
+class TestTiesUnderTheMarginRule:
+    """Every reader of a halfspace splits a tie the way `HalfspaceSystem` does."""
+
+    def test_and_sum_equals_the_tree_on_ties(self):
+        rng = np.random.default_rng(0)
+        for _ in range(400):
+            system, X = tie_system(rng, int(rng.integers(2, 64)), int(rng.integers(2, 6)), 4)
+            tree = random_tree(rng, system.d, 4)
+            terms = tree_to_and_sum(tree, system)
+            for x in X:
+                assert and_sum_evaluate(terms, x) == tree.evaluate(system.sign_vector(x))
+
+    BRANCHES = {  # head size, tail_regular, t_scale, tail_norm, sign of the tail sum
+        "ZERO": ("all", True, 5.0, 0.0, 1.0),
+        "NEAR": (2, True, 1e6, 1.0, 1.0),
+        "BAD": (2, False, 1e6, 1.0, 1.0),
+        "FAR+": (2, True, 5.0, 1e-300, 1.0),
+        "FAR-": (2, True, 5.0, 1e-300, -1.0),
+    }
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_upper_above_and_lower_below_h_on_ties(self, branch):
+        head_size, regular, t_scale, tail_norm, tail_sign = self.BRANCHES[branch]
+        P, rng, events = dgjsv_poly(0.5, 0.1), np.random.default_rng(1), set()
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            L = n if head_size == "all" else head_size
+            head = tuple(int(j) for j in rng.permutation(n)[:L])
+            w = rng.standard_normal(n)
+            x = rng.choice([-1.0, -0.5, 0.5, 1.0], n)
+            tail = [j for j in range(n) if j not in head]
+            w[tail] = np.abs(w[tail])
+            x[tail] = tail_sign * np.abs(x[tail])  # fixes the sign of the tail sum
+            theta = tie_theta(rng, w, x, head)
+            part = RegularityPartition(head, t_scale, tail_norm, regular, 0.25)
+            p = GeneralizedPolynomial(w, theta, part, P, q=6)
+            p_l = lower_from_upper(GeneralizedPolynomial(-w, -theta, part, P, q=6))
+            h = Halfspace(tuple(w), theta).evaluate(x)
+            event, value = TestPartitionAndBranches.scalar_reference(p, x.tolist())
+            events.add(event)
+            assert p.evaluate(x) >= h
+            assert p_l.evaluate(x) <= h
+            assert p.evaluate(x) == value
+        assert events == {branch}
+
+    def test_empty_tail_sandwich_is_h_on_ties(self):
+        # build_upper_poly with L = n and theta on the one rule's own product
+        rng, below = np.random.default_rng(0), 0
+        for _ in range(300):
+            n = int(rng.integers(3, 9))
+            w = rng.standard_normal(n)
+            x = rng.choice([-1.0, 1.0], n)
+            theta = float(HalfspaceSystem(w, [0.0]).row_products(x[None])[0, 0])
+            p = build_upper_poly(w, theta, [RAD] * n, **dict(BUILD_KW, L=n))
+            below += p.evaluate(x) < Halfspace(tuple(w), theta).evaluate(x)
+        assert below == 0
+
+
+class TestDimensionChecks:
+    """The law, the generator and every factor that knows its n must agree."""
+
+    def test_certify_upper_with_a_callable_h(self):
+        p = build_upper_poly([1.0] * 5, 1.0, [RAD] * 5, **BUILD_KW)
+        with pytest.raises(ValueError, match=re.escape("dimensions differ: law n=6, p[0] n=5")):
+            certify_upper(p, lambda x: int(sum(x[:5]) >= 2), CUBE6, 2)
+
+    @pytest.mark.parametrize("law_n", [6, 4])
+    def test_certify_upper_with_a_halfspace(self, law_n):
+        p = build_upper_poly([1.0] * 5, 1.0, [RAD] * 5, **BUILD_KW)
+        h = Halfspace((1.0,) * 5, 1.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"dimensions differ: law n={law_n}, p[0] n=5, h[0] n=5")):
+            certify_upper(p, h, ProductDistribution([RAD] * law_n), 2)
+
+    def test_hybrid_product_names_every_factor(self):
+        p6 = build_upper_poly([1.0] * 6, 1.0, CUBE6_COORDS, **BUILD_KW)
+        p5 = build_upper_poly([1.0] * 5, 1.0, [RAD] * 5, **BUILD_KW)
+        with pytest.raises(ValueError, match=re.escape(
+                "dimensions differ: law n=6, p[0] n=6, p[1] n=5, h[0] n=6, h[1] n=7")):
+            hybrid_product([p6, p5], [Halfspace((1.0,) * 6, 1.0), Halfspace((1.0,) * 7, 1.0)],
+                           CUBE6)
+
+    def test_kwise_fooling_check_law_against_generator(self):
+        w = (1.0, 1.0, -1.0, 1.0, 1.0)
+        h = Halfspace(w, 1.0)
+        p_u = margin_square_upper(list(w), 1.0)
+        p_l = lower_from_upper(margin_square_upper([-wi for wi in w], -1.0))
+        gen = MZGenerator([[-1.0, 1.0]] * 6, t=1, k=4)
+        with pytest.raises(ValueError, match=re.escape(
+                "dimensions differ: law n=5, generator n=6")):
+            kwise_fooling_check(h.evaluate, p_l, p_u, ProductDistribution([RAD] * 5), gen, 4)
+
+    def test_kwise_fooling_check_reads_sandwich_sizes(self):
+        p_u = build_upper_poly([1.0] * 5, 1.0, [RAD] * 5, **BUILD_KW)
+        p_l = lower_from_upper(build_upper_poly([-1.0] * 5, -1.0, [RAD] * 5, **BUILD_KW))
+        gen = MZGenerator([[-1.0, 1.0]] * 6, t=1, k=6)
+        h = Halfspace((1.0,) * 6, 1.0)
+        for f in (h, h.evaluate):
+            with pytest.raises(ValueError, match=re.escape(
+                    "dimensions differ: law n=6, generator n=6, f n=6, p_l n=5, p_u n=5")):
+                kwise_fooling_check(f, p_l, p_u, CUBE6, gen, 5)
 
 
 class TestKWiseFoolingCheck:
