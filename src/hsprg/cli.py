@@ -13,7 +13,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import ProductDistribution, discretize_coordinate, moment_profile
-from .halfspace import CombinerSpec, HalfspaceSystem
+from .halfspace import CombinerSpec, HalfspaceSystem, weight_matrix
 from .harness import (
     MASTER_SEED,
     ResourceCapError,
@@ -70,12 +70,6 @@ def _dump_json(data, path: str | None):
         print(text)
 
 
-def _report_error(exc: Exception) -> int:
-    """Print the error as one JSON line; the exit status of a rejected input."""
-    print(json.dumps({"error": str(exc)}))
-    return 1
-
-
 def cmd_discretize(args) -> int:
     dist = _load(args.dist, ProductDistribution.from_json)
     reports = []
@@ -89,12 +83,7 @@ def cmd_discretize(args) -> int:
 
 def cmd_regularity(args) -> int:
     def parse(data):
-        W = np.asarray(data["W"], dtype=float)
-        if W.ndim == 1:
-            W = W[:, None]
-        if W.ndim != 2 or not W.size:
-            raise ValueError("W must be a vector or an n x d matrix with n, d >= 1, "
-                             f"got shape {W.shape}")
+        W = weight_matrix(data["W"])
         return W, data.get("m2", [1.0] * len(W)), data.get("m4", [1.0] * len(W))
 
     W, m2, m4 = _load(args.weights, parse)
@@ -121,7 +110,7 @@ def cmd_gen(args) -> int:
         params.get("hash", "affine")))
     gen = MZGenerator(alphabets_from_distribution(dist), t=t, k=k,
                       hash_variant=hash_variant)
-    rng = rng_for(args.master_seed if args.master_seed is not None else MASTER_SEED)
+    rng = rng_for(args.master_seed)
     rows = gen.expand(gen.random_seeds(rng, args.seeds))
     if args.out.endswith(".bin"):
         rows.astype("<f8").tofile(args.out)
@@ -200,16 +189,14 @@ def cmd_estimate(args) -> int:
     elif args.gen == "mz":
         gen = MZGenerator(alphabets_from_distribution(dist), t=args.t, k=args.k)
     elif args.gen == "nisan":
-        gen = NisanProductGenerator(alphabets_from_distribution(dist),
-                                    space=args.nisan_space)
+        gen = NisanProductGenerator(alphabets_from_distribution(dist), args.nisan_space)
     else:
         raise ValueError(f"unknown generator {args.gen!r}")
 
     report = estimate_fooling_error(
         (system, combiner), dist, gen, mode=args.mode, trials=args.trials,
         master_seed=args.master_seed, experiment=args.experiment, eps=args.eps)
-    fmt = "json" if args.out.endswith(".json") else "csv"
-    emit_report([report], args.out, fmt)
+    emit_report([report], args.out)
     print(json.dumps(report.to_json()))
     return 0
 
@@ -242,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dist", required=True)
     g.add_argument("--params", required=True)
     g.add_argument("--seeds", type=int, required=True)
-    g.add_argument("--master-seed", type=int, default=None)
+    g.add_argument("--master-seed", type=int, default=MASTER_SEED)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -297,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--nisan-space", type=int, default=6)
     e.add_argument("--mode", choices=["exact", "mc"], default="exact")
     e.add_argument("--trials", type=int, default=10 ** 5)
-    e.add_argument("--master-seed", type=int, default=None)
+    e.add_argument("--master-seed", type=int, default=MASTER_SEED)
     e.add_argument("--experiment", default="fooling")
     e.add_argument("--eps", type=float, default=None)
     e.add_argument("--out", required=True)
@@ -306,12 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a rejected input prints a JSON error and returns 1."""
+    """Run one subcommand; rejected input or failed arithmetic prints a JSON error, returns 1."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ResourceCapError, DGJSVError) as exc:
-        return _report_error(exc)
+    except (ValueError, ArithmeticError, OSError, ResourceCapError, DGJSVError) as exc:
+        print(json.dumps({"error": str(exc)}))
+        return 1
 
 
 if __name__ == "__main__":

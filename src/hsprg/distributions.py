@@ -254,8 +254,8 @@ class UniformIntervalCoordinate(Coordinate):
     kind = "uniform-interval"
 
     def __init__(self, lo: float = -1.0, hi: float = 1.0):
-        if not lo < hi:
-            raise DistributionError("need lo < hi")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise DistributionError(f"uniform-interval needs finite lo < hi, got lo={lo}, hi={hi}")
         self.lo, self.hi = float(lo), float(hi)
         self.symmetric = lo == -hi
 
@@ -292,6 +292,10 @@ class TruncatedStandardizedCoordinate(Coordinate):
     def __init__(self, base: Coordinate, B: float, mu: float, scale: float):
         if isinstance(base, DiscreteCoordinate):
             raise DistributionError("discrete bases are truncated exactly, not wrapped")
+        for name, value, positive in (("B", B, True), ("mu", mu, False), ("scale", scale, True)):
+            if not math.isfinite(value) or positive and value <= 0:
+                raise DistributionError(f"truncated-standardized {name} must be finite"
+                                        + " and positive" * positive + f", got {value}")
         self.base = base
         self.B_raw = float(B)
         self.mu = float(mu)

@@ -53,13 +53,22 @@ class Halfspace:
         return Halfspace(tuple(-wi for wi in self.w), -self.theta, not self.strict)
 
 
+def weight_matrix(W) -> np.ndarray:
+    """W as an n x d float matrix, a vector as one column; else a ValueError."""
+    W = np.asarray(W, dtype=float)
+    W = W[:, None] if W.ndim == 1 else W
+    if W.ndim != 2 or not W.size:
+        raise ValueError("W must be a vector or an n x d matrix with n, d >= 1, "
+                         f"got shape {W.shape}")
+    return W
+
+
 class HalfspaceSystem:
     """d halfspaces sharing the input: column i of W with threshold Theta[i]."""
 
     def __init__(self, W: np.ndarray | Sequence[Sequence[float]],
                  Theta: Sequence[float], strict: Sequence[bool] | None = None):
-        W = np.asarray(W, dtype=float)
-        self.W = np.ascontiguousarray(W[:, None] if W.ndim == 1 else W)
+        self.W = np.ascontiguousarray(weight_matrix(W))
         # contiguous rows: on a strided operand numpy's dot leaves BLAS
         self.WT = np.ascontiguousarray(self.W.T)
         self.Theta = np.asarray(Theta, dtype=float)
@@ -72,6 +81,8 @@ class HalfspaceSystem:
         if len(self.strict) != self.d:
             raise ValueError(f"strict needs one flag per halfspace, "
                              f"got {len(self.strict)} for d={self.d}")
+        if not all(isinstance(s, (bool, np.bool_)) for s in self.strict):
+            raise ValueError(f"strict flags must be booleans, got {strict!r}")
         self._strict_mask = np.array(self.strict, dtype=bool)
         self._any_strict = any(self.strict)
 

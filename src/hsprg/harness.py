@@ -12,9 +12,9 @@ one reader, `block_values`; a pair's signs are each row's own product, so a
 value never depends on its block.  Every exact pass, here and in
 `sandwich_poly`, sums through one `WeightedSum`: integer weights over one
 denominator, exact while the values allow, then floats in the order fed.
-Monte Carlo goes through one sharded driver: stream k of shard s is Philox
-keyed by (master seed, k * MAX_SHARDS + s), so shard results are
-reproducible and merge order-independently.  The driver hands shards over
+Monte Carlo goes through one driver over SHARDS shards: stream k of shard
+s is Philox keyed by (master seed, k * MAX_SHARDS + s), so shard results
+are reproducible and merge order-independently.  The driver hands shards over
 in runs of consecutive shards, at most SEED_CHUNK rows and at least one
 shard each.  The fooling-error estimate draws every shard from its own
 streams and expands and evaluates a run at once.
@@ -29,7 +29,7 @@ import math
 import numbers
 import operator
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -46,6 +46,7 @@ ENUM_CAP = 1 << 24    # most points, seeds or seed-image points an exact pass en
 SEED_CHUNK = 1 << 12  # most seeds expanded per generator call (but one Monte Carlo shard)
 TAIL_BLOCK = 1 << 12  # rows per product-lattice block, unless one coordinate is wider
 MAX_SHARDS = 10_000   # shard keys are offset by multiples of this per stream
+SHARDS = 8            # Monte Carlo shards per run: part of every estimate's streams
 _INTEGRAL = (numbers.Integral, np.bool_)  # f values the exact sum takes as ints
 _EXACT = (*_INTEGRAL, Fraction)  # f values that keep the sum exact
 
@@ -144,9 +145,19 @@ class WeightedSum:
         self.exact = True
         self._acc = 0
 
-    def add(self, values: Iterable, weights: Iterable[int]) -> None:
-        """Fold in the values, each times its weight, in order."""
+    def add(self, values: Iterable, weights: Iterable[int] | int) -> None:
+        """Fold in the values, each times its weight, in order.  One int weight
+        is the whole block's: while the sum and the block are exact, its sum adds once."""
         den = self.den
+        if isinstance(weights, int):
+            values = list(values)
+            types = set(map(type, values))
+            if self.exact and all(issubclass(t, _EXACT) for t in types):
+                if types - {int, Fraction}:  # numpy integers and bools: Python ints, as below
+                    values = [v if isinstance(v, Fraction) else int(v) for v in values]
+                self._acc += sum(values) * weights
+                return
+            weights = itertools.repeat(weights)
         values, weights = iter(values), iter(weights)
         if self.exact:
             acc = self._acc
@@ -163,16 +174,6 @@ class WeightedSum:
             self._acc = acc
             values, weights = itertools.chain([v], values), itertools.chain([w], weights)
         self.add_floats(map(float, values), map(operator.truediv, weights, itertools.repeat(den)))
-
-    def add_shared(self, values: list, weight: int) -> None:
-        """`add` of values that share one weight: while exact, their sum adds once."""
-        types = set(map(type, values))
-        if self.exact and all(issubclass(t, _EXACT) for t in types):
-            if types - {int, Fraction}:  # numpy integers and bools: Python ints, as in `add`
-                values = [v if isinstance(v, Fraction) else int(v) for v in values]
-            self._acc += sum(values) * weight
-        else:
-            self.add(values, itertools.repeat(weight))
 
     def add_floats(self, values: Iterable[float], probs: Iterable[float]) -> None:
         """Fold in float values, each times its weight's probability w / den:
@@ -225,7 +226,7 @@ def expectation_over_seeds(f, generator):
     most ENUM_CAP is read through it: `block_values` reads `f` once per
     image point, an image block at a time, and each value adds with its
     block's weight over 2^seed_bits (an exact block's sum adds once, by
-    `WeightedSum.add_shared`), so the seed space itself may pass ENUM_CAP.
+    `WeightedSum.add` with one shared weight), so the seed space itself may pass ENUM_CAP.
     Integer and Fraction values give the same rational as a pass over
     every seed.  If some value is neither and the seed space is
     within ENUM_CAP, the seed pass below sums it again in seed order, so a
@@ -239,11 +240,9 @@ def expectation_over_seeds(f, generator):
 
     The seed pass (any other generator) expands the seeds SEED_CHUNK at a
     time and reads `f` on the distinct rows of each chunk (rows compared
-    by their bytes, so -0.0 and 0.0 differ).  While every value so far is
-    an integer or a Fraction, a chunk adds each distinct value times its
-    multiplicity; from the first chunk with any other value on, each seed
-    adds its row's value in seed order, so a float result is the per-seed
-    sum bit for bit.
+    by their bytes, so -0.0 and 0.0 differ).  Each seed adds its row's
+    value with weight 1, in seed order (while exact, a chunk's sum adds
+    once), so a float result is the per-seed sum bit for bit.
     """
     image = getattr(generator, "image_seeds", None)
     if image is not None:
@@ -257,7 +256,7 @@ def expectation_over_seeds(f, generator):
         for seeds, weight in blocks:
             X = generator.expand(seeds)
             vals = block_values(f, X)
-            total.add_shared(vals, weight)
+            total.add(vals, weight)
             if points <= SEED_CHUNK:  # one chunk of rows at most, kept for a seed-order float sum
                 kept.append((X, vals))
             elif not total.exact and n_seeds <= ENUM_CAP:
@@ -277,10 +276,7 @@ def expectation_over_seeds(f, generator):
         keys = X.view(np.dtype((np.void, X.itemsize * X.shape[1]))).ravel()
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
         vals = block_values(f, X[first])
-        if total.exact and all(isinstance(v, _EXACT) for v in vals):
-            total.add(vals, np.bincount(inverse, minlength=len(vals)).tolist())
-        else:
-            total.add(map(vals.__getitem__, inverse.tolist()), itertools.repeat(1))
+        total.add(map(vals.__getitem__, inverse.tolist()), 1)
     return total.value / n_seeds
 
 
@@ -300,9 +296,7 @@ class EstimationReport:
     wall_ms: float
 
     def row(self) -> list:
-        return [self.experiment, self.n, self.d, self.eps, self.method,
-                self.samples, self.true_expectation, self.prg_expectation,
-                self.fooling_error, self.ci95, self.seed_bits, self.wall_ms]
+        return [getattr(self, field.name) for field in fields(self)]
 
     COLUMNS = ["experiment", "n", "d", "eps", "method", "samples", "true_exp",
                "prg_exp", "error", "ci95", "seed_bits", "wall_ms"]
@@ -311,10 +305,8 @@ class EstimationReport:
 
     def to_json(self) -> dict:
         # decimal-string floats so a JSON round trip is bit-exact
-        out = {}
-        for k, v in zip(self.COLUMNS, self.row()):
-            out[k] = repr(v) if isinstance(v, float) and k in self.FLOAT_COLUMNS else v
-        return out
+        return {k: repr(v) if isinstance(v, float) and k in self.FLOAT_COLUMNS else v
+                for k, v in zip(self.COLUMNS, self.row())}
 
     @classmethod
     def from_json(cls, data: dict) -> "EstimationReport":
@@ -352,20 +344,19 @@ def _shard_runs(sizes: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
     yield run
 
 
-def _mc(trials: int, shards: int, master_seed: int | None, streams: Sequence[int],
+def _mc(trials: int, master_seed: int, streams: Sequence[int],
         body: Callable[[list], Iterable[tuple]]) -> tuple[tuple[float, ...], float]:
     """Sharded Monte Carlo: the mean of each hit count and their joint 95% half-width.
 
+    The trials split over SHARDS shards (`shard_sizes`), read at call time.
     Shards are handed to ``body`` in runs (`_shard_runs`).  ``body(run)``
     gets a run as a list of ``(size, rngs)``, one per shard, whose rngs are
     streams ``k`` of ``streams`` for that shard, and returns tuples of hit
     counts, one count per stream, to be summed: one per shard or per run.
     The half-width combines the Wilson half-widths of the means in quadrature.
     """
-    if master_seed is None:
-        master_seed = MASTER_SEED
     hits = [0] * len(streams)
-    for run in _shard_runs(shard_sizes(trials, shards)):
+    for run in _shard_runs(shard_sizes(trials, SHARDS)):
         rngs = [(size, tuple(rng_for(master_seed, k * MAX_SHARDS + shard) for k in streams))
                 for shard, size in run]
         for counts in body(rngs):
@@ -385,7 +376,7 @@ def estimate_fooling_error(f: Callable[[np.ndarray], int]
                            | tuple[HalfspaceSystem, CombinerSpec],
                            dist: ProductDistribution, generator,
                            mode: str = "exact", trials: int = 10 ** 5,
-                           master_seed: int | None = None, shards: int = 8,
+                           master_seed: int = MASTER_SEED,
                            experiment: str = "fooling", eps: float | None = None
                            ) -> EstimationReport:
     """|E f(X) - E f(G(seed))|, exactly or by sharded Monte Carlo.
@@ -397,7 +388,8 @@ def estimate_fooling_error(f: Callable[[np.ndarray], int]
     gives the report its ``d``; any other `f` reports ``d = 1``.  The law,
     the generator and a pair's system must have one dimension n, also
     checked before anything is drawn.  `f` must be a deterministic
-    function of the point.
+    function of the point; in Monte Carlo mode, which counts hits, its
+    values must be 0 or 1.  Exact mode reads `f` only after both cap checks.
     """
     t0 = time.perf_counter()
     d = 1
@@ -409,20 +401,27 @@ def estimate_fooling_error(f: Callable[[np.ndarray], int]
     check_dimensions(sizes)
 
     if mode == "exact":
-        true_e = float(exact_expectation(f, dist))
+        product_lattice(dist)  # its cap check: neither side reads f past a refused space
         prg_e = float(expectation_over_seeds(f, generator))
+        true_e = float(exact_expectation(f, dist))
         samples = 1 << generator.seed_bits
         ci = 0.0
         method = "exact-enumeration"
     elif mode == "mc":
+        def hits(X):
+            vals = block_values(f, X)  # a pair's values are 0 or 1 by construction
+            if not isinstance(f, tuple) and (bad := [v for v in vals if v not in (0, 1)]):
+                raise ValueError(f"Monte Carlo mode needs f values 0 or 1, got {bad[0]!r}")
+            return sum(vals)
+
         def body(run):
             # every shard draws from its own streams; the run is evaluated once
             X = np.concatenate([dist.sample(rng_x, size) for size, (rng_x, _) in run])
             seeds = np.concatenate([generator.random_seeds(rng_seeds, size)
                                     for size, (_, rng_seeds) in run])
-            return [(sum(block_values(f, X)), sum(block_values(f, generator.expand(seeds))))]
+            return [(hits(X), hits(generator.expand(seeds)))]
 
-        (true_e, prg_e), ci = _mc(trials, shards, master_seed, (0, 1), body)
+        (true_e, prg_e), ci = _mc(trials, master_seed, (0, 1), body)
         samples = trials
         method = "monte-carlo"
     else:
@@ -511,8 +510,8 @@ class BerryEsseenReport:
 
 
 def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: OrthantSet,
-                       trials: int = 10 ** 5, master_seed: int | None = None,
-                       shards: int = 8) -> BerryEsseenReport:
+                       trials: int = 10 ** 5, master_seed: int = MASTER_SEED
+                       ) -> BerryEsseenReport:
     """Estimate |Pr[S in A] - Pr[G in A]| with G ~ N(0, Cov S)."""
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != dist.n:
@@ -531,7 +530,7 @@ def berry_esseen_probe(W: np.ndarray, dist: ProductDistribution, orthant: Orthan
                  orthant.contains(gauss(rng_g, size)).sum())
                 for size, (rng_x, rng_g) in run]
 
-    (p_s, p_g), ci = _mc(trials, shards, master_seed, (0, 2), body)
+    (p_s, p_g), ci = _mc(trials, master_seed, (0, 2), body)
     return BerryEsseenReport(abs(p_s - p_g), ci, p_s, p_g, summary, trials)
 
 
@@ -556,8 +555,8 @@ class SphereTransferReport:
 
 
 def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
-                    trials: int = 10 ** 5, master_seed: int | None = None,
-                    shards: int = 8, sampler=None) -> SphereTransferReport:
+                    trials: int = 10 ** 5, master_seed: int = MASTER_SEED,
+                    sampler=None) -> SphereTransferReport:
     """E f on the unit sphere, sampling Gaussians and normalizing.
 
     `sampler(rng, size) -> (size, n) array` overrides the Gaussian source,
@@ -578,25 +577,21 @@ def sphere_transfer(system: HalfspaceSystem, combiner: CombinerSpec,
                 norms = np.linalg.norm(X, axis=1)
             yield (evaluate_batch(system, combiner, X / norms[:, None]).sum(),)
 
-    (p,), ci = _mc(trials, shards, master_seed, (0,), body)
+    (p,), ci = _mc(trials, master_seed, (0,), body)
     return SphereTransferReport(p, ci,
                                 system.d * math.log(n) / n ** 0.25, trials, n, system.d)
 
 
-def emit_report(reports: Iterable[EstimationReport], path: str,
-                fmt: str = "csv") -> None:
-    reports = list(reports)
-    if fmt == "csv":
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(EstimationReport.COLUMNS)
-            for r in reports:
-                writer.writerow(r.row())
-    elif fmt == "json":
+def emit_report(reports: Iterable[EstimationReport], path: str) -> None:
+    """Write the reports as JSON to a ``.json`` path, else as CSV."""
+    if str(path).endswith(".json"):
         with open(path, "w") as fh:
             json.dump([r.to_json() for r in reports], fh, indent=1)
     else:
-        raise ValueError(f"unknown format {fmt!r}")
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(EstimationReport.COLUMNS)
+            writer.writerows(r.row() for r in reports)
 
 
 def read_report_json(path: str) -> list[EstimationReport]:

@@ -537,7 +537,7 @@ class NisanProductGenerator(_Generator):
     programs the stream is meant to fool.
     """
 
-    def __init__(self, alphabets: Sequence[Sequence[float]], space: int = 8):
+    def __init__(self, alphabets: Sequence[Sequence[float]], space: int):
         super().__init__(alphabets)
         self.space = space
         self.seed_bits = nisan_seed_bits(space, self.label_bits, self.n)

@@ -728,7 +728,8 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
         raise OrderViolation(f"sandwich order {order} exceeds k={kwise_gen.k}")
     check_dimensions({"law": dist.n, "generator": kwise_gen.n, "f": _factor_n(f),
                       "p_l": _factor_n(p_l), "p_u": _factor_n(p_u)})
-    den, blocks = product_lattice(dist)
+    den, blocks = product_lattice(dist)  # its cap check first: neither side reads f past it
+    e_kwise = float(expectation_over_seeds(f, kwise_gen))
     total, gap_u, gap_l = WeightedSum(den), WeightedSum(den), WeightedSum(den)
     for X, weights in blocks:
         fvs = block_values(f, X)
@@ -736,6 +737,5 @@ def kwise_fooling_check(f: Callable[[Sequence[float]], int],
         gap_u.add(map(operator.sub, _block_values(p_u, X), fvs), weights)
         gap_l.add(map(operator.sub, fvs, _block_values(p_l, X)), weights)
     e_true = float(total.value)
-    e_kwise = float(expectation_over_seeds(f, kwise_gen))
     eps = max(float(gap_u.value), float(gap_l.value))
     return FoolingCheck(e_true, e_kwise, abs(e_true - e_kwise), eps, order, kwise_gen.k)

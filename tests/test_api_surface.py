@@ -11,6 +11,7 @@ the definition itself.
 
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -18,6 +19,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+
+from hsprg.cli import build_parser
+from hsprg.harness import MASTER_SEED, estimate_fooling_error
+from hsprg.mzgen import MZGenerator, NisanProductGenerator
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hsprg"
@@ -177,6 +182,34 @@ def test_tracer_entry_resolves(name, owner, attr):
     if cls:
         target = getattr(target, cls)
     assert hasattr(target, attr), f"{name}: {owner}.{attr} is gone"
+
+
+GEN_ARGV = ["gen", "--dist", "d", "--params", "p", "--seeds", "1", "--out", "o"]
+ESTIMATE_ARGV = ["estimate", "--f", "f", "--combiner", "c", "--dist", "d", "--gen", "mz",
+                 "--out", "o"]
+
+
+def library_default(callee, parameter):
+    return inspect.signature(callee).parameters[parameter].default
+
+
+@pytest.mark.parametrize("argv, flag, library", [
+    (GEN_ARGV, "master_seed", MASTER_SEED),
+    (ESTIMATE_ARGV, "master_seed", MASTER_SEED),
+    (ESTIMATE_ARGV, "master_seed", library_default(estimate_fooling_error, "master_seed")),
+    (ESTIMATE_ARGV, "trials", library_default(estimate_fooling_error, "trials")),
+    (ESTIMATE_ARGV, "mode", library_default(estimate_fooling_error, "mode")),
+    (ESTIMATE_ARGV, "experiment", library_default(estimate_fooling_error, "experiment")),
+    (ESTIMATE_ARGV, "eps", library_default(estimate_fooling_error, "eps")),
+    (ESTIMATE_ARGV, "k", library_default(MZGenerator, "k")),
+    (ESTIMATE_ARGV, "t", library_default(MZGenerator, "t")),
+    (ESTIMATE_ARGV, "nisan_space", library_default(NisanProductGenerator, "space")),
+], ids=["gen-master-seed", "estimate-master-seed", "estimate-master-seed-library", "trials",
+        "mode", "experiment", "eps", "k", "t", "nisan-space"])
+def test_cli_flag_defaults_are_the_library_defaults(argv, flag, library):
+    """A flag that feeds a defaulted library parameter is no second source of its default."""
+    cli = getattr(build_parser().parse_args(argv), flag)
+    assert library is inspect.Parameter.empty or cli == library
 
 
 def test_import_leaves_scipy_integrate_unloaded():

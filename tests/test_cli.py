@@ -294,6 +294,32 @@ def test_sandwich_build_rejects_bad_parameters_with_json(tmp_path, capsys, overr
     assert not (tmp_path / "poly.json").exists()
 
 
+TRUNCATED = {"kind": "truncated-standardized", "base": {"kind": "gaussian"},
+             "B": 2.0, "mu": 0.0, "scale": 1.0}
+
+
+@pytest.mark.parametrize("coord, message", [
+    ({"kind": "uniform-interval", "hi": math.inf},
+     "uniform-interval needs finite lo < hi, got lo=-1.0, hi=inf"),
+    ({"kind": "uniform-interval", "hi": 1e308}, "(34, 'Numerical result out of range')"),
+    ({**TRUNCATED, "scale": 0.0}, "truncated-standardized scale must be finite and positive, got 0.0"),
+    ({**TRUNCATED, "B": math.nan}, "truncated-standardized B must be finite and positive, got nan"),
+    ({**TRUNCATED, "scale": -1.0},
+     "truncated-standardized scale must be finite and positive, got -1.0"),
+    ({**TRUNCATED, "mu": math.inf}, "truncated-standardized mu must be finite, got inf"),
+], ids=["uniform-hi-inf", "uniform-hi-overflows", "scale-0", "B-nan", "scale-negative",
+        "mu-inf"])
+def test_sandwich_build_rejects_bad_continuous_coordinate_with_json(tmp_path, capsys, coord,
+                                                                   message):
+    # 1e308 is finite, but its moments overflow: an ArithmeticError is reported, not raised
+    dist = write(tmp_path / "d6.json", {"coord": coord, "n": 6})
+    assert main(["sandwich", "build", "--weights", "[1,1,1,1,1,1]", "--theta", "1.0",
+                 "--dist", dist, "--delta", "0.25", "--t", "8", "--T", "4096", "--d", "2",
+                 "--L", "1", "--out", str(tmp_path / "poly.json")]) == 1
+    assert json.loads(capsys.readouterr().out) == {"error": message}
+    assert not (tmp_path / "poly.json").exists()
+
+
 def test_sandwich_build(tmp_path):
     dist = write(tmp_path / "d6.json",
                  {"coord": {"kind": "multiset", "values": [-1.0, 1.0]}, "n": 6})
@@ -442,7 +468,14 @@ RAD_LAW = {"kind": "multiset", "values": [-1.0, 1.0]}
      "truth table entries must be 0 or 1, got 1.5"),
     ({}, {"kind": "decision-tree", "tree": {"hs": 0, "low": {"leaf": 0}, "high": {"leaf": 3}}},
      "a leaf must be 0 or 1, got 3"),
-], ids=["strict-two-flags", "table-2", "table-1.5", "tree-leaf-3"])
+    ({"strict": ["no"]}, {"kind": "single"}, "strict flags must be booleans, got ['no']"),
+    ({"strict": "a"}, {"kind": "single"}, "strict flags must be booleans, got 'a'"),
+    ({"W": [[[1.0]], [[1.0]]]}, {"kind": "single"},
+     "W must be a vector or an n x d matrix with n, d >= 1, got shape (2, 1, 1)"),
+    ({"W": []}, {"kind": "single"},
+     "W must be a vector or an n x d matrix with n, d >= 1, got shape (0, 1)"),
+], ids=["strict-two-flags", "table-2", "table-1.5", "tree-leaf-3", "strict-string-flag",
+        "strict-string", "W-3d", "W-empty"])
 def test_estimate_rejects_bad_system_or_combiner_with_json(tmp_path, capsys, system, comb,
                                                            message):
     # d = 1, x1 + x2 >= 0.5 on {-1, 1}^2

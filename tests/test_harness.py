@@ -150,7 +150,7 @@ class TestWeightedSum:
         want, got = WeightedSum(den), WeightedSum(den)
         for values, weight in blocks:
             want.add(values, itertools.repeat(weight))
-            got.add_shared(values, weight)
+            got.add(values, weight)
             assert got.exact is want.exact
         if got.exact:
             assert type(got.value) is Fraction and got.value == want.value
@@ -184,14 +184,42 @@ class TestFoolingError:
         rep = estimate_fooling_error(f, cube(4), gen, mode="exact")
         assert rep.fooling_error == 0
 
-    def test_mc_reproducible(self):
+    def test_mc_reproducible(self, monkeypatch):
+        monkeypatch.setattr(harness, "SHARDS", 4)
         gen = MZGenerator([[-1.0, 1.0]] * 8, t=2, k=3)
         f = lambda x: int(sum(x) >= 0)
-        kw = dict(mode="mc", trials=4000, master_seed=99, shards=4)
+        kw = dict(mode="mc", trials=4000, master_seed=99)
         r1 = estimate_fooling_error(f, cube(8), gen, **kw)
         r2 = estimate_fooling_error(f, cube(8), gen, **kw)
         assert r1.true_expectation == r2.true_expectation
         assert r1.prg_expectation == r2.prg_expectation
+
+    @pytest.mark.parametrize("value", [0.3, 2])
+    def test_mc_refuses_values_other_than_0_and_1(self, value):
+        # a run's hits are counted: 0.3 * 1[x0 > 0] read 0.149 against an exact 0.15
+        # from 1,000 rows, and 2 failed inside the half-width
+        gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"Monte Carlo mode needs f values 0 or 1, got {value}")):
+            estimate_fooling_error(lambda x: value * int(x[0] > 0), cube(4), gen, mode="mc",
+                                   trials=1000)
+
+    def test_exact_refuses_an_oversized_seed_space_before_reading_f(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return 1
+
+        # the product lattice (2^20 points) fits; the seed image does not
+        gen = MZGenerator([[-1.0, 1.0]] * 20, t=2 ** 14, k=4)
+        with pytest.raises(ResourceCapError, match="^seed space"):
+            estimate_fooling_error(f, cube(20), gen, mode="exact")
+        # an oversized lattice is still refused first
+        gen = MZGenerator([[-1.0, 1.0]] * 25, t=2 ** 14, k=4)
+        with pytest.raises(ResourceCapError, match="^product space"):
+            estimate_fooling_error(f, cube(25), gen, mode="exact")
+        assert calls == [0]
 
     def test_mc_tracks_exact(self):
         gen = MZGenerator([[-1.0, 1.0]] * 6, t=2, k=2)
@@ -217,21 +245,23 @@ class TestSystemCombinerPair:
         assert rep.d == 2
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_same_report_as_the_callable(self, mode):
+    def test_same_report_as_the_callable(self, monkeypatch, mode):
+        monkeypatch.setattr(harness, "SHARDS", 3)
         comb = CombinerSpec.monotone_table([0, 1, 1, 1], 2)
-        kw = dict(mode=mode, trials=3001, master_seed=5, shards=3)
+        kw = dict(mode=mode, trials=3001, master_seed=5)
         pair = estimate_fooling_error((self.SYSTEM, comb), cube(6), self.GEN, **kw)
         ref = estimate_fooling_error(lambda x: comb.apply(self.SYSTEM.sign_vector(x)),
                                      cube(6), self.GEN, **kw)
         assert replace(pair, wall_ms=0.0) == replace(ref, d=2, wall_ms=0.0)
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    def test_same_report_as_the_callable_on_ties(self, mode):
+    def test_same_report_as_the_callable_on_ties(self, monkeypatch, mode):
         # Theta on one cube point's own margin: the pair's block reads must
         # give that point the per-row signs wherever it lands in a block
+        monkeypatch.setattr(harness, "SHARDS", 3)
         comb = CombinerSpec.intersection()
         points = np.array(list(itertools.product([-1.0, 1.0], repeat=6)))
-        kw = dict(mode=mode, trials=3001, master_seed=5, shards=3)
+        kw = dict(mode=mode, trials=3001, master_seed=5)
         for seed in range(40):
             rng = philox(seed)
             W = rng.standard_normal((6, 2))
@@ -411,8 +441,9 @@ class TestRunsOfShards:
             return real_expand(seeds)
 
         monkeypatch.setattr(gen, "expand", expand)
+        monkeypatch.setattr(harness, "SHARDS", shards)
         got = estimate_fooling_error(f, dist, gen, mode="mc", trials=trials,
-                                     master_seed=77, shards=shards, experiment="runs", eps=0.5)
+                                     master_seed=77, experiment="runs", eps=0.5)
         monkeypatch.undo()
         want = per_shard_report(f, dist, gen, trials, 77, shards, "runs", 0.5)
         assert replace(got, wall_ms=0.0) == want
@@ -456,18 +487,22 @@ class TestProbeGolden:
 
     SYSTEM = HalfspaceSystem(philox(23).normal(size=(8, 2)), [0.1, -0.2])
 
+    @pytest.fixture(autouse=True)
+    def seven_shards(self, monkeypatch):
+        monkeypatch.setattr(harness, "SHARDS", 7)
+
     def test_berry_esseen(self):
         skew = DiscreteCoordinate([-1.0, 0.5, 2.0], [0.25, 0.5, 0.25])
         W = philox(19).normal(size=(12, 2))
         rep = berry_esseen_probe(W, ProductDistribution.repeated(skew, 12),
                                  OrthantSet(np.array([0.25, -0.5]), (0, 1, 1, 1)),
-                                 trials=20_001, master_seed=2010, shards=7)
+                                 trials=20_001, master_seed=2010)
         assert (rep.p_sum, rep.p_gauss, rep.ci95, rep.samples) == \
             (0.8029098545072746, 0.7853107344632768, 0.007923044572265994, 20001)
 
     def test_sphere_gaussian_source(self):
         rep = sphere_transfer(self.SYSTEM, CombinerSpec.intersection(), trials=10_001,
-                              master_seed=2010, shards=7)
+                              master_seed=2010)
         assert (rep.estimate, rep.ci95, rep.samples) == \
             (0.29357064293570645, 0.00892518154631663, 10001)
 
@@ -481,7 +516,7 @@ class TestProbeGolden:
             return X
 
         rep = sphere_transfer(self.SYSTEM, CombinerSpec.intersection(), trials=10_001,
-                              master_seed=2010, shards=7, sampler=sampler)
+                              master_seed=2010, sampler=sampler)
         assert (rep.estimate, rep.ci95, rep.samples) == \
             (0.29147085291470853, 0.008906412460320071, 10001)
         assert len(calls) > 7
@@ -506,27 +541,29 @@ class TestSharding:
         with pytest.raises(ValueError):
             shard_sizes(trials, shards)
 
-    def test_samples_equal_trials_everywhere(self):
+    def test_samples_equal_trials_everywhere(self, monkeypatch):
         gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
         W = np.ones((4, 1)) / 2
         for trials, shards in ((13, 4), (3, 8)):
+            monkeypatch.setattr(harness, "SHARDS", shards)
             rep = estimate_fooling_error(lambda x: int(sum(x) >= 0), cube(4), gen,
-                                         mode="mc", trials=trials, shards=shards,
+                                         mode="mc", trials=trials,
                                          master_seed=1)
             assert rep.samples == trials
             orthant = OrthantSet(np.array([0.0]), (0, 1))
-            assert berry_esseen_probe(W, cube(4), orthant, trials=trials, shards=shards,
+            assert berry_esseen_probe(W, cube(4), orthant, trials=trials,
                                       master_seed=1).samples == trials
             system = HalfspaceSystem(W, [0.0])
             assert sphere_transfer(system, CombinerSpec.single(), trials=trials,
-                                   shards=shards, master_seed=1).samples == trials
+                                   master_seed=1).samples == trials
 
-    def test_colliding_shard_keys_rejected(self):
+    def test_colliding_shard_keys_rejected(self, monkeypatch):
         gen = MZGenerator([[-1.0, 1.0]] * 4, t=2, k=2)
         for shards in (0, 10_000):
+            monkeypatch.setattr(harness, "SHARDS", shards)
             with pytest.raises(ValueError):
                 estimate_fooling_error(lambda x: 1, cube(4), gen, mode="mc",
-                                       trials=20_000, shards=shards, master_seed=1)
+                                       trials=20_000, master_seed=1)
 
 
 class TestCovariance:
@@ -624,8 +661,9 @@ class TestBerryEsseen:
         monkeypatch.setattr(OrthantSet, "contains", recorded)
         law = ProductDistribution.repeated(
             DiscreteCoordinate([-1.0, 0.1, 0.3], [0.25, 0.25, 0.5]), 6)
+        monkeypatch.setattr(harness, "SHARDS", 3)
         berry_esseen_probe(W, law, OrthantSet(np.zeros(2), (0, 0, 0, 1)), trials=301,
-                           master_seed=4, shards=3)
+                           master_seed=4)
         # per shard: the sums S, then the Gaussian reference points
         samples = np.concatenate([law.sample(rng_for(4, s), size)
                                   for s, size in enumerate(shard_sizes(301, 3))])
@@ -733,13 +771,13 @@ class TestReports:
 
     def test_empty_csv_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report([], path, "csv")
+        emit_report([], path)
         lines = path.read_text().strip().splitlines()
         assert lines == [",".join(EstimationReport.COLUMNS)]
 
     def test_exact_has_zero_ci_column(self, tmp_path):
         path = tmp_path / "r.csv"
-        emit_report([self.make()], path, "csv")
+        emit_report([self.make()], path)
         row = path.read_text().strip().splitlines()[1].split(",")
         assert row[EstimationReport.COLUMNS.index("ci95")] == "0.0"
 
@@ -749,5 +787,5 @@ class TestReports:
                                     0.001, 1932, 12345.6789),
                    self.make(3)]
         path = tmp_path / "r.json"
-        emit_report(reports, path, "json")
+        emit_report(reports, path)
         assert read_report_json(path) == reports

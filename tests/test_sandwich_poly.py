@@ -1139,6 +1139,19 @@ class TestKWiseFoolingCheck:
         chk = kwise_fooling_check(lambda x: 1, Z(), One(), CUBE6, self.kgen(2), order=0)
         assert chk.gap == 0 and chk.ok
 
+    def test_oversized_seed_space_refused_before_f_is_read(self):
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return 1
+
+        gen = MZGenerator([[-1.0, 1.0]] * 20, t=2 ** 14, k=4)
+        with pytest.raises(harness.ResourceCapError, match="^seed space"):
+            kwise_fooling_check(f, lambda x: 0.0, lambda x: 1.0,
+                                ProductDistribution([RAD] * 20), gen, order=4)
+        assert calls == [0]
+
     def test_order_violation_raises(self):
         with pytest.raises(OrderViolation):
             kwise_fooling_check(lambda x: 1, lambda x: 0.0, lambda x: 1.0,
